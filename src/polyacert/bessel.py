@@ -13,15 +13,15 @@ most 4 times) if two refined zeros ever land closer than one step apart.
 
 Counting convention: the derivative of the order-zero function has its first
 zero at the origin, which is included in every derivative zero count.
+
+scipy is imported inside the functions that evaluate Bessel functions, so
+that importing the package for the certified paths does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import brentq
-from scipy.special import jv, jvp
 
 from .curve import BoundKind
 from .errors import AccuracyLossError, DomainError, ScanAmbiguousError
@@ -39,6 +39,8 @@ def bessel_j(nu: float, x: float) -> float:
     """J_nu(x) for nu >= 0, x >= 0 (double precision)."""
     if nu < 0 or x < 0:
         raise DomainError(f"need nu >= 0 and x >= 0, got nu={nu}, x={x}")
+    from scipy.special import jv
+
     value = float(jv(nu, x))
     if not math.isfinite(value):
         raise AccuracyLossError(f"J_{nu}({x}) evaluation lost accuracy: {value}")
@@ -49,6 +51,8 @@ def bessel_j_deriv(nu: float, x: float) -> float:
     """dJ_nu/dx at x > 0, via (J_(nu-1) - J_(nu+1))/2 (with J_0' = -J_1)."""
     if nu < 0 or x <= 0:
         raise DomainError(f"need nu >= 0 and x > 0, got nu={nu}, x={x}")
+    from scipy.special import jvp
+
     value = float(jvp(nu, x))
     if not math.isfinite(value):
         raise AccuracyLossError(f"J'_{nu}({x}) evaluation lost accuracy: {value}")
@@ -66,6 +70,8 @@ class ZeroCountQuery:
 
 def _scan_once(func, start: float, stop: float, step: float) -> list[float] | None:
     """Sign-scan [start, stop]; None signals two zeros within one step."""
+    from scipy.optimize import brentq
+
     zeros: list[float] = []
     t0 = start
     f0 = func(t0)
@@ -91,6 +97,8 @@ def _positive_zeros(nu: float, derivative: bool, x_hi: float) -> tuple[float, ..
     start = max(0.8 * nu, 0.1)
     if start >= x_hi:
         return ()
+    from scipy.special import jv, jvp
+
     func = (lambda x: jvp(nu, x)) if derivative else (lambda x: jv(nu, x))
     step = _SCAN_STEP
     for _ in range(_STEP_HALVINGS + 1):

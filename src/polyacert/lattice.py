@@ -27,6 +27,7 @@ from .curve import BoundKind, _g_numerator_bounds, g_lower, g_value
 from .errors import (
     BadDimensionError,
     DomainError,
+    GuessFailedError,
     HypothesisViolatedError,
     IrrationalApertureError,
     M0ExceedsBError,
@@ -71,34 +72,73 @@ _FLOOR_REFINEMENTS = 12
 def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     """Exact value of floor(G(lam, z) + shift), proved by rational bracketing.
 
-    The bracket of G is refined (eps divided by 10, at most 12 times) until
+    The bracket of G is taken on the ladder eps, eps/10, ..., eps/10^12 until
     both ends land in the same unit interval; if the bracket keeps straddling
-    an integer the term is reported via UnresolvedFloorError rather than
-    guessed.  For z >= lam the curve vanishes identically and the result is
-    floor(shift), with no bracketing needed.
+    an integer on every rung the term is reported via UnresolvedFloorError
+    rather than guessed.  For z >= lam the curve vanishes identically and the
+    result is floor(shift), with no bracketing needed.
+
+    The double-precision value of G + shift is used only as a hint: its
+    distance to the nearest integer picks the first rung tried, skipping the
+    coarser rungs whose brackets would reach that integer, so that most
+    terms need a single bracket.  The skipped rungs are tried last, so a
+    wrong hint can cost time but cannot change the result.
     """
     lam = as_rational(lam)
     z = as_rational(z)
     shift = as_rational(shift)
     if z >= lam:
         return rat_floor(shift)
-    attempt = as_rational(eps)
+    eps = as_rational(eps)
+    first = _first_rung(lam, z, shift, eps) if z >= 0 else 0
+    unverified = {}
     bracket = None
-    for _ in range(_FLOOR_REFINEMENTS + 1):
-        if z == 0:
-            pi = pi_bounds(attempt)
-            lo, hi = lam / pi.hi, lam / pi.lo
-        else:
-            num_lo, num_hi = _g_numerator_bounds(lam, z, attempt)
-            pi = pi_bounds(attempt)
-            lo, hi = num_lo / pi.hi, num_hi / pi.lo
+    for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
+        attempt = eps / 10**rung
+        try:
+            if z == 0:
+                pi = pi_bounds(attempt)
+                lo, hi = lam / pi.hi, lam / pi.lo
+            else:
+                num_lo, num_hi = _g_numerator_bounds(lam, z, attempt)
+                pi = pi_bounds(attempt)
+                lo, hi = num_lo / pi.hi, num_hi / pi.lo
+        except GuessFailedError as exc:
+            unverified[rung] = exc
+            continue
         f_lo = rat_floor(lo + shift)
         f_hi = rat_floor(hi + shift)
         if f_lo == f_hi:
             return f_lo
-        bracket = (lo + shift, hi + shift)
-        attempt = attempt / 10
+        if rung == _FLOOR_REFINEMENTS:
+            bracket = (lo + shift, hi + shift)
+    if unverified:
+        # the failure that refining rung by rung from eps meets first
+        raise unverified[min(unverified)]
     raise UnresolvedFloorError(z, bracket)
+
+
+def _first_rung(lam: Q, z: Q, shift: Q, eps: Q) -> int:
+    """The first rung of the eps ladder whose bracket of G may miss the integer nearest G + shift.
+
+    Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
+    beyond G (z times the arccos overhang, plus G times the relative pi
+    overhang) and at most about three times that.  Rungs whose brackets
+    could reach the nearest integer, with a margin of two for the double
+    value's error, are skipped.
+    """
+    try:
+        g = g_value(to_float(lam), to_float(z))
+        reach = 6 * to_float(eps) * (to_float(z) + 3 * g) / math.pi
+    except OverflowError:
+        return 0
+    frac = (g + to_float(shift)) % 1.0
+    gap = min(frac, 1.0 - frac)
+    rung = 0
+    while rung < _FLOOR_REFINEMENTS and reach > gap:
+        reach /= 10
+        rung += 1
+    return rung
 
 
 def _weighted_abscissa(d: int, m: int) -> Q:

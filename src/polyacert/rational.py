@@ -5,15 +5,17 @@ rationals; no float ever enters a certified comparison.  The concrete number
 type is swappable:
 
 * ``gmpy2.mpq`` -- GMP-backed compiled arithmetic, used by default when
-  gmpy2 imports.  The hot loops (Taylor evaluation, bracket refinement)
-  spend nearly all their time in big-integer multiplication and gcd, which
-  is exactly what GMP accelerates.
+  gmpy2 imports.  It speeds up the rational arithmetic of the brackets and
+  counts (multiplication and gcd); the Taylor and squaring checks inside
+  the verified brackets run on plain ``int`` with either backend.
 * ``fractions.Fraction`` -- pure-Python fallback, always available.
 
 Set ``POLYACERT_BACKEND=gmpy2`` or ``POLYACERT_BACKEND=fractions`` to force a
 backend.  Every algorithm here is pure integer logic, so both backends
-produce bit-identical results; ``benchmarks/bench_backends.py`` compares
-their speed.
+produce bit-identical results.  To time one backend, run the benchmark
+under it, e.g. ``POLYACERT_BACKEND=fractions python3 perfbench/run.py
+--workload large_lambda``; every run also checks that each installed
+backend reproduces the recorded output digests.
 
 Rationals serialize as ``"p/q"`` (or just ``"p"`` for integers) with the
 sign on the numerator; :func:`parse_rational` accepts both forms.

@@ -11,6 +11,19 @@ established purely by exact rational comparisons:
   ``x < T14(lo)`` forces ``lo < arccos(x)``;
 * pi is three times the arccos bracket of 1/2.
 
+The arccos and square-root checks run on Python integers only: with
+``hi = p/q`` and ``x = a/b``, ``T12(hi) < x`` is decided as
+``N * b < a * 12! * q^12``, where the integer ``N = 12! * q^12 * T12(p/q)``
+comes from a homogeneous Horner evaluation in ``p^2`` and ``q^2`` (and
+likewise over ``14! * q^14`` for ``T14(lo)``); the squaring checks
+cross-multiply the same way.  The degree-12/14 sandwich is about 6e-9 wide
+near pi/2, too coarse to verify brackets much below eps = 1e-9 there, so an
+endpoint it cannot verify is checked again against the degree-28/30 pair,
+which is rigorous on the same range and about 3e-27 wide there.  An endpoint the
+degree-12/14 pair verifies is never rechecked, so the brackets it accepts
+stay the same.  Arccos and pi brackets thus verify down to about
+eps = 1e-15, where the double-precision arccos guess runs out of accuracy.
+
 Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
@@ -29,9 +42,11 @@ from .errors import DomainError, GuessFailedError, NegativeInputError
 from .rational import (
     Q,
     ZERO,
+    _simplest_positive,
     as_rational,
+    denom,
+    numer,
     rational,
-    simplest_in,
     sqrt_guess,
     to_float,
 )
@@ -50,6 +65,19 @@ _TAYLOR_SAFE_MAX = rational(4)
 _COS_COEFFS = tuple(
     rational((-1) ** k, math.factorial(2 * k)) for k in range(8)
 )
+
+# Taylor degrees of cos whose last term is positive (the polynomial lies above
+# cos) and negative (below cos), coarse one first.  The terms x^(2k)/(2k)!
+# decrease from k = 7 on for x <= 4, so every pair brackets cos on [0, 4].
+_ABOVE_COS = (12, 28)
+_BELOW_COS = (14, 30)
+
+# (-1)^k * n!/(2k)! for k = n/2 down to 0: the integer coefficients of
+# n! * T_n, highest power first.
+_TAYLOR_INTS = {
+    n: tuple((-1) ** k * (math.factorial(n) // math.factorial(2 * k)) for k in range(n // 2, -1, -1))
+    for n in _ABOVE_COS + _BELOW_COS
+}
 
 
 @dataclass(frozen=True)
@@ -105,10 +133,18 @@ def _exact_sqrt(x):
 
 
 def _bracket_candidates(guess, eps) -> tuple[Q, Q]:
-    """Smallest-denominator rationals in the two off-center windows around guess."""
-    lo = simplest_in(guess - 3 * eps, guess - eps)
-    hi = simplest_in(guess + eps, guess + 3 * eps)
-    return lo, hi
+    """Smallest-denominator rationals in the two off-center windows around guess.
+
+    Both windows are searched on the integer numerators over the common
+    denominator of guess and eps.  A lower window that reaches 0 gives the
+    endpoint 0: every bracketed value here is non-negative.
+    """
+    centre, step = numer(guess) * denom(eps), numer(eps) * denom(guess)
+    den = denom(guess) * denom(eps)
+    hi = rational(*_simplest_positive(centre + step, den, centre + 3 * step, den))
+    if centre <= 3 * step:
+        return ZERO, hi
+    return rational(*_simplest_positive(centre - 3 * step, den, centre - step, den)), hi
 
 
 def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
@@ -130,12 +166,16 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     for _ in range(GUESS_RETRIES + 1):
         guess = sqrt_guess(x, attempt / 2**20)
         lo, hi = _bracket_candidates(guess, attempt)
-        if lo < 0:
-            lo = ZERO
-        if lo * lo <= x <= hi * hi:
+        if _squares_bracket(x, lo, hi):
             return RationalInterval(lo, hi)
         attempt = attempt / 10
     raise GuessFailedError(f"square-root bracket for {x} failed to verify")
+
+
+def _squares_bracket(x, lo, hi) -> bool:
+    """Exact check of lo^2 <= x <= hi^2 by cross-multiplying integers."""
+    a, b = numer(x), denom(x)
+    return numer(lo) ** 2 * b <= a * denom(lo) ** 2 and a * denom(hi) ** 2 <= numer(hi) ** 2 * b
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +217,6 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     attempt = eps
     for _ in range(GUESS_RETRIES + 1):
         lo, hi = _bracket_candidates(guess, attempt)
-        if lo < 0:
-            lo = ZERO
         if _verify_arccos(x, lo, hi):
             return RationalInterval(lo, hi)
         attempt = attempt / 10
@@ -186,18 +224,35 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
 
 
 def _verify_arccos(x, lo, hi) -> bool:
-    """Exact check that lo <= arccos(x) <= hi via the Taylor sandwich."""
-    if hi <= 0 or hi > _TAYLOR_SAFE_MAX or lo < 0:
+    """Exact check that lo <= arccos(x) <= hi via the Taylor sandwich, on integers."""
+    a, b = numer(x), denom(x)
+    p, q = numer(hi), denom(hi)
+    r, s = numer(lo), denom(lo)
+    if p <= 0 or p > 4 * q or r < 0:  # hi in (0, 4], lo >= 0
         return False
-    # upper end: T12(hi) < x gives cos(hi) < x, so hi > arccos(x)
-    _, t12_hi = _cos_taylor_pair(hi)
-    if not t12_hi < x:
+    # upper end: T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x)
+    if not any(_taylor_minus(p, q, n, a, b) < 0 for n in _ABOVE_COS):
         return False
-    if lo == 0:
+    if r == 0:
         return True  # arccos(x) >= 0 always
-    # lower end: x < T14(lo) gives x < cos(lo), so lo < arccos(x)
-    t14_lo, _ = _cos_taylor_pair(lo)
-    return x < t14_lo
+    # lower end: x < T(lo) with T below cos gives x < cos(lo), so lo < arccos(x)
+    return any(_taylor_minus(r, s, n, a, b) > 0 for n in _BELOW_COS)
+
+
+def _taylor_minus(p: int, q: int, n: int, a: int, b: int) -> int:
+    """An integer with the sign of T_n(p/q) - a/b, for the degree-n cos Taylor polynomial T_n.
+
+    It is n! * q^n * b times the difference (q, b > 0).  The numerator
+    n! * q^n * T_n(p/q) is a homogeneous polynomial in p^2 and q^2, summed
+    by Horner's rule from the highest power of p^2 down.
+    """
+    p2, q2 = p * p, q * q
+    coeffs = _TAYLOR_INTS[n]
+    acc, q2_pow = coeffs[0], 1
+    for c in coeffs[1:]:
+        q2_pow *= q2
+        acc = acc * p2 + c * q2_pow
+    return acc * b - a * coeffs[-1] * q2_pow  # coeffs[-1] is n!
 
 
 _PI_CACHE: dict[tuple[int, int], RationalInterval] = {}

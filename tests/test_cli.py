@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyacert
 from polyacert.cli import main
 
 
@@ -107,6 +112,27 @@ class TestCountCommand:
     def test_bad_rational_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["count", "--lambda", "1.5"])
+
+
+def test_certified_commands_do_not_import_scipy(tmp_path):
+    script = """
+import sys
+from polyacert import cli
+cert = sys.argv[1]
+assert cli.main(["count", "--lambda", "20"]) == 0
+assert cli.main(["count", "--lambda", "9", "--alpha", "1/2"]) == 0
+assert cli.main(["certify", "--start", "3", "--target", "4", "-o", cert]) == 0
+assert cli.main(["verify", cert]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(polyacert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cert.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestOracleCommand:

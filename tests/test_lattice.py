@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyacert import lattice
 from polyacert.curve import BoundKind, g_value
 from polyacert.errors import (
     BadDimensionError,
@@ -94,6 +95,53 @@ class TestCountWeighted:
                 value = count_weighted(2, kind, rational(k, 4)).value
                 assert value >= previous
                 previous = value
+
+    def test_term_near_an_integer_refines_to_the_last_rung(self):
+        # a floor term so close to an integer that it needs a bracket at
+        # eps ~ 1e-15, below what the degree-12/14 Taylor sandwich verifies
+        lam = rational(11393, 11)
+        exact = count_weighted(2, N, lam).value
+        assert exact == count_weighted_oracle(2, N, 11393 / 11).value == 268676
+
+
+class TestFloatHint:
+    """The double value of G picks the first refinement rung; it must never change a count."""
+
+    @staticmethod
+    def _counts():
+        return (
+            [count_weighted(2, kind, rational(k, 4)).value for kind in (D, N) for k in range(1, 41)]
+            + [count_weighted(3, D, rational(k, 2)).value for k in range(1, 13)]
+            + [count_dirichlet_dim_reduction(4, rational(k, 2)).value for k in range(1, 9)]
+            + [sector_lattice_bound(N, rational(1, 3), rational(k, 2)).value for k in range(1, 13)]
+        )
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            # G + shift looks exactly on an integer for one boundary kind (the
+            # finest rung is tried first) and halfway between two for the other
+            lambda lam, z: 0.25,
+            lambda lam, z: 0.75,
+            lambda lam, z: 1e300,
+            lambda lam, z: math.nan,
+            lambda lam, z: g_value(lam, z) + 0.37,
+        ],
+    )
+    def test_wrong_hints_leave_counts_unchanged(self, monkeypatch, wrong):
+        expected = self._counts()
+        monkeypatch.setattr(lattice, "g_value", wrong)
+        assert self._counts() == expected
+
+    def test_unverifiable_hinted_rung_falls_back_to_the_skipped_ones(self, monkeypatch):
+        # at eps = 1e-10 the finest rung (1e-22) is beyond what a double arccos
+        # guess can seed, so a hint that starts there must fall back to the
+        # coarser rungs it skipped
+        eps = rational(1, 10**10)
+        lam, shift = rational(37, 4), rational(3, 4)
+        expected = [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)]
+        monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
+        assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
 
 
 class TestCertifiedLower:

@@ -1,9 +1,10 @@
 """Tests for the verified bracket layer: sqrt, cos Taylor sandwich, arccos, pi."""
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyacert.errors import DomainError, NegativeInputError
@@ -11,6 +12,9 @@ from polyacert.rational import format_rational, rational, to_float
 from polyacert.verified import (
     DEFAULT_EPS,
     RationalInterval,
+    _cos_taylor_pair,
+    _taylor_minus,
+    _verify_arccos,
     arccos_bounds,
     cos_bounds,
     pi_bounds,
@@ -193,6 +197,49 @@ class TestArccosBounds:
         assert iv.width <= 6 * eps
 
 
+class TestIntegerTaylorCheck:
+    """The integer kernel against exact Fraction evaluation of the same polynomials."""
+
+    @staticmethod
+    def taylor(y, n):
+        return sum(Fraction((-1) ** k, math.factorial(2 * k)) * y ** (2 * k) for k in range(n // 2 + 1))
+
+    @given(
+        y=st.fractions(min_value=0, max_value=4, max_denominator=10**12),
+        x=st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sign_matches_fraction_reference(self, y, x):
+        assume(y > 0 and x > 0)
+        t14, t12 = _cos_taylor_pair(y)
+        for n, reference in ((12, t12), (14, t14), (28, self.taylor(y, 28)), (30, self.taylor(y, 30))):
+            diff = _taylor_minus(y.numerator, y.denominator, n, x.numerator, x.denominator)
+            assert (diff > 0) - (diff < 0) == (reference > x) - (reference < x), n
+
+    @given(
+        lo=st.fractions(min_value=0, max_value=4, max_denominator=10**9),
+        hi=st.fractions(min_value=0, max_value=4, max_denominator=10**9),
+        x=st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arccos_predicate_matches_fraction_reference(self, lo, hi, x):
+        assume(0 < x and lo <= hi)
+        upper = 0 < hi and (_cos_taylor_pair(hi)[1] < x or self.taylor(hi, 28) < x)
+        lower = lo == 0 or x < _cos_taylor_pair(lo)[0] or x < self.taylor(lo, 30)
+        assert _verify_arccos(x, lo, hi) == (upper and lower)
+
+    def test_higher_degree_reaches_fine_brackets_near_half_pi(self):
+        eps = Fraction(1, 10**14)
+        x = rational(1, 1000)
+        iv = arccos_bounds(x, eps)
+        true = mpmath.acos(rational_to_mpf(x))
+        assert rational_to_mpf(iv.lo) < true < rational_to_mpf(iv.hi)
+        assert iv.width <= 6 * eps
+        # the degree-12/14 sandwich alone verifies neither end here
+        assert not _cos_taylor_pair(iv.hi)[1] < x
+        assert not _cos_taylor_pair(iv.lo)[0] > x
+
+
 class TestPiBounds:
     def test_brackets_known_rational(self):
         iv = pi_bounds(rational(1, 1000))
@@ -202,6 +249,12 @@ class TestPiBounds:
     def test_width_scales_with_eps(self):
         eps = rational(1, 10**6)
         assert pi_bounds(eps).width <= 18 * eps
+
+    def test_fine_bracket(self):
+        eps = rational(1, 10**13)
+        iv = pi_bounds(eps)
+        assert rational_to_mpf(iv.lo) < mpmath.pi < rational_to_mpf(iv.hi)
+        assert iv.width <= 18 * eps
 
     def test_construction_is_three_arccos_halves(self):
         eps = rational(1, 500)
