@@ -18,10 +18,10 @@ from .certify import (
 from .curve import (
     BoundKind,
     a_value,
+    g_bracket,
     g_inverse_quarter,
     g_lower,
     g_moment,
-    g_upper,
     g_value,
     r1,
     r2_margin,
@@ -54,7 +54,6 @@ from .lattice import (
     multiplicity_step,
     sector_lattice_bound,
     sector_lattice_bound_oracle,
-    write_counts_csv,
 )
 from .rational import (
     RATIONAL_BACKEND,
@@ -110,10 +109,10 @@ __all__ = [
     "eigencount_disk_neumann",
     "eigencount_sector",
     "format_rational",
+    "g_bracket",
     "g_inverse_quarter",
     "g_lower",
     "g_moment",
-    "g_upper",
     "g_value",
     "gap_endpoints",
     "kappa",
@@ -130,5 +129,4 @@ __all__ = [
     "verify_certificate",
     "weyl_leading",
     "weyl_leading_bounds",
-    "write_counts_csv",
 ]

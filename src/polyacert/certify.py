@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import EpsTooCoarseError, StallError, StepFailedError
+from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
 from .rational import Q, as_rational, format_rational, parse_rational, rational
 from .verified import DEFAULT_EPS, pi_bounds, sqrt_bounds
@@ -138,9 +138,9 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
     target = as_rational(lambda_target)
     eps = as_rational(eps)
     if not 0 < lam < target:
-        raise ValueError(f"need 0 < start < target, got start={lam}, target={target}")
+        raise DomainError(f"need 0 < start < target, got start={lam}, target={target}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DomainError("eps must be positive")
     pi = pi_bounds(eps)
     cert = Certificate(
         eps=eps,

@@ -13,8 +13,9 @@ Two evaluation regimes coexist:
 
 * exploratory double-precision functions (:func:`g_value`, :func:`g_moment`,
   :func:`g_inverse_quarter`, ...) used for oracles, plots, and desk checks;
-* the certified pair :func:`g_lower` / :func:`g_upper`, exact rationals that
-  provably bracket the true value, used by every certified count.
+* the certified bracket :func:`g_bracket`, exact rationals that provably
+  enclose the true value, used by every certified count (:func:`g_lower` is
+  its lower end).
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import math
 from enum import Enum
 
 from .errors import BadDimensionError, DomainError
-from .rational import Q, as_rational, rational
-from .verified import RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
+from .rational import ZERO, Q, as_rational, denom, numer, rational
+from .verified import DEFAULT_EPS, RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
 
 
 class BoundKind(Enum):
@@ -60,29 +61,16 @@ def g_value(lam: float, z: float) -> float:
     return max(0.0, (math.sqrt(lam * lam - z * z) - z * math.acos(z / lam)) / math.pi)
 
 
-def g_lower(lam, z, eps) -> Q:
-    """Certified rational lower bound of g_value(lam, z) for rational inputs.
+def g_bracket(lam, z, eps) -> RationalInterval:
+    """Certified rational bracket of g_value(lam, z) for rational 0 <= z <= lam.
 
-    Built as (sqrt-lower - z*arccos-upper) / pi-upper, each factor a verified
-    bracket endpoint, so the result never exceeds the true height.  It may be
-    negative near z = lam; callers flooring with a positive shift must clamp.
-    """
-    num_lo, _ = _g_numerator_bounds(lam, z, eps)
-    return num_lo / pi_bounds(eps).hi
-
-
-def g_upper(lam, z, eps) -> Q:
-    """Certified rational upper bound of g_value(lam, z), the mirror of g_lower."""
-    _, num_hi = _g_numerator_bounds(lam, z, eps)
-    return num_hi / pi_bounds(eps).lo
-
-
-def _g_numerator_bounds(lam, z, eps) -> tuple[Q, Q]:
-    """Exact bracket of sqrt(lam^2 - z^2) - z*arccos(z/lam).
-
-    The true numerator is non-negative on [0, lam], so dividing the upper end
-    by the pi lower bound and the lower end by the pi upper bound preserves
-    the bracket after division.
+    The numerator sqrt(lam^2 - z^2) - z*arccos(z/lam) is bracketed by verified
+    sqrt and arccos endpoints (at z = 0 it is lam exactly).  It is
+    non-negative on [0, lam], so its lower end over the pi upper bound and
+    its upper end over the pi lower bound bracket the height.  The lower end
+    may be negative near z = lam; callers flooring it with a positive shift
+    must clamp.  For eps too coarse to bound pi away from 0, the upper end
+    divides by the pi lower bound at DEFAULT_EPS instead.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -91,11 +79,33 @@ def _g_numerator_bounds(lam, z, eps) -> tuple[Q, Q]:
         raise DomainError(f"lam must be positive, got {lam}")
     if z < 0 or z > lam:
         raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
-    root = sqrt_bounds(lam * lam - z * z, eps)
     if z == 0:
-        return root.lo, root.hi
-    angle = arccos_bounds(z / lam, eps)
-    return root.lo - z * angle.hi, root.hi - z * angle.lo
+        root, angle = RationalInterval(lam, lam), RationalInterval(ZERO, ZERO)
+    else:
+        root = sqrt_bounds(lam * lam - z * z, eps)
+        angle = arccos_bounds(z / lam, eps)
+    pi = pi_bounds(eps)
+    pi_lo = pi.lo or pi_bounds(DEFAULT_EPS).lo
+    lo = _over_pi(root.lo, z, angle.hi, pi.hi)
+    hi = _over_pi(root.hi, z, angle.lo, pi_lo)
+    return RationalInterval(lo, hi)
+
+
+def _over_pi(root: Q, z: Q, angle: Q, pi: Q) -> Q:
+    """(root - z*angle) / pi for pi > 0, built from the integer parts.
+
+    The result is normalised once; three chained rational operations would
+    reduce three times, a cost the lower-bound counts would pay on the upper
+    end they discard.
+    """
+    root_d, z_d, angle_d = denom(root), denom(z), denom(angle)
+    num = numer(root) * z_d * angle_d - numer(z) * numer(angle) * root_d
+    return rational(num * denom(pi), root_d * z_d * angle_d * numer(pi))
+
+
+def g_lower(lam, z, eps) -> Q:
+    """Certified rational lower bound of g_value(lam, z): the lower end of :func:`g_bracket`."""
+    return g_bracket(lam, z, eps).lo
 
 
 def g_moment(lam: float, beta: float) -> float:

@@ -10,20 +10,26 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
   (single-sided, no refinement), so the value never exceeds the true count;
 * ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only.
 
+The certified single sums (:func:`count_weighted`,
+:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) are
+thin wrappers over one kernel, ``_floor_sum``.  Three routes keep their own
+summation, because the tests compare the kernel against them: the
+double-precision :func:`count_weighted_oracle` and
+:func:`sector_lattice_bound_oracle`, and
+:func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
+count in its dimension-reduction form.
+
 The module also houses the two counting theorems used to compare floor sums
-against area integrals for tabulated decreasing convex functions, a
-dimension-reduction evaluation of the higher-dimensional Dirichlet count,
-sector variants, and the cumulative multiplicity function with its
-polynomial bound.
+against area integrals for tabulated decreasing convex functions, and the
+cumulative multiplicity function with its polynomial bound.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .curve import BoundKind, _g_numerator_bounds, g_lower, g_value
+from .curve import BoundKind, g_bracket, g_lower, g_value
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -34,13 +40,12 @@ from .errors import (
     UnresolvedFloorError,
 )
 from .rational import Q, as_rational, rat_floor, rational, to_float
-from .verified import DEFAULT_EPS, pi_bounds
+from .verified import DEFAULT_EPS
 
 
 class Rigor(Enum):
     CERTIFIED_EXACT = "certified-exact"
     CERTIFIED_LOWER = "certified-lower"
-    CERTIFIED_UPPER = "certified-upper"
     ORACLE = "oracle"
 
 
@@ -92,30 +97,23 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     eps = as_rational(eps)
     first = _first_rung(lam, z, shift, eps) if z >= 0 else 0
     unverified = {}
-    bracket = None
+    finest = None
     for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
-        attempt = eps / 10**rung
         try:
-            if z == 0:
-                pi = pi_bounds(attempt)
-                lo, hi = lam / pi.hi, lam / pi.lo
-            else:
-                num_lo, num_hi = _g_numerator_bounds(lam, z, attempt)
-                pi = pi_bounds(attempt)
-                lo, hi = num_lo / pi.hi, num_hi / pi.lo
+            bracket = g_bracket(lam, z, eps / 10**rung)
         except GuessFailedError as exc:
             unverified[rung] = exc
             continue
-        f_lo = rat_floor(lo + shift)
-        f_hi = rat_floor(hi + shift)
+        f_lo = rat_floor(bracket.lo + shift)
+        f_hi = rat_floor(bracket.hi + shift)
         if f_lo == f_hi:
             return f_lo
         if rung == _FLOOR_REFINEMENTS:
-            bracket = (lo + shift, hi + shift)
+            finest = (bracket.lo + shift, bracket.hi + shift)
     if unverified:
         # the failure that refining rung by rung from eps meets first
         raise unverified[min(unverified)]
-    raise UnresolvedFloorError(z, bracket)
+    raise UnresolvedFloorError(z, finest)
 
 
 def _first_rung(lam: Q, z: Q, shift: Q, eps: Q) -> int:
@@ -141,9 +139,34 @@ def _first_rung(lam: Q, z: Q, shift: Q, eps: Q) -> int:
     return rung
 
 
+def _floor_sum(lam: Q, terms, shift: Q, floor_of, eps) -> int:
+    """Sum of weight * floor_of(lam, z, shift, eps) over the (weight, z) pairs of terms.
+
+    floor_of is certified_floor_term (exact) or _lower_floor (lower bound).
+    The curve vanishes for z >= lam, where the term is floor(shift) exactly
+    and floor_of is not called.
+    """
+    total = 0
+    for weight, z in terms:
+        term = rat_floor(shift) if z >= lam else floor_of(lam, z, shift, eps)
+        total += weight * term
+    return total
+
+
+def _lower_floor(lam: Q, z: Q, shift: Q, eps) -> int:
+    """floor(g_lower + shift) clamped at zero: never above floor(G + shift) for shift >= 0."""
+    return max(0, rat_floor(g_lower(lam, z, eps) + shift))
+
+
 def _weighted_abscissa(d: int, m: int) -> Q:
     # z = m + d/2 - 1, exact also for odd d
     return rational(2 * m + d - 2, 2)
+
+
+def _weighted_terms(d: int, lam: Q):
+    """(kappa(d, m), z_m) for m = 0 .. floor(lam - d/2 + 1)."""
+    for m in range(rat_floor(lam - rational(d, 2) + 1) + 1):
+        yield kappa(d, m), _weighted_abscissa(d, m)
 
 
 def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult:
@@ -156,10 +179,7 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    m_top = rat_floor(lam - rational(d, 2) + 1)
-    total = 0
-    for m in range(m_top + 1):
-        total += kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), kind.shift, eps)
+    total = _floor_sum(lam, _weighted_terms(d, lam), kind.shift, certified_floor_term, eps)
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -196,18 +216,7 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    eps = as_rational(eps)
-    shift = rational(3, 4)
-    total = 0
-    for m in range(rat_floor(lam) + 1):
-        z = rational(m)
-        if z >= lam:
-            term = 0  # curve vanishes: floor(3/4) = 0 exactly
-        elif m == 0:
-            term = rat_floor(lam / pi_bounds(eps).hi + shift)
-        else:
-            term = rat_floor(g_lower(lam, z, eps) + shift)
-        total += kappa(2, m) * max(0, term)
+    total = _floor_sum(lam, _weighted_terms(2, lam), BoundKind.NEUMANN.shift, _lower_floor, eps)
     return CountResult(total, Rigor.CERTIFIED_LOWER)
 
 
@@ -265,9 +274,8 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
     start = 1 if kind is BoundKind.DIRICHLET else 0
-    total = 0
-    for m in range(start, rat_floor(a * lam) + 1):
-        total += certified_floor_term(lam, rational(m) / a, kind.shift, eps)
+    terms = ((1, rational(m) / a) for m in range(start, rat_floor(a * lam) + 1))
+    total = _floor_sum(lam, terms, kind.shift, certified_floor_term, eps)
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -450,19 +458,3 @@ def check_convex_count_lower(table: ConvexTable) -> bool:
     rhs = table.integral() - (table.b - 3 * m0) / 8
     return lhs >= rhs - _TABLE_TOL
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def write_counts_csv(path, rows) -> None:
-    """Write (lam, CountResult) pairs as CSV with exact rational lam columns."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lambda_num", "lambda_den", "value", "rigor"])
-        for lam, result in rows:
-            lam = as_rational(lam)
-            writer.writerow(
-                [int(lam.numerator), int(lam.denominator), result.value, result.rigor.value]
-            )

@@ -71,7 +71,6 @@ else:
 
 
 ZERO = rational(0)
-ONE = rational(1)
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -120,10 +119,6 @@ def rat_ceil(q) -> int:
 def to_float(q) -> float:
     """Nearest double; for guesses and diagnostics only, never for certified tests."""
     return float(q)
-
-
-def is_integer(q) -> bool:
-    return denom(q) == 1
 
 
 def format_rational(q) -> str:

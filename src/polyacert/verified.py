@@ -158,7 +158,7 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     if x < 0:
         raise NegativeInputError(f"sqrt of negative value {x}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DomainError("eps must be positive")
     exact = _exact_sqrt(x)
     if exact is not None:
         return RationalInterval(exact, exact)
@@ -207,7 +207,7 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     if x < 0 or x > 1:
         raise DomainError(f"arccos_bounds domain is [0, 1], got {x}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DomainError("eps must be positive")
     if x == 0:
         # half the pi bracket; pi built at 2*eps/3 keeps the width within 6*eps
         pi = pi_bounds(2 * eps / 3)
@@ -266,7 +266,7 @@ def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     """
     eps = as_rational(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DomainError("eps must be positive")
     key = (int(eps.numerator), int(eps.denominator))
     cached = _PI_CACHE.get(key)
     if cached is None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyacert
+from polyacert.certify import certify
 from polyacert.cli import main
 
 
@@ -112,6 +113,21 @@ class TestCountCommand:
     def test_bad_rational_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["count", "--lambda", "1.5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--lambda", "5", "--eps", "0"),
+    ("certify", "--eps", "0"),
+    ("verify", "{cert}", "--eps", "0"),
+    ("certify", "--start", "5", "--target", "4"),
+], ids=["count-eps", "certify-eps", "verify-eps", "certify-range"])
+def test_out_of_domain_arguments_exit_two_with_a_message(capsys, tmp_path, argv):
+    cert = tmp_path / "cert.json"
+    certify(3, 4).dump(cert)
+    code, _, err = run(capsys, *(arg.format(cert=cert) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_certified_commands_do_not_import_scipy(tmp_path):

@@ -3,17 +3,17 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
 from polyacert.curve import (
     BoundKind,
     a_value,
+    g_bracket,
     g_inverse_quarter,
     g_lower,
     g_moment,
-    g_upper,
     g_value,
     r1,
     r2_margin,
@@ -123,18 +123,18 @@ class TestCertifiedBrackets:
 
     def test_interior_bracket(self):
         lam, z = rational(3), rational(1)
-        lo = g_lower(lam, z, DEFAULT_EPS)
-        hi = g_upper(lam, z, DEFAULT_EPS)
         true = g_high_precision(lam, z)
         pad = mpmath.mpf("1e-40")
-        assert rational_to_mpf(lo) <= true + pad
-        assert rational_to_mpf(hi) >= true - pad
+        for eps in (DEFAULT_EPS, rational(1, 2)):  # at 1/2 the pi bracket starts at 0
+            bracket = g_bracket(lam, z, eps)
+            assert rational_to_mpf(bracket.lo) <= true + pad
+            assert rational_to_mpf(bracket.hi) >= true - pad
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            g_lower(3, 4, DEFAULT_EPS)  # z > lam
+            g_bracket(3, 4, DEFAULT_EPS)  # z > lam
         with pytest.raises(DomainError):
-            g_lower(0, 0, DEFAULT_EPS)
+            g_bracket(0, 0, DEFAULT_EPS)
 
     @given(
         lam_num=st.integers(1, 2000),
@@ -142,17 +142,19 @@ class TestCertifiedBrackets:
         z_frac_num=st.integers(0, 100),
         eps_exp=st.integers(2, 6),
     )
+    @example(lam_num=7, lam_den=3, z_frac_num=0, eps_exp=3)  # z = 0: the numerator is lam, no arccos
+    @example(lam_num=7, lam_den=3, z_frac_num=100, eps_exp=3)  # z = lam: the curve's end
     @settings(max_examples=500, deadline=None)
     def test_certified_dominance(self, lam_num, lam_den, z_frac_num, eps_exp):
         lam = rational(lam_num, lam_den)
         z = lam * z_frac_num / 100
         eps = rational(1, 10**eps_exp)
-        lo = g_lower(lam, z, eps)
-        hi = g_upper(lam, z, eps)
+        bracket = g_bracket(lam, z, eps)
+        assert g_lower(lam, z, eps) == bracket.lo
         true = g_high_precision(lam, z)
         pad = mpmath.mpf("1e-35")
-        assert rational_to_mpf(lo) <= true + pad
-        assert rational_to_mpf(hi) >= true - pad
+        assert rational_to_mpf(bracket.lo) <= true + pad
+        assert rational_to_mpf(bracket.hi) >= true - pad
 
 
 class TestMoments:

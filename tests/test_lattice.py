@@ -31,7 +31,6 @@ from polyacert.lattice import (
     multiplicity_step,
     sector_lattice_bound,
     sector_lattice_bound_oracle,
-    write_counts_csv,
 )
 from polyacert.rational import rational
 from polyacert.verified import DEFAULT_EPS
@@ -87,6 +86,15 @@ class TestCountWeighted:
                 exact = count_weighted(2, kind, lam).value
                 approx = count_weighted_oracle(2, kind, k / 4).value
                 assert exact == approx, (kind, lam)
+
+    def test_coarse_eps_whose_pi_bracket_starts_at_zero(self):
+        # at eps = 1/2 the pi lower bound is 0, so the G bracket's upper end
+        # cannot divide by it; a rung-0 bracket must still be usable
+        for kind in (D, N):
+            for k in (1, 2, 7, 20):
+                lam = rational(k, 7)
+                exact = count_weighted(2, kind, lam, rational(1, 2)).value
+                assert exact == count_weighted_oracle(2, kind, k / 7).value, (kind, lam)
 
     def test_monotone_in_lambda(self):
         for kind in (D, N):
@@ -355,16 +363,3 @@ class TestConvexCountChecks:
     def test_lower_never_fails_on_admissible_tables(self, table):
         assert check_convex_count_lower(table)
 
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        rows = [
-            (rational(3), count_weighted(2, N, 3)),
-            (rational(7, 2), count_weighted(2, D, rational(7, 2))),
-        ]
-        write_counts_csv(path, rows)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lambda_num,lambda_den,value,rigor"
-        assert lines[1] == "3,1,3,certified-exact"
-        assert lines[2].startswith("7,2,")
