@@ -56,8 +56,6 @@ from .lattice import (
     sector_lattice_bound_oracle,
 )
 from .rational import (
-    RATIONAL_BACKEND,
-    Q,
     as_rational,
     format_rational,
     parse_rational,
@@ -82,8 +80,6 @@ __all__ = [
     "ConvexTable",
     "CountResult",
     "DEFAULT_EPS",
-    "Q",
-    "RATIONAL_BACKEND",
     "RationalInterval",
     "Rigor",
     "VerificationReport",

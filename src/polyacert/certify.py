@@ -12,18 +12,20 @@ A :class:`Certificate` records each step as exact rationals, together with
 the accuracy parameter and the pi bracket in force, so that an independent
 party can replay every inequality without floating point.
 :func:`verify_certificate` is that independent replay: it re-checks the
-margin identity and positivity, re-derives a fresh certified count, checks
-the squared step inequality by cross multiplication, and checks the chaining
-and final coverage.
+step numbers, the margin identity and positivity, re-derives a fresh
+certified count, checks the squared step inequality by cross multiplication,
+checks the chaining and final coverage, and checks the recorded pi bracket
+and success flag.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
-from .rational import Q, as_rational, format_rational, parse_rational, rational
+from .rational import as_rational, format_rational, parse_rational, rational
 from .verified import DEFAULT_EPS, pi_bounds, sqrt_bounds
 
 _DELTA_RETRIES = 6
@@ -35,21 +37,21 @@ class CertificateStep:
     """One certification step: all fields exact rationals (and one integer)."""
 
     index: int
-    lam: Q
+    lam: Fraction
     p_lower: int
-    e_lower: Q
-    delta_lower: Q
+    e_lower: Fraction
+    delta_lower: Fraction
 
 
 @dataclass
 class Certificate:
     """Replayable proof object for the counting inequality on [start, target]."""
 
-    eps: Q
-    lambda_start: Q
-    lambda_target: Q
-    pi_lower: Q
-    pi_upper: Q
+    eps: Fraction
+    lambda_start: Fraction
+    lambda_target: Fraction
+    pi_lower: Fraction
+    pi_upper: Fraction
     steps: list[CertificateStep] = field(default_factory=list)
     success: bool = False
 
@@ -75,11 +77,17 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
+        """Parse a certificate; a field of the wrong JSON type raises TypeError.
+
+        ``index`` and ``p_lower`` must be JSON integers and ``success`` a
+        JSON bool: coercing them would let ``3.9`` read as 3 and ``"false"``
+        as true.
+        """
         steps = [
             CertificateStep(
-                index=int(raw["index"]),
+                index=_json_field(raw, "index", int),
                 lam=parse_rational(raw["lambda"]),
-                p_lower=int(raw["p_lower"]),
+                p_lower=_json_field(raw, "p_lower", int),
                 e_lower=parse_rational(raw["e_lower"]),
                 delta_lower=parse_rational(raw["delta_lower"]),
             )
@@ -92,7 +100,7 @@ class Certificate:
             pi_lower=parse_rational(data["pi_lower"]),
             pi_upper=parse_rational(data["pi_upper"]),
             steps=steps,
-            success=bool(data["success"]),
+            success=_json_field(data, "success", bool),
         )
 
     def dump(self, path) -> None:
@@ -106,7 +114,15 @@ class Certificate:
             return cls.from_json_dict(json.load(handle))
 
 
-def gap_endpoints(eps=DEFAULT_EPS) -> tuple[Q, Q]:
+def _json_field(data: dict, name: str, kind: type):
+    """data[name] if its type is exactly ``kind`` (so a bool is not an int)."""
+    value = data[name]
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def gap_endpoints(eps=DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     """Verified rational cover of the interval not settled analytically.
 
     The analytic results leave open exactly the spectral parameters between
@@ -201,12 +217,14 @@ class VerificationReport:
     steps: list[StepVerification]
     start_covered: bool
     target_covered: bool
+    certificate_checks: dict[str, str]
 
     @property
     def all_passed(self) -> bool:
         return (
             self.start_covered
             and self.target_covered
+            and all(result == PASS for result in self.certificate_checks.values())
             and all(step.status == PASS for step in self.steps)
         )
 
@@ -216,6 +234,7 @@ class VerificationReport:
         return (
             self.start_covered
             and self.target_covered
+            and FAIL not in self.certificate_checks.values()
             and all(step.status != FAIL for step in self.steps)
         )
 
@@ -224,6 +243,8 @@ class VerificationReport:
         for step in self.steps:
             detail = ", ".join(f"{name}={result}" for name, result in step.checks.items())
             out.append(f"step {step.index}: {step.status} ({detail})")
+        detail = ", ".join(f"{name}={result}" for name, result in self.certificate_checks.items())
+        out.append(f"certificate: {detail}")
         out.append(f"coverage: start={'pass' if self.start_covered else 'fail'}, "
                    f"target={'pass' if self.target_covered else 'fail'}")
         return out
@@ -232,21 +253,37 @@ class VerificationReport:
 def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
     """Independently re-check every step of a certificate.
 
-    Per step: (a) the margin identity e = p - lam^2/4 and e > 0; (b) a fresh
+    Per step: (a) the step number is its position, counting from 1, and
+    the margin identity e = p - lam^2/4 and e > 0 hold; (b) a fresh
     certified count at eps_fresh confirms the recorded p (a fresh count below
     p is inconclusive, not a failure -- lower bounds are not unique -- and is
     retried once at eps_fresh/10); (c) the step inequality
     (lam + delta)^2 <= lam^2 + 4e by exact cross multiplication, with
     delta > 0; (d) chaining: the next step starts no later than lam + delta.
-    The report additionally records whether the chain covers
-    [lambda_start, lambda_target].  Failures are report entries, never
-    exceptions.
+    For the whole certificate, the recorded pi bracket must be the one
+    pi_bounds gives at the certificate's eps, and the success flag must be
+    set.  The report additionally records whether the chain covers
+    [lambda_start, lambda_target].
+
+    A defect of the certificate is a report entry, never an exception.  A
+    bad argument raises before any step is checked: DomainError when the
+    fresh-count eps (eps_fresh, or the certificate's eps when eps_fresh is
+    None) is not positive.
     """
     eps_fresh = as_rational(eps_fresh) if eps_fresh is not None else cert.eps
+    if eps_fresh <= 0:
+        raise DomainError("eps must be positive")
+    pi = pi_bounds(cert.eps) if cert.eps > 0 else None
+    pi_recorded = pi is not None and (pi.lo, pi.hi) == (cert.pi_lower, cert.pi_upper)
+    certificate_checks = {
+        "pi_bracket": PASS if pi_recorded else FAIL,
+        "success_flag": PASS if cert.success else FAIL,
+    }
     reports: list[StepVerification] = []
     for pos, step in enumerate(cert.steps):
         checks: dict[str, str] = {}
         lam = step.lam
+        checks["index"] = PASS if step.index == pos + 1 else FAIL
         checks["margin_identity"] = PASS if step.e_lower == step.p_lower - lam * lam / 4 else FAIL
         checks["margin_positive"] = PASS if step.e_lower > 0 else FAIL
         fresh = count_neumann2_certified_lower(lam, eps_fresh).value
@@ -270,5 +307,8 @@ def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
         and cert.steps[-1].lam + cert.steps[-1].delta_lower > cert.lambda_target
     )
     return VerificationReport(
-        steps=reports, start_covered=start_covered, target_covered=target_covered
+        steps=reports,
+        start_covered=start_covered,
+        target_covered=target_covered,
+        certificate_checks=certificate_checks,
     )

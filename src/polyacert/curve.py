@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 
 from .errors import BadDimensionError, DomainError
-from .rational import ZERO, Q, as_rational, denom, numer, rational
+from .rational import ZERO, as_rational, rational
 from .verified import DEFAULT_EPS, RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
 
 
@@ -34,7 +35,7 @@ class BoundKind(Enum):
     NEUMANN = "N"
 
     @property
-    def shift(self) -> Q:
+    def shift(self) -> Fraction:
         """Exact vertical shift: 1/4 for Dirichlet, 3/4 for Neumann."""
         return rational(1, 4) if self is BoundKind.DIRICHLET else rational(3, 4)
 
@@ -91,19 +92,19 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def _over_pi(root: Q, z: Q, angle: Q, pi: Q) -> Q:
+def _over_pi(root: Fraction, z: Fraction, angle: Fraction, pi: Fraction) -> Fraction:
     """(root - z*angle) / pi for pi > 0, built from the integer parts.
 
     The result is normalised once; three chained rational operations would
     reduce three times, a cost the lower-bound counts would pay on the upper
     end they discard.
     """
-    root_d, z_d, angle_d = denom(root), denom(z), denom(angle)
-    num = numer(root) * z_d * angle_d - numer(z) * numer(angle) * root_d
-    return rational(num * denom(pi), root_d * z_d * angle_d * numer(pi))
+    root_d, z_d, angle_d = root.denominator, z.denominator, angle.denominator
+    num = root.numerator * z_d * angle_d - z.numerator * angle.numerator * root_d
+    return rational(num * pi.denominator, root_d * z_d * angle_d * pi.numerator)
 
 
-def g_lower(lam, z, eps) -> Q:
+def g_lower(lam, z, eps) -> Fraction:
     """Certified rational lower bound of g_value(lam, z): the lower end of :func:`g_bracket`."""
     return g_bracket(lam, z, eps).lo
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .curve import BoundKind, g_bracket, g_lower, g_value
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     M0ExceedsBError,
     UnresolvedFloorError,
 )
-from .rational import Q, as_rational, rat_floor, rational, to_float
+from .rational import as_rational, rat_floor, rational, to_float
 from .verified import DEFAULT_EPS
 
 
@@ -116,7 +117,7 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     raise UnresolvedFloorError(z, finest)
 
 
-def _first_rung(lam: Q, z: Q, shift: Q, eps: Q) -> int:
+def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> int:
     """The first rung of the eps ladder whose bracket of G may miss the integer nearest G + shift.
 
     Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
@@ -139,7 +140,7 @@ def _first_rung(lam: Q, z: Q, shift: Q, eps: Q) -> int:
     return rung
 
 
-def _floor_sum(lam: Q, terms, shift: Q, floor_of, eps) -> int:
+def _floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
     """Sum of weight * floor_of(lam, z, shift, eps) over the (weight, z) pairs of terms.
 
     floor_of is certified_floor_term (exact) or _lower_floor (lower bound).
@@ -153,17 +154,17 @@ def _floor_sum(lam: Q, terms, shift: Q, floor_of, eps) -> int:
     return total
 
 
-def _lower_floor(lam: Q, z: Q, shift: Q, eps) -> int:
+def _lower_floor(lam: Fraction, z: Fraction, shift: Fraction, eps) -> int:
     """floor(g_lower + shift) clamped at zero: never above floor(G + shift) for shift >= 0."""
     return max(0, rat_floor(g_lower(lam, z, eps) + shift))
 
 
-def _weighted_abscissa(d: int, m: int) -> Q:
+def _weighted_abscissa(d: int, m: int) -> Fraction:
     # z = m + d/2 - 1, exact also for odd d
     return rational(2 * m + d - 2, 2)
 
 
-def _weighted_terms(d: int, lam: Q):
+def _weighted_terms(d: int, lam: Fraction):
     """(kappa(d, m), z_m) for m = 0 .. floor(lam - d/2 + 1)."""
     for m in range(rat_floor(lam - rational(d, 2) + 1) + 1):
         yield kappa(d, m), _weighted_abscissa(d, m)
@@ -236,9 +237,9 @@ def count_dirichlet_dim_reduction(d: int, lam, eps=DEFAULT_EPS) -> CountResult:
         raise DomainError(f"lam must be non-negative, got {lam}")
     shift = rational(1, 4)
     n_top = rat_floor(lam - rational(d, 2) + 1)
-    floor_cache: dict[Q, int] = {}
+    floor_cache: dict[Fraction, int] = {}
 
-    def term(z: Q) -> int:
+    def term(z: Fraction) -> int:
         cached = floor_cache.get(z)
         if cached is None:
             cached = floor_cache[z] = certified_floor_term(lam, z, shift, eps)

@@ -1,94 +1,42 @@
-"""Exact rational arithmetic: backend selection and smallest-denominator search.
+"""Exact rational arithmetic: one rational type, parsing, and smallest-denominator search.
 
 All certified computations in this package are carried out on exact
-rationals; no float ever enters a certified comparison.  The concrete number
-type is swappable:
-
-* ``gmpy2.mpq`` -- GMP-backed compiled arithmetic, used by default when
-  gmpy2 imports.  It speeds up the rational arithmetic of the brackets and
-  counts (multiplication and gcd); the Taylor and squaring checks inside
-  the verified brackets run on plain ``int`` with either backend.
-* ``fractions.Fraction`` -- pure-Python fallback, always available.
-
-Set ``POLYACERT_BACKEND=gmpy2`` or ``POLYACERT_BACKEND=fractions`` to force a
-backend.  Every algorithm here is pure integer logic, so both backends
-produce bit-identical results.  To time one backend, run the benchmark
-under it, e.g. ``POLYACERT_BACKEND=fractions python3 perfbench/run.py
---workload large_lambda``; every run also checks that each installed
-backend reproduces the recorded output digests.
+rationals; no float ever enters a certified comparison.  The one rational
+type is ``fractions.Fraction``, at the API edge and in every bracket and
+count; the Taylor and squaring checks inside the verified brackets compare
+plain ``int`` numerators and denominators.
 
 Rationals serialize as ``"p/q"`` (or just ``"p"`` for integers) with the
 sign on the numerator; :func:`parse_rational` accepts both forms.
 """
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from math import isqrt
 
-_requested = os.environ.get("POLYACERT_BACKEND", "auto").lower()
-if _requested not in {"auto", "gmpy2", "fractions"}:
-    raise ImportError(
-        f"POLYACERT_BACKEND={_requested!r} not recognised; use 'gmpy2', 'fractions', or 'auto'"
-    )
+# perfbench/run.py records this name in each result's environment.
+RATIONAL_BACKEND = "fractions"
 
-if _requested in {"auto", "gmpy2"}:
-    try:
-        from gmpy2 import mpq as _mpq
+rational = Fraction
 
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        _mpq = None
-        RATIONAL_BACKEND = "fractions"
-else:
-    _mpq = None
-    RATIONAL_BACKEND = "fractions"
-
-if RATIONAL_BACKEND == "gmpy2":
-    Q = type(_mpq(1))
-
-    def rational(numerator=0, denominator=None):
-        """Build a backend rational; exact for int, str, Fraction, and float inputs."""
-        if denominator is None:
-            if isinstance(numerator, Q):
-                return numerator
-            if isinstance(numerator, Fraction):
-                return _mpq(numerator.numerator, numerator.denominator)
-            return _mpq(numerator)
-        return _mpq(numerator, denominator)
-
-else:
-    Q = Fraction
-
-    def rational(numerator=0, denominator=None):
-        """Build a backend rational; exact for int, str, Fraction, and float inputs."""
-        if denominator is None:
-            return Fraction(numerator)
-        return Fraction(numerator, denominator)
-
-
-ZERO = rational(0)
+ZERO = Fraction(0)
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def as_rational(value) -> Q:
-    """Coerce ``value`` to the backend rational type.
+def as_rational(value) -> Fraction:
+    """Coerce ``value`` to a Fraction.
 
-    Accepts backend rationals, ints, Fractions, and strings ``"p/q"``/``"p"``.
+    Accepts Fractions, ints, and strings ``"p/q"``/``"p"``.
     Floats are rejected: silently converting a float would smuggle binary
     rounding into a certified path.  Convert floats explicitly with
     :func:`rational` where a guess is genuinely intended.
     """
-    if isinstance(value, Q):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return rational(value)
-    if isinstance(value, Fraction):
-        return rational(value)
+        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
@@ -99,21 +47,13 @@ def as_rational(value) -> Q:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def numer(q) -> int:
-    return int(q.numerator)
-
-
-def denom(q) -> int:
-    return int(q.denominator)
-
-
 def rat_floor(q) -> int:
     """Exact floor of a rational (rounds toward minus infinity)."""
-    return numer(q) // denom(q)
+    return q.numerator // q.denominator
 
 
 def rat_ceil(q) -> int:
-    return -((-numer(q)) // denom(q))
+    return -((-q.numerator) // q.denominator)
 
 
 def to_float(q) -> float:
@@ -123,11 +63,11 @@ def to_float(q) -> float:
 
 def format_rational(q) -> str:
     """Canonical string form: ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    n, d = numer(q), denom(q)
+    n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def parse_rational(text: str) -> Q:
+def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (sign on the numerator) into a rational."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
@@ -164,7 +104,7 @@ def _simplest_positive(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return p, q
 
 
-def simplest_in(lo, hi) -> Q:
+def simplest_in(lo, hi) -> Fraction:
     """The rational with the smallest denominator in the closed interval [lo, hi].
 
     Ties on the denominator are broken by smallest absolute numerator, then
@@ -178,22 +118,22 @@ def simplest_in(lo, hi) -> Q:
     if lo <= 0 <= hi:
         return ZERO
     if hi < 0:
-        p, q = _simplest_positive(-numer(hi), denom(hi), -numer(lo), denom(lo))
+        p, q = _simplest_positive(-hi.numerator, hi.denominator, -lo.numerator, lo.denominator)
         return rational(-p, q)
-    p, q = _simplest_positive(numer(lo), denom(lo), numer(hi), denom(hi))
+    p, q = _simplest_positive(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     return rational(p, q)
 
 
-def sqrt_guess(q, resolution) -> Q:
+def sqrt_guess(q, resolution) -> Fraction:
     """Exact rational r with r <= sqrt(q) < r + resolution, via integer square roots.
 
     No floating point is involved, so guesses seeded from here are identical
     on every platform.  ``resolution`` must be a positive rational.
     """
-    n, d = numer(q), denom(q)
+    n, d = q.numerator, q.denominator
     if n < 0:
         raise ValueError("negative radicand")
-    rn, rd = numer(resolution), denom(resolution)
+    rn, rd = resolution.numerator, resolution.denominator
     if rn <= 0:
         raise ValueError("resolution must be positive")
     # need scale m with 1/(m*d) <= resolution, i.e. m >= rd/(rn*d)

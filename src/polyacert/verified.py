@@ -27,29 +27,21 @@ eps = 1e-15, where the double-precision arccos guess runs out of accuracy.
 Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
-is only a hint: if verification fails, eps is divided by 10 and the attempt
-repeated (at most 8 times) before giving up.  Square-root guesses come from
-exact integer square roots, arccos guesses from the C library's double
-``acos``; correctness never depends on either.
+is only a hint, and correctness never depends on it.  Square-root guesses
+come from exact integer square roots and are close enough that the first
+bracket always verifies.  Arccos guesses come from the C library's double
+``acos``: if verification fails, eps is divided by 10 and the attempt
+repeated (at most 8 times) before giving up.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
-from .rational import (
-    Q,
-    ZERO,
-    _simplest_positive,
-    as_rational,
-    denom,
-    numer,
-    rational,
-    sqrt_guess,
-    to_float,
-)
+from .rational import ZERO, _simplest_positive, as_rational, rational, sqrt_guess, to_float
 
 DEFAULT_EPS = rational(1, 1000)
 
@@ -84,15 +76,15 @@ _TAYLOR_INTS = {
 class RationalInterval:
     """A pair of rationals lo <= hi certified to bracket a real value."""
 
-    lo: Q
-    hi: Q
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> Q:
+    def width(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, value) -> bool:
@@ -100,7 +92,7 @@ class RationalInterval:
         return self.lo <= value <= self.hi
 
 
-def _cos_taylor_pair(x) -> tuple[Q, Q]:
+def _cos_taylor_pair(x) -> tuple[Fraction, Fraction]:
     """(degree-14 value, degree-12 value) of the cos Taylor polynomial at x.
 
     Requires 0 <= x <= 4 so that the pair brackets cos(x); see module note.
@@ -125,22 +117,22 @@ def _exact_sqrt(x):
     squaring like any other endpoint, and stepping strictly below an exact
     root would only waste margin.
     """
-    n, d = int(x.numerator), int(x.denominator)
+    n, d = x.numerator, x.denominator
     root_n, root_d = math.isqrt(n), math.isqrt(d)
     if root_n * root_n == n and root_d * root_d == d:
         return rational(root_n, root_d)
     return None
 
 
-def _bracket_candidates(guess, eps) -> tuple[Q, Q]:
+def _bracket_candidates(guess, eps) -> tuple[Fraction, Fraction]:
     """Smallest-denominator rationals in the two off-center windows around guess.
 
     Both windows are searched on the integer numerators over the common
     denominator of guess and eps.  A lower window that reaches 0 gives the
     endpoint 0: every bracketed value here is non-negative.
     """
-    centre, step = numer(guess) * denom(eps), numer(eps) * denom(guess)
-    den = denom(guess) * denom(eps)
+    centre, step = guess.numerator * eps.denominator, eps.numerator * guess.denominator
+    den = guess.denominator * eps.denominator
     hi = rational(*_simplest_positive(centre + step, den, centre + 3 * step, den))
     if centre <= 3 * step:
         return ZERO, hi
@@ -162,24 +154,23 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     exact = _exact_sqrt(x)
     if exact is not None:
         return RationalInterval(exact, exact)
-    attempt = eps
-    for _ in range(GUESS_RETRIES + 1):
-        guess = sqrt_guess(x, attempt / 2**20)
-        lo, hi = _bracket_candidates(guess, attempt)
-        if _squares_bracket(x, lo, hi):
-            return RationalInterval(lo, hi)
-        attempt = attempt / 10
-    raise GuessFailedError(f"square-root bracket for {x} failed to verify")
+    # r <= sqrt(x) < r + eps/2**20, so the window below r squares to at most x
+    # and the window above r + eps lies above sqrt(x): the first guess verifies
+    guess = sqrt_guess(x, eps / 2**20)
+    lo, hi = _bracket_candidates(guess, eps)
+    if not _squares_bracket(x, lo, hi):
+        raise GuessFailedError(f"square-root bracket for {x} failed to verify")
+    return RationalInterval(lo, hi)
 
 
 def _squares_bracket(x, lo, hi) -> bool:
     """Exact check of lo^2 <= x <= hi^2 by cross-multiplying integers."""
-    a, b = numer(x), denom(x)
-    return numer(lo) ** 2 * b <= a * denom(lo) ** 2 and a * denom(hi) ** 2 <= numer(hi) ** 2 * b
+    a, b = x.numerator, x.denominator
+    return lo.numerator ** 2 * b <= a * lo.denominator ** 2 and a * hi.denominator ** 2 <= hi.numerator ** 2 * b
 
 
 @lru_cache(maxsize=None)
-def _pi_half_upper_default() -> Q:
+def _pi_half_upper_default() -> Fraction:
     return pi_bounds(DEFAULT_EPS).hi / 2
 
 
@@ -225,9 +216,9 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
 
 def _verify_arccos(x, lo, hi) -> bool:
     """Exact check that lo <= arccos(x) <= hi via the Taylor sandwich, on integers."""
-    a, b = numer(x), denom(x)
-    p, q = numer(hi), denom(hi)
-    r, s = numer(lo), denom(lo)
+    a, b = x.numerator, x.denominator
+    p, q = hi.numerator, hi.denominator
+    r, s = lo.numerator, lo.denominator
     if p <= 0 or p > 4 * q or r < 0:  # hi in (0, 4], lo >= 0
         return False
     # upper end: T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x)
@@ -255,7 +246,7 @@ def _taylor_minus(p: int, q: int, n: int, a: int, b: int) -> int:
     return acc * b - a * coeffs[-1] * q2_pow  # coeffs[-1] is n!
 
 
-_PI_CACHE: dict[tuple[int, int], RationalInterval] = {}
+_PI_CACHE: dict[Fraction, RationalInterval] = {}
 
 
 def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
@@ -267,10 +258,9 @@ def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     eps = as_rational(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    key = (int(eps.numerator), int(eps.denominator))
-    cached = _PI_CACHE.get(key)
+    cached = _PI_CACHE.get(eps)
     if cached is None:
         third = arccos_bounds(rational(1, 2), eps)
         cached = RationalInterval(3 * third.lo, 3 * third.hi)
-        _PI_CACHE[key] = cached
+        _PI_CACHE[eps] = cached
     return cached

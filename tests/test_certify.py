@@ -1,4 +1,5 @@
 """Tests for the certification loop, certificate files, and the verifier."""
+import importlib
 import math
 
 import mpmath
@@ -13,8 +14,11 @@ from polyacert.certify import (
     gap_endpoints,
     verify_certificate,
 )
-from polyacert.errors import EpsTooCoarseError, StepFailedError
+from polyacert.errors import DomainError, EpsTooCoarseError, StepFailedError
 from polyacert.rational import format_rational, rational, to_float
+
+# the package exports the function certify under the submodule's name
+certify_module = importlib.import_module("polyacert.certify")
 
 # the thirteen frozen steps of the default run over [3, 14] at eps = 1/1000
 TABLE = [
@@ -212,5 +216,17 @@ class TestVerifier:
     def test_report_lines_render(self, paper_range_certificate):
         report = verify_certificate(paper_range_certificate)
         lines = report.lines()
-        assert len(lines) == len(report.steps) + 1
+        assert len(lines) == len(report.steps) + 2
+        assert lines[-2] == "certificate: pi_bracket=pass, success_flag=pass"
         assert lines[-1].startswith("coverage:")
+
+    @pytest.mark.parametrize("eps_fresh", [0, "-1/1000"])
+    def test_non_positive_fresh_eps_raises_before_any_step(
+        self, paper_range_certificate, monkeypatch, eps_fresh
+    ):
+        def no_count(*args):
+            raise AssertionError("a fresh count ran before eps_fresh was checked")
+
+        monkeypatch.setattr(certify_module, "count_neumann2_certified_lower", no_count)
+        with pytest.raises(DomainError):
+            verify_certificate(paper_range_certificate, eps_fresh=eps_fresh)

@@ -79,6 +79,24 @@ class TestVerifyCommand:
         assert "step 5: fail" in out
         assert "NOT verified" in err
 
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            pytest.param(lambda c: c.update(pi_lower="1", pi_upper="100"), 2, id="pi-bracket"),
+            pytest.param(lambda c: [s.update(index=99) for s in c["steps"]], 2, id="index-99"),
+            pytest.param(lambda c: c.update(success=False), 2, id="success-false"),
+            pytest.param(lambda c: c.update(success="false"), 3, id="success-string"),
+            pytest.param(lambda c: c["steps"][0].update(p_lower=3.9), 3, id="p_lower-float"),
+            pytest.param(lambda c: [s.update(index=True) for s in c["steps"]], 3, id="index-bool"),
+            pytest.param(lambda c: [s.update(index="1") for s in c["steps"]], 3, id="index-string"),
+        ],
+    )
+    def test_unchecked_field_edit_is_rejected(self, capsys, certificate_path, edit, code):
+        payload = json.loads(certificate_path.read_text())
+        edit(payload)
+        certificate_path.write_text(json.dumps(payload))
+        assert run(capsys, "verify", str(certificate_path))[0] == code
+
     def test_truncated_file_exits_three(self, capsys, certificate_path):
         certificate_path.write_text(certificate_path.read_text()[:40])
         code, _, err = run(capsys, "verify", str(certificate_path))

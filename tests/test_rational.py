@@ -1,16 +1,19 @@
 """Tests for the exact rational layer and the smallest-denominator search."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyacert
 from polyacert.rational import (
     RATIONAL_BACKEND,
     as_rational,
-    denom,
     format_rational,
-    numer,
     parse_rational,
     rat_ceil,
     rat_floor,
@@ -32,8 +35,20 @@ def brute_force_simplest(lo: Fraction, hi: Fraction, max_den: int = 200) -> Frac
 
 
 class TestBackend:
-    def test_backend_identifies(self):
-        assert RATIONAL_BACKEND in {"gmpy2", "fractions"}
+    def test_one_rational_type(self):
+        assert type(rational(1, 3)) is Fraction
+        assert type(parse_rational("1/3")) is Fraction
+        assert type(as_rational(2)) is Fraction
+        assert RATIONAL_BACKEND == "fractions"
+
+    @pytest.mark.parametrize("backend", ["gmpy2", "bogus"])
+    def test_backend_variable_is_ignored(self, backend):
+        src = str(Path(polyacert.__file__).resolve().parents[1])
+        env = dict(os.environ, POLYACERT_BACKEND=backend,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", "import polyacert"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_arithmetic_is_exact(self):
         third = rational(1, 3)
@@ -118,7 +133,7 @@ class TestSimplestIn:
         hi = lo + Fraction(w_num, w_den)
         got = simplest_in(rational(a_num, a_den), rational(hi.numerator, hi.denominator))
         expected = brute_force_simplest(lo, hi)
-        assert Fraction(numer(got), denom(got)) == expected
+        assert got == expected
 
 
 class TestSqrtGuess:
