@@ -79,26 +79,29 @@ class Certificate:
     def from_json_dict(cls, data: dict) -> "Certificate":
         """Parse a certificate; a field of the wrong JSON type raises TypeError.
 
-        ``index`` and ``p_lower`` must be JSON integers and ``success`` a
-        JSON bool: coercing them would let ``3.9`` read as 3 and ``"false"``
-        as true.
+        Rationals must be JSON strings, ``index`` and ``p_lower`` JSON
+        integers and ``success`` a JSON bool: coercing them would let ``3.9``
+        read as 3 and ``"false"`` as true.  A non-positive ``eps`` raises ValueError.
         """
         steps = [
             CertificateStep(
                 index=_json_field(raw, "index", int),
-                lam=parse_rational(raw["lambda"]),
+                lam=parse_rational(_json_field(raw, "lambda", str)),
                 p_lower=_json_field(raw, "p_lower", int),
-                e_lower=parse_rational(raw["e_lower"]),
-                delta_lower=parse_rational(raw["delta_lower"]),
+                e_lower=parse_rational(_json_field(raw, "e_lower", str)),
+                delta_lower=parse_rational(_json_field(raw, "delta_lower", str)),
             )
             for raw in data["steps"]
         ]
+        eps = parse_rational(_json_field(data, "eps", str))
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {format_rational(eps)}")
         return cls(
-            eps=parse_rational(data["eps"]),
-            lambda_start=parse_rational(data["lambda_start"]),
-            lambda_target=parse_rational(data["lambda_target"]),
-            pi_lower=parse_rational(data["pi_lower"]),
-            pi_upper=parse_rational(data["pi_upper"]),
+            eps=eps,
+            lambda_start=parse_rational(_json_field(data, "lambda_start", str)),
+            lambda_target=parse_rational(_json_field(data, "lambda_target", str)),
+            pi_lower=parse_rational(_json_field(data, "pi_lower", str)),
+            pi_upper=parse_rational(_json_field(data, "pi_upper", str)),
             steps=steps,
             success=_json_field(data, "success", bool),
         )

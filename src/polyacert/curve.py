@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import BadDimensionError, DomainError
 from .rational import ZERO, as_rational, rational
-from .verified import DEFAULT_EPS, RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
+from .verified import RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
 
 
 class BoundKind(Enum):
@@ -70,8 +70,8 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     non-negative on [0, lam], so its lower end over the pi upper bound and
     its upper end over the pi lower bound bracket the height.  The lower end
     may be negative near z = lam; callers flooring it with a positive shift
-    must clamp.  For eps too coarse to bound pi away from 0, the upper end
-    divides by the pi lower bound at DEFAULT_EPS instead.
+    must clamp.  The pi lower bound is positive at every eps (see
+    :func:`pi_bounds`), so the upper end is always defined.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -86,9 +86,8 @@ def g_bracket(lam, z, eps) -> RationalInterval:
         root = sqrt_bounds(lam * lam - z * z, eps)
         angle = arccos_bounds(z / lam, eps)
     pi = pi_bounds(eps)
-    pi_lo = pi.lo or pi_bounds(DEFAULT_EPS).lo
     lo = _over_pi(root.lo, z, angle.hi, pi.hi)
-    hi = _over_pi(root.hi, z, angle.lo, pi_lo)
+    hi = _over_pi(root.hi, z, angle.lo, pi.lo)
     return RationalInterval(lo, hi)
 
 

@@ -25,10 +25,10 @@ class BadDimensionError(DomainError):
 
 
 class GuessFailedError(PolyacertError):
-    """Bracket verification kept failing after all retry attempts.
+    """A bracket built from a numeric guess failed to verify.
 
     Verification never trusts the numeric guess, so this only signals that
-    the guess was persistently off by more than the accuracy parameter.
+    the guess was off by more than the accuracy parameter.
     """
 
 

@@ -11,18 +11,16 @@ established purely by exact rational comparisons:
   ``x < T14(lo)`` forces ``lo < arccos(x)``;
 * pi is three times the arccos bracket of 1/2.
 
-The arccos and square-root checks run on Python integers only: with
-``hi = p/q`` and ``x = a/b``, ``T12(hi) < x`` is decided as
-``N * b < a * 12! * q^12``, where the integer ``N = 12! * q^12 * T12(p/q)``
-comes from a homogeneous Horner evaluation in ``p^2`` and ``q^2`` (and
-likewise over ``14! * q^14`` for ``T14(lo)``); the squaring checks
+One integer kernel, :func:`_cos_taylor`, gives ``n! * q^n * T_n(p/q)`` over
+``n! * q^n`` by a homogeneous Horner evaluation in ``p^2`` and ``q^2``.
+:func:`cos_bounds` divides the two; the arccos check decides
+``T12(hi) < x = a/b`` as ``num * b < a * den``, and the squaring checks
 cross-multiply the same way.  The degree-12/14 sandwich is about 6e-9 wide
 near pi/2, too coarse to verify brackets much below eps = 1e-9 there, so an
 endpoint it cannot verify is checked again against the degree-28/30 pair,
-which is rigorous on the same range and about 3e-27 wide there.  An endpoint the
-degree-12/14 pair verifies is never rechecked, so the brackets it accepts
-stay the same.  Arccos and pi brackets thus verify down to about
-eps = 1e-15, where the double-precision arccos guess runs out of accuracy.
+which is rigorous on the same range and about 3e-27 wide there.  Arccos and
+pi brackets thus verify down to about eps = 1e-15, where the
+double-precision arccos guess runs out of accuracy.
 
 Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
@@ -30,33 +28,23 @@ numeric guess, so certified values stay small and fast to compute.  The guess
 is only a hint, and correctness never depends on it.  Square-root guesses
 come from exact integer square roots and are close enough that the first
 bracket always verifies.  Arccos guesses come from the C library's double
-``acos``: if verification fails, eps is divided by 10 and the attempt
-repeated (at most 8 times) before giving up.
+``acos``, one attempt per bracket: the Taylor polynomials decrease on
+[0, 5/2], so a window nearer the guess cannot verify an end that failed.
+Their eps is capped at 1/4, which keeps every window inside [0, 5/2] and
+the lower window of arccos(1/2), hence every pi lower end, above 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
 from .rational import ZERO, _simplest_positive, as_rational, rational, sqrt_guess, to_float
 
 DEFAULT_EPS = rational(1, 1000)
 
-GUESS_RETRIES = 8
-
-# The alternating Taylor series for cos has terms x^(2k)/(2k)! that decrease
-# in magnitude from k=7 onward whenever x^2 <= 15*16, so the degree-12/14
-# sandwich is rigorous far beyond the quadrant.  We cap internal evaluations
-# at 4 to stay deep inside that regime.
-_TAYLOR_SAFE_MAX = rational(4)
-
-# (-1)^k / (2k)! for k = 0..7, exact.
-_COS_COEFFS = tuple(
-    rational((-1) ** k, math.factorial(2 * k)) for k in range(8)
-)
+_ARCCOS_EPS_MAX = rational(1, 4)  # see the module note
 
 # Taylor degrees of cos whose last term is positive (the polynomial lies above
 # cos) and negative (below cos), coarse one first.  The terms x^(2k)/(2k)!
@@ -92,22 +80,19 @@ class RationalInterval:
         return self.lo <= value <= self.hi
 
 
-def _cos_taylor_pair(x) -> tuple[Fraction, Fraction]:
-    """(degree-14 value, degree-12 value) of the cos Taylor polynomial at x.
+def _cos_taylor(p: int, q: int, n: int) -> tuple[int, int]:
+    """(n! * q^n * T_n(p/q), n! * q^n) for the degree-n cos Taylor polynomial T_n (q > 0).
 
-    Requires 0 <= x <= 4 so that the pair brackets cos(x); see module note.
+    The numerator is a homogeneous polynomial in p^2 and q^2, summed by
+    Horner's rule from the highest power of p^2 down.
     """
-    if x < 0 or x > _TAYLOR_SAFE_MAX:
-        raise DomainError(f"Taylor sandwich not validated at x={x}")
-    x2 = x * x
-    upper = ZERO  # degree 12: k = 0..6
-    for coeff in reversed(_COS_COEFFS[:7]):
-        upper = upper * x2 + coeff
-    # degree 14 appends the k=7 term, which is negative
-    pow14 = x2
-    for _ in range(6):
-        pow14 = pow14 * x2
-    return upper + _COS_COEFFS[7] * pow14, upper
+    p2, q2 = p * p, q * q
+    coeffs = _TAYLOR_INTS[n]
+    acc, q2_pow = coeffs[0], 1
+    for c in coeffs[1:]:
+        q2_pow *= q2
+        acc = acc * p2 + c * q2_pow
+    return acc, coeffs[-1] * q2_pow  # coeffs[-1] is n!
 
 
 def _exact_sqrt(x):
@@ -169,11 +154,6 @@ def _squares_bracket(x, lo, hi) -> bool:
     return lo.numerator ** 2 * b <= a * lo.denominator ** 2 and a * hi.denominator ** 2 <= hi.numerator ** 2 * b
 
 
-@lru_cache(maxsize=None)
-def _pi_half_upper_default() -> Fraction:
-    return pi_bounds(DEFAULT_EPS).hi / 2
-
-
 def cos_bounds(x) -> RationalInterval:
     """Exact Taylor sandwich of cos(x): lo = degree 14, hi = degree 12.
 
@@ -181,17 +161,18 @@ def cos_bounds(x) -> RationalInterval:
     is strict there, so lo < cos(x) < hi, and hi - lo = x^14/14!.
     """
     x = as_rational(x)
-    if x <= 0 or x > _pi_half_upper_default():
+    if x <= 0 or 2 * x > pi_bounds(DEFAULT_EPS).hi:
         raise DomainError(f"cos_bounds domain is (0, pi/2-bound], got {x}")
-    lower, upper = _cos_taylor_pair(x)
-    return RationalInterval(lower, upper)
+    p, q = x.numerator, x.denominator
+    return RationalInterval(rational(*_cos_taylor(p, q, 14)), rational(*_cos_taylor(p, q, 12)))
 
 
 def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     """Rational bracket of arccos(x) for x in [0, 1], verified via the cos sandwich.
 
     Conventions: x = 1 uses 0 as the (exact) lower endpoint; x = 0 returns
-    half the pi bracket.  Width is at most 6*eps.
+    half the pi bracket.  One bracket is built at min(eps, 1/4), so its width
+    is at most 6*eps; GuessFailedError if it does not verify.
     """
     x = as_rational(x)
     eps = as_rational(eps)
@@ -205,13 +186,10 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
         return RationalInterval(pi.lo / 2, pi.hi / 2)
 
     guess = rational(math.acos(to_float(x)))
-    attempt = eps
-    for _ in range(GUESS_RETRIES + 1):
-        lo, hi = _bracket_candidates(guess, attempt)
-        if _verify_arccos(x, lo, hi):
-            return RationalInterval(lo, hi)
-        attempt = attempt / 10
-    raise GuessFailedError(f"arccos bracket for {x} failed to verify")
+    lo, hi = _bracket_candidates(guess, min(eps, _ARCCOS_EPS_MAX))
+    if not _verify_arccos(x, lo, hi):
+        raise GuessFailedError(f"arccos bracket for {x} failed to verify")
+    return RationalInterval(lo, hi)
 
 
 def _verify_arccos(x, lo, hi) -> bool:
@@ -222,28 +200,20 @@ def _verify_arccos(x, lo, hi) -> bool:
     if p <= 0 or p > 4 * q or r < 0:  # hi in (0, 4], lo >= 0
         return False
     # upper end: T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x)
-    if not any(_taylor_minus(p, q, n, a, b) < 0 for n in _ABOVE_COS):
+    for n in _ABOVE_COS:
+        num, den = _cos_taylor(p, q, n)
+        if num * b < a * den:
+            break
+    else:
         return False
     if r == 0:
         return True  # arccos(x) >= 0 always
     # lower end: x < T(lo) with T below cos gives x < cos(lo), so lo < arccos(x)
-    return any(_taylor_minus(r, s, n, a, b) > 0 for n in _BELOW_COS)
-
-
-def _taylor_minus(p: int, q: int, n: int, a: int, b: int) -> int:
-    """An integer with the sign of T_n(p/q) - a/b, for the degree-n cos Taylor polynomial T_n.
-
-    It is n! * q^n * b times the difference (q, b > 0).  The numerator
-    n! * q^n * T_n(p/q) is a homogeneous polynomial in p^2 and q^2, summed
-    by Horner's rule from the highest power of p^2 down.
-    """
-    p2, q2 = p * p, q * q
-    coeffs = _TAYLOR_INTS[n]
-    acc, q2_pow = coeffs[0], 1
-    for c in coeffs[1:]:
-        q2_pow *= q2
-        acc = acc * p2 + c * q2_pow
-    return acc * b - a * coeffs[-1] * q2_pow  # coeffs[-1] is n!
+    for n in _BELOW_COS:
+        num, den = _cos_taylor(r, s, n)
+        if a * den < num * b:
+            return True
+    return False
 
 
 _PI_CACHE: dict[Fraction, RationalInterval] = {}
@@ -252,8 +222,10 @@ _PI_CACHE: dict[Fraction, RationalInterval] = {}
 def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     """Verified rational bracket of pi: three times the arccos bracket of 1/2.
 
-    Width is at most 18*eps.  Results are memoised per eps; the cache is
-    only ever read or idempotently written, so concurrent use is safe.
+    Width is at most 18*eps, and the lower end is positive for every eps
+    (3/2 at eps >= 1/4, the arccos eps cap).  Results are memoised per eps;
+    the cache is only ever read or idempotently written, so concurrent use
+    is safe.
     """
     eps = as_rational(eps)
     if eps <= 0:

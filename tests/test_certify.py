@@ -14,7 +14,7 @@ from polyacert.certify import (
     gap_endpoints,
     verify_certificate,
 )
-from polyacert.errors import DomainError, EpsTooCoarseError, StepFailedError
+from polyacert.errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from polyacert.rational import format_rational, rational, to_float
 
 # the package exports the function certify under the submodule's name
@@ -90,6 +90,22 @@ class TestCertify:
         with pytest.raises(StepFailedError) as info:
             certify(3, 14, rational(1, 2))
         assert info.value.e_lower <= 0
+
+    def test_vanishing_step_retries_finer_eps_then_stalls(self, monkeypatch):
+        # at eps = 1/20 the chain reaches 8733/2521, just below 2*sqrt(3), where
+        # the margin is so small that no eps on the retry ladder gives a step
+        calls, real = [], certify_module.sqrt_bounds
+
+        def recording(x, eps):
+            calls.append(eps)
+            return real(x, eps)
+
+        monkeypatch.setattr(certify_module, "sqrt_bounds", recording)
+        eps = rational(1, 20)
+        with pytest.raises(StallError, match=r"lambda=8733/2521$"):
+            certify(3, 14, eps)
+        assert rational(8733, 2521) ** 2 < 12
+        assert calls[-7:] == [eps / 10**k for k in range(7)]
 
     def test_deterministic(self, paper_range_certificate):
         again = certify(3, 14, rational(1, 1000))

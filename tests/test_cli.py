@@ -51,6 +51,11 @@ class TestCertifyCommand:
         assert code == 2
         assert "failed" in err or "error" in err
 
+    def test_stalled_step_exits_two(self, capsys):
+        code, _, err = run(capsys, "certify", "--paper-range", "--eps", "1/20")
+        assert code == 2
+        assert err.startswith("certification failed: ")
+
     def test_unwritable_output_exits_three(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "certify", "--paper-range", "-o", str(tmp_path / "missing" / "cert.json")
@@ -89,6 +94,12 @@ class TestVerifyCommand:
             pytest.param(lambda c: c["steps"][0].update(p_lower=3.9), 3, id="p_lower-float"),
             pytest.param(lambda c: [s.update(index=True) for s in c["steps"]], 3, id="index-bool"),
             pytest.param(lambda c: [s.update(index="1") for s in c["steps"]], 3, id="index-string"),
+            pytest.param(lambda c: c.update(eps=1), 3, id="eps-number"),
+            pytest.param(lambda c: c.update(eps=None), 3, id="eps-null"),
+            pytest.param(lambda c: c["steps"][0].update({"lambda": 3}), 3, id="lambda-number"),
+            pytest.param(lambda c: c.update(lambda_target=[14]), 3, id="lambda_target-list"),
+            pytest.param(lambda c: c.update(eps="0"), 3, id="eps-zero"),
+            pytest.param(lambda c: c.update(eps="-1/1000"), 3, id="eps-negative"),
         ],
     )
     def test_unchecked_field_edit_is_rejected(self, capsys, certificate_path, edit, code):

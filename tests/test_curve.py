@@ -125,7 +125,7 @@ class TestCertifiedBrackets:
         lam, z = rational(3), rational(1)
         true = g_high_precision(lam, z)
         pad = mpmath.mpf("1e-40")
-        for eps in (DEFAULT_EPS, rational(1, 2)):  # at 1/2 the pi bracket starts at 0
+        for eps in (DEFAULT_EPS, rational(1, 2)):  # 1/2 is above the arccos eps cap of 1/4
             bracket = g_bracket(lam, z, eps)
             assert rational_to_mpf(bracket.lo) <= true + pad
             assert rational_to_mpf(bracket.hi) >= true - pad
@@ -206,6 +206,13 @@ class TestWeyl:
         true = weyl_leading(d, 3.5)
         assert to_float(iv.lo) <= true <= to_float(iv.hi)
         assert to_float(iv.lo) > 0.99 * true
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("eps", [rational(1, 2), rational(1), rational(100)])
+    def test_bounds_odd_at_coarse_eps(self, d, eps):
+        # the pi bracket's lower end stays positive however coarse eps is
+        iv = weyl_leading_bounds(d, rational(7, 2), eps)
+        assert to_float(iv.lo) <= weyl_leading(d, 3.5) <= to_float(iv.hi)
 
 
 class TestInverseQuarter:

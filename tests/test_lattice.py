@@ -7,13 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyacert import lattice
+from polyacert.cli import main
 from polyacert.curve import BoundKind, g_value
 from polyacert.errors import (
     BadDimensionError,
     DomainError,
+    GuessFailedError,
     HypothesisViolatedError,
     IrrationalApertureError,
     M0ExceedsBError,
+    UnresolvedFloorError,
 )
 from polyacert.lattice import (
     ConvexTable,
@@ -33,7 +36,7 @@ from polyacert.lattice import (
     sector_lattice_bound_oracle,
 )
 from polyacert.rational import rational
-from polyacert.verified import DEFAULT_EPS
+from polyacert.verified import DEFAULT_EPS, RationalInterval
 
 D = BoundKind.DIRICHLET
 N = BoundKind.NEUMANN
@@ -88,8 +91,8 @@ class TestCountWeighted:
                 assert exact == approx, (kind, lam)
 
     def test_coarse_eps_whose_pi_bracket_starts_at_zero(self):
-        # at eps = 1/2 the pi lower bound is 0, so the G bracket's upper end
-        # cannot divide by it; a rung-0 bracket must still be usable
+        # eps = 1/2 is above the arccos eps cap of 1/4, so the rung-0 bracket
+        # is built at 1/4, where the pi lower bound is 3/2; it must still be usable
         for kind in (D, N):
             for k in (1, 2, 7, 20):
                 lam = rational(k, 7)
@@ -150,6 +153,52 @@ class TestFloatHint:
         expected = [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)]
         monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
         assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
+
+
+class TestFloorGiveUp:
+    """certified_floor_term gives up loudly once every rung of the eps ladder has been tried."""
+
+    @staticmethod
+    def straddling(seen):
+        # G + 1/4 within eps of 1 on both sides, whatever the rung
+        def bracket(lam, z, eps):
+            seen.append(eps)
+            return RationalInterval(rational(3, 4) - eps, rational(3, 4) + eps)
+
+        return bracket
+
+    def test_bracket_straddling_on_every_rung_is_unresolved(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(lattice, "g_bracket", self.straddling(seen))
+        eps, z, shift = rational(1, 1000), rational(1), rational(1, 4)
+        with pytest.raises(UnresolvedFloorError) as info:
+            certified_floor_term(rational(3), z, shift, eps)
+        finest = eps / 10**12
+        assert sorted(seen) == sorted(eps / 10**rung for rung in range(13))
+        assert info.value.abscissa == z
+        assert info.value.interval == (1 - finest, 1 + finest)  # the rung-12 bracket plus the shift
+
+    def test_guess_failing_on_every_rung_reraises_the_coarsest(self, monkeypatch):
+        raised = {}
+
+        def failing(lam, z, eps):
+            raised[eps] = GuessFailedError(f"no bracket at eps={eps}")
+            raise raised[eps]
+
+        monkeypatch.setattr(lattice, "g_bracket", failing)
+        # a hint exactly on an integer sends the ladder to the finest rung first
+        monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
+        eps = rational(1, 1000)
+        with pytest.raises(GuessFailedError) as info:
+            certified_floor_term(rational(3), rational(1), rational(3, 4), eps)
+        assert len(raised) == 13
+        assert info.value is raised[eps]
+
+    def test_count_command_reports_the_unresolved_term(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice, "g_bracket", self.straddling([]))
+        code = main(["count", "--lambda", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("unresolved floor term: ")
 
 
 class TestCertifiedLower:

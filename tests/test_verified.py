@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyacert.errors import DomainError, NegativeInputError
+from polyacert import verified
+from polyacert.errors import DomainError, GuessFailedError, NegativeInputError
 from polyacert.rational import format_rational, rational, to_float
 from polyacert.verified import (
     DEFAULT_EPS,
     RationalInterval,
-    _cos_taylor_pair,
-    _taylor_minus,
+    _cos_taylor,
     _verify_arccos,
     arccos_bounds,
     cos_bounds,
@@ -167,13 +167,9 @@ class TestArccosBounds:
 
     def test_verification_predicate_holds(self):
         # recompute the exact sandwich conditions the construction relies on
-        from polyacert.verified import _cos_taylor_pair
-
         x = rational(1, 3)
         iv = arccos_bounds(x)
-        _, t12_hi = _cos_taylor_pair(iv.hi)
-        t14_lo, _ = _cos_taylor_pair(iv.lo)
-        assert t12_hi < x < t14_lo
+        assert cos_bounds(iv.hi).hi < x < cos_bounds(iv.lo).lo
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -183,18 +179,33 @@ class TestArccosBounds:
 
     @given(
         num=st.integers(0, 1000),
-        eps_exp=st.integers(2, 8),
+        eps=st.one_of(
+            st.integers(2, 8).map(lambda k: rational(1, 10**k)),
+            st.sampled_from(["1/4", "3/10", "1/2", "1", "5/2", "10", "100"]).map(rational),
+        ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bracket_contains_true_value(self, num, eps_exp):
+    def test_bracket_contains_true_value(self, num, eps):
         x = rational(num, 1000)
-        eps = rational(1, 10**eps_exp)
         iv = arccos_bounds(x, eps)
         true = mpmath.acos(rational_to_mpf(x))
         lo_pad, hi_pad = outward(true)
         assert rational_to_mpf(iv.lo) <= hi_pad
         assert rational_to_mpf(iv.hi) >= lo_pad
         assert iv.width <= 6 * eps
+
+    def test_a_bracket_that_does_not_verify_is_not_retried(self, monkeypatch):
+        # eps = 1e-18 is below what the double guess of arccos(1/1000) can seed
+        calls = []
+
+        def counting(x, lo, hi):
+            calls.append((lo, hi))
+            return _verify_arccos(x, lo, hi)
+
+        monkeypatch.setattr(verified, "_verify_arccos", counting)
+        with pytest.raises(GuessFailedError):
+            arccos_bounds(rational(1, 1000), rational(1, 10**18))
+        assert len(calls) == 1
 
 
 class TestIntegerTaylorCheck:
@@ -211,9 +222,11 @@ class TestIntegerTaylorCheck:
     @settings(max_examples=300, deadline=None)
     def test_sign_matches_fraction_reference(self, y, x):
         assume(y > 0 and x > 0)
-        t14, t12 = _cos_taylor_pair(y)
-        for n, reference in ((12, t12), (14, t14), (28, self.taylor(y, 28)), (30, self.taylor(y, 30))):
-            diff = _taylor_minus(y.numerator, y.denominator, n, x.numerator, x.denominator)
+        for n in (12, 14, 28, 30):
+            reference = self.taylor(y, n)
+            num, den = _cos_taylor(y.numerator, y.denominator, n)
+            assert Fraction(num, den) == reference, n
+            diff = num * x.denominator - x.numerator * den
             assert (diff > 0) - (diff < 0) == (reference > x) - (reference < x), n
 
     @given(
@@ -224,8 +237,8 @@ class TestIntegerTaylorCheck:
     @settings(max_examples=300, deadline=None)
     def test_arccos_predicate_matches_fraction_reference(self, lo, hi, x):
         assume(0 < x and lo <= hi)
-        upper = 0 < hi and (_cos_taylor_pair(hi)[1] < x or self.taylor(hi, 28) < x)
-        lower = lo == 0 or x < _cos_taylor_pair(lo)[0] or x < self.taylor(lo, 30)
+        upper = 0 < hi and (self.taylor(hi, 12) < x or self.taylor(hi, 28) < x)
+        lower = lo == 0 or x < self.taylor(lo, 14) or x < self.taylor(lo, 30)
         assert _verify_arccos(x, lo, hi) == (upper and lower)
 
     def test_higher_degree_reaches_fine_brackets_near_half_pi(self):
@@ -236,8 +249,8 @@ class TestIntegerTaylorCheck:
         assert rational_to_mpf(iv.lo) < true < rational_to_mpf(iv.hi)
         assert iv.width <= 6 * eps
         # the degree-12/14 sandwich alone verifies neither end here
-        assert not _cos_taylor_pair(iv.hi)[1] < x
-        assert not _cos_taylor_pair(iv.lo)[0] > x
+        assert not cos_bounds(iv.hi).hi < x
+        assert not cos_bounds(iv.lo).lo > x
 
 
 class TestPiBounds:
@@ -262,6 +275,13 @@ class TestPiBounds:
         third = arccos_bounds(rational(1, 2), eps)
         assert pi.lo == 3 * third.lo
         assert pi.hi == 3 * third.hi
+
+    @pytest.mark.parametrize("eps", [rational(7, 20), rational(1, 2), rational(1), rational(100)])
+    def test_coarse_eps_keeps_the_lower_end_positive(self, eps):
+        iv = pi_bounds(eps)
+        assert iv.lo > 0
+        assert rational_to_mpf(iv.lo) < mpmath.pi < rational_to_mpf(iv.hi)
+        assert iv.width <= 18 * eps
 
     def test_memoised_value_stable(self):
         a = pi_bounds(rational(1, 1000))
