@@ -20,8 +20,8 @@ that importing the package for the certified paths does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .curve import BoundKind
 from .errors import AccuracyLossError, DomainError, ScanAmbiguousError
@@ -59,8 +59,7 @@ def bessel_j_deriv(nu: float, x: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ZeroCountQuery:
+class ZeroCountQuery(NamedTuple):
     """How many positive zeros of J_nu (or J'_nu) are at most lam."""
 
     nu: float

@@ -20,8 +20,8 @@ and success flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
@@ -30,10 +30,13 @@ from .verified import DEFAULT_EPS, pi_bounds, sqrt_bounds
 
 _DELTA_RETRIES = 6
 _MAX_STEPS = 100_000
+# Caps on untrusted certificates, checked before any count: the count at
+# lambda has O(lambda) terms, and the gap ends near 13.4.
+LAMBDA_MAX = 10**4
+_MAX_DIGITS = 100
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(NamedTuple):
     """One certification step: all fields exact rationals (and one integer)."""
 
     index: int
@@ -43,17 +46,41 @@ class CertificateStep:
     delta_lower: Fraction
 
 
-@dataclass
 class Certificate:
-    """Replayable proof object for the counting inequality on [start, target]."""
+    """Replayable proof object for the counting inequality on [start, target].
 
-    eps: Fraction
-    lambda_start: Fraction
-    lambda_target: Fraction
-    pi_lower: Fraction
-    pi_upper: Fraction
-    steps: list[CertificateStep] = field(default_factory=list)
-    success: bool = False
+    Mutable: certify appends the steps and sets the success flag.  Equal
+    certificates have equal fields; like any mutable record it is unhashable.
+    """
+
+    __slots__ = (
+        "eps", "lambda_start", "lambda_target", "pi_lower", "pi_upper", "steps", "success"
+    )
+
+    def __init__(self, eps: Fraction, lambda_start: Fraction, lambda_target: Fraction,
+                 pi_lower: Fraction, pi_upper: Fraction,
+                 steps: list[CertificateStep] | None = None, success: bool = False):
+        self.eps = eps
+        self.lambda_start = lambda_start
+        self.lambda_target = lambda_target
+        self.pi_lower = pi_lower
+        self.pi_upper = pi_upper
+        self.steps = [] if steps is None else steps
+        self.success = success
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not Certificate:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"Certificate({fields})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,27 +108,33 @@ class Certificate:
 
         Rationals must be JSON strings, ``index`` and ``p_lower`` JSON
         integers and ``success`` a JSON bool: coercing them would let ``3.9``
-        read as 3 and ``"false"`` as true.  A non-positive ``eps`` raises ValueError.
+        read as 3 and ``"false"`` as true.  Hostile input is bounded before
+        any count: more than _MAX_STEPS steps, a numerator or denominator of
+        more than _MAX_DIGITS digits, a lambda above LAMBDA_MAX, or a
+        non-positive ``eps`` raises ValueError.
         """
+        raw_steps = _json_field(data, "steps", list)
+        if len(raw_steps) > _MAX_STEPS:
+            raise ValueError(f"more than {_MAX_STEPS} steps")
         steps = [
             CertificateStep(
                 index=_json_field(raw, "index", int),
-                lam=parse_rational(_json_field(raw, "lambda", str)),
+                lam=_lambda_field(raw, "lambda"),
                 p_lower=_json_field(raw, "p_lower", int),
-                e_lower=parse_rational(_json_field(raw, "e_lower", str)),
-                delta_lower=parse_rational(_json_field(raw, "delta_lower", str)),
+                e_lower=_rational_field(raw, "e_lower"),
+                delta_lower=_rational_field(raw, "delta_lower"),
             )
-            for raw in data["steps"]
+            for raw in raw_steps
         ]
-        eps = parse_rational(_json_field(data, "eps", str))
+        eps = _rational_field(data, "eps")
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {format_rational(eps)}")
         return cls(
             eps=eps,
-            lambda_start=parse_rational(_json_field(data, "lambda_start", str)),
-            lambda_target=parse_rational(_json_field(data, "lambda_target", str)),
-            pi_lower=parse_rational(_json_field(data, "pi_lower", str)),
-            pi_upper=parse_rational(_json_field(data, "pi_upper", str)),
+            lambda_start=_lambda_field(data, "lambda_start"),
+            lambda_target=_lambda_field(data, "lambda_target"),
+            pi_lower=_rational_field(data, "pi_lower"),
+            pi_upper=_rational_field(data, "pi_upper"),
             steps=steps,
             success=_json_field(data, "success", bool),
         )
@@ -122,6 +155,22 @@ def _json_field(data: dict, name: str, kind: type):
     value = data[name]
     if type(value) is not kind:
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _rational_field(data: dict, name: str) -> Fraction:
+    """data[name] parsed as a rational, with at most _MAX_DIGITS digits in each part."""
+    text = _json_field(data, name, str)
+    if any(len(part.strip().lstrip("+-")) > _MAX_DIGITS for part in text.split("/")):
+        raise ValueError(f"{name} has a numerator or denominator of more than {_MAX_DIGITS} digits")
+    return parse_rational(text)
+
+
+def _lambda_field(data: dict, name: str) -> Fraction:
+    """A rational field that is at most LAMBDA_MAX."""
+    value = _rational_field(data, name)
+    if value > LAMBDA_MAX:
+        raise ValueError(f"{name} must be at most {LAMBDA_MAX}, got {format_rational(value)}")
     return value
 
 
@@ -151,13 +200,16 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
     Raises StepFailedError (margin not positive) or StallError (step size not
     positive even after shrinking eps) instead of returning an unsound
     certificate; the exception carries the partial certificate for
-    inspection.
+    inspection.  A target above LAMBDA_MAX, which verify would reject, is a
+    DomainError.
     """
     lam = as_rational(lambda_start)
     target = as_rational(lambda_target)
     eps = as_rational(eps)
     if not 0 < lam < target:
         raise DomainError(f"need 0 < start < target, got start={lam}, target={target}")
+    if target > LAMBDA_MAX:
+        raise DomainError(f"target must be at most {LAMBDA_MAX}, got {target}")
     if eps <= 0:
         raise DomainError("eps must be positive")
     pi = pi_bounds(eps)
@@ -172,21 +224,20 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
     while lam <= target:
         index += 1
         if index > _MAX_STEPS:
-            raise StallError(f"no convergence after {_MAX_STEPS} steps")
+            raise StallError(lam, eps, cert, reason=f"no convergence after {_MAX_STEPS} steps")
         p = count_neumann2_certified_lower(lam, eps).value
         e = p - lam * lam / 4
         if e <= 0:
             raise StepFailedError(lam, e, cert)
         next_lam = None
-        attempt = eps
-        for _ in range(_DELTA_RETRIES + 1):
+        for retry in range(_DELTA_RETRIES + 1):
+            attempt = eps / 10**retry
             candidate = sqrt_bounds(lam * lam + 4 * e, attempt).lo
             if candidate > lam:
                 next_lam = candidate
                 break
-            attempt = attempt / 10
         if next_lam is None:
-            raise StallError(f"step size stayed non-positive at lambda={lam}")
+            raise StallError(lam, attempt, cert)
         cert.steps.append(
             CertificateStep(index=index, lam=lam, p_lower=p, e_lower=e, delta_lower=next_lam - lam)
         )
@@ -200,8 +251,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class StepVerification:
+class StepVerification(NamedTuple):
     index: int
     checks: dict[str, str]
 
@@ -215,8 +265,7 @@ class StepVerification:
         return PASS
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     steps: list[StepVerification]
     start_covered: bool
     target_covered: bool

@@ -14,8 +14,8 @@ Two evaluation regimes coexist:
 * exploratory double-precision functions (:func:`g_value`, :func:`g_moment`,
   :func:`g_inverse_quarter`, ...) used for oracles, plots, and desk checks;
 * the certified bracket :func:`g_bracket`, exact rationals that provably
-  enclose the true value, used by every certified count (:func:`g_lower` is
-  its lower end).
+  enclose the true value, used by the certified-exact counts, and its lower
+  end alone, :func:`g_lower`, used by the certified lower counts.
 """
 from __future__ import annotations
 
@@ -25,7 +25,14 @@ from fractions import Fraction
 
 from .errors import BadDimensionError, DomainError
 from .rational import ZERO, as_rational, rational
-from .verified import RationalInterval, arccos_bounds, pi_bounds, sqrt_bounds
+from .verified import (
+    RationalInterval,
+    arccos_bounds,
+    arccos_upper,
+    pi_bounds,
+    sqrt_bounds,
+    sqrt_lower,
+)
 
 
 class BoundKind(Enum):
@@ -62,6 +69,24 @@ def g_value(lam: float, z: float) -> float:
     return max(0.0, (math.sqrt(lam * lam - z * z) - z * math.acos(z / lam)) / math.pi)
 
 
+def _g_args(lam, z, eps) -> tuple[Fraction, Fraction, Fraction]:
+    lam = as_rational(lam)
+    z = as_rational(z)
+    eps = as_rational(eps)
+    # 0 < lam and 0 <= z <= lam, decided on the integer parts
+    if lam.numerator <= 0:
+        raise DomainError(f"lam must be positive, got {lam}")
+    if z.numerator < 0 or z.numerator * lam.denominator > lam.numerator * z.denominator:
+        raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
+    return lam, z, eps
+
+
+def _radicand_and_ratio(lam: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
+    """lam^2 - z^2 and z/lam, each built from the integer parts and normalised once."""
+    ln, ld, zn, zd = lam.numerator, lam.denominator, z.numerator, z.denominator
+    return rational(ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd), rational(zn * ld, zd * ln)
+
+
 def g_bracket(lam, z, eps) -> RationalInterval:
     """Certified rational bracket of g_value(lam, z) for rational 0 <= z <= lam.
 
@@ -73,39 +98,45 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     must clamp.  The pi lower bound is positive at every eps (see
     :func:`pi_bounds`), so the upper end is always defined.
     """
-    lam = as_rational(lam)
-    z = as_rational(z)
-    eps = as_rational(eps)
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if z < 0 or z > lam:
-        raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
-    if z == 0:
+    lam, z, eps = _g_args(lam, z, eps)
+    if z.numerator == 0:
         root, angle = RationalInterval(lam, lam), RationalInterval(ZERO, ZERO)
     else:
-        root = sqrt_bounds(lam * lam - z * z, eps)
-        angle = arccos_bounds(z / lam, eps)
+        radicand, ratio = _radicand_and_ratio(lam, z)
+        root, angle = sqrt_bounds(radicand, eps), arccos_bounds(ratio, eps)
     pi = pi_bounds(eps)
     lo = _over_pi(root.lo, z, angle.hi, pi.hi)
     hi = _over_pi(root.hi, z, angle.lo, pi.lo)
     return RationalInterval(lo, hi)
 
 
+def g_lower(lam, z, eps) -> Fraction:
+    """Certified rational lower bound of g_value(lam, z): exactly ``g_bracket(lam, z, eps).lo``.
+
+    Builds only the three ends that lower end uses: the lower end of the
+    root, the upper end of the arccos and the upper end of pi.  The ends of
+    the upper bound are neither built nor checked, which halves the cost of
+    the lower-bound counts.  Raises what g_bracket raises on the same ends;
+    an end that only g_bracket uses cannot make it raise.
+    """
+    lam, z, eps = _g_args(lam, z, eps)
+    if z.numerator == 0:
+        root, angle = lam, ZERO
+    else:
+        radicand, ratio = _radicand_and_ratio(lam, z)
+        root, angle = sqrt_lower(radicand, eps), arccos_upper(ratio, eps)
+    return _over_pi(root, z, angle, pi_bounds(eps).hi)
+
+
 def _over_pi(root: Fraction, z: Fraction, angle: Fraction, pi: Fraction) -> Fraction:
     """(root - z*angle) / pi for pi > 0, built from the integer parts.
 
-    The result is normalised once; three chained rational operations would
-    reduce three times, a cost the lower-bound counts would pay on the upper
-    end they discard.
+    The result is normalised once, where three chained rational operations
+    would reduce three times.
     """
     root_d, z_d, angle_d = root.denominator, z.denominator, angle.denominator
     num = root.numerator * z_d * angle_d - z.numerator * angle.numerator * root_d
     return rational(num * pi.denominator, root_d * z_d * angle_d * pi.numerator)
-
-
-def g_lower(lam, z, eps) -> Fraction:
-    """Certified rational lower bound of g_value(lam, z): the lower end of :func:`g_bracket`."""
-    return g_bracket(lam, z, eps).lo
 
 
 def g_moment(lam: float, beta: float) -> float:

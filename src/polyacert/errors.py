@@ -95,4 +95,19 @@ class StepFailedError(PolyacertError):
 
 
 class StallError(PolyacertError):
-    """Certification step size stayed non-positive after all eps retries."""
+    """Certification stopped advancing before the target.
+
+    Either a step size stayed non-positive after all eps retries, or the
+    step count ran past its cap.
+
+    Attributes:
+        lam: spectral parameter of the step where it stopped
+        eps: the last eps tried there
+        partial: the certificate accumulated before the stall
+    """
+
+    def __init__(self, lam, eps, partial=None, reason: str = "step size stayed non-positive"):
+        self.lam = lam
+        self.eps = eps
+        self.partial = partial
+        super().__init__(f"{reason} at lambda={lam} (last eps {eps})")

@@ -26,9 +26,9 @@ cumulative multiplicity function with its polynomial bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import BoundKind, g_bracket, g_lower, g_value
 from .errors import (
@@ -50,8 +50,7 @@ class Rigor(Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """An integer count together with the rigour of its computation."""
 
     value: int
@@ -105,8 +104,8 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
         except GuessFailedError as exc:
             unverified[rung] = exc
             continue
-        f_lo = rat_floor(bracket.lo + shift)
-        f_hi = rat_floor(bracket.hi + shift)
+        f_lo = _floor_plus(bracket.lo, shift)
+        f_hi = _floor_plus(bracket.hi, shift)
         if f_lo == f_hi:
             return f_lo
         if rung == _FLOOR_REFINEMENTS:
@@ -156,7 +155,13 @@ def _floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
 
 def _lower_floor(lam: Fraction, z: Fraction, shift: Fraction, eps) -> int:
     """floor(g_lower + shift) clamped at zero: never above floor(G + shift) for shift >= 0."""
-    return max(0, rat_floor(g_lower(lam, z, eps) + shift))
+    return max(0, _floor_plus(g_lower(lam, z, eps), shift))
+
+
+def _floor_plus(q: Fraction, shift: Fraction) -> int:
+    """floor(q + shift) from the integer parts, without normalising the sum."""
+    q_d, shift_d = q.denominator, shift.denominator
+    return (q.numerator * shift_d + shift.numerator * q_d) // (q_d * shift_d)
 
 
 def _weighted_abscissa(d: int, m: int) -> Fraction:
@@ -341,9 +346,8 @@ def cumulative_multiplicity_bound(d: int, z: float) -> float:
 _TABLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class ConvexTable:
-    """Piecewise-linear tabulation of a function on [0, b].
+    """Piecewise-linear tabulation of a function on [0, b] (immutable).
 
     Breakpoints must start at 0, increase strictly, end at b, and contain
     every integer of [0, b]; the hypothesis checks and both counting
@@ -353,17 +357,32 @@ class ConvexTable:
     table, since chords inherit monotonicity, convexity, and the slope bound.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = ("breakpoints", "values")
 
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
+    def __init__(self, breakpoints: tuple[float, ...], values: tuple[float, ...]):
+        if len(breakpoints) != len(values) or len(breakpoints) < 2:
             raise ValueError("need matching breakpoints/values with at least two points")
-        if abs(self.breakpoints[0]) > _TABLE_TOL:
+        if abs(breakpoints[0]) > _TABLE_TOL:
             raise ValueError("tabulation must start at 0")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
+        for a, b in zip(breakpoints, breakpoints[1:]):
             if not b > a:
                 raise ValueError("breakpoints must increase strictly")
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ConvexTable is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ConvexTable:
+            return NotImplemented
+        return (self.breakpoints, self.values) == (other.breakpoints, other.values)
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.values))
+
+    def __repr__(self):
+        return f"ConvexTable(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     @property
     def b(self) -> float:

@@ -1,7 +1,8 @@
 """Verified rational brackets for sqrt, cos, arccos, and pi.
 
-Every function here returns a :class:`RationalInterval` whose correctness is
-established purely by exact rational comparisons:
+Every function here returns a :class:`RationalInterval`, or one end of
+one, whose correctness is established purely by exact rational
+comparisons:
 
 * square roots are verified by squaring both endpoints;
 * cosine is sandwiched between its Taylor polynomials of degree 14 (below)
@@ -25,18 +26,27 @@ double-precision arccos guess runs out of accuracy.
 Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
-is only a hint, and correctness never depends on it.  Square-root guesses
-come from exact integer square roots and are close enough that the first
-bracket always verifies.  Arccos guesses come from the C library's double
-``acos``, one attempt per bracket: the Taylor polynomials decrease on
-[0, 5/2], so a window nearer the guess cannot verify an end that failed.
+is only a hint, and correctness never depends on it.
+
+Each end has its own helper: :func:`_window_below` and :func:`_window_above`
+pick the two candidates, :func:`_square_below` and :func:`_square_above` check
+the two ends of a square root, and :func:`_arccos_below` and
+:func:`_arccos_above` those of an arccos.  The two-sided brackets compute
+one guess and call both helpers of each pair; :func:`sqrt_lower` and
+:func:`arccos_upper` compute the same guess and call only the helpers of
+the end they return, for callers that use a single end.
+
+Square-root guesses come from exact integer square roots and are close
+enough that the first bracket always verifies.  Arccos guesses come from
+the C library's double ``acos``, one attempt per bracket: the Taylor
+polynomials decrease on [0, 5/2], so a window nearer the guess cannot
+verify an end that failed.
 Their eps is capped at 1/4, which keeps every window inside [0, 5/2] and
 the lower window of arccos(1/2), hence every pi lower end, above 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
@@ -60,16 +70,31 @@ _TAYLOR_INTS = {
 }
 
 
-@dataclass(frozen=True)
 class RationalInterval:
-    """A pair of rationals lo <= hi certified to bracket a real value."""
+    """A pair of rationals lo <= hi certified to bracket a real value (immutable)."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        # lo > hi, decided on the integer parts (lo and hi may also be ints)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalInterval is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalInterval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def width(self) -> Fraction:
@@ -109,19 +134,41 @@ def _exact_sqrt(x):
     return None
 
 
-def _bracket_candidates(guess, eps) -> tuple[Fraction, Fraction]:
-    """Smallest-denominator rationals in the two off-center windows around guess.
+def _window_below(guess, eps) -> Fraction:
+    """Smallest-denominator rational in [guess - 3*eps, guess - eps], or 0 if that window reaches 0.
 
-    Both windows are searched on the integer numerators over the common
-    denominator of guess and eps.  A lower window that reaches 0 gives the
-    endpoint 0: every bracketed value here is non-negative.
+    Searched on the integer numerators over the common denominator of guess
+    and eps.  Every value bracketed here is non-negative, so 0 is a valid
+    lower end.
     """
     centre, step = guess.numerator * eps.denominator, eps.numerator * guess.denominator
-    den = guess.denominator * eps.denominator
-    hi = rational(*_simplest_positive(centre + step, den, centre + 3 * step, den))
     if centre <= 3 * step:
-        return ZERO, hi
-    return rational(*_simplest_positive(centre - 3 * step, den, centre - step, den)), hi
+        return ZERO
+    den = guess.denominator * eps.denominator
+    return rational(*_simplest_positive(centre - 3 * step, den, centre - step, den))
+
+
+def _window_above(guess, eps) -> Fraction:
+    """Smallest-denominator rational in [guess + eps, guess + 3*eps] (guess >= 0)."""
+    centre, step = guess.numerator * eps.denominator, eps.numerator * guess.denominator
+    den = guess.denominator * eps.denominator
+    return rational(*_simplest_positive(centre + step, den, centre + 3 * step, den))
+
+
+def _sqrt_args(x, eps) -> tuple[Fraction, Fraction]:
+    x = as_rational(x)
+    eps = as_rational(eps)
+    if x.numerator < 0:
+        raise NegativeInputError(f"sqrt of negative value {x}")
+    if eps.numerator <= 0:
+        raise DomainError("eps must be positive")
+    return x, eps
+
+
+def _sqrt_guess(x, eps) -> Fraction:
+    # r <= sqrt(x) < r + eps/2**20, so the window below r squares to at most x
+    # and the window above r + eps lies above sqrt(x): both ends verify
+    return sqrt_guess(x, eps / 2**20)
 
 
 def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
@@ -130,28 +177,37 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     Both endpoint inequalities are verified by exact squaring.  Raises
     NegativeInputError for x < 0.
     """
-    x = as_rational(x)
-    eps = as_rational(eps)
-    if x < 0:
-        raise NegativeInputError(f"sqrt of negative value {x}")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    x, eps = _sqrt_args(x, eps)
     exact = _exact_sqrt(x)
     if exact is not None:
         return RationalInterval(exact, exact)
-    # r <= sqrt(x) < r + eps/2**20, so the window below r squares to at most x
-    # and the window above r + eps lies above sqrt(x): the first guess verifies
-    guess = sqrt_guess(x, eps / 2**20)
-    lo, hi = _bracket_candidates(guess, eps)
-    if not _squares_bracket(x, lo, hi):
+    guess = _sqrt_guess(x, eps)
+    lo, hi = _window_below(guess, eps), _window_above(guess, eps)
+    if not (_square_below(x, lo) and _square_above(x, hi)):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
     return RationalInterval(lo, hi)
 
 
-def _squares_bracket(x, lo, hi) -> bool:
-    """Exact check of lo^2 <= x <= hi^2 by cross-multiplying integers."""
-    a, b = x.numerator, x.denominator
-    return lo.numerator ** 2 * b <= a * lo.denominator ** 2 and a * hi.denominator ** 2 <= hi.numerator ** 2 * b
+def sqrt_lower(x, eps=DEFAULT_EPS) -> Fraction:
+    """``sqrt_bounds(x, eps).lo``, without building or checking the upper end."""
+    x, eps = _sqrt_args(x, eps)
+    exact = _exact_sqrt(x)
+    if exact is not None:
+        return exact
+    lo = _window_below(_sqrt_guess(x, eps), eps)
+    if not _square_below(x, lo):
+        raise GuessFailedError(f"square-root bracket for {x} failed to verify")
+    return lo
+
+
+def _square_below(x, lo) -> bool:
+    """Exact check of lo^2 <= x by cross-multiplying integers."""
+    return lo.numerator ** 2 * x.denominator <= x.numerator * lo.denominator ** 2
+
+
+def _square_above(x, hi) -> bool:
+    """Exact check of x <= hi^2 by cross-multiplying integers."""
+    return x.numerator * hi.denominator ** 2 <= hi.numerator ** 2 * x.denominator
 
 
 def cos_bounds(x) -> RationalInterval:
@@ -167,6 +223,23 @@ def cos_bounds(x) -> RationalInterval:
     return RationalInterval(rational(*_cos_taylor(p, q, 14)), rational(*_cos_taylor(p, q, 12)))
 
 
+def _arccos_args(x, eps) -> tuple[Fraction, Fraction]:
+    x = as_rational(x)
+    eps = as_rational(eps)
+    if x.numerator < 0 or x.numerator > x.denominator:
+        raise DomainError(f"arccos_bounds domain is [0, 1], got {x}")
+    if eps.numerator <= 0:
+        raise DomainError("eps must be positive")
+    return x, eps
+
+
+def _arccos_guess(x, eps) -> tuple[Fraction, Fraction]:
+    """The double-precision guess of arccos(x), and eps capped at 1/4 (see the module note)."""
+    cap = _ARCCOS_EPS_MAX
+    capped = eps if eps.numerator * cap.denominator <= cap.numerator * eps.denominator else cap
+    return rational(math.acos(to_float(x))), capped
+
+
 def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     """Rational bracket of arccos(x) for x in [0, 1], verified via the cos sandwich.
 
@@ -174,41 +247,55 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     half the pi bracket.  One bracket is built at min(eps, 1/4), so its width
     is at most 6*eps; GuessFailedError if it does not verify.
     """
-    x = as_rational(x)
-    eps = as_rational(eps)
-    if x < 0 or x > 1:
-        raise DomainError(f"arccos_bounds domain is [0, 1], got {x}")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if x == 0:
+    x, eps = _arccos_args(x, eps)
+    if x.numerator == 0:
         # half the pi bracket; pi built at 2*eps/3 keeps the width within 6*eps
         pi = pi_bounds(2 * eps / 3)
         return RationalInterval(pi.lo / 2, pi.hi / 2)
-
-    guess = rational(math.acos(to_float(x)))
-    lo, hi = _bracket_candidates(guess, min(eps, _ARCCOS_EPS_MAX))
-    if not _verify_arccos(x, lo, hi):
+    guess, eps = _arccos_guess(x, eps)
+    lo, hi = _window_below(guess, eps), _window_above(guess, eps)
+    if not (_arccos_above(x, hi) and _arccos_below(x, lo)):
         raise GuessFailedError(f"arccos bracket for {x} failed to verify")
     return RationalInterval(lo, hi)
 
 
-def _verify_arccos(x, lo, hi) -> bool:
-    """Exact check that lo <= arccos(x) <= hi via the Taylor sandwich, on integers."""
+def arccos_upper(x, eps=DEFAULT_EPS) -> Fraction:
+    """``arccos_bounds(x, eps).hi``, without building or checking the lower end."""
+    x, eps = _arccos_args(x, eps)
+    if x.numerator == 0:
+        return pi_bounds(2 * eps / 3).hi / 2
+    hi = _window_above(*_arccos_guess(x, eps))
+    if not _arccos_above(x, hi):
+        raise GuessFailedError(f"arccos bracket for {x} failed to verify")
+    return hi
+
+
+def _arccos_above(x, hi) -> bool:
+    """Exact check that arccos(x) <= hi in (0, 4] via the Taylor sandwich, on integers.
+
+    T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x).
+    """
     a, b = x.numerator, x.denominator
     p, q = hi.numerator, hi.denominator
-    r, s = lo.numerator, lo.denominator
-    if p <= 0 or p > 4 * q or r < 0:  # hi in (0, 4], lo >= 0
+    if p <= 0 or p > 4 * q:
         return False
-    # upper end: T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x)
     for n in _ABOVE_COS:
         num, den = _cos_taylor(p, q, n)
         if num * b < a * den:
-            break
-    else:
-        return False
-    if r == 0:
-        return True  # arccos(x) >= 0 always
-    # lower end: x < T(lo) with T below cos gives x < cos(lo), so lo < arccos(x)
+            return True
+    return False
+
+
+def _arccos_below(x, lo) -> bool:
+    """Exact check that 0 <= lo <= arccos(x) via the Taylor sandwich, on integers.
+
+    x < T(lo) with T below cos gives x < cos(lo), so lo < arccos(x); lo = 0
+    needs no check, as arccos(x) >= 0.
+    """
+    a, b = x.numerator, x.denominator
+    r, s = lo.numerator, lo.denominator
+    if r <= 0:
+        return r == 0
     for n in _BELOW_COS:
         num, den = _cos_taylor(r, s, n)
         if a * den < num * b:
@@ -216,23 +303,25 @@ def _verify_arccos(x, lo, hi) -> bool:
     return False
 
 
-_PI_CACHE: dict[Fraction, RationalInterval] = {}
+_PI_CACHE: dict[tuple[int, int], RationalInterval] = {}
 
 
 def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     """Verified rational bracket of pi: three times the arccos bracket of 1/2.
 
     Width is at most 18*eps, and the lower end is positive for every eps
-    (3/2 at eps >= 1/4, the arccos eps cap).  Results are memoised per eps;
-    the cache is only ever read or idempotently written, so concurrent use
-    is safe.
+    (3/2 at eps >= 1/4, the arccos eps cap).  Results are memoised per eps,
+    keyed on its integer numerator and denominator, which hash much faster
+    than a Fraction; the cache is only ever read or idempotently written,
+    so concurrent use is safe.
     """
     eps = as_rational(eps)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    cached = _PI_CACHE.get(eps)
+    key = (eps.numerator, eps.denominator)
+    cached = _PI_CACHE.get(key)
     if cached is None:
+        if key[0] <= 0:
+            raise DomainError("eps must be positive")
         third = arccos_bounds(rational(1, 2), eps)
         cached = RationalInterval(3 * third.lo, 3 * third.hi)
-        _PI_CACHE[eps] = cached
+        _PI_CACHE[key] = cached
     return cached

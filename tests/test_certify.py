@@ -102,10 +102,31 @@ class TestCertify:
 
         monkeypatch.setattr(certify_module, "sqrt_bounds", recording)
         eps = rational(1, 20)
-        with pytest.raises(StallError, match=r"lambda=8733/2521$"):
+        with pytest.raises(StallError) as info:
             certify(3, 14, eps)
-        assert rational(8733, 2521) ** 2 < 12
+        stall = info.value
+        assert stall.lam == rational(8733, 2521)
+        assert stall.lam ** 2 < 12
+        assert stall.eps == eps / 10**6
         assert calls[-7:] == [eps / 10**k for k in range(7)]
+        last = stall.partial.steps[-1]
+        assert last.lam + last.delta_lower == stall.lam
+        assert not stall.partial.success
+
+    def test_step_cap_stalls_with_the_partial_certificate(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_MAX_STEPS", 2)
+        eps = rational(1, 1000)
+        with pytest.raises(StallError) as info:
+            certify(3, 14, eps)
+        stall = info.value
+        assert [format_rational(s.lam) for s in stall.partial.steps] == ["3", "45/13"]
+        assert stall.lam == rational(76, 17)
+        assert stall.eps == eps
+        assert "no convergence after 2 steps" in str(stall)
+
+    def test_target_above_the_lambda_cap_is_rejected(self):
+        with pytest.raises(DomainError, match="at most 10000"):
+            certify(3, certify_module.LAMBDA_MAX + 1)
 
     def test_deterministic(self, paper_range_certificate):
         again = certify(3, 14, rational(1, 1000))
@@ -160,6 +181,47 @@ class TestSerialization:
         direct = verify_certificate(paper_range_certificate)
         assert fresh.all_passed and direct.all_passed
         assert [s.checks for s in fresh.steps] == [s.checks for s in direct.steps]
+
+    def test_records_compare_by_value(self, paper_range_certificate):
+        loaded = Certificate.from_json_dict(paper_range_certificate.to_json_dict())
+        assert loaded == paper_range_certificate
+        assert repr(loaded) == repr(paper_range_certificate)
+        assert repr(loaded).startswith("Certificate(eps=Fraction(1, 1000), lambda_start=")
+        loaded.steps.pop()
+        assert loaded != paper_range_certificate
+        with pytest.raises(TypeError):
+            hash(loaded)
+        step = paper_range_certificate.steps[0]
+        assert step == CertificateStep(1, rational(3), 3, rational(3, 4), rational(6, 13))
+        assert hash(step) == hash(CertificateStep(**step._asdict()))
+        with pytest.raises(AttributeError):
+            step.lam = rational(4)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda c: c["steps"][0].update({"lambda": "10001"}), id="step-lambda"),
+            pytest.param(lambda c: c.update(lambda_start="20001/2"), id="lambda_start"),
+            pytest.param(lambda c: c.update(lambda_target="100000"), id="lambda_target"),
+            pytest.param(lambda c: c.update(pi_upper="3/" + "1" * 101), id="denominator-digits"),
+            pytest.param(lambda c: c["steps"][2].update(e_lower="-" + "7" * 101), id="numerator-digits"),
+            pytest.param(lambda c: c.update(steps=c["steps"] * 2), id="too-many-steps"),
+        ],
+    )
+    def test_oversized_input_is_rejected_on_parsing(self, paper_range_certificate, monkeypatch, edit):
+        monkeypatch.setattr(certify_module, "_MAX_STEPS", 20)  # the certificate has 13
+        payload = paper_range_certificate.to_json_dict()
+        edit(payload)
+        with pytest.raises(ValueError):
+            Certificate.from_json_dict(payload)
+
+    def test_input_at_the_caps_is_accepted(self, paper_range_certificate):
+        payload = paper_range_certificate.to_json_dict()
+        payload["lambda_target"] = "10000"
+        payload["pi_lower"] = "3" + "0" * 99 + "/" + "1" + "0" * 99
+        cert = Certificate.from_json_dict(payload)
+        assert cert.lambda_target == certify_module.LAMBDA_MAX
+        assert cert.pi_lower == 3
 
 
 def _replace_step(cert: Certificate, position: int, **changes) -> Certificate:

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
+import hashlib
 import json
 import os
 import subprocess
@@ -108,6 +109,36 @@ class TestVerifyCommand:
         certificate_path.write_text(json.dumps(payload))
         assert run(capsys, "verify", str(certificate_path))[0] == code
 
+    def test_empty_step_list_exits_two(self, capsys, certificate_path):
+        payload = json.loads(certificate_path.read_text())
+        payload["steps"] = []
+        certificate_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(certificate_path))
+        assert code == 2
+        assert "coverage: start=fail, target=fail" in out
+        assert "NOT verified" in err
+
+    def test_huge_lambda_exits_three_before_any_count(self, certificate_path):
+        # the count at lambda has O(lambda) terms: at 10**9 it would run for hours
+        payload = json.loads(certificate_path.read_text())
+        payload["steps"][0]["lambda"] = str(10**9)
+        certificate_path.write_text(json.dumps(payload))
+        script = """
+import sys, time
+from polyacert.cli import main
+t0 = time.perf_counter()
+code = main(["verify", sys.argv[1]])
+print(code, time.perf_counter() - t0)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(certificate_path)],
+            capture_output=True, text=True, env=_package_env(), timeout=60,
+        )
+        code, seconds = proc.stdout.split()
+        assert code == "3", proc.stderr
+        assert float(seconds) < 2
+        assert "lambda must be at most 10000" in proc.stderr
+
     def test_truncated_file_exits_three(self, capsys, certificate_path):
         certificate_path.write_text(certificate_path.read_text()[:40])
         code, _, err = run(capsys, "verify", str(certificate_path))
@@ -159,6 +190,37 @@ def test_out_of_domain_arguments_exit_two_with_a_message(capsys, tmp_path, argv)
     assert "Traceback" not in err
 
 
+def _package_env() -> dict:
+    src = str(Path(polyacert.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--paper-range",), "8e95354af793fb6c714f8871ce736b1c290fdfb5e5ca0b5d98614d3cbb654b81"),
+    ((), "2b19b82e238fe8078eae0aff1867a48e48ab13d739816c6f352f3806a4e2fd8d"),
+], ids=["paper-range", "gap"])
+def test_default_certificates_keep_their_bytes(capsys, tmp_path, argv, digest):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", *argv, "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_certify_target_above_the_lambda_cap_exits_two(capsys):
+    code, _, err = run(capsys, "certify", "--start", "3", "--target", "10001")
+    assert code == 2
+    assert err.startswith("error: target must be at most 10000")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = "import sys, polyacert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_certified_commands_do_not_import_scipy(tmp_path):
     script = """
 import sys
@@ -170,11 +232,9 @@ assert cli.main(["certify", "--start", "3", "--target", "4", "-o", cert]) == 0
 assert cli.main(["verify", cert]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    src = str(Path(polyacert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "cert.json")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
+from polyacert import verified
 from polyacert.curve import (
     BoundKind,
     a_value,
@@ -20,9 +21,9 @@ from polyacert.curve import (
     weyl_leading,
     weyl_leading_bounds,
 )
-from polyacert.errors import BadDimensionError, DomainError
+from polyacert.errors import BadDimensionError, DomainError, GuessFailedError
 from polyacert.rational import rational, to_float
-from polyacert.verified import DEFAULT_EPS
+from polyacert.verified import DEFAULT_EPS, pi_bounds
 
 mpmath.mp.dps = 50
 
@@ -155,6 +156,80 @@ class TestCertifiedBrackets:
         pad = mpmath.mpf("1e-35")
         assert rational_to_mpf(bracket.lo) <= true + pad
         assert rational_to_mpf(bracket.hi) >= true - pad
+
+
+class TestOneSidedLowerEnd:
+    """g_lower is g_bracket's lower end, built from the three ends it uses and no others."""
+
+    @given(
+        lam=st.fractions(min_value=rational(1, 50), max_value=500, max_denominator=300),
+        z_frac=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+        eps=st.sampled_from([rational(1, 10**k) for k in range(1, 15)]
+                            + [rational(1, 4), rational(1, 3), rational(1, 2), rational(5, 2), rational(3)]),
+    )
+    @example(lam=rational(7, 3), z_frac=rational(0), eps=rational(1, 1000))  # z = 0: no root, no arccos
+    @example(lam=rational(7, 3), z_frac=rational(1), eps=rational(1, 1000))  # z = lam: root 0, arccos 0
+    @example(lam=rational(5), z_frac=rational(3, 5), eps=rational(1, 1000))  # radicand 16
+    @example(lam=rational(5, 2), z_frac=rational(3, 5), eps=rational(1, 10**6))  # radicand 4
+    @example(lam=rational(5), z_frac=rational(3, 5), eps=rational(1, 4))  # exact root, eps at the cap
+    @example(lam=rational(13, 2), z_frac=rational(1, 3), eps=rational(3))  # eps far above the cap
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_bracket_lower_end(self, lam, z_frac, eps):
+        z = lam * z_frac
+        try:
+            bracket = g_bracket(lam, z, eps)
+        except GuessFailedError:
+            # an end only the bracket uses may fail; the lower end then
+            # either verifies or fails the same way
+            try:
+                g_lower(lam, z, eps)
+            except GuessFailedError:
+                pass
+            return
+        assert g_lower(lam, z, eps) == bracket.lo
+
+    def test_fails_loudly_past_the_guess_accuracy(self):
+        # at eps = 1e-18 the double guess cannot seed the arccos upper end
+        lam, z, eps = rational(3), rational(1), rational(1, 10**18)
+        with pytest.raises(GuessFailedError):
+            g_lower(lam, z, eps)
+        with pytest.raises(GuessFailedError):
+            g_bracket(lam, z, eps)
+
+    @pytest.mark.parametrize("lam, z, eps", [
+        (3, 4, DEFAULT_EPS), (0, 0, DEFAULT_EPS), (3, "-1/2", DEFAULT_EPS), (3, 1, 0), (3, 0, "-1/10"),
+    ])
+    def test_domain_matches_the_bracket(self, lam, z, eps):
+        for f in (g_lower, g_bracket):
+            with pytest.raises(DomainError):
+                f(lam, z, eps)
+
+    def test_does_not_build_the_ends_it_discards(self, monkeypatch):
+        eps = rational(1, 10**4)
+        pi_bounds(eps)  # pi is shared by both ends and memoised; build it first
+
+        def discarded(*args):
+            raise AssertionError("g_lower built an end of the upper bound")
+
+        calls = {"below": 0, "above": 0}
+
+        def counted(name, real):
+            def wrapper(guess, eps):
+                calls[name] += 1
+                return real(guess, eps)
+            return wrapper
+
+        monkeypatch.setattr(verified, "_square_above", discarded)
+        monkeypatch.setattr(verified, "_arccos_below", discarded)
+        monkeypatch.setattr(verified, "_window_below", counted("below", verified._window_below))
+        monkeypatch.setattr(verified, "_window_above", counted("above", verified._window_above))
+        lam, z = rational(40, 3), rational(7, 2)
+        lower = g_lower(lam, z, eps)
+        assert calls == {"below": 1, "above": 1}  # the root's lower end, the arccos's upper end
+        with pytest.raises(AssertionError, match="upper bound"):
+            g_bracket(lam, z, eps)  # the two-sided path does call the patched helpers
+        monkeypatch.undo()
+        assert lower == g_bracket(lam, z, eps).lo
 
 
 class TestMoments:

@@ -360,6 +360,18 @@ class TestConvexCountChecks:
         table = ConvexTable((0.0, 1.0, 2.0), (0.0, 0.0, 0.0))
         assert check_convex_count_upper(table)
 
+    def test_table_is_an_immutable_validated_value(self):
+        table = ConvexTable((0.0, 1.0), (0.5, 0.0))
+        assert table == ConvexTable((0.0, 1.0), (0.5, 0.0))
+        assert table != ConvexTable((0.0, 1.0), (0.25, 0.0))
+        assert hash(table) == hash(((0.0, 1.0), (0.5, 0.0)))
+        assert repr(table) == "ConvexTable(breakpoints=(0.0, 1.0), values=(0.5, 0.0))"
+        with pytest.raises(AttributeError):
+            table.values = (0.0, 0.0)
+        for breakpoints, values in [((0.0,), (0.0,)), ((0.5, 1.0), (0.1, 0.0)), ((0.0, 0.0), (0.1, 0.0))]:
+            with pytest.raises(ValueError):
+                ConvexTable(breakpoints, values)
+
     def test_curve_table_passes_upper(self):
         lam = 7.0
         table = ConvexTable.from_function(lambda z: g_value(lam, z), lam)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyacert import verified
@@ -13,12 +13,15 @@ from polyacert.rational import format_rational, rational, to_float
 from polyacert.verified import (
     DEFAULT_EPS,
     RationalInterval,
+    _arccos_above,
+    _arccos_below,
     _cos_taylor,
-    _verify_arccos,
     arccos_bounds,
+    arccos_upper,
     cos_bounds,
     pi_bounds,
     sqrt_bounds,
+    sqrt_lower,
 )
 
 mpmath.mp.dps = 50
@@ -43,6 +46,21 @@ class TestRationalInterval:
         assert iv.width == rational(1, 6)
         assert iv.contains(rational(2, 5))
         assert not iv.contains(rational(3, 5))
+
+    def test_value_semantics(self):
+        iv = RationalInterval(rational(1, 3), rational(1, 2))
+        assert iv == RationalInterval(rational(2, 6), rational(1, 2))
+        assert iv != RationalInterval(rational(1, 3), rational(2, 3))
+        assert iv != (rational(1, 3), rational(1, 2))
+        assert hash(iv) == hash((rational(1, 3), rational(1, 2)))
+        assert repr(iv) == "RationalInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
+        assert RationalInterval(2, 2) == RationalInterval(rational(2), rational(2))
+
+    def test_immutable(self):
+        iv = RationalInterval(rational(1, 3), rational(1, 2))
+        with pytest.raises(AttributeError):
+            iv.lo = rational(0)
+        assert iv.lo == rational(1, 3)
 
 
 class TestSqrtBounds:
@@ -198,14 +216,48 @@ class TestArccosBounds:
         # eps = 1e-18 is below what the double guess of arccos(1/1000) can seed
         calls = []
 
-        def counting(x, lo, hi):
-            calls.append((lo, hi))
-            return _verify_arccos(x, lo, hi)
+        def counting(x, hi):
+            calls.append(hi)
+            return _arccos_above(x, hi)
 
-        monkeypatch.setattr(verified, "_verify_arccos", counting)
+        monkeypatch.setattr(verified, "_arccos_above", counting)
         with pytest.raises(GuessFailedError):
             arccos_bounds(rational(1, 1000), rational(1, 10**18))
         assert len(calls) == 1
+
+
+class TestOneSidedEnds:
+    """sqrt_lower and arccos_upper are the matching ends of the two-sided brackets."""
+
+    EPS = st.sampled_from([rational(1, 10**k) for k in range(0, 15)] + [rational(1, 4), rational(5, 2)])
+
+    @given(x=st.fractions(min_value=0, max_value=10**6, max_denominator=10**6), eps=EPS)
+    @example(x=rational(0), eps=rational(1, 1000))
+    @example(x=rational(49, 16), eps=rational(1, 1000))  # exact root
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_lower_is_the_bracket_lower_end(self, x, eps):
+        assert sqrt_lower(x, eps) == sqrt_bounds(x, eps).lo
+
+    @given(x=st.fractions(min_value=0, max_value=1, max_denominator=10**6), eps=EPS)
+    @example(x=rational(0), eps=rational(1, 1000))  # half the pi upper end
+    @example(x=rational(1), eps=rational(1, 1000))
+    @example(x=rational(1, 2), eps=rational(3))  # eps above the 1/4 cap
+    @settings(max_examples=200, deadline=None)
+    def test_arccos_upper_is_the_bracket_upper_end(self, x, eps):
+        try:
+            expected = arccos_bounds(x, eps).hi
+        except GuessFailedError:
+            return  # past the double guess's accuracy; only the other end may have failed
+        assert arccos_upper(x, eps) == expected
+
+    @pytest.mark.parametrize("f, x, error", [
+        (sqrt_lower, -1, NegativeInputError), (arccos_upper, 2, DomainError), (arccos_upper, "-1/3", DomainError),
+    ])
+    def test_domain(self, f, x, error):
+        with pytest.raises(error):
+            f(x, DEFAULT_EPS)
+        with pytest.raises(DomainError):
+            f(1, 0)
 
 
 class TestIntegerTaylorCheck:
@@ -239,7 +291,8 @@ class TestIntegerTaylorCheck:
         assume(0 < x and lo <= hi)
         upper = 0 < hi and (self.taylor(hi, 12) < x or self.taylor(hi, 28) < x)
         lower = lo == 0 or x < self.taylor(lo, 14) or x < self.taylor(lo, 30)
-        assert _verify_arccos(x, lo, hi) == (upper and lower)
+        assert _arccos_above(x, hi) == upper
+        assert _arccos_below(x, lo) == lower
 
     def test_higher_degree_reaches_fine_brackets_near_half_pi(self):
         eps = Fraction(1, 10**14)
@@ -287,3 +340,15 @@ class TestPiBounds:
         a = pi_bounds(rational(1, 1000))
         b = pi_bounds(rational(1, 1000))
         assert a.lo == b.lo and a.hi == b.hi
+
+    def test_cache_is_keyed_on_the_integer_parts(self):
+        first = pi_bounds(rational(1, 1000))
+        assert pi_bounds("2/2000") is first
+        assert verified._PI_CACHE[(1, 1000)] is first
+        assert pi_bounds(1) is pi_bounds(rational(1))
+
+    @pytest.mark.parametrize("eps", [0, "0", "-1/1000", rational(-3)])
+    def test_non_positive_eps_raises_and_is_not_cached(self, eps):
+        with pytest.raises(DomainError):
+            pi_bounds(eps)
+        assert all(num > 0 for num, _ in verified._PI_CACHE)
