@@ -110,8 +110,8 @@ class Certificate:
         integers and ``success`` a JSON bool: coercing them would let ``3.9``
         read as 3 and ``"false"`` as true.  Hostile input is bounded before
         any count: more than _MAX_STEPS steps, a numerator or denominator of
-        more than _MAX_DIGITS digits, a lambda above LAMBDA_MAX, or a
-        non-positive ``eps`` raises ValueError.
+        more than _MAX_DIGITS digits, a negative lambda or one above
+        LAMBDA_MAX, or a non-positive ``eps`` raises ValueError.
         """
         raw_steps = _json_field(data, "steps", list)
         if len(raw_steps) > _MAX_STEPS:
@@ -167,8 +167,10 @@ def _rational_field(data: dict, name: str) -> Fraction:
 
 
 def _lambda_field(data: dict, name: str) -> Fraction:
-    """A rational field that is at most LAMBDA_MAX."""
+    """A rational field in [0, LAMBDA_MAX]."""
     value = _rational_field(data, name)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {format_rational(value)}")
     if value > LAMBDA_MAX:
         raise ValueError(f"{name} must be at most {LAMBDA_MAX}, got {format_rational(value)}")
     return value
@@ -309,7 +311,8 @@ def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
     the margin identity e = p - lam^2/4 and e > 0 hold; (b) a fresh
     certified count at eps_fresh confirms the recorded p (a fresh count below
     p is inconclusive, not a failure -- lower bounds are not unique -- and is
-    retried once at eps_fresh/10); (c) the step inequality
+    retried once at eps_fresh/10; a negative lam, where no count exists,
+    fails); (c) the step inequality
     (lam + delta)^2 <= lam^2 + 4e by exact cross multiplication, with
     delta > 0; (d) chaining: the next step starts no later than lam + delta.
     For the whole certificate, the recorded pi bracket must be the one
@@ -338,8 +341,9 @@ def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
         checks["index"] = PASS if step.index == pos + 1 else FAIL
         checks["margin_identity"] = PASS if step.e_lower == step.p_lower - lam * lam / 4 else FAIL
         checks["margin_positive"] = PASS if step.e_lower > 0 else FAIL
-        fresh = count_neumann2_certified_lower(lam, eps_fresh).value
-        if fresh >= step.p_lower:
+        if lam < 0:  # no count exists there, so none confirms p
+            checks["count_confirmed"] = FAIL
+        elif count_neumann2_certified_lower(lam, eps_fresh).value >= step.p_lower:
             checks["count_confirmed"] = PASS
         else:
             fresh = count_neumann2_certified_lower(lam, eps_fresh / 10).value

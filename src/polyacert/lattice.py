@@ -19,16 +19,27 @@ double-precision :func:`count_weighted_oracle` and
 :func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
 count in its dimension-reduction form.
 
+The terms of a floor sum are independent, so ``_floor_sum`` splits a sum
+of at least ``_SPLIT_MIN_TERMS`` terms across the usable CPUs: one forked
+child per extra CPU sums every n-th term and sends its integer back
+through a pipe.  It stays serial without ``os.fork``, on one usable CPU,
+while other threads run, and below the split size, where the fork costs
+more than it saves.  Integer addition is exact and any failure reruns the
+whole sum serially, so counts and exceptions are those of the serial sum.
+
 The module also houses the two counting theorems used to compare floor sums
 against area integrals for tabulated decreasing convex functions, and the
 cumulative multiplicity function with its polynomial bound.
 """
 from __future__ import annotations
 
+import gc
 import math
+import os
+import threading
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .curve import BoundKind, g_bracket, g_lower, g_value
 from .errors import (
@@ -139,18 +150,132 @@ def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> i
     return rung
 
 
+# The split's break-even, measured in-process on a 2-vCPU x86_64 host
+# (Python 3.11.7) as serial over split time of count_weighted(2, D or N,
+# lam), median of 60 interleaved pairs: 0.87 at 64 terms, 1.06 at 128,
+# 1.26 at 192, 1.46 at 256 and 1.53 at 800 (the sweep is in CHANGES.md).
+# Below about 128 terms the fork, the child's wake-up and the
+# copy-on-write faults of both processes cost more than the second CPU
+# saves; 256 leaves a margin for hosts where they cost more.
+_SPLIT_MIN_TERMS = 256
+_TERMS_PER_CHUNK = 128  # n chunks need at least n * 128 terms
+
+
 def _floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
     """Sum of weight * floor_of(lam, z, shift, eps) over the (weight, z) pairs of terms.
 
     floor_of is certified_floor_term (exact) or _lower_floor (lower bound).
     The curve vanishes for z >= lam, where the term is floor(shift) exactly
     and floor_of is not called.
+
+    A sum of at least _SPLIT_MIN_TERMS terms is split across the usable
+    CPUs (see _chunk_count): term k goes to chunk k mod n, this process
+    sums chunk 0 and one forked child per other chunk sums its own.  The
+    terms are independent and integer addition is exact, so the split
+    total is the serial total.  On any Exception, in a child or here, the
+    children are killed and reaped and the whole sum is rerun serially, so
+    a failure surfaces as the serial sum's exception, from its first
+    failing term.  Any other BaseException (KeyboardInterrupt) kills and
+    reaps the children and propagates.
     """
+    terms = list(terms)
+    n = _chunk_count(len(terms))
+    if n > 1:
+        try:
+            return _forked_floor_sum(lam, terms, shift, floor_of, eps, n)
+        except Exception:
+            pass  # the serial sum below gives the result, or the serial exception
+    return _serial_floor_sum(lam, terms, shift, floor_of, eps)
+
+
+def _serial_floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
     total = 0
     for weight, z in terms:
         term = rat_floor(shift) if z >= lam else floor_of(lam, z, shift, eps)
         total += weight * term
     return total
+
+
+def _chunk_count(n_terms: int) -> int:
+    """Processes to share a sum of n_terms terms: min(usable CPUs, n_terms // 128), or 1.
+
+    The sum stays serial (1) below _SPLIT_MIN_TERMS terms, without
+    os.fork, on one usable CPU, and while other threads run, which a fork
+    would not copy.
+    """
+    if n_terms < _SPLIT_MIN_TERMS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_terms // _TERMS_PER_CHUNK)
+
+
+def _forked_floor_sum(lam: Fraction, terms: list, shift: Fraction, floor_of, eps, n: int) -> int:
+    """The sum of terms, chunk k = terms[k::n] summed by child k for k >= 1.
+
+    Each child writes its total as decimal text to a pipe and exits 0; a
+    child's total counts only if it did both.  Every child is reaped
+    before this returns or raises.
+    """
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child_floor_sum(write, lam, terms[k::n], shift, floor_of, eps)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        total = _serial_floor_sum(lam, terms[::n], shift, floor_of, eps)
+        while children:
+            pid, pipe = children[0]
+            text = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            if status != 0:
+                raise ChildProcessError(f"floor-sum child {pid} ended with wait status {status}")
+            total += int(text)
+        return total
+    finally:
+        for pid, pipe in children:
+            _kill_and_reap(pid)
+            pipe.close()
+
+
+def _child_floor_sum(write: int, lam, terms, shift, floor_of, eps) -> NoReturn:
+    """In a forked child: sum terms, write the total to the pipe and exit.
+
+    os._exit in the finally keeps every outcome, exceptions included, from
+    returning into the caller's frames, running atexit handlers or
+    flushing stdio buffers inherited from the parent.
+    """
+    code = 1
+    try:
+        gc.disable()  # a collection would touch, and so copy, every page of the parent's heap
+        data = b"%d" % _serial_floor_sum(lam, terms, shift, floor_of, eps)
+        while data:
+            data = data[os.write(write, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _kill_and_reap(pid: int) -> None:
+    import signal  # only on this failure path: the module costs start-up time
+
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # already reaped
 
 
 def _lower_floor(lam: Fraction, z: Fraction, shift: Fraction, eps) -> int:

@@ -215,6 +215,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Certificate.from_json_dict(payload)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda c: c["steps"][0].update({"lambda": "-1"}), id="step-lambda"),
+            pytest.param(lambda c: c.update(lambda_start="-1/2"), id="lambda_start"),
+            pytest.param(lambda c: c.update(lambda_target="-14"), id="lambda_target"),
+        ],
+    )
+    def test_negative_lambda_is_rejected_on_parsing(self, paper_range_certificate, edit):
+        payload = paper_range_certificate.to_json_dict()
+        edit(payload)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Certificate.from_json_dict(payload)
+
     def test_input_at_the_caps_is_accepted(self, paper_range_certificate):
         payload = paper_range_certificate.to_json_dict()
         payload["lambda_target"] = "10000"
@@ -290,6 +304,16 @@ class TestVerifier:
         checks = report.steps[0].checks
         assert checks["count_confirmed"] == "inconclusive"
         assert not report.all_passed
+
+    def test_negative_step_lambda_fails_its_count_check(self, paper_range_certificate):
+        # parsing rejects this; an in-memory certificate reaches the verifier as is
+        bad = _replace_step(paper_range_certificate, 3, lam=rational(-1))
+        report = verify_certificate(bad)
+        assert report.steps[3].checks["count_confirmed"] == FAIL
+        assert report.steps[3].status == FAIL
+        assert not report.sound
+        others = report.steps[:3] + report.steps[4:]
+        assert all(step.checks["count_confirmed"] == PASS for step in others)
 
     def test_report_lines_render(self, paper_range_certificate):
         report = verify_certificate(paper_range_certificate)

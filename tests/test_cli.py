@@ -139,6 +139,15 @@ print(code, time.perf_counter() - t0)
         assert float(seconds) < 2
         assert "lambda must be at most 10000" in proc.stderr
 
+    def test_negative_lambda_exits_three(self, capsys, certificate_path):
+        payload = json.loads(certificate_path.read_text())
+        payload["steps"][0]["lambda"] = "-1"
+        certificate_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(certificate_path))
+        assert code == 3
+        assert out == ""
+        assert "lambda must be non-negative, got -1" in err
+
     def test_truncated_file_exits_three(self, capsys, certificate_path):
         certificate_path.write_text(certificate_path.read_text()[:40])
         code, _, err = run(capsys, "verify", str(certificate_path))
@@ -213,12 +222,22 @@ def test_certify_target_above_the_lambda_cap_exits_two(capsys):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    script = "import sys, polyacert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # nor, after a small count, any process-pool machinery, which would
+    # cost start-up time and memory
+    script = """
+import sys, polyacert.cli
+print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))
+assert polyacert.cli.main(["count", "--lambda", "20"]) == 0
+print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent'} & set(sys.modules)))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("lambda=20 value=")
+    assert lines[2] == "[]"
 
 
 def test_certified_commands_do_not_import_scipy(tmp_path):

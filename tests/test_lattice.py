@@ -1,5 +1,8 @@
 """Tests for weighted counts, dimension reduction, sectors, and counting harnesses."""
 import math
+import os
+import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -199,6 +202,233 @@ class TestFloorGiveUp:
         code = main(["count", "--lambda", "3"])
         assert code == 2
         assert capsys.readouterr().err.startswith("unresolved floor term: ")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """The pids that called os.fork, one entry per call."""
+    calls = []
+    real_fork = os.fork
+
+    def recording_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return calls
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(n) makes every _floor_sum use n chunks, whatever its size and the CPUs."""
+
+    def force(n):
+        monkeypatch.setattr(lattice, "_chunk_count", lambda n_terms: n)
+
+    return force
+
+
+def _rational_in(rng, lo, hi):
+    q = rng.randint(1, 100)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+_RNG = random.Random(8)
+# (label, count, lambda): lambda in [256, 1200] with denominators up to 100
+_SPLIT_CASES = [
+    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 1200)),
+    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 400)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, _rational_in(_RNG, 256, 1200)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, _rational_in(_RNG, 256, 400)),
+    ("weighted-3D", lambda lam: count_weighted(3, D, lam).value, _rational_in(_RNG, 256, 400)),
+    ("lower", lambda lam: count_neumann2_certified_lower(lam).value, _rational_in(_RNG, 256, 1200)),
+    ("lower", lambda lam: count_neumann2_certified_lower(lam).value, _rational_in(_RNG, 256, 1200)),
+    ("sector-D", lambda lam: sector_lattice_bound(D, rational(1, 3), lam).value,
+     _rational_in(_RNG, 768, 1200)),
+    ("sector-N", lambda lam: sector_lattice_bound(N, rational(1, 2), lam).value,
+     _rational_in(_RNG, 512, 900)),
+]
+
+
+class TestForkJoinSplit:
+    """_floor_sum's split across processes gives the serial sum, or the serial exception."""
+
+    @pytest.mark.parametrize(
+        "count,lam", [pytest.param(c, lam, id=f"{label}-{lam}") for label, c, lam in _SPLIT_CASES]
+    )
+    def test_split_equals_serial(self, split, fork_calls, count, lam):
+        split(1)
+        serial = count(lam)
+        assert fork_calls == []
+        for n in (2, 3):
+            split(n)
+            assert count(lam) == serial
+        assert len(fork_calls) == 1 + 2  # n - 1 children per split sum
+        _assert_no_child_left()
+
+    def test_large_sum_splits_unforced(self, monkeypatch, fork_calls):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        lam = rational(1000)
+        shift = rational(1, 4)
+        expected = sum(kappa(2, m) * certified_floor_term(lam, rational(m), shift) for m in range(1001))
+        assert count_weighted(2, D, lam).value == expected
+        assert len(fork_calls) == 1
+        _assert_no_child_left()
+
+    @staticmethod
+    def straddling_at(bad, real=lattice.g_bracket):
+        """g_bracket whose bracket of G + 1/4 straddles 5 on every rung at the abscissas in bad."""
+
+        def bracket(lam, z, eps):
+            if z in bad:
+                return RationalInterval(rational(19, 4) - eps, rational(19, 4) + eps)
+            return real(lam, z, eps)
+
+        return bracket
+
+    def _serial_and_split_errors(self, monkeypatch, split, bad, n, lam=rational(81, 2)):
+        monkeypatch.setattr(lattice, "g_bracket", self.straddling_at(bad))
+        errors = []
+        for chunks in (1, n):
+            split(chunks)
+            with pytest.raises(UnresolvedFloorError) as info:
+                count_weighted(2, D, lam)
+            errors.append((info.value.abscissa, info.value.interval))
+            _assert_no_child_left()
+        return errors
+
+    @pytest.mark.parametrize(
+        "bad,n,first",
+        [
+            pytest.param({4}, 2, 4, id="parent-chunk"),
+            pytest.param({7}, 2, 7, id="child-chunk"),
+            pytest.param({8}, 3, 8, id="second-child-chunk"),
+            pytest.param({3, 10}, 2, 3, id="child-first-parent-later"),
+            pytest.param({4, 11}, 2, 4, id="parent-first-child-later"),
+        ],
+    )
+    def test_failure_in_any_chunk_is_the_serial_failure(self, monkeypatch, split, fork_calls, bad, n, first):
+        serial, forked = self._serial_and_split_errors(monkeypatch, split, bad, n)
+        assert len(fork_calls) == n - 1
+        assert serial == forked
+        assert serial[0] == first
+        finest = DEFAULT_EPS / 10**12
+        assert serial[1] == (5 - finest, 5 + finest)
+
+    def test_keyboard_interrupt_in_the_parent_chunk_reaps_the_children(self, monkeypatch, split, fork_calls):
+        real = lattice.g_bracket
+
+        def interrupted(lam, z, eps):
+            if z == 2:  # in chunk 0, which this process sums
+                raise KeyboardInterrupt
+            return real(lam, z, eps)
+
+        monkeypatch.setattr(lattice, "g_bracket", interrupted)
+        split(2)
+        with pytest.raises(KeyboardInterrupt):
+            count_weighted(2, D, rational(300))
+        assert len(fork_calls) == 1
+        _assert_no_child_left()
+
+    @staticmethod
+    def silent_children(monkeypatch):
+        """Children exit 0 with nothing on the pipe."""
+        parent, real = os.getpid(), lattice._serial_floor_sum
+
+        def serial(*args):
+            if os.getpid() != parent:
+                os._exit(0)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_serial_floor_sum", serial)
+
+    @staticmethod
+    def children_failing_mid_write(monkeypatch):
+        """Children write the first digit of their total, then fail: the digit parses as an integer."""
+        parent, real = os.getpid(), os.write
+
+        def write(fd, data):
+            if os.getpid() == parent:
+                return real(fd, data)
+            if len(data) > 1:
+                return real(fd, data[:1])
+            raise OSError("broken pipe")
+
+        monkeypatch.setattr(os, "write", write)
+
+    @pytest.mark.parametrize("fault", ["silent_children", "children_failing_mid_write"])
+    def test_a_child_that_does_not_finish_is_not_counted(self, monkeypatch, split, fork_calls, fault):
+        expected = count_weighted(2, N, rational(301, 3)).value
+        getattr(self, fault)(monkeypatch)
+        split(2)
+        assert count_weighted(2, N, rational(301, 3)).value == expected
+        assert len(fork_calls) == 1
+        _assert_no_child_left()
+
+    def test_chunk_count_rules(self, monkeypatch):
+        cpus = {"n": 4}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus["n"])), raising=False)
+        monkeypatch.setattr(os, "fork", os.fork if hasattr(os, "fork") else None, raising=False)
+        chunk_count = lattice._chunk_count
+        assert lattice._SPLIT_MIN_TERMS == 256
+        assert chunk_count(255) == 1
+        assert chunk_count(256) == 2
+        assert chunk_count(383) == 2
+        assert chunk_count(384) == 3
+        assert chunk_count(5000) == 4  # never more chunks than usable CPUs
+        cpus["n"] = 1
+        assert chunk_count(5000) == 1
+        cpus["n"] = 4
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            assert chunk_count(5000) == 1  # a fork would not copy the other thread
+        finally:
+            release.set()
+            worker.join()
+        assert chunk_count(5000) == 4
+        monkeypatch.delattr(os, "fork")
+        assert chunk_count(5000) == 1
+
+    def test_chunk_count_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", os.fork if hasattr(os, "fork") else None, raising=False)
+        assert lattice._chunk_count(1000) == 3
+
+    def test_small_sums_never_fork(self, monkeypatch):
+        # the largest sums of acceptance 03, 04, 05 and 08 and of the
+        # exact_sweep and certify_verify benchmark workloads
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        sizes = []
+        real_chunk_count = lattice._chunk_count
+
+        def recording_chunk_count(n_terms):
+            sizes.append(n_terms)
+            return real_chunk_count(n_terms)
+
+        monkeypatch.setattr(lattice, "_chunk_count", recording_chunk_count)
+        eps = rational(1, 1000)
+        count_weighted(2, D, rational(100), eps)
+        count_weighted(2, N, rational(100), eps)
+        for d in (3, 4, 5):
+            count_weighted(d, D, rational(30), eps)
+            count_dirichlet_dim_reduction(d, rational(17), eps)
+        count_neumann2_certified_lower(rational(100), eps)
+        for kind in (D, N):
+            sector_lattice_bound(kind, rational(2), rational(30), eps)
+        assert max(sizes) < 128
+        assert all(real_chunk_count(n) == 1 for n in sizes)
 
 
 class TestCertifiedLower:
