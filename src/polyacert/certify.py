@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
 from .rational import as_rational, format_rational, parse_rational, rational
-from .verified import DEFAULT_EPS, pi_bounds, sqrt_bounds
+from .verified import DEFAULT_EPS, pi_bounds, sqrt_lower
 
 _DELTA_RETRIES = 6
 _MAX_STEPS = 100_000
@@ -186,7 +186,7 @@ def gap_endpoints(eps=DEFAULT_EPS) -> tuple[Fraction, Fraction]:
     numerator and the lower in the denominator overshoot the true value).
     """
     eps = as_rational(eps)
-    start = sqrt_bounds(rational(12), eps).lo
+    start = sqrt_lower(rational(12), eps)
     pi = pi_bounds(eps)
     denominator = 3 * pi.lo - 8
     if denominator <= 0:
@@ -234,7 +234,7 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
         next_lam = None
         for retry in range(_DELTA_RETRIES + 1):
             attempt = eps / 10**retry
-            candidate = sqrt_bounds(lam * lam + 4 * e, attempt).lo
+            candidate = sqrt_lower(lam * lam + 4 * e, attempt)
             if candidate > lam:
                 next_lam = candidate
                 break

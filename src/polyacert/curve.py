@@ -16,6 +16,12 @@ Two evaluation regimes coexist:
 * the certified bracket :func:`g_bracket`, exact rationals that provably
   enclose the true value, used by the certified-exact counts, and its lower
   end alone, :func:`g_lower`, used by the certified lower counts.
+
+A lower count evaluates g_lower at many abscissas for one (lam, eps), so
+:func:`prepare_g_lower` builds everything that depends on (lam, eps) alone
+once and returns the per-term core as a function of z's integer parts.
+g_lower itself is that core prepared for a single abscissa, so the two
+give the same rationals.
 """
 from __future__ import annotations
 
@@ -27,11 +33,13 @@ from .errors import BadDimensionError, DomainError
 from .rational import ZERO, as_rational, rational
 from .verified import (
     RationalInterval,
+    _arccos_eps,
+    _arccos_upper_core,
+    _sqrt_lower_core,
+    _sqrt_resolution,
     arccos_bounds,
-    arccos_upper,
     pi_bounds,
     sqrt_bounds,
-    sqrt_lower,
 )
 
 
@@ -81,9 +89,8 @@ def _g_args(lam, z, eps) -> tuple[Fraction, Fraction, Fraction]:
     return lam, z, eps
 
 
-def _radicand_and_ratio(lam: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
-    """lam^2 - z^2 and z/lam, each built from the integer parts and normalised once."""
-    ln, ld, zn, zd = lam.numerator, lam.denominator, z.numerator, z.denominator
+def _radicand_and_ratio(ln: int, ld: int, zn: int, zd: int) -> tuple[Fraction, Fraction]:
+    """lam^2 - z^2 and z/lam for lam = ln/ld and z = zn/zd, each normalised once."""
     return rational(ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd), rational(zn * ld, zd * ln)
 
 
@@ -99,14 +106,15 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     :func:`pi_bounds`), so the upper end is always defined.
     """
     lam, z, eps = _g_args(lam, z, eps)
-    if z.numerator == 0:
+    zn, zd = z.numerator, z.denominator
+    if zn == 0:
         root, angle = RationalInterval(lam, lam), RationalInterval(ZERO, ZERO)
     else:
-        radicand, ratio = _radicand_and_ratio(lam, z)
+        radicand, ratio = _radicand_and_ratio(lam.numerator, lam.denominator, zn, zd)
         root, angle = sqrt_bounds(radicand, eps), arccos_bounds(ratio, eps)
     pi = pi_bounds(eps)
-    lo = _over_pi(root.lo, z, angle.hi, pi.hi)
-    hi = _over_pi(root.hi, z, angle.lo, pi.lo)
+    lo = rational(*_over_pi(root.lo, zn, zd, angle.hi, pi.hi))
+    hi = rational(*_over_pi(root.hi, zn, zd, angle.lo, pi.lo))
     return RationalInterval(lo, hi)
 
 
@@ -117,26 +125,52 @@ def g_lower(lam, z, eps) -> Fraction:
     root, the upper end of the arccos and the upper end of pi.  The ends of
     the upper bound are neither built nor checked, which halves the cost of
     the lower-bound counts.  Raises what g_bracket raises on the same ends;
-    an end that only g_bracket uses cannot make it raise.
+    an end that only g_bracket uses cannot make it raise.  The value comes
+    from the same per-term core as the lower counts, :func:`prepare_g_lower`.
     """
     lam, z, eps = _g_args(lam, z, eps)
-    if z.numerator == 0:
-        root, angle = lam, ZERO
-    else:
-        radicand, ratio = _radicand_and_ratio(lam, z)
-        root, angle = sqrt_lower(radicand, eps), arccos_upper(ratio, eps)
-    return _over_pi(root, z, angle, pi_bounds(eps).hi)
+    return rational(*prepare_g_lower(lam, eps)(z.numerator, z.denominator))
 
 
-def _over_pi(root: Fraction, z: Fraction, angle: Fraction, pi: Fraction) -> Fraction:
-    """(root - z*angle) / pi for pi > 0, built from the integer parts.
+def prepare_g_lower(lam: Fraction, eps: Fraction):
+    """g_lower for one (lam, eps), prepared once: a function of z's integer parts.
 
-    The result is normalised once, where three chained rational operations
-    would reduce three times.
+    The returned ``parts(zn, zd)`` gives integers (num, den) with den > 0 and
+    num/den = g_lower(lam, zn/zd, eps) for integers zn >= 0 and zd > 0 with
+    zn/zd <= lam, not normalised, so a caller that only floors it never
+    builds the quotient.  Everything that depends on (lam, eps) alone is
+    built here, once: lam's integer parts, the sqrt resolution, the arccos
+    eps capped at 1/4 and the upper end of pi.  Each call then builds only
+    its own radicand and ratio and verifies their two ends.
+
+    lam > 0 and eps > 0 must be Fractions that g_lower has checked; a
+    non-positive eps raises DomainError here, from pi_bounds.
     """
-    root_d, z_d, angle_d = root.denominator, z.denominator, angle.denominator
-    num = root.numerator * z_d * angle_d - z.numerator * angle.numerator * root_d
-    return rational(num * pi.denominator, root_d * z_d * angle_d * pi.numerator)
+    pi = pi_bounds(eps).hi
+    resolution, capped = _sqrt_resolution(eps), _arccos_eps(eps)
+    ln, ld = lam.numerator, lam.denominator
+
+    def parts(zn: int, zd: int) -> tuple[int, int]:
+        if zn == 0:
+            root, angle = lam, ZERO
+        else:
+            radicand, ratio = _radicand_and_ratio(ln, ld, zn, zd)
+            root, angle = _sqrt_lower_core(radicand, eps, resolution), _arccos_upper_core(ratio, capped)
+        return _over_pi(root, zn, zd, angle, pi)
+
+    return parts
+
+
+def _over_pi(root: Fraction, zn: int, zd: int, angle: Fraction, pi: Fraction) -> tuple[int, int]:
+    """(root - z*angle) / pi for z = zn/zd and pi > 0, as integers (num, den) with den > 0.
+
+    Built from the integer parts and not normalised: a caller normalises
+    once, where three chained rational operations would reduce three
+    times, or floors it without building the quotient.
+    """
+    root_d, angle_d = root.denominator, angle.denominator
+    num = root.numerator * zd * angle_d - zn * angle.numerator * root_d
+    return num * pi.denominator, root_d * zd * angle_d * pi.numerator
 
 
 def g_moment(lam: float, beta: float) -> float:

@@ -26,6 +26,14 @@ through a pipe.  It stays serial without ``os.fork``, on one usable CPU,
 while other threads run, and below the split size, where the fork costs
 more than it saves.  Integer addition is exact and any failure reruns the
 whole sum serially, so counts and exceptions are those of the serial sum.
+A sum is an index range and a function from index to weighted floor term,
+so neither the serial loop nor a chunk ever lists its terms.
+
+The lower count prepares its bound once per sum (:func:`curve.prepare_g_lower`):
+each term then builds only its own radicand and ratio, verifies their
+ends and floors the bound on integers.  The verified ends are those of
+:func:`curve.g_lower`, so lower counts are the same integers as the
+term-by-term sum of clamped floors of ``g_lower``.
 
 The module also houses the two counting theorems used to compare floor sums
 against area integrals for tabulated decreasing convex functions, and the
@@ -41,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
-from .curve import BoundKind, g_bracket, g_lower, g_value
+from .curve import BoundKind, g_bracket, g_lower, g_value, prepare_g_lower
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -51,7 +59,7 @@ from .errors import (
     M0ExceedsBError,
     UnresolvedFloorError,
 )
-from .rational import as_rational, rat_floor, rational, to_float
+from .rational import ZERO, as_rational, rat_floor, rational, to_float
 from .verified import DEFAULT_EPS
 
 
@@ -161,39 +169,31 @@ _SPLIT_MIN_TERMS = 256
 _TERMS_PER_CHUNK = 128  # n chunks need at least n * 128 terms
 
 
-def _floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
-    """Sum of weight * floor_of(lam, z, shift, eps) over the (weight, z) pairs of terms.
+def _floor_sum(indices: range, term) -> int:
+    """Sum of term(i) over indices, where term(i) is one weighted floor of a count.
 
-    floor_of is certified_floor_term (exact) or _lower_floor (lower bound).
-    The curve vanishes for z >= lam, where the term is floor(shift) exactly
-    and floor_of is not called.
-
-    A sum of at least _SPLIT_MIN_TERMS terms is split across the usable
-    CPUs (see _chunk_count): term k goes to chunk k mod n, this process
-    sums chunk 0 and one forked child per other chunk sums its own.  The
-    terms are independent and integer addition is exact, so the split
-    total is the serial total.  On any Exception, in a child or here, the
-    children are killed and reaped and the whole sum is rerun serially, so
-    a failure surfaces as the serial sum's exception, from its first
+    The terms are never listed: the serial loop and each chunk of a split
+    generate their own.  A sum of at least _SPLIT_MIN_TERMS terms is split
+    across the usable CPUs (see _chunk_count): chunk k is indices[k::n],
+    this process sums chunk 0 and one forked child per other chunk sums its
+    own.  The terms are independent and integer addition is exact, so the
+    split total is the serial total.  On any Exception, in a child or here,
+    the children are killed and reaped and the whole sum is rerun serially,
+    so a failure surfaces as the serial sum's exception, from its first
     failing term.  Any other BaseException (KeyboardInterrupt) kills and
     reaps the children and propagates.
     """
-    terms = list(terms)
-    n = _chunk_count(len(terms))
+    n = _chunk_count(len(indices))
     if n > 1:
         try:
-            return _forked_floor_sum(lam, terms, shift, floor_of, eps, n)
+            return _forked_floor_sum(indices, term, n)
         except Exception:
             pass  # the serial sum below gives the result, or the serial exception
-    return _serial_floor_sum(lam, terms, shift, floor_of, eps)
+    return _serial_floor_sum(indices, term)
 
 
-def _serial_floor_sum(lam: Fraction, terms, shift: Fraction, floor_of, eps) -> int:
-    total = 0
-    for weight, z in terms:
-        term = rat_floor(shift) if z >= lam else floor_of(lam, z, shift, eps)
-        total += weight * term
-    return total
+def _serial_floor_sum(indices: range, term) -> int:
+    return sum(map(term, indices))
 
 
 def _chunk_count(n_terms: int) -> int:
@@ -212,8 +212,8 @@ def _chunk_count(n_terms: int) -> int:
     return min(cpus, n_terms // _TERMS_PER_CHUNK)
 
 
-def _forked_floor_sum(lam: Fraction, terms: list, shift: Fraction, floor_of, eps, n: int) -> int:
-    """The sum of terms, chunk k = terms[k::n] summed by child k for k >= 1.
+def _forked_floor_sum(indices: range, term, n: int) -> int:
+    """The sum of term over indices, chunk k = indices[k::n] summed by child k for k >= 1.
 
     Each child writes its total as decimal text to a pipe and exits 0; a
     child's total counts only if it did both.  Every child is reaped
@@ -230,10 +230,10 @@ def _forked_floor_sum(lam: Fraction, terms: list, shift: Fraction, floor_of, eps
                 os.close(write)
                 raise
             if pid == 0:
-                _child_floor_sum(write, lam, terms[k::n], shift, floor_of, eps)
+                _child_floor_sum(write, indices[k::n], term)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        total = _serial_floor_sum(lam, terms[::n], shift, floor_of, eps)
+        total = _serial_floor_sum(indices[::n], term)
         while children:
             pid, pipe = children[0]
             text = pipe.read()
@@ -250,8 +250,8 @@ def _forked_floor_sum(lam: Fraction, terms: list, shift: Fraction, floor_of, eps
             pipe.close()
 
 
-def _child_floor_sum(write: int, lam, terms, shift, floor_of, eps) -> NoReturn:
-    """In a forked child: sum terms, write the total to the pipe and exit.
+def _child_floor_sum(write: int, indices: range, term) -> NoReturn:
+    """In a forked child: sum term over indices, write the total to the pipe and exit.
 
     os._exit in the finally keeps every outcome, exceptions included, from
     returning into the caller's frames, running atexit handlers or
@@ -260,7 +260,7 @@ def _child_floor_sum(write: int, lam, terms, shift, floor_of, eps) -> NoReturn:
     code = 1
     try:
         gc.disable()  # a collection would touch, and so copy, every page of the parent's heap
-        data = b"%d" % _serial_floor_sum(lam, terms, shift, floor_of, eps)
+        data = b"%d" % _serial_floor_sum(indices, term)
         while data:
             data = data[os.write(write, data):]
         code = 0
@@ -278,11 +278,6 @@ def _kill_and_reap(pid: int) -> None:
         pass  # already reaped
 
 
-def _lower_floor(lam: Fraction, z: Fraction, shift: Fraction, eps) -> int:
-    """floor(g_lower + shift) clamped at zero: never above floor(G + shift) for shift >= 0."""
-    return max(0, _floor_plus(g_lower(lam, z, eps), shift))
-
-
 def _floor_plus(q: Fraction, shift: Fraction) -> int:
     """floor(q + shift) from the integer parts, without normalising the sum."""
     q_d, shift_d = q.denominator, shift.denominator
@@ -294,10 +289,9 @@ def _weighted_abscissa(d: int, m: int) -> Fraction:
     return rational(2 * m + d - 2, 2)
 
 
-def _weighted_terms(d: int, lam: Fraction):
-    """(kappa(d, m), z_m) for m = 0 .. floor(lam - d/2 + 1)."""
-    for m in range(rat_floor(lam - rational(d, 2) + 1) + 1):
-        yield kappa(d, m), _weighted_abscissa(d, m)
+def _weighted_indices(d: int, lam: Fraction) -> range:
+    """m = 0 .. floor(lam - d/2 + 1), the indices of the weighted counts."""
+    return range(rat_floor(lam - rational(d, 2) + 1) + 1)
 
 
 def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult:
@@ -310,7 +304,11 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    total = _floor_sum(lam, _weighted_terms(d, lam), kind.shift, certified_floor_term, eps)
+    shift = kind.shift
+    total = _floor_sum(
+        _weighted_indices(d, lam),
+        lambda m: kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), shift, eps),
+    )
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -342,13 +340,39 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
     Each term floors the certified lower bound of G plus 3/4; since the lower
     bound can dip below zero near z = lam while the true term never does,
     negative per-term floors are clamped at zero.  The result never exceeds
-    the true count, for any eps.
+    the true count, for any eps.  The bound is g_lower, prepared once per
+    sum (see _lower_term), so the count is the same integer as the sum of
+    the clamped floors of g_lower term by term.
     """
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    total = _floor_sum(lam, _weighted_terms(2, lam), BoundKind.NEUMANN.shift, _lower_floor, eps)
+    if lam == 0:  # the one term lies at z = lam, where it is floor(3/4)
+        return CountResult(0, Rigor.CERTIFIED_LOWER)
+    total = _floor_sum(_weighted_indices(2, lam), _lower_term(lam, eps))
     return CountResult(total, Rigor.CERTIFIED_LOWER)
+
+
+def _lower_term(lam: Fraction, eps):
+    """term(m) = kappa(2, m) * max(0, floor(g_lower(lam, m, eps) + 3/4)) for lam > 0.
+
+    Term 0 is g_lower(lam, 0, eps) = lam/pi_hi itself, which also checks eps
+    once for the whole sum.  The other terms share one prepare_g_lower and
+    floor its integer parts; the term at z = lam is floor(3/4) = 0.
+    """
+    first = g_lower(lam, ZERO, eps)
+    parts = prepare_g_lower(lam, as_rational(eps))
+    ln, ld = lam.numerator, lam.denominator
+
+    def term(m: int) -> int:
+        if m == 0:
+            return max(0, _floor_plus(first, BoundKind.NEUMANN.shift))
+        if m * ld >= ln:
+            return 0
+        num, den = parts(m, 1)
+        return 2 * max(0, (4 * num + 3 * den) // (4 * den))  # kappa(2, m) = 2 for m >= 1
+
+    return term
 
 
 def count_dirichlet_dim_reduction(d: int, lam, eps=DEFAULT_EPS) -> CountResult:
@@ -405,8 +429,11 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
     start = 1 if kind is BoundKind.DIRICHLET else 0
-    terms = ((1, rational(m) / a) for m in range(start, rat_floor(a * lam) + 1))
-    total = _floor_sum(lam, terms, kind.shift, certified_floor_term, eps)
+    shift = kind.shift
+    total = _floor_sum(
+        range(start, rat_floor(a * lam) + 1),
+        lambda m: certified_floor_term(lam, rational(m) / a, shift, eps),
+    )
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 

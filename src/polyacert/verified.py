@@ -34,7 +34,11 @@ the two ends of a square root, and :func:`_arccos_below` and
 :func:`_arccos_above` those of an arccos.  The two-sided brackets compute
 one guess and call both helpers of each pair; :func:`sqrt_lower` and
 :func:`arccos_upper` compute the same guess and call only the helpers of
-the end they return, for callers that use a single end.
+the end they return, for callers that use a single end.  Their cores,
+:func:`_sqrt_lower_core` and :func:`_arccos_upper_core`, skip the argument
+checks and take the eps-derived values (the square-root resolution, the
+capped arccos eps) already built, for a caller that evaluates many ends at
+one eps; they return the same rationals.
 
 Square-root guesses come from exact integer square roots and are close
 enough that the first bracket always verifies.  Arccos guesses come from
@@ -165,10 +169,11 @@ def _sqrt_args(x, eps) -> tuple[Fraction, Fraction]:
     return x, eps
 
 
-def _sqrt_guess(x, eps) -> Fraction:
-    # r <= sqrt(x) < r + eps/2**20, so the window below r squares to at most x
-    # and the window above r + eps lies above sqrt(x): both ends verify
-    return sqrt_guess(x, eps / 2**20)
+def _sqrt_resolution(eps) -> Fraction:
+    # r <= sqrt(x) < r + eps/2**20 for r = sqrt_guess(x, eps/2**20), so the
+    # window below r squares to at most x and the window above r + eps lies
+    # above sqrt(x): both ends verify
+    return eps / 2**20
 
 
 def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
@@ -181,7 +186,7 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     exact = _exact_sqrt(x)
     if exact is not None:
         return RationalInterval(exact, exact)
-    guess = _sqrt_guess(x, eps)
+    guess = sqrt_guess(x, _sqrt_resolution(eps))
     lo, hi = _window_below(guess, eps), _window_above(guess, eps)
     if not (_square_below(x, lo) and _square_above(x, hi)):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
@@ -191,10 +196,16 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
 def sqrt_lower(x, eps=DEFAULT_EPS) -> Fraction:
     """``sqrt_bounds(x, eps).lo``, without building or checking the upper end."""
     x, eps = _sqrt_args(x, eps)
+    return _sqrt_lower_core(x, eps, _sqrt_resolution(eps))
+
+
+def _sqrt_lower_core(x: Fraction, eps: Fraction, resolution: Fraction) -> Fraction:
+    """sqrt_lower(x, eps) for x >= 0 and eps > 0 as _sqrt_args returns them, and
+    resolution = _sqrt_resolution(eps): the arguments are not checked again."""
     exact = _exact_sqrt(x)
     if exact is not None:
         return exact
-    lo = _window_below(_sqrt_guess(x, eps), eps)
+    lo = _window_below(sqrt_guess(x, resolution), eps)
     if not _square_below(x, lo):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
     return lo
@@ -233,11 +244,15 @@ def _arccos_args(x, eps) -> tuple[Fraction, Fraction]:
     return x, eps
 
 
-def _arccos_guess(x, eps) -> tuple[Fraction, Fraction]:
-    """The double-precision guess of arccos(x), and eps capped at 1/4 (see the module note)."""
+def _arccos_eps(eps: Fraction) -> Fraction:
+    """eps capped at 1/4 (see the module note)."""
     cap = _ARCCOS_EPS_MAX
-    capped = eps if eps.numerator * cap.denominator <= cap.numerator * eps.denominator else cap
-    return rational(math.acos(to_float(x))), capped
+    return eps if eps.numerator * cap.denominator <= cap.numerator * eps.denominator else cap
+
+
+def _arccos_guess(x: Fraction) -> Fraction:
+    """The double-precision guess of arccos(x), as an exact rational."""
+    return rational(math.acos(to_float(x)))
 
 
 def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
@@ -252,7 +267,7 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
         # half the pi bracket; pi built at 2*eps/3 keeps the width within 6*eps
         pi = pi_bounds(2 * eps / 3)
         return RationalInterval(pi.lo / 2, pi.hi / 2)
-    guess, eps = _arccos_guess(x, eps)
+    guess, eps = _arccos_guess(x), _arccos_eps(eps)
     lo, hi = _window_below(guess, eps), _window_above(guess, eps)
     if not (_arccos_above(x, hi) and _arccos_below(x, lo)):
         raise GuessFailedError(f"arccos bracket for {x} failed to verify")
@@ -264,7 +279,13 @@ def arccos_upper(x, eps=DEFAULT_EPS) -> Fraction:
     x, eps = _arccos_args(x, eps)
     if x.numerator == 0:
         return pi_bounds(2 * eps / 3).hi / 2
-    hi = _window_above(*_arccos_guess(x, eps))
+    return _arccos_upper_core(x, _arccos_eps(eps))
+
+
+def _arccos_upper_core(x: Fraction, capped: Fraction) -> Fraction:
+    """arccos_upper(x, eps) for 0 < x <= 1 as _arccos_args returns it, and
+    capped = _arccos_eps(eps): the arguments are not checked again."""
+    hi = _window_above(_arccos_guess(x), capped)
     if not _arccos_above(x, hi):
         raise GuessFailedError(f"arccos bracket for {x} failed to verify")
     return hi

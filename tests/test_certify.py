@@ -94,13 +94,13 @@ class TestCertify:
     def test_vanishing_step_retries_finer_eps_then_stalls(self, monkeypatch):
         # at eps = 1/20 the chain reaches 8733/2521, just below 2*sqrt(3), where
         # the margin is so small that no eps on the retry ladder gives a step
-        calls, real = [], certify_module.sqrt_bounds
+        calls, real = [], certify_module.sqrt_lower
 
         def recording(x, eps):
             calls.append(eps)
             return real(x, eps)
 
-        monkeypatch.setattr(certify_module, "sqrt_bounds", recording)
+        monkeypatch.setattr(certify_module, "sqrt_lower", recording)
         eps = rational(1, 20)
         with pytest.raises(StallError) as info:
             certify(3, 14, eps)

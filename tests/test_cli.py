@@ -1,16 +1,24 @@
 """End-to-end tests of the command-line interface via its main() entry point."""
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import polyacert
 from polyacert.certify import certify
 from polyacert.cli import main
+from polyacert.curve import BoundKind
+from polyacert.lattice import count_weighted
 
 
 def run(capsys, *argv):
@@ -156,6 +164,102 @@ print(code, time.perf_counter() - t0)
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def gap_certificate(tmp_path_factory):
+    """The default gap certificate as a JSON dict, and a scratch path for edited copies."""
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "-o", str(path)]) == 0
+    return json.loads(path.read_text()), path
+
+
+_DELETE = object()  # the edit that removes the field
+_TOP_RATIONALS = ("eps", "lambda_start", "lambda_target", "pi_lower", "pi_upper")
+_STEP_RATIONALS = ("lambda", "e_lower", "delta_lower")
+_GAP_STEPS = 11
+
+_not_a_string = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 50), st.floats(-20, 20), st.lists(st.integers(), max_size=2)
+)
+_rational_text = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=3000).map(str),
+    st.sampled_from(["0", "-1", "10000", "10001", "1/0", "1/3/4", " 7/2", "abc", "", "1" * 101, "1/" + "1" * 101]),
+)
+
+
+@st.composite
+def _single_field_edits(draw):
+    """(path, value): one field of the gap certificate and what replaces it."""
+    paths = [(name,) for name in _TOP_RATIONALS + ("success", "steps")]
+    paths += [(i, name) for i in range(_GAP_STEPS) for name in _STEP_RATIONALS + ("index", "p_lower")]
+    path = draw(st.sampled_from(paths))
+    name = path[-1]
+    if name in _TOP_RATIONALS + _STEP_RATIONALS:
+        nudge = st.fractions(min_value=-1, max_value=1, max_denominator=10**6).map(lambda q: ("nudge", q))
+        kind = st.one_of(_rational_text, nudge)
+    elif name in ("index", "p_lower"):
+        kind = st.one_of(st.integers(-3, 3).map(lambda k: ("nudge", k)), st.integers(-10, 10**6))
+    elif name == "success":
+        kind = st.sampled_from([False, "true", 1, None])
+    else:
+        kind = st.sampled_from([[], {}, "steps"])
+    return path, draw(st.one_of(kind, _not_a_string, st.just(_DELETE)))
+
+
+def _apply(payload: dict, path: tuple, value) -> dict:
+    edited = copy.deepcopy(payload)
+    holder = edited if len(path) == 1 else edited["steps"][path[0]]
+    name = path[-1]
+    if value is _DELETE:
+        del holder[name]
+    elif isinstance(value, tuple):  # a nudge of the recorded value
+        old = holder[name]
+        holder[name] = old + value[1] if isinstance(old, int) else str(Fraction(old) + value[1])
+    else:
+        holder[name] = value
+    return edited
+
+
+def _assert_independently_sound(payload: dict) -> None:
+    """What exit 0 claims, re-derived with Fraction and the exact count only."""
+    steps = payload["steps"]
+    lams = [Fraction(step["lambda"]) for step in steps]
+    assert payload["success"] is True
+    assert [step["index"] for step in steps] == list(range(1, len(steps) + 1))
+    for lam, step in zip(lams, steps):
+        p, e, delta = step["p_lower"], Fraction(step["e_lower"]), Fraction(step["delta_lower"])
+        assert count_weighted(2, BoundKind.NEUMANN, lam).value >= p
+        assert e == p - lam * lam / 4 and e > 0
+        assert delta > 0 and (lam + delta) ** 2 <= lam * lam + 4 * e
+    reaches = [lam + Fraction(step["delta_lower"]) for lam, step in zip(lams, steps)]
+    assert all(a < b <= reach for a, b, reach in zip(lams, lams[1:], reaches))
+    assert lams[0] <= Fraction(payload["lambda_start"])
+    assert reaches[-1] > Fraction(payload["lambda_target"])
+
+
+@given(edit=_single_field_edits())
+@example(edit=(("lambda_start",), "7/2"))  # above 2*sqrt(3), but the chain still covers it
+@example(edit=(("lambda_target",), "13"))
+@example(edit=(("eps",), "1/1001"))  # the same pi bracket and the same counts
+@example(edit=((0, "lambda"), "10000"))
+@example(edit=((10, "p_lower"), ("nudge", 1)))
+@example(edit=((3, "delta_lower"), ("nudge", Fraction(1, 10**6))))
+@settings(max_examples=300, deadline=None)
+def test_single_field_edit_is_rejected_or_sound(gap_certificate, edit):
+    # an edited certificate is refused (2: not verified, 3: unreadable) or,
+    # when verify accepts it, every step holds on its own; never exit 1 or
+    # an exception
+    payload, path = gap_certificate
+    edited = _apply(payload, *edit)
+    path.write_text(json.dumps(edited))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 0:
+        _assert_independently_sound(edited)
 
 
 class TestCountCommand:

@@ -3,15 +3,16 @@ import math
 import os
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyacert import lattice
 from polyacert.cli import main
-from polyacert.curve import BoundKind, g_value
+from polyacert.curve import BoundKind, g_lower, g_value
 from polyacert.errors import (
     BadDimensionError,
     DomainError,
@@ -370,6 +371,22 @@ class TestForkJoinSplit:
         assert len(fork_calls) == 1
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_terms_are_generated_not_listed(self, monkeypatch, split, chunks):
+        # 10**5 + 1 terms with a stub floor: listing them first would hold
+        # every (weight, abscissa) pair at once, about 14 MB
+        monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
+        split(chunks)
+        tracemalloc.start()
+        try:
+            total = count_weighted(2, D, rational(2 * 10**5 + 1, 2)).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == 1 + 2 * 10**5
+        assert peak < 2**20, peak
+        _assert_no_child_left()
+
     def test_chunk_count_rules(self, monkeypatch):
         cpus = {"n": 4}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus["n"])), raising=False)
@@ -445,6 +462,32 @@ class TestCertifiedLower:
             lower = count_neumann2_certified_lower(lam, eps).value
             exact = count_weighted(2, N, lam).value
             assert lower <= exact, (lam, eps)
+
+    @given(
+        lam=st.fractions(min_value=rational(1, 3000), max_value=60, max_denominator=3000),
+        eps=st.fractions(min_value=rational(1, 10**6), max_value=1, max_denominator=10**6),
+    )
+    @example(lam=rational(1, 2), eps=rational(1, 1000))  # z = 0 is the only term
+    @example(lam=rational(5), eps=rational(1, 1000))  # radicands 16 and 9 at z = 3, 4; z = lam = 5
+    @example(lam=rational(13), eps=rational(1, 4))  # radicands 144 and 25 at z = 5, 12; eps at the cap
+    @example(lam=rational(5, 2), eps=rational(1, 10**6))  # radicand 9/4 at z = 2
+    @example(lam=rational(13), eps=rational(1))  # eps far above the arccos cap
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_term_by_term_sum_of_g_lower(self, lam, eps):
+        # the prepared sum against the public g_lower, one clamped floor per term
+        expected = sum(
+            kappa(2, m) * max(0, math.floor(g_lower(lam, m, eps) + rational(3, 4)))
+            for m in range(math.floor(lam) + 1)
+        )
+        assert count_neumann2_certified_lower(lam, eps).value == expected
+
+    def test_bad_eps_raises_as_g_lower_does(self):
+        for eps in (0, rational(-1, 10)):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                count_neumann2_certified_lower(3, eps)
+        with pytest.raises(TypeError):
+            count_neumann2_certified_lower(3, 0.001)
+        assert count_neumann2_certified_lower(0, 0).value == 0  # no term needs eps
 
     def test_clamping_keeps_value_non_negative(self):
         # an absurdly coarse eps drives individual terms negative; the clamp
