@@ -102,6 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_certify(args) -> int:
     eps = args.eps
     if args.paper_range:
+        if args.start is not None or args.target is not None:
+            print("error: --paper-range certifies [3, 14]; it takes no --start or --target", file=sys.stderr)
+            return 2
         start, target = rational(3), rational(14)
     else:
         default_start, default_target = gap_endpoints(eps)
@@ -154,6 +157,9 @@ def _print_count(lam, result: CountResult, fmt: str) -> None:
 def cmd_count(args) -> int:
     kind = BoundKind.from_letter(args.kind)
     if args.alpha is not None:
+        if args.d != 2:
+            print(f"error: --alpha counts a planar sector; it needs --d 2, got --d {args.d}", file=sys.stderr)
+            return 2
         result = sector_lattice_bound(kind, args.alpha, args.lam, args.eps)
     else:
         result = count_weighted(args.d, kind, args.lam, args.eps)

@@ -30,14 +30,14 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import BadDimensionError, DomainError
-from .rational import ZERO, as_rational, rational
+from .rational import as_rational, rational
 from .verified import (
     RationalInterval,
+    _arccos_ends,
     _arccos_eps,
-    _arccos_upper_core,
+    _arccos_upper_end,
     _sqrt_lower_core,
     _sqrt_resolution,
-    arccos_bounds,
     pi_bounds,
     sqrt_bounds,
 )
@@ -89,9 +89,13 @@ def _g_args(lam, z, eps) -> tuple[Fraction, Fraction, Fraction]:
     return lam, z, eps
 
 
-def _radicand_and_ratio(ln: int, ld: int, zn: int, zd: int) -> tuple[Fraction, Fraction]:
-    """lam^2 - z^2 and z/lam for lam = ln/ld and z = zn/zd, each normalised once."""
-    return rational(ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd), rational(zn * ld, zd * ln)
+def _radicand(ln: int, ld: int, zn: int, zd: int) -> Fraction:
+    """lam^2 - z^2 for lam = ln/ld and z = zn/zd, normalised once.
+
+    The arccos argument z/lam is passed on as the integers (zn*ld, zd*ln)
+    and never normalised.
+    """
+    return rational(ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd)
 
 
 def g_bracket(lam, z, eps) -> RationalInterval:
@@ -108,13 +112,15 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     lam, z, eps = _g_args(lam, z, eps)
     zn, zd = z.numerator, z.denominator
     if zn == 0:
-        root, angle = RationalInterval(lam, lam), RationalInterval(ZERO, ZERO)
+        root, angle_lo, angle_hi = RationalInterval(lam, lam), (0, 1), (0, 1)
     else:
-        radicand, ratio = _radicand_and_ratio(lam.numerator, lam.denominator, zn, zd)
-        root, angle = sqrt_bounds(radicand, eps), arccos_bounds(ratio, eps)
+        ln, ld = lam.numerator, lam.denominator
+        root = sqrt_bounds(_radicand(ln, ld, zn, zd), eps)  # checks eps > 0 first
+        capped = _arccos_eps(eps)
+        angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, capped.numerator, capped.denominator)
     pi = pi_bounds(eps)
-    lo = rational(*_over_pi(root.lo, zn, zd, angle.hi, pi.hi))
-    hi = rational(*_over_pi(root.hi, zn, zd, angle.lo, pi.lo))
+    lo = rational(*_over_pi(root.lo, zn, zd, *angle_hi, pi.hi))
+    hi = rational(*_over_pi(root.hi, zn, zd, *angle_lo, pi.lo))
     return RationalInterval(lo, hi)
 
 
@@ -140,37 +146,40 @@ def prepare_g_lower(lam: Fraction, eps: Fraction):
     zn/zd <= lam, not normalised, so a caller that only floors it never
     builds the quotient.  Everything that depends on (lam, eps) alone is
     built here, once: lam's integer parts, the sqrt resolution, the arccos
-    eps capped at 1/4 and the upper end of pi.  Each call then builds only
-    its own radicand and ratio and verifies their two ends.
+    eps capped at 1/4 (as integers) and the upper end of pi.  Each call
+    then builds only its own radicand, takes z/lam as the unnormalised
+    integers (zn*ld, zd*ln), and verifies the root's lower end and the
+    arccos's upper end; the arccos end stays an integer pair throughout.
 
     lam > 0 and eps > 0 must be Fractions that g_lower has checked; a
     non-positive eps raises DomainError here, from pi_bounds.
     """
     pi = pi_bounds(eps).hi
     resolution, capped = _sqrt_resolution(eps), _arccos_eps(eps)
+    en, ed = capped.numerator, capped.denominator
     ln, ld = lam.numerator, lam.denominator
 
     def parts(zn: int, zd: int) -> tuple[int, int]:
         if zn == 0:
-            root, angle = lam, ZERO
+            root, angle = lam, (0, 1)
         else:
-            radicand, ratio = _radicand_and_ratio(ln, ld, zn, zd)
-            root, angle = _sqrt_lower_core(radicand, eps, resolution), _arccos_upper_core(ratio, capped)
-        return _over_pi(root, zn, zd, angle, pi)
+            root = _sqrt_lower_core(_radicand(ln, ld, zn, zd), eps, resolution)
+            angle = _arccos_upper_end(zn * ld, zd * ln, en, ed)
+        return _over_pi(root, zn, zd, *angle, pi)
 
     return parts
 
 
-def _over_pi(root: Fraction, zn: int, zd: int, angle: Fraction, pi: Fraction) -> tuple[int, int]:
-    """(root - z*angle) / pi for z = zn/zd and pi > 0, as integers (num, den) with den > 0.
+def _over_pi(root: Fraction, zn: int, zd: int, an: int, ad: int, pi: Fraction) -> tuple[int, int]:
+    """(root - z*angle) / pi for z = zn/zd, angle = an/ad and pi > 0, as integers (num, den) with den > 0.
 
     Built from the integer parts and not normalised: a caller normalises
     once, where three chained rational operations would reduce three
     times, or floors it without building the quotient.
     """
-    root_d, angle_d = root.denominator, angle.denominator
-    num = root.numerator * zd * angle_d - zn * angle.numerator * root_d
-    return num * pi.denominator, root_d * zd * angle_d * pi.numerator
+    root_d = root.denominator
+    num = root.numerator * zd * ad - zn * an * root_d
+    return num * pi.denominator, root_d * zd * ad * pi.numerator
 
 
 def g_moment(lam: float, beta: float) -> float:

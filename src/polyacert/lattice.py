@@ -30,10 +30,10 @@ A sum is an index range and a function from index to weighted floor term,
 so neither the serial loop nor a chunk ever lists its terms.
 
 The lower count prepares its bound once per sum (:func:`curve.prepare_g_lower`):
-each term then builds only its own radicand and ratio, verifies their
-ends and floors the bound on integers.  The verified ends are those of
-:func:`curve.g_lower`, so lower counts are the same integers as the
-term-by-term sum of clamped floors of ``g_lower``.
+each term then builds only its own radicand, verifies the root's and the
+arccos's ends (the latter on integers) and floors the bound on integers.
+The verified ends are those of :func:`curve.g_lower`, so lower counts are
+the same integers as the term-by-term sum of clamped floors of ``g_lower``.
 
 The module also houses the two counting theorems used to compare floor sums
 against area integrals for tabulated decreasing convex functions, and the

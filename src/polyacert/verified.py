@@ -28,21 +28,29 @@ Bracket endpoints are picked as the smallest-denominator rationals in
 numeric guess, so certified values stay small and fast to compute.  The guess
 is only a hint, and correctness never depends on it.
 
-Each end has its own helper: :func:`_window_below` and :func:`_window_above`
-pick the two candidates, :func:`_square_below` and :func:`_square_above` check
-the two ends of a square root, and :func:`_arccos_below` and
-:func:`_arccos_above` those of an arccos.  The two-sided brackets compute
-one guess and call both helpers of each pair; :func:`sqrt_lower` and
-:func:`arccos_upper` compute the same guess and call only the helpers of
-the end they return, for callers that use a single end.  Their cores,
-:func:`_sqrt_lower_core` and :func:`_arccos_upper_core`, skip the argument
-checks and take the eps-derived values (the square-root resolution, the
-capped arccos eps) already built, for a caller that evaluates many ends at
-one eps; they return the same rationals.
+Guesses, windows and checks work on integers, and ``Fraction``s are built
+only at the edge.  :func:`_window_below` and :func:`_window_above` take the
+integer parts of guess and eps and return the coprime pair of their
+candidate; :func:`_square_below` and :func:`_square_above` check the two
+ends of a square root, and :func:`_arccos_below` and :func:`_arccos_above`
+those of an arccos, given x = a/b and the end as integers.  The arccos
+bracket has one integer implementation, :func:`_arccos_ends`, with
+:func:`_arccos_upper_end` for callers that use only the upper end; both take
+x = a/b and the capped eps as integers, neither normalised, and return
+integer pairs, so a caller that keeps the ends as integers (the curve's
+lower count) builds no ``Fraction`` at all.  The public brackets
+(:func:`arccos_bounds`, :func:`arccos_upper` and through them
+:func:`pi_bounds`) build their ``Fraction`` ends from those pairs.
+:func:`sqrt_lower` is the lower end of :func:`sqrt_bounds` alone, and its
+core :func:`_sqrt_lower_core` skips the argument checks and takes the
+square-root resolution already built, for a caller that evaluates many ends
+at one eps; each returns the same rationals as the two-sided bracket.
 
 Square-root guesses come from exact integer square roots and are close
 enough that the first bracket always verifies.  Arccos guesses come from
-the C library's double ``acos``, one attempt per bracket: the Taylor
+the C library's double ``acos`` of ``a / b``; integer true division is
+correctly rounded, so that is the double nearest x whatever the common
+factor of a and b.  There is one attempt per bracket: the Taylor
 polynomials decrease on [0, 5/2], so a window nearer the guess cannot
 verify an end that failed.
 Their eps is capped at 1/4, which keeps every window inside [0, 5/2] and
@@ -54,7 +62,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
-from .rational import ZERO, _simplest_positive, as_rational, rational, sqrt_guess, to_float
+from .rational import _simplest_positive, as_rational, rational, sqrt_guess
 
 DEFAULT_EPS = rational(1, 1000)
 
@@ -138,25 +146,26 @@ def _exact_sqrt(x):
     return None
 
 
-def _window_below(guess, eps) -> Fraction:
+def _window_below(gn: int, gd: int, en: int, ed: int) -> tuple[int, int]:
     """Smallest-denominator rational in [guess - 3*eps, guess - eps], or 0 if that window reaches 0.
 
-    Searched on the integer numerators over the common denominator of guess
-    and eps.  Every value bracketed here is non-negative, so 0 is a valid
-    lower end.
+    guess = gn/gd and eps = en/ed (gd, ed > 0, neither need be normalised);
+    the result is a coprime pair (p, q), searched on the integer numerators
+    over the common denominator.  Every value bracketed here is
+    non-negative, so 0 is a valid lower end.
     """
-    centre, step = guess.numerator * eps.denominator, eps.numerator * guess.denominator
+    centre, step = gn * ed, en * gd
     if centre <= 3 * step:
-        return ZERO
-    den = guess.denominator * eps.denominator
-    return rational(*_simplest_positive(centre - 3 * step, den, centre - step, den))
+        return 0, 1
+    den = gd * ed
+    return _simplest_positive(centre - 3 * step, den, centre - step, den)
 
 
-def _window_above(guess, eps) -> Fraction:
-    """Smallest-denominator rational in [guess + eps, guess + 3*eps] (guess >= 0)."""
-    centre, step = guess.numerator * eps.denominator, eps.numerator * guess.denominator
-    den = guess.denominator * eps.denominator
-    return rational(*_simplest_positive(centre + step, den, centre + 3 * step, den))
+def _window_above(gn: int, gd: int, en: int, ed: int) -> tuple[int, int]:
+    """Smallest-denominator rational in [guess + eps, guess + 3*eps] (guess >= 0), as for _window_below."""
+    centre, step = gn * ed, en * gd
+    den = gd * ed
+    return _simplest_positive(centre + step, den, centre + 3 * step, den)
 
 
 def _sqrt_args(x, eps) -> tuple[Fraction, Fraction]:
@@ -187,7 +196,8 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     if exact is not None:
         return RationalInterval(exact, exact)
     guess = sqrt_guess(x, _sqrt_resolution(eps))
-    lo, hi = _window_below(guess, eps), _window_above(guess, eps)
+    parts = guess.numerator, guess.denominator, eps.numerator, eps.denominator
+    lo, hi = rational(*_window_below(*parts)), rational(*_window_above(*parts))
     if not (_square_below(x, lo) and _square_above(x, hi)):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
     return RationalInterval(lo, hi)
@@ -205,7 +215,8 @@ def _sqrt_lower_core(x: Fraction, eps: Fraction, resolution: Fraction) -> Fracti
     exact = _exact_sqrt(x)
     if exact is not None:
         return exact
-    lo = _window_below(sqrt_guess(x, resolution), eps)
+    guess = sqrt_guess(x, resolution)
+    lo = rational(*_window_below(guess.numerator, guess.denominator, eps.numerator, eps.denominator))
     if not _square_below(x, lo):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
     return lo
@@ -250,11 +261,6 @@ def _arccos_eps(eps: Fraction) -> Fraction:
     return eps if eps.numerator * cap.denominator <= cap.numerator * eps.denominator else cap
 
 
-def _arccos_guess(x: Fraction) -> Fraction:
-    """The double-precision guess of arccos(x), as an exact rational."""
-    return rational(math.acos(to_float(x)))
-
-
 def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     """Rational bracket of arccos(x) for x in [0, 1], verified via the cos sandwich.
 
@@ -267,11 +273,9 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
         # half the pi bracket; pi built at 2*eps/3 keeps the width within 6*eps
         pi = pi_bounds(2 * eps / 3)
         return RationalInterval(pi.lo / 2, pi.hi / 2)
-    guess, eps = _arccos_guess(x), _arccos_eps(eps)
-    lo, hi = _window_below(guess, eps), _window_above(guess, eps)
-    if not (_arccos_above(x, hi) and _arccos_below(x, lo)):
-        raise GuessFailedError(f"arccos bracket for {x} failed to verify")
-    return RationalInterval(lo, hi)
+    eps = _arccos_eps(eps)
+    lo, hi = _arccos_ends(x.numerator, x.denominator, eps.numerator, eps.denominator)
+    return RationalInterval(rational(*lo), rational(*hi))
 
 
 def arccos_upper(x, eps=DEFAULT_EPS) -> Fraction:
@@ -279,25 +283,37 @@ def arccos_upper(x, eps=DEFAULT_EPS) -> Fraction:
     x, eps = _arccos_args(x, eps)
     if x.numerator == 0:
         return pi_bounds(2 * eps / 3).hi / 2
-    return _arccos_upper_core(x, _arccos_eps(eps))
+    eps = _arccos_eps(eps)
+    return rational(*_arccos_upper_end(x.numerator, x.denominator, eps.numerator, eps.denominator))
 
 
-def _arccos_upper_core(x: Fraction, capped: Fraction) -> Fraction:
-    """arccos_upper(x, eps) for 0 < x <= 1 as _arccos_args returns it, and
-    capped = _arccos_eps(eps): the arguments are not checked again."""
-    hi = _window_above(_arccos_guess(x), capped)
-    if not _arccos_above(x, hi):
-        raise GuessFailedError(f"arccos bracket for {x} failed to verify")
+def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Verified ends ((r, s), (p, q)) of arccos(a/b), r/s <= arccos(a/b) <= p/q, on integers.
+
+    For 0 < a <= b and eps = en/ed in (0, 1/4], as _arccos_args and
+    _arccos_eps leave them; a/b and eps need not be normalised, and the ends
+    are coprime pairs.  The arguments are not checked again.
+    """
+    gn, gd = math.acos(a / b).as_integer_ratio()  # the double guess (see the module note)
+    lo, hi = _window_below(gn, gd, en, ed), _window_above(gn, gd, en, ed)
+    if not (_arccos_above(a, b, *hi) and _arccos_below(a, b, *lo)):
+        raise GuessFailedError(f"arccos bracket for {rational(a, b)} failed to verify")
+    return lo, hi
+
+
+def _arccos_upper_end(a: int, b: int, en: int, ed: int) -> tuple[int, int]:
+    """The upper end (p, q) of _arccos_ends(a, b, en, ed), without building or checking the lower end."""
+    hi = _window_above(*math.acos(a / b).as_integer_ratio(), en, ed)
+    if not _arccos_above(a, b, *hi):
+        raise GuessFailedError(f"arccos bracket for {rational(a, b)} failed to verify")
     return hi
 
 
-def _arccos_above(x, hi) -> bool:
-    """Exact check that arccos(x) <= hi in (0, 4] via the Taylor sandwich, on integers.
+def _arccos_above(a: int, b: int, p: int, q: int) -> bool:
+    """Exact check that arccos(a/b) <= p/q in (0, 4] via the Taylor sandwich, on integers (b, q > 0).
 
     T(hi) < x with T above cos gives cos(hi) < x, so hi > arccos(x).
     """
-    a, b = x.numerator, x.denominator
-    p, q = hi.numerator, hi.denominator
     if p <= 0 or p > 4 * q:
         return False
     for n in _ABOVE_COS:
@@ -307,14 +323,12 @@ def _arccos_above(x, hi) -> bool:
     return False
 
 
-def _arccos_below(x, lo) -> bool:
-    """Exact check that 0 <= lo <= arccos(x) via the Taylor sandwich, on integers.
+def _arccos_below(a: int, b: int, r: int, s: int) -> bool:
+    """Exact check that 0 <= r/s <= arccos(a/b) via the Taylor sandwich, on integers (b, s > 0).
 
     x < T(lo) with T below cos gives x < cos(lo), so lo < arccos(x); lo = 0
     needs no check, as arccos(x) >= 0.
     """
-    a, b = x.numerator, x.denominator
-    r, s = lo.numerator, lo.denominator
     if r <= 0:
         return r == 0
     for n in _BELOW_COS:

@@ -319,6 +319,27 @@ def test_default_certificates_keep_their_bytes(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("extra", [
+    ("--start", "5", "--target", "6"), ("--start", "5"), ("--target", "6"),
+], ids=["both", "start", "target"])
+def test_paper_range_rejects_start_and_target(capsys, tmp_path, extra):
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "--paper-range", *extra, "-o", str(path))
+    assert code == 2
+    assert err.startswith("error: --paper-range")
+    assert out == "" and not path.exists()
+
+
+@pytest.mark.parametrize("d, code", [("2", 0), ("3", 2), ("4", 2)])
+def test_sector_count_needs_the_plane(capsys, d, code):
+    got, out, err = run(capsys, "count", "--d", d, "--alpha", "1/2", "--lambda", "10")
+    assert got == code
+    if code == 0:
+        assert out == "lambda=10 value=4 rigor=certified-exact\n"
+    else:
+        assert err.startswith("error: --alpha") and out == ""
+
+
 def test_certify_target_above_the_lambda_cap_exits_two(capsys):
     code, _, err = run(capsys, "certify", "--start", "3", "--target", "10001")
     assert code == 2

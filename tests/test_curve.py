@@ -23,7 +23,7 @@ from polyacert.curve import (
 )
 from polyacert.errors import BadDimensionError, DomainError, GuessFailedError
 from polyacert.rational import rational, to_float
-from polyacert.verified import DEFAULT_EPS, pi_bounds
+from polyacert.verified import DEFAULT_EPS, arccos_bounds, pi_bounds, sqrt_bounds
 
 mpmath.mp.dps = 50
 
@@ -207,25 +207,32 @@ class TestOneSidedLowerEnd:
     def test_does_not_build_the_ends_it_discards(self, monkeypatch):
         eps = rational(1, 10**4)
         pi_bounds(eps)  # pi is shared by both ends and memoised; build it first
+        lam, z = rational(40, 3), rational(7, 2)
+        root = sqrt_bounds(lam * lam - z * z, eps)
+        angle = arccos_bounds(z / lam, eps)
 
         def discarded(*args):
             raise AssertionError("g_lower built an end of the upper bound")
 
-        calls = {"below": 0, "above": 0}
+        built = {"below": [], "above": []}
 
-        def counted(name, real):
-            def wrapper(guess, eps):
-                calls[name] += 1
-                return real(guess, eps)
+        def recorded(name, real):
+            def wrapper(*args):
+                end = real(*args)
+                built[name].append(rational(*end))
+                return end
             return wrapper
 
         monkeypatch.setattr(verified, "_square_above", discarded)
         monkeypatch.setattr(verified, "_arccos_below", discarded)
-        monkeypatch.setattr(verified, "_window_below", counted("below", verified._window_below))
-        monkeypatch.setattr(verified, "_window_above", counted("above", verified._window_above))
-        lam, z = rational(40, 3), rational(7, 2)
+        monkeypatch.setattr(verified, "_window_below", recorded("below", verified._window_below))
+        monkeypatch.setattr(verified, "_window_above", recorded("above", verified._window_above))
         lower = g_lower(lam, z, eps)
-        assert calls == {"below": 1, "above": 1}  # the root's lower end, the arccos's upper end
+        # every end of a root or an arccos is picked by one of the two windows:
+        # g_lower picks the root's lower end and the arccos's upper end, and
+        # neither the root's upper end nor the arccos's lower end
+        assert built == {"below": [root.lo], "above": [angle.hi]}
+        assert root.hi != root.lo and angle.lo != angle.hi
         with pytest.raises(AssertionError, match="upper bound"):
             g_bracket(lam, z, eps)  # the two-sided path does call the patched helpers
         monkeypatch.undo()

@@ -216,9 +216,9 @@ class TestArccosBounds:
         # eps = 1e-18 is below what the double guess of arccos(1/1000) can seed
         calls = []
 
-        def counting(x, hi):
-            calls.append(hi)
-            return _arccos_above(x, hi)
+        def counting(a, b, p, q):
+            calls.append((p, q))
+            return _arccos_above(a, b, p, q)
 
         monkeypatch.setattr(verified, "_arccos_above", counting)
         with pytest.raises(GuessFailedError):
@@ -291,8 +291,8 @@ class TestIntegerTaylorCheck:
         assume(0 < x and lo <= hi)
         upper = 0 < hi and (self.taylor(hi, 12) < x or self.taylor(hi, 28) < x)
         lower = lo == 0 or x < self.taylor(lo, 14) or x < self.taylor(lo, 30)
-        assert _arccos_above(x, hi) == upper
-        assert _arccos_below(x, lo) == lower
+        assert _arccos_above(x.numerator, x.denominator, hi.numerator, hi.denominator) == upper
+        assert _arccos_below(x.numerator, x.denominator, lo.numerator, lo.denominator) == lower
 
     def test_higher_degree_reaches_fine_brackets_near_half_pi(self):
         eps = Fraction(1, 10**14)
