@@ -11,11 +11,11 @@ of the whole interval, provided every margin stays positive.
 A :class:`Certificate` records each step as exact rationals, together with
 the accuracy parameter and the pi bracket in force, so that an independent
 party can replay every inequality without floating point.
-:func:`verify_certificate` is that independent replay: it re-checks the
-step numbers, the margin identity and positivity, re-derives a fresh
-certified count, checks the squared step inequality by cross multiplication,
-checks the chaining and final coverage, and checks the recorded pi bracket
-and success flag.
+:func:`verify_certificate` is that independent replay, at the certificate's
+own eps: it re-checks the step numbers, the margin identity and positivity,
+the squared step inequality by cross multiplication and the chaining, then
+re-derives a fresh certified count for each step that passed those, and
+checks the final coverage, the recorded pi bracket and the success flag.
 """
 from __future__ import annotations
 
@@ -25,15 +25,17 @@ from typing import NamedTuple
 
 from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
-from .rational import as_rational, format_rational, parse_rational, rational
+from .rational import as_rational, format_rational, parse_rational, rat_floor, rational
 from .verified import DEFAULT_EPS, pi_bounds, sqrt_lower
 
 _DELTA_RETRIES = 6
-_MAX_STEPS = 100_000
 # Caps on untrusted certificates, checked before any count: the count at
-# lambda has O(lambda) terms, and the gap ends near 13.4.
+# lambda has floor(lambda) + 1 terms, and the gap ends near 13.4.  The work
+# bound caps those terms summed over the steps (the default gap certificate
+# needs 99), so it also caps the steps, each of which adds at least one.
 LAMBDA_MAX = 10**4
 _MAX_DIGITS = 100
+_MAX_TERMS = 100_000
 
 
 class CertificateStep(NamedTuple):
@@ -109,23 +111,25 @@ class Certificate:
         Rationals must be JSON strings, ``index`` and ``p_lower`` JSON
         integers and ``success`` a JSON bool: coercing them would let ``3.9``
         read as 3 and ``"false"`` as true.  Hostile input is bounded before
-        any count: more than _MAX_STEPS steps, a numerator or denominator of
-        more than _MAX_DIGITS digits, a negative lambda or one above
-        LAMBDA_MAX, or a non-positive ``eps`` raises ValueError.
+        any count: steps whose counts need more than _MAX_TERMS floor terms
+        in all, a numerator or denominator of more than _MAX_DIGITS digits,
+        a negative lambda or one above LAMBDA_MAX, or a non-positive ``eps``
+        raises ValueError.
         """
-        raw_steps = _json_field(data, "steps", list)
-        if len(raw_steps) > _MAX_STEPS:
-            raise ValueError(f"more than {_MAX_STEPS} steps")
-        steps = [
-            CertificateStep(
+        steps = []
+        terms = 0
+        for raw in _json_field(data, "steps", list):
+            step = CertificateStep(
                 index=_json_field(raw, "index", int),
                 lam=_lambda_field(raw, "lambda"),
                 p_lower=_json_field(raw, "p_lower", int),
                 e_lower=_rational_field(raw, "e_lower"),
                 delta_lower=_rational_field(raw, "delta_lower"),
             )
-            for raw in raw_steps
-        ]
+            terms += rat_floor(step.lam) + 1
+            if terms > _MAX_TERMS:
+                raise ValueError(f"the steps' counts need more than {_MAX_TERMS} floor terms")
+            steps.append(step)
         eps = _rational_field(data, "eps")
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {format_rational(eps)}")
@@ -200,10 +204,11 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
     """Run the certification loop from lambda_start until past lambda_target.
 
     Raises StepFailedError (margin not positive) or StallError (step size not
-    positive even after shrinking eps) instead of returning an unsound
-    certificate; the exception carries the partial certificate for
-    inspection.  A target above LAMBDA_MAX, which verify would reject, is a
-    DomainError.
+    positive even after shrinking eps, or a next step that would take the
+    counts past _MAX_TERMS floor terms in all) instead of returning an
+    unsound certificate or one that verify would reject; the exception
+    carries the partial certificate for inspection.  A target above
+    LAMBDA_MAX, which verify would also reject, is a DomainError.
     """
     lam = as_rational(lambda_start)
     target = as_rational(lambda_target)
@@ -223,10 +228,12 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
         pi_upper=pi.hi,
     )
     index = 0
+    terms = 0
     while lam <= target:
         index += 1
-        if index > _MAX_STEPS:
-            raise StallError(lam, eps, cert, reason=f"no convergence after {_MAX_STEPS} steps")
+        terms += rat_floor(lam) + 1
+        if terms > _MAX_TERMS:
+            raise StallError(lam, eps, cert, reason=f"more than {_MAX_TERMS} floor terms in the counts")
         p = count_neumann2_certified_lower(lam, eps).value
         e = p - lam * lam / 4
         if e <= 0:
@@ -251,6 +258,7 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+NOT_RUN = "not run"
 
 
 class StepVerification(NamedTuple):
@@ -304,34 +312,30 @@ class VerificationReport(NamedTuple):
         return out
 
 
-def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
-    """Independently re-check every step of a certificate.
+def verify_certificate(cert: Certificate) -> VerificationReport:
+    """Independently re-check every step of a certificate, at its own eps.
 
-    Per step: (a) the step number is its position, counting from 1, and
-    the margin identity e = p - lam^2/4 and e > 0 hold; (b) a fresh
-    certified count at eps_fresh confirms the recorded p (a fresh count below
-    p is inconclusive, not a failure -- lower bounds are not unique -- and is
-    retried once at eps_fresh/10; a negative lam, where no count exists,
-    fails); (c) the step inequality
-    (lam + delta)^2 <= lam^2 + 4e by exact cross multiplication, with
-    delta > 0; (d) chaining: the next step starts no later than lam + delta.
-    For the whole certificate, the recorded pi bracket must be the one
-    pi_bounds gives at the certificate's eps, and the success flag must be
-    set.  The report additionally records whether the chain covers
-    [lambda_start, lambda_target].
+    Per step, first the exact checks: (a) the step number is its position,
+    counting from 1, lam >= 0, and the margin identity e = p - lam^2/4 and
+    e > 0 hold; (b) the step inequality (lam + delta)^2 <= lam^2 + 4e by
+    exact cross multiplication, with delta > 0; (c) chaining: the next step
+    starts after lam and no later than lam + delta.  Then (d), only if they
+    all pass, a fresh certified count at the certificate's eps confirms the
+    recorded p; a fresh count below p is inconclusive, not a failure, since
+    lower bounds are not unique.  For the whole certificate, the recorded pi
+    bracket must be the one pi_bounds gives at the certificate's eps, and
+    the success flag must be set.  The report additionally records whether
+    the chain covers [lambda_start, lambda_target].
 
-    A defect of the certificate is a report entry, never an exception.  A
-    bad argument raises before any step is checked: DomainError when the
-    fresh-count eps (eps_fresh, or the certificate's eps when eps_fresh is
-    None) is not positive.
+    A defect of the certificate is a report entry, never an exception, but
+    a non-positive eps, which parsing rejects, raises DomainError before any
+    step is checked.
     """
-    eps_fresh = as_rational(eps_fresh) if eps_fresh is not None else cert.eps
-    if eps_fresh <= 0:
+    if cert.eps <= 0:
         raise DomainError("eps must be positive")
-    pi = pi_bounds(cert.eps) if cert.eps > 0 else None
-    pi_recorded = pi is not None and (pi.lo, pi.hi) == (cert.pi_lower, cert.pi_upper)
+    pi = pi_bounds(cert.eps)
     certificate_checks = {
-        "pi_bracket": PASS if pi_recorded else FAIL,
+        "pi_bracket": PASS if (pi.lo, pi.hi) == (cert.pi_lower, cert.pi_upper) else FAIL,
         "success_flag": PASS if cert.success else FAIL,
     }
     reports: list[StepVerification] = []
@@ -339,15 +343,9 @@ def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
         checks: dict[str, str] = {}
         lam = step.lam
         checks["index"] = PASS if step.index == pos + 1 else FAIL
+        checks["lambda_non_negative"] = PASS if lam >= 0 else FAIL
         checks["margin_identity"] = PASS if step.e_lower == step.p_lower - lam * lam / 4 else FAIL
         checks["margin_positive"] = PASS if step.e_lower > 0 else FAIL
-        if lam < 0:  # no count exists there, so none confirms p
-            checks["count_confirmed"] = FAIL
-        elif count_neumann2_certified_lower(lam, eps_fresh).value >= step.p_lower:
-            checks["count_confirmed"] = PASS
-        else:
-            fresh = count_neumann2_certified_lower(lam, eps_fresh / 10).value
-            checks["count_confirmed"] = PASS if fresh >= step.p_lower else INCONCLUSIVE
         checks["delta_positive"] = PASS if step.delta_lower > 0 else FAIL
         reach = lam + step.delta_lower
         checks["delta_sound"] = (
@@ -356,6 +354,12 @@ def verify_certificate(cert: Certificate, eps_fresh=None) -> VerificationReport:
         if pos + 1 < len(cert.steps):
             nxt = cert.steps[pos + 1].lam
             checks["chaining"] = PASS if lam < nxt <= reach else FAIL
+        if FAIL in checks.values():
+            checks["count_confirmed"] = NOT_RUN
+        elif count_neumann2_certified_lower(lam, cert.eps).value >= step.p_lower:
+            checks["count_confirmed"] = PASS
+        else:
+            checks["count_confirmed"] = INCONCLUSIVE
         reports.append(StepVerification(index=step.index, checks=checks))
     start_covered = bool(cert.steps) and cert.steps[0].lam <= cert.lambda_start
     target_covered = (

@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="re-check a certificate file")
     p_ver.add_argument("certificate", metavar="PATH")
-    p_ver.add_argument("--eps", type=_rational_arg, default=None, metavar="p/q",
-                       help="accuracy for the fresh confirmation counts")
     p_ver.set_defaults(handler=cmd_verify)
 
     p_count = sub.add_parser("count", help="certified weighted count at one lambda")
@@ -78,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--lambda", dest="lam", type=_rational_arg, required=True, metavar="p/q")
     p_count.add_argument("--alpha", type=_rational_arg, default=None, metavar="p/q",
                          help="sector aperture as a multiple of pi; switches to sector counting")
-    p_count.add_argument("--eps", type=_rational_arg, default=DEFAULT_EPS, metavar="p/q")
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_count.set_defaults(handler=cmd_count)
 
@@ -87,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--lambda-max", dest="lambda_max", type=_rational_arg,
                           default=rational(20), metavar="p/q")
     p_oracle.add_argument("--step", type=_rational_arg, default=rational(1, 2), metavar="p/q")
-    p_oracle.add_argument("--eps", type=_rational_arg, default=DEFAULT_EPS, metavar="p/q")
     p_oracle.set_defaults(handler=cmd_oracle)
 
     p_plot = sub.add_parser("plotdata", help="CSV of counts along a lambda grid")
@@ -132,7 +128,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return 3
-    report = verify_certificate(cert, args.eps)
+    report = verify_certificate(cert)
     for line in report.lines():
         print(line)
     if report.all_passed:
@@ -160,16 +156,15 @@ def cmd_count(args) -> int:
         if args.d != 2:
             print(f"error: --alpha counts a planar sector; it needs --d 2, got --d {args.d}", file=sys.stderr)
             return 2
-        result = sector_lattice_bound(kind, args.alpha, args.lam, args.eps)
+        result = sector_lattice_bound(kind, args.alpha, args.lam)
     else:
-        result = count_weighted(args.d, kind, args.lam, args.eps)
+        result = count_weighted(args.d, kind, args.lam)
     _print_count(args.lam, result, args.format)
     return 0
 
 
 def cmd_oracle(args) -> int:
     d = args.d
-    eps = args.eps
     lam_max = args.lambda_max
     step = args.step
     if step <= 0 or lam_max <= 0:
@@ -185,12 +180,12 @@ def cmd_oracle(args) -> int:
         rows += 1
         lam_f = to_float(lam)
         eig_d = eigencount_ball_dirichlet(d, lam_f)
-        cnt_d = count_weighted(d, BoundKind.DIRICHLET, lam, eps).value
+        cnt_d = count_weighted(d, BoundKind.DIRICHLET, lam).value
         ok = eig_d <= cnt_d
         extra = ""
         if d == 2:
             eig_n = eigencount_disk_neumann(lam_f)
-            cnt_n = count_weighted(2, BoundKind.NEUMANN, lam, eps).value
+            cnt_n = count_weighted(2, BoundKind.NEUMANN, lam).value
             ok_n = eig_n >= cnt_n
             extra = f"eigen_N={eig_n} count_N={cnt_n} {'ok' if ok_n else 'VIOLATION'}"
             ok = ok and ok_n

@@ -40,12 +40,11 @@ class UnresolvedFloorError(PolyacertError):
         interval: the last (tightest) rational bracket tried
     """
 
-    def __init__(self, abscissa, interval, message: str | None = None):
+    def __init__(self, abscissa, interval):
         self.abscissa = abscissa
         self.interval = interval
         super().__init__(
-            message
-            or f"floor unresolved at abscissa {abscissa}: bracket {interval} "
+            f"floor unresolved at abscissa {abscissa}: bracket {interval} "
             "straddles an integer after all refinements"
         )
 
@@ -98,7 +97,7 @@ class StallError(PolyacertError):
     """Certification stopped advancing before the target.
 
     Either a step size stayed non-positive after all eps retries, or the
-    step count ran past its cap.
+    next step would take the certificate's counts past their work bound.
 
     Attributes:
         lam: spectral parameter of the step where it stopped

@@ -541,9 +541,9 @@ class ConvexTable:
         return self.breakpoints[-1]
 
     @classmethod
-    def from_function(cls, g, b: float, points_per_unit: int = 8) -> "ConvexTable":
-        """Tabulate g on the uniform grid k/points_per_unit plus the endpoint b."""
-        points = [k / points_per_unit for k in range(int(b * points_per_unit) + 1)]
+    def from_function(cls, g, b: float) -> "ConvexTable":
+        """Tabulate g on the uniform grid k/8 plus the endpoint b."""
+        points = [k / 8 for k in range(int(b * 8) + 1)]
         if points[-1] < b - _TABLE_TOL:
             points.append(b)
         else:

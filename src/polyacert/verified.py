@@ -39,8 +39,8 @@ bracket has one integer implementation, :func:`_arccos_ends`, with
 x = a/b and the capped eps as integers, neither normalised, and return
 integer pairs, so a caller that keeps the ends as integers (the curve's
 lower count) builds no ``Fraction`` at all.  The public brackets
-(:func:`arccos_bounds`, :func:`arccos_upper` and through them
-:func:`pi_bounds`) build their ``Fraction`` ends from those pairs.
+(:func:`arccos_bounds` and through it :func:`pi_bounds`) build their
+``Fraction`` ends from those pairs.
 :func:`sqrt_lower` is the lower end of :func:`sqrt_bounds` alone, and its
 core :func:`_sqrt_lower_core` skips the argument checks and takes the
 square-root resolution already built, for a caller that evaluates many ends
@@ -245,16 +245,6 @@ def cos_bounds(x) -> RationalInterval:
     return RationalInterval(rational(*_cos_taylor(p, q, 14)), rational(*_cos_taylor(p, q, 12)))
 
 
-def _arccos_args(x, eps) -> tuple[Fraction, Fraction]:
-    x = as_rational(x)
-    eps = as_rational(eps)
-    if x.numerator < 0 or x.numerator > x.denominator:
-        raise DomainError(f"arccos_bounds domain is [0, 1], got {x}")
-    if eps.numerator <= 0:
-        raise DomainError("eps must be positive")
-    return x, eps
-
-
 def _arccos_eps(eps: Fraction) -> Fraction:
     """eps capped at 1/4 (see the module note)."""
     cap = _ARCCOS_EPS_MAX
@@ -268,7 +258,12 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     half the pi bracket.  One bracket is built at min(eps, 1/4), so its width
     is at most 6*eps; GuessFailedError if it does not verify.
     """
-    x, eps = _arccos_args(x, eps)
+    x = as_rational(x)
+    eps = as_rational(eps)
+    if x.numerator < 0 or x.numerator > x.denominator:
+        raise DomainError(f"arccos_bounds domain is [0, 1], got {x}")
+    if eps.numerator <= 0:
+        raise DomainError("eps must be positive")
     if x.numerator == 0:
         # half the pi bracket; pi built at 2*eps/3 keeps the width within 6*eps
         pi = pi_bounds(2 * eps / 3)
@@ -278,19 +273,10 @@ def arccos_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     return RationalInterval(rational(*lo), rational(*hi))
 
 
-def arccos_upper(x, eps=DEFAULT_EPS) -> Fraction:
-    """``arccos_bounds(x, eps).hi``, without building or checking the lower end."""
-    x, eps = _arccos_args(x, eps)
-    if x.numerator == 0:
-        return pi_bounds(2 * eps / 3).hi / 2
-    eps = _arccos_eps(eps)
-    return rational(*_arccos_upper_end(x.numerator, x.denominator, eps.numerator, eps.denominator))
-
-
 def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Verified ends ((r, s), (p, q)) of arccos(a/b), r/s <= arccos(a/b) <= p/q, on integers.
 
-    For 0 < a <= b and eps = en/ed in (0, 1/4], as _arccos_args and
+    For 0 < a <= b and eps = en/ed in (0, 1/4], as arccos_bounds and
     _arccos_eps leave them; a/b and eps need not be normalised, and the ends
     are coprime pairs.  The arguments are not checked again.
     """

@@ -7,6 +7,7 @@ import pytest
 
 from polyacert.certify import (
     FAIL,
+    NOT_RUN,
     PASS,
     Certificate,
     CertificateStep,
@@ -114,7 +115,8 @@ class TestCertify:
         assert not stall.partial.success
 
     def test_step_cap_stalls_with_the_partial_certificate(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_MAX_STEPS", 2)
+        # the counts at 3 and 45/13 take 4 terms each, the one at 76/17 five
+        monkeypatch.setattr(certify_module, "_MAX_TERMS", 8)
         eps = rational(1, 1000)
         with pytest.raises(StallError) as info:
             certify(3, 14, eps)
@@ -122,7 +124,7 @@ class TestCertify:
         assert [format_rational(s.lam) for s in stall.partial.steps] == ["3", "45/13"]
         assert stall.lam == rational(76, 17)
         assert stall.eps == eps
-        assert "no convergence after 2 steps" in str(stall)
+        assert "more than 8 floor terms" in str(stall)
 
     def test_target_above_the_lambda_cap_is_rejected(self):
         with pytest.raises(DomainError, match="at most 10000"):
@@ -209,7 +211,7 @@ class TestSerialization:
         ],
     )
     def test_oversized_input_is_rejected_on_parsing(self, paper_range_certificate, monkeypatch, edit):
-        monkeypatch.setattr(certify_module, "_MAX_STEPS", 20)  # the certificate has 13
+        monkeypatch.setattr(certify_module, "_MAX_TERMS", 200)  # the certificate needs 117
         payload = paper_range_certificate.to_json_dict()
         edit(payload)
         with pytest.raises(ValueError):
@@ -306,14 +308,33 @@ class TestVerifier:
         assert not report.all_passed
 
     def test_negative_step_lambda_fails_its_count_check(self, paper_range_certificate):
-        # parsing rejects this; an in-memory certificate reaches the verifier as is
+        # parsing rejects this; an in-memory certificate reaches the verifier
+        # as is.  Step 3 fails lambda >= 0, step 2 chaining, so neither counts
         bad = _replace_step(paper_range_certificate, 3, lam=rational(-1))
         report = verify_certificate(bad)
-        assert report.steps[3].checks["count_confirmed"] == FAIL
-        assert report.steps[3].status == FAIL
+        assert report.steps[3].checks["lambda_non_negative"] == FAIL
+        assert report.steps[2].checks["chaining"] == FAIL
+        for step in report.steps[2:4]:
+            assert step.checks["count_confirmed"] == NOT_RUN
+            assert step.status == FAIL
         assert not report.sound
-        others = report.steps[:3] + report.steps[4:]
+        others = report.steps[:2] + report.steps[4:]
         assert all(step.checks["count_confirmed"] == PASS for step in others)
+
+    def test_no_count_runs_for_a_step_that_fails_an_exact_check(self, paper_range_certificate, monkeypatch):
+        calls, real = [], certify_module.count_neumann2_certified_lower
+
+        def recording(lam, eps):
+            calls.append(lam)
+            return real(lam, eps)
+
+        monkeypatch.setattr(certify_module, "count_neumann2_certified_lower", recording)
+        bad = _replace_step(paper_range_certificate, 4, e_lower=rational(-1, 4))
+        report = verify_certificate(bad)
+        assert report.steps[4].checks["count_confirmed"] == NOT_RUN
+        assert report.steps[4].status == FAIL
+        assert "count_confirmed=not run" in report.lines()[4]
+        assert calls == [step.lam for pos, step in enumerate(bad.steps) if pos != 4]
 
     def test_report_lines_render(self, paper_range_certificate):
         report = verify_certificate(paper_range_certificate)
@@ -322,13 +343,16 @@ class TestVerifier:
         assert lines[-2] == "certificate: pi_bracket=pass, success_flag=pass"
         assert lines[-1].startswith("coverage:")
 
-    @pytest.mark.parametrize("eps_fresh", [0, "-1/1000"])
+    @pytest.mark.parametrize("eps", [0, "-1/1000"])
     def test_non_positive_fresh_eps_raises_before_any_step(
-        self, paper_range_certificate, monkeypatch, eps_fresh
+        self, paper_range_certificate, monkeypatch, eps
     ):
+        # parsing rejects this eps; an in-memory certificate reaches the verifier as is
         def no_count(*args):
-            raise AssertionError("a fresh count ran before eps_fresh was checked")
+            raise AssertionError("a fresh count ran before the eps was checked")
 
+        bad = Certificate.from_json_dict(paper_range_certificate.to_json_dict())
+        bad.eps = rational(eps)
         monkeypatch.setattr(certify_module, "count_neumann2_certified_lower", no_count)
         with pytest.raises(DomainError):
-            verify_certificate(paper_range_certificate, eps_fresh=eps_fresh)
+            verify_certificate(bad)

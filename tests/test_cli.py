@@ -131,21 +131,16 @@ class TestVerifyCommand:
         payload = json.loads(certificate_path.read_text())
         payload["steps"][0]["lambda"] = str(10**9)
         certificate_path.write_text(json.dumps(payload))
-        script = """
-import sys, time
-from polyacert.cli import main
-t0 = time.perf_counter()
-code = main(["verify", sys.argv[1]])
-print(code, time.perf_counter() - t0)
-"""
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(certificate_path)],
-            capture_output=True, text=True, env=_package_env(), timeout=60,
-        )
-        code, seconds = proc.stdout.split()
-        assert code == "3", proc.stderr
-        assert float(seconds) < 2
-        assert "lambda must be at most 10000" in proc.stderr
+        stderr = _verify_exits_three_within_two_seconds(certificate_path)
+        assert "lambda must be at most 10000" in stderr
+
+    def test_too_much_work_exits_three_before_any_count(self, certificate_path):
+        # 2,000 steps at lambda = 10**4 would take about 0.2 s of count each
+        payload = json.loads(certificate_path.read_text())
+        payload["steps"] = [dict(payload["steps"][0], **{"lambda": "10000"}) for _ in range(2000)]
+        certificate_path.write_text(json.dumps(payload))
+        stderr = _verify_exits_three_within_two_seconds(certificate_path)
+        assert "more than 100000 floor terms" in stderr
 
     def test_negative_lambda_exits_three(self, capsys, certificate_path):
         payload = json.loads(certificate_path.read_text())
@@ -164,6 +159,25 @@ print(code, time.perf_counter() - t0)
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 3
+
+
+def _verify_exits_three_within_two_seconds(path) -> str:
+    """Run verify on path in a fresh interpreter; assert it exits 3 in under 2 s, return its stderr."""
+    script = """
+import sys, time
+from polyacert.cli import main
+t0 = time.perf_counter()
+code = main(["verify", sys.argv[1]])
+print(code, time.perf_counter() - t0)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=_package_env(), timeout=60,
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "3", proc.stderr
+    assert float(seconds) < 2
+    return proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -289,18 +303,27 @@ class TestCountCommand:
 
 
 @pytest.mark.parametrize("argv", [
-    ("count", "--lambda", "5", "--eps", "0"),
     ("certify", "--eps", "0"),
-    ("verify", "{cert}", "--eps", "0"),
     ("certify", "--start", "5", "--target", "4"),
-], ids=["count-eps", "certify-eps", "verify-eps", "certify-range"])
-def test_out_of_domain_arguments_exit_two_with_a_message(capsys, tmp_path, argv):
-    cert = tmp_path / "cert.json"
-    certify(3, 4).dump(cert)
-    code, _, err = run(capsys, *(arg.format(cert=cert) for arg in argv))
+], ids=["certify-eps", "certify-range"])
+def test_out_of_domain_arguments_exit_two_with_a_message(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{cert}"), ("count", "--lambda", "5"), ("oracle", "--lambda-max", "1"),
+], ids=["verify", "count", "oracle"])
+def test_only_certify_takes_an_eps(capsys, tmp_path, argv):
+    # verify replays the certificate's own eps, and an exact count does not depend on it
+    cert = tmp_path / "cert.json"
+    certify(3, 4).dump(cert)
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(cert=cert) for arg in argv] + ["--eps", "1/1000"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
 def _package_env() -> dict:
