@@ -23,7 +23,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, EpsTooCoarseError, StallError, StepFailedError
+from .errors import DomainError, EpsTooCoarseError, GuessFailedError, StallError, StepFailedError
 from .lattice import count_neumann2_certified_lower
 from .rational import as_rational, format_rational, parse_rational, rat_floor, rational
 from .verified import DEFAULT_EPS, pi_bounds, sqrt_lower
@@ -36,6 +36,7 @@ _DELTA_RETRIES = 6
 LAMBDA_MAX = 10**4
 _MAX_DIGITS = 100
 _MAX_TERMS = 100_000
+_STEP_KEYS = ("index", "lambda", "p_lower", "e_lower", "delta_lower")
 
 
 class CertificateStep(NamedTuple):
@@ -48,41 +49,22 @@ class CertificateStep(NamedTuple):
     delta_lower: Fraction
 
 
-class Certificate:
+class Certificate(NamedTuple):
     """Replayable proof object for the counting inequality on [start, target].
 
-    Mutable: certify appends the steps and sets the success flag.  Equal
-    certificates have equal fields; like any mutable record it is unhashable.
+    A record compared by value.  certify appends the steps to its list and
+    returns a copy with the success flag set; the list makes it unhashable.
+    A certificate file holds exactly these seven fields, and each step
+    exactly its five (``lam`` is written as ``lambda``).
     """
 
-    __slots__ = (
-        "eps", "lambda_start", "lambda_target", "pi_lower", "pi_upper", "steps", "success"
-    )
-
-    def __init__(self, eps: Fraction, lambda_start: Fraction, lambda_target: Fraction,
-                 pi_lower: Fraction, pi_upper: Fraction,
-                 steps: list[CertificateStep] | None = None, success: bool = False):
-        self.eps = eps
-        self.lambda_start = lambda_start
-        self.lambda_target = lambda_target
-        self.pi_lower = pi_lower
-        self.pi_upper = pi_upper
-        self.steps = [] if steps is None else steps
-        self.success = success
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not Certificate:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"Certificate({fields})"
+    eps: Fraction
+    lambda_start: Fraction
+    lambda_target: Fraction
+    pi_lower: Fraction
+    pi_upper: Fraction
+    steps: list[CertificateStep]
+    success: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,15 +92,19 @@ class Certificate:
 
         Rationals must be JSON strings, ``index`` and ``p_lower`` JSON
         integers and ``success`` a JSON bool: coercing them would let ``3.9``
-        read as 3 and ``"false"`` as true.  Hostile input is bounded before
-        any count: steps whose counts need more than _MAX_TERMS floor terms
-        in all, a numerator or denominator of more than _MAX_DIGITS digits,
-        a negative lambda or one above LAMBDA_MAX, or a non-positive ``eps``
+        read as 3 and ``"false"`` as true.  A key outside the certificate's
+        seven or a step's five raises ValueError, so every field of an
+        accepted file is checked.  Hostile input is bounded before any
+        count: steps whose counts need more than _MAX_TERMS floor terms in
+        all, a numerator or denominator of more than _MAX_DIGITS digits, a
+        negative lambda or one above LAMBDA_MAX, or a non-positive ``eps``
         raises ValueError.
         """
+        _check_keys(data, cls._fields)
         steps = []
         terms = 0
         for raw in _json_field(data, "steps", list):
+            _check_keys(raw, _STEP_KEYS)
             step = CertificateStep(
                 index=_json_field(raw, "index", int),
                 lam=_lambda_field(raw, "lambda"),
@@ -152,6 +138,15 @@ class Certificate:
     def load(cls, path) -> "Certificate":
         with open(path) as handle:
             return cls.from_json_dict(json.load(handle))
+
+
+def _check_keys(data: dict, known: tuple[str, ...]) -> None:
+    """Reject a JSON object with a key outside ``known``."""
+    if type(data) is not dict:
+        raise TypeError(f"expected a JSON object, got a JSON {type(data).__name__}")
+    unknown = data.keys() - known
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
 
 
 def _json_field(data: dict, name: str, kind: type):
@@ -226,6 +221,7 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
         lambda_target=target,
         pi_lower=pi.lo,
         pi_upper=pi.hi,
+        steps=[],
     )
     index = 0
     terms = 0
@@ -251,8 +247,7 @@ def certify(lambda_start, lambda_target, eps=DEFAULT_EPS) -> Certificate:
             CertificateStep(index=index, lam=lam, p_lower=p, e_lower=e, delta_lower=next_lam - lam)
         )
         lam = next_lam
-    cert.success = True
-    return cert
+    return cert._replace(success=True)
 
 
 PASS = "pass"
@@ -261,44 +256,39 @@ INCONCLUSIVE = "inconclusive"
 NOT_RUN = "not run"
 
 
+def _status(results) -> str:
+    """FAIL if any result failed, else PASS if every one passed, else INCONCLUSIVE."""
+    results = set(results)
+    if FAIL in results:
+        return FAIL
+    return PASS if results <= {PASS} else INCONCLUSIVE
+
+
 class StepVerification(NamedTuple):
     index: int
     checks: dict[str, str]
 
     @property
     def status(self) -> str:
-        results = self.checks.values()
-        if FAIL in results:
-            return FAIL
-        if INCONCLUSIVE in results:
-            return INCONCLUSIVE
-        return PASS
+        return _status(self.checks.values())
 
 
 class VerificationReport(NamedTuple):
     steps: list[StepVerification]
-    start_covered: bool
-    target_covered: bool
     certificate_checks: dict[str, str]
 
     @property
+    def status(self) -> str:
+        return _status([*self.certificate_checks.values(), *(step.status for step in self.steps)])
+
+    @property
     def all_passed(self) -> bool:
-        return (
-            self.start_covered
-            and self.target_covered
-            and all(result == PASS for result in self.certificate_checks.values())
-            and all(step.status == PASS for step in self.steps)
-        )
+        return self.status == PASS
 
     @property
     def sound(self) -> bool:
         """No outright failures (inconclusive fresh counts tolerated)."""
-        return (
-            self.start_covered
-            and self.target_covered
-            and FAIL not in self.certificate_checks.values()
-            and all(step.status != FAIL for step in self.steps)
-        )
+        return self.status != FAIL
 
     def lines(self) -> list[str]:
         out = []
@@ -307,8 +297,6 @@ class VerificationReport(NamedTuple):
             out.append(f"step {step.index}: {step.status} ({detail})")
         detail = ", ".join(f"{name}={result}" for name, result in self.certificate_checks.items())
         out.append(f"certificate: {detail}")
-        out.append(f"coverage: start={'pass' if self.start_covered else 'fail'}, "
-                   f"target={'pass' if self.target_covered else 'fail'}")
         return out
 
 
@@ -319,13 +307,16 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     counting from 1, lam >= 0, and the margin identity e = p - lam^2/4 and
     e > 0 hold; (b) the step inequality (lam + delta)^2 <= lam^2 + 4e by
     exact cross multiplication, with delta > 0; (c) chaining: the next step
-    starts after lam and no later than lam + delta.  Then (d), only if they
-    all pass, a fresh certified count at the certificate's eps confirms the
-    recorded p; a fresh count below p is inconclusive, not a failure, since
-    lower bounds are not unique.  For the whole certificate, the recorded pi
-    bracket must be the one pi_bounds gives at the certificate's eps, and
-    the success flag must be set.  The report additionally records whether
-    the chain covers [lambda_start, lambda_target].
+    starts after lam and no later than lam + delta.  For the whole
+    certificate, the recorded pi bracket must be the one pi_bounds gives at
+    the certificate's eps (an eps too fine for pi_bounds fails it), the
+    success flag must be set, and the chain must cover [lambda_start,
+    lambda_target].  Then (d), only if the pi bracket and the step's exact
+    checks pass, a fresh certified count at the certificate's eps, which
+    uses that pi, confirms the recorded p; a fresh count below p, or one
+    whose brackets cannot be verified at that eps, is inconclusive, not a
+    failure, since lower bounds are not unique.  A count that does not run
+    is reported as ``not run``.
 
     A defect of the certificate is a report entry, never an exception, but
     a non-positive eps, which parsing rejects, raises DomainError before any
@@ -333,10 +324,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """
     if cert.eps <= 0:
         raise DomainError("eps must be positive")
-    pi = pi_bounds(cert.eps)
+    try:
+        pi = pi_bounds(cert.eps)
+        pi_bracket = PASS if (pi.lo, pi.hi) == (cert.pi_lower, cert.pi_upper) else FAIL
+    except GuessFailedError:
+        pi_bracket = FAIL
+    steps = cert.steps
     certificate_checks = {
-        "pi_bracket": PASS if (pi.lo, pi.hi) == (cert.pi_lower, cert.pi_upper) else FAIL,
+        "pi_bracket": pi_bracket,
         "success_flag": PASS if cert.success else FAIL,
+        "start_covered": PASS if steps and steps[0].lam <= cert.lambda_start else FAIL,
+        "target_covered": (
+            PASS if steps and steps[-1].lam + steps[-1].delta_lower > cert.lambda_target else FAIL
+        ),
     }
     reports: list[StepVerification] = []
     for pos, step in enumerate(cert.steps):
@@ -354,21 +354,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         if pos + 1 < len(cert.steps):
             nxt = cert.steps[pos + 1].lam
             checks["chaining"] = PASS if lam < nxt <= reach else FAIL
-        if FAIL in checks.values():
+        if FAIL in checks.values() or pi_bracket != PASS:
             checks["count_confirmed"] = NOT_RUN
-        elif count_neumann2_certified_lower(lam, cert.eps).value >= step.p_lower:
-            checks["count_confirmed"] = PASS
         else:
-            checks["count_confirmed"] = INCONCLUSIVE
+            try:
+                confirmed = count_neumann2_certified_lower(lam, cert.eps).value >= step.p_lower
+            except GuessFailedError:
+                confirmed = False
+            checks["count_confirmed"] = PASS if confirmed else INCONCLUSIVE
         reports.append(StepVerification(index=step.index, checks=checks))
-    start_covered = bool(cert.steps) and cert.steps[0].lam <= cert.lambda_start
-    target_covered = (
-        bool(cert.steps)
-        and cert.steps[-1].lam + cert.steps[-1].delta_lower > cert.lambda_target
-    )
-    return VerificationReport(
-        steps=reports,
-        start_covered=start_covered,
-        target_covered=target_covered,
-        certificate_checks=certificate_checks,
-    )
+    return VerificationReport(steps=reports, certificate_checks=certificate_checks)

@@ -125,7 +125,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cert = Certificate.load(args.certificate)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return 3
     report = verify_certificate(cert)

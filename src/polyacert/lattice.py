@@ -498,7 +498,12 @@ def cumulative_multiplicity_bound(d: int, z: float) -> float:
 _TABLE_TOL = 1e-9
 
 
-class ConvexTable:
+class _TableFields(NamedTuple):
+    breakpoints: tuple[float, ...]
+    values: tuple[float, ...]
+
+
+class ConvexTable(_TableFields):
     """Piecewise-linear tabulation of a function on [0, b] (immutable).
 
     Breakpoints must start at 0, increase strictly, end at b, and contain
@@ -509,9 +514,9 @@ class ConvexTable:
     table, since chords inherit monotonicity, convexity, and the slope bound.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ()
 
-    def __init__(self, breakpoints: tuple[float, ...], values: tuple[float, ...]):
+    def __new__(cls, breakpoints: tuple[float, ...], values: tuple[float, ...]):
         if len(breakpoints) != len(values) or len(breakpoints) < 2:
             raise ValueError("need matching breakpoints/values with at least two points")
         if abs(breakpoints[0]) > _TABLE_TOL:
@@ -519,22 +524,7 @@ class ConvexTable:
         for a, b in zip(breakpoints, breakpoints[1:]):
             if not b > a:
                 raise ValueError("breakpoints must increase strictly")
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ConvexTable is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ConvexTable:
-            return NotImplemented
-        return (self.breakpoints, self.values) == (other.breakpoints, other.values)
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.values))
-
-    def __repr__(self):
-        return f"ConvexTable(breakpoints={self.breakpoints!r}, values={self.values!r})"
+        return super().__new__(cls, breakpoints, values)
 
     @property
     def b(self) -> float:

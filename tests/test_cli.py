@@ -109,6 +109,8 @@ class TestVerifyCommand:
             pytest.param(lambda c: c.update(lambda_target=[14]), 3, id="lambda_target-list"),
             pytest.param(lambda c: c.update(eps="0"), 3, id="eps-zero"),
             pytest.param(lambda c: c.update(eps="-1/1000"), 3, id="eps-negative"),
+            pytest.param(lambda c: c.update(gap_covered=True), 3, id="unknown-key"),
+            pytest.param(lambda c: c["steps"][0].update(note="checked"), 3, id="unknown-step-key"),
         ],
     )
     def test_unchecked_field_edit_is_rejected(self, capsys, certificate_path, edit, code):
@@ -123,7 +125,7 @@ class TestVerifyCommand:
         certificate_path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "verify", str(certificate_path))
         assert code == 2
-        assert "coverage: start=fail, target=fail" in out
+        assert "start_covered=fail, target_covered=fail" in out
         assert "NOT verified" in err
 
     def test_huge_lambda_exits_three_before_any_count(self, certificate_path):
@@ -150,6 +152,18 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "lambda must be non-negative, got -1" in err
+
+    @pytest.mark.parametrize("where", ["file", "steps"])
+    def test_over_deep_file_exits_three(self, certificate_path, where):
+        # 100,000 nested lists exhaust the JSON parser's recursion limit
+        nested = "[" * 100_000 + "]" * 100_000
+        if where == "steps":
+            payload = json.loads(certificate_path.read_text())
+            payload["steps"] = "NESTED"
+            nested = json.dumps(payload).replace('"NESTED"', nested)
+        certificate_path.write_text(nested)
+        stderr = _verify_exits_three_within_two_seconds(certificate_path)
+        assert stderr.startswith("cannot read certificate:")
 
     def test_truncated_file_exits_three(self, capsys, certificate_path):
         certificate_path.write_text(certificate_path.read_text()[:40])
@@ -274,6 +288,25 @@ def test_single_field_edit_is_rejected_or_sound(gap_certificate, edit):
     assert code in (0, 2, 3)
     if code == 0:
         _assert_independently_sound(edited)
+
+
+def test_eps_too_fine_for_pi_gives_a_full_report(capsys, gap_certificate, tmp_path):
+    # pi_bounds cannot verify a bracket at eps = 10**-17: the pi bracket
+    # fails, and no count, which would use that pi, runs
+    payload, _ = gap_certificate
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(payload, eps="1/" + str(10**17))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == _GAP_STEPS + 1
+    for index, line in enumerate(lines[:-1], 1):
+        assert line.startswith(f"step {index}: inconclusive (index=pass")
+        assert line.endswith(", count_confirmed=not run)")
+    assert lines[-1] == (
+        "certificate: pi_bracket=fail, success_flag=pass, start_covered=pass, target_covered=pass"
+    )
+    assert err == "certificate NOT verified\n"
 
 
 class TestCountCommand:
