@@ -11,16 +11,24 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
 * ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only.
 
 The certified single sums (:func:`count_weighted`,
-:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) are
-thin wrappers over one kernel, ``_floor_sum``.  Three routes keep their own
-summation, because the tests compare the kernel against them: the
-double-precision :func:`count_weighted_oracle` and
-:func:`sector_lattice_bound_oracle`, and
+:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) sum
+term by term in one kernel, ``_floor_sum``.  A planar or sector sum of at
+least ``_SPLIT_MIN_TERMS`` terms is instead walked by ``_convex_floor_sum``:
+the curve is convex and decreasing, so the lattice points above it form a
+convex set, and the walk follows that set's lower hull with Stern-Brocot
+directions, testing about a third of the columns at lambda 1000 (a sixth
+at 10^4).  It decides each point by ``certified_floor_term`` and stops a
+slope search only on a proved arccos bound, so the count is exact; if a
+point test raises, the whole sum is rerun term by term, so exceptions are
+those of the term-by-term sum.  Three routes keep their own summation,
+because the tests compare the kernels against them: the double-precision
+:func:`count_weighted_oracle` and :func:`sector_lattice_bound_oracle`, and
 :func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
 count in its dimension-reduction form.
 
 The terms of a floor sum are independent, so ``_floor_sum`` splits a sum
-of at least ``_SPLIT_MIN_TERMS`` terms across the usable CPUs: one forked
+of at least ``_SPLIT_MIN_TERMS`` terms (a weighted count in d >= 3, a lower
+count, or a walk's fallback) across the usable CPUs: one forked
 child per extra CPU sums every n-th term and sends its integer back
 through a pipe.  It stays serial without ``os.fork``, on one usable CPU,
 while other threads run, and below the split size, where the fork costs
@@ -60,7 +68,7 @@ from .errors import (
     UnresolvedFloorError,
 )
 from .rational import ZERO, as_rational, rat_floor, rational, to_float
-from .verified import DEFAULT_EPS
+from .verified import DEFAULT_EPS, _arccos_eps, _arccos_upper_end, pi_bounds
 
 
 class Rigor(Enum):
@@ -164,7 +172,8 @@ def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> i
 # 1.26 at 192, 1.46 at 256 and 1.53 at 800 (the sweep is in CHANGES.md).
 # Below about 128 terms the fork, the child's wake-up and the
 # copy-on-write faults of both processes cost more than the second CPU
-# saves; 256 leaves a margin for hosts where they cost more.
+# saves; 256 leaves a margin for hosts where they cost more.  Planar and
+# sector sums of this size are walked instead (see _convex_floor_sum).
 _SPLIT_MIN_TERMS = 256
 _TERMS_PER_CHUNK = 128  # n chunks need at least n * 128 terms
 
@@ -278,6 +287,102 @@ def _kill_and_reap(pid: int) -> None:
         pass  # already reaped
 
 
+def _walked_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps):
+    """_convex_floor_sum(lam, a, shift, eps), or None where a floor term is not decided.
+
+    On None the caller sums term by term, which decides the count or raises
+    that sum's own exception.
+    """
+    try:
+        return _convex_floor_sum(lam, a, shift, eps)
+    except (UnresolvedFloorError, GuessFailedError):
+        return None
+
+
+def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps) -> tuple[int, int]:
+    """(S, t0): S = sum of floor(f(m)) over m = 0 .. floor(a*lam), t0 = floor(f(0)).
+
+    f(m) = G(lam, m/a) + shift is convex and decreasing in m, so the lattice
+    points (m, y) of those columns with y > f(m) form a convex set, and the
+    sum is read off the lower hull of that set, walked from (0, t0 + 1) to
+    the last column with a Stern-Brocot stack of directions (q, p), a step
+    of q columns and p rows down, flatter towards the bottom.  Along a hull
+    edge the lowest point above the curve, h(m) = floor(f(m)) + 1, is the
+    edge rounded up, so a step along a primitive (q, p) from (x, y) adds
+    q*y - (p - 1)*(q - 1)/2 to the sum of h.  A point is tested exactly,
+    y > certified_floor_term(lam, m/a, shift, eps), once per column.
+
+    The next edge is the steepest direction whose first point is above the
+    curve; it is searched by mediants between a flatter direction whose
+    point is above and a steeper one whose point is not.  Once a mediant's
+    point A is not above, steeper candidates than the flatter direction can
+    only lie past A, so the search stops when the curve at A is provably at
+    least as flat as that direction: arccos(m/(a*lam)) <= pi*a*p/q at
+    A's column m, by _arccos_at_most_pi_times.  A cut-off that is not
+    proved only costs more tests.  A horizontal step is never tested, as f
+    decreases.  Raises what certified_floor_term raises.
+    """
+    top = rat_floor(a * lam)
+    floors = {}
+
+    def above(m: int, y: int) -> bool:
+        if m > top:
+            return False
+        floor = floors.get(m)
+        if floor is None:
+            floor = floors[m] = certified_floor_term(lam, rational(m) / a, shift, eps)
+        return y > floor
+
+    first = floors[0] = certified_floor_term(lam, ZERO, shift, eps)
+    eps = as_rational(eps)
+    x, y, total = 0, first + 1, 0  # total: sum of h over the columns left of x
+    # m/(a*lam) = m*x_num/x_den, and a = a_num/a_den, as integers
+    x_num, x_den = a.denominator * lam.denominator, a.numerator * lam.numerator
+    a_num, a_den = a.numerator, a.denominator
+    stack = [(1, 0), (0, 1)]
+    while True:
+        q, p = stack.pop()  # the steepest direction left: step along it while above
+        if p == 0:
+            total += (top - x) * y
+            x = top
+        while above(x + q, y - p):
+            total += q * y - (p - 1) * (q - 1) // 2
+            x, y = x + q, y - p
+        if x == top:
+            return total + y - (top + 1), first
+        # pop the directions that are not above down to one that is
+        while not above(x + stack[-1][0], y - stack[-1][1]):
+            q, p = stack.pop()
+        q1, p1 = stack[-1]  # above, and (q, p) not: Farey neighbours
+        while True:
+            m, pm = x + q1 + q, p1 + p
+            if above(m, y - pm):
+                q1, p1 = q1 + q, pm
+                stack.append((q1, p1))
+            elif m > top or _arccos_at_most_pi_times(m * x_num, x_den, a_num * p1, a_den * q1, eps):
+                break
+            else:
+                q, p = q1 + q, pm
+
+
+def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, eps: Fraction) -> bool:
+    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 < xn <= xd, sn >= 0 and sd > 0.
+
+    The proof compares the verified upper end of the arccos at eps (capped
+    at 1/4) with sn/sd times the lower end of pi_bounds(eps), on integers.
+    An end that does not verify makes it False, never an exception.
+    """
+    if sn == 0:
+        return False
+    capped = _arccos_eps(eps)
+    try:
+        un, ud = _arccos_upper_end(xn, xd, capped.numerator, capped.denominator)
+        pi = pi_bounds(eps).lo
+    except GuessFailedError:
+        return False
+    return un * sd * pi.denominator <= pi.numerator * sn * ud
+
+
 def _floor_plus(q: Fraction, shift: Fraction) -> int:
     """floor(q + shift) from the integer parts, without normalising the sum."""
     q_d, shift_d = q.denominator, shift.denominator
@@ -299,14 +404,23 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
 
     The sum runs over m = 0 .. floor(lam - d/2 + 1); abscissas are
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
+    A planar sum of at least _SPLIT_MIN_TERMS terms is 2*S - t0 from the
+    hull walk (_convex_floor_sum at aperture 1), or the term-by-term sum
+    where a point test of the walk raises; every other sum is term by term.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
     shift = kind.shift
+    indices = _weighted_indices(d, lam)
+    if d == 2 and len(indices) >= _SPLIT_MIN_TERMS:
+        walked = _walked_floor_sum(lam, rational(1), shift, eps)
+        if walked is not None:
+            total, first = walked
+            return CountResult(2 * total - first, Rigor.CERTIFIED_EXACT)
     total = _floor_sum(
-        _weighted_indices(d, lam),
+        indices,
         lambda m: kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), shift, eps),
     )
     return CountResult(total, Rigor.CERTIFIED_EXACT)
@@ -414,8 +528,10 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
 
     ``alpha_over_pi`` is the aperture divided by pi and must be an exact
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
-    at m = 1, Neumann at m = 0.  For irrational apertures use
-    :func:`sector_lattice_bound_oracle`.
+    at m = 1, Neumann at m = 0.  A sum of at least _SPLIT_MIN_TERMS terms
+    is S, minus t0 for Dirichlet, from the hull walk (_convex_floor_sum),
+    or the term-by-term sum where a point test of the walk raises.  For
+    irrational apertures use :func:`sector_lattice_bound_oracle`.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(
@@ -430,10 +546,13 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
         raise DomainError(f"lam must be non-negative, got {lam}")
     start = 1 if kind is BoundKind.DIRICHLET else 0
     shift = kind.shift
-    total = _floor_sum(
-        range(start, rat_floor(a * lam) + 1),
-        lambda m: certified_floor_term(lam, rational(m) / a, shift, eps),
-    )
+    indices = range(start, rat_floor(a * lam) + 1)
+    if len(indices) >= _SPLIT_MIN_TERMS:
+        walked = _walked_floor_sum(lam, a, shift, eps)
+        if walked is not None:
+            total, first = walked
+            return CountResult(total - start * first, Rigor.CERTIFIED_EXACT)
+    total = _floor_sum(indices, lambda m: certified_floor_term(lam, rational(m) / a, shift, eps))
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -525,6 +644,11 @@ class ConvexTable(_TableFields):
             if not b > a:
                 raise ValueError("breakpoints must increase strictly")
         return super().__new__(cls, breakpoints, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "ConvexTable":
+        """Build through __new__, so _make and _replace, which calls it, check their input too."""
+        return cls(*iterable)
 
     @property
     def b(self) -> float:

@@ -39,7 +39,7 @@ from polyacert.lattice import (
     sector_lattice_bound,
     sector_lattice_bound_oracle,
 )
-from polyacert.rational import rational
+from polyacert.rational import rat_floor, rational
 from polyacert.verified import DEFAULT_EPS, RationalInterval
 
 D = BoundKind.DIRICHLET
@@ -205,6 +205,111 @@ class TestFloorGiveUp:
         assert capsys.readouterr().err.startswith("unresolved floor term: ")
 
 
+_APERTURES = [rational(1), rational(1, 3), rational(1, 2), rational(3, 2), rational(2), rational(2, 7)]
+
+
+def _term_by_term(lam, a, shift, eps=DEFAULT_EPS):
+    """(S, t0) of lattice._convex_floor_sum, summed term by term."""
+    terms = [certified_floor_term(lam, rational(m) / a, shift, eps) for m in range(rat_floor(a * lam) + 1)]
+    return sum(terms), terms[0]
+
+
+class TestConvexWalk:
+    """lattice._convex_floor_sum, the hull walk behind long planar and sector counts."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.fractions(min_value=0, max_value=1500, max_denominator=100),
+        a=st.sampled_from(_APERTURES),
+        shift=st.sampled_from([D.shift, N.shift]),
+    )
+    @example(lam=rational(1, 2), a=rational(1), shift=N.shift)  # one column
+    @example(lam=rational(2, 3), a=rational(2), shift=D.shift)
+    @example(lam=rational(300), a=rational(1), shift=D.shift)  # the last column ends the curve
+    @example(lam=rational(5), a=rational(1), shift=D.shift)  # 5^2 - 3^2 and 5^2 - 4^2 are squares
+    @example(lam=rational(600), a=rational(1), shift=N.shift)  # see test_pi_over_three_cut_off
+    def test_equals_the_term_by_term_sum(self, lam, a, shift):
+        assert lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS) == _term_by_term(lam, a, shift)
+
+    def test_pi_over_three_cut_off_is_not_proved_and_costs_only_tests(self, monkeypatch):
+        # arccos(300/600) = pi/3 exactly, so no bracket proves the slope-1/3 cut-off there
+        real, asked = lattice._arccos_at_most_pi_times, []
+
+        def recording(xn, xd, sn, sd, eps):
+            proved = real(xn, xd, sn, sd, eps)
+            asked.append((rational(xn, xd), rational(sn, sd), proved))
+            return proved
+
+        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", recording)
+        lam = rational(600)
+        assert lattice._convex_floor_sum(lam, rational(1), N.shift, DEFAULT_EPS) == _term_by_term(lam, 1, N.shift)
+        assert (rational(1, 2), rational(1, 3), False) in asked
+        assert any(proved for _, _, proved in asked)
+
+    @pytest.mark.parametrize(
+        "lam,a,shift",
+        [
+            (rational(1000), rational(1), D.shift),
+            (rational(20011, 20), rational(1), N.shift),
+            (rational(3001, 7), rational(2), N.shift),
+            (rational(4001, 5), rational(1, 3), D.shift),
+            (rational(1201, 3), rational(2, 7), N.shift),
+        ],
+    )
+    def test_counts_without_a_proved_cut_off_are_unchanged(self, monkeypatch, lam, a, shift):
+        walked = lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS)
+        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", lambda xn, xd, sn, sd, eps: False)
+        assert lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS) == walked
+
+    @pytest.mark.parametrize(
+        "kind,count",
+        [
+            pytest.param(D, lambda lam: count_weighted(2, D, lam), id="weighted-D"),
+            pytest.param(N, lambda lam: count_weighted(2, N, lam), id="weighted-N"),
+            pytest.param(N, lambda lam: sector_lattice_bound(N, rational(1), lam), id="sector-N"),
+        ],
+    )
+    def test_an_unresolved_walk_raises_as_the_term_by_term_sum(self, monkeypatch, kind, count):
+        real, shift = lattice.g_bracket, kind.shift
+
+        def straddling_at_zero(lam, z, eps):  # G + shift straddles 5 on every rung at z = 0
+            if z == 0:
+                return RationalInterval(5 - shift - eps, 5 - shift + eps)
+            return real(lam, z, eps)
+
+        monkeypatch.setattr(lattice, "g_bracket", straddling_at_zero)
+        lam = rational(300)
+        with pytest.raises(UnresolvedFloorError) as serial:
+            for m in range(301):
+                certified_floor_term(lam, rational(m), shift)
+        with pytest.raises(UnresolvedFloorError) as walked:
+            count(lam)
+        assert walked.value.abscissa == serial.value.abscissa == 0
+        assert walked.value.interval == serial.value.interval
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", [D, N])
+    def test_long_sum_makes_few_floor_calls_in_little_memory(self, monkeypatch, kind):
+        real, calls = lattice.certified_floor_term, []
+
+        def counting(lam, z, shift, eps):
+            calls.append(z)
+            return real(lam, z, shift, eps)
+
+        monkeypatch.setattr(lattice, "certified_floor_term", counting)
+        tracemalloc.start()
+        try:
+            lattice._convex_floor_sum(rational(70003, 7), rational(1), kind.shift, DEFAULT_EPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == len(set(calls)) < 2000  # of 10,001 terms, each column once
+        assert peak < 512 * 2**10, peak
+
+    def test_walked_count_with_a_once_unverifiable_term(self):
+        assert count_weighted(2, N, rational(11393, 11)).value == 268676
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -240,7 +345,9 @@ def _rational_in(rng, lo, hi):
 
 
 _RNG = random.Random(8)
-# (label, count, lambda): lambda in [256, 1200] with denominators up to 100
+# (label, count, lambda): lambda in [256, 1200] with denominators up to 100.
+# The planar and sector sums of these sizes are walked (see TestConvexWalk)
+# and split only where a walk gives up and they are summed term by term.
 _SPLIT_CASES = [
     ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 1200)),
     ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 400)),
@@ -262,22 +369,26 @@ class TestForkJoinSplit:
     @pytest.mark.parametrize(
         "count,lam", [pytest.param(c, lam, id=f"{label}-{lam}") for label, c, lam in _SPLIT_CASES]
     )
-    def test_split_equals_serial(self, split, fork_calls, count, lam):
+    def test_split_equals_serial(self, monkeypatch, split, fork_calls, count, lam):
         split(1)
+        walked = count(lam)
+        # a walk that gives up: the count is summed term by term
+        monkeypatch.setattr(lattice, "_walked_floor_sum", lambda lam, a, shift, eps: None)
         serial = count(lam)
         assert fork_calls == []
         for n in (2, 3):
             split(n)
             assert count(lam) == serial
         assert len(fork_calls) == 1 + 2  # n - 1 children per split sum
+        assert walked == serial
         _assert_no_child_left()
 
     def test_large_sum_splits_unforced(self, monkeypatch, fork_calls):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        lam = rational(1000)
+        lam = rational(601, 2)
         shift = rational(1, 4)
-        expected = sum(kappa(2, m) * certified_floor_term(lam, rational(m), shift) for m in range(1001))
-        assert count_weighted(2, D, lam).value == expected
+        expected = sum(kappa(3, m) * certified_floor_term(lam, rational(2 * m + 1, 2), shift) for m in range(301))
+        assert count_weighted(3, D, lam).value == expected
         assert len(fork_calls) == 1
         _assert_no_child_left()
 
@@ -325,14 +436,14 @@ class TestForkJoinSplit:
         real = lattice.g_bracket
 
         def interrupted(lam, z, eps):
-            if z == 2:  # in chunk 0, which this process sums
+            if z == rational(5, 2):  # m = 2, in chunk 0, which this process sums
                 raise KeyboardInterrupt
             return real(lam, z, eps)
 
         monkeypatch.setattr(lattice, "g_bracket", interrupted)
         split(2)
         with pytest.raises(KeyboardInterrupt):
-            count_weighted(2, D, rational(300))
+            count_weighted(3, D, rational(300))
         assert len(fork_calls) == 1
         _assert_no_child_left()
 
@@ -379,11 +490,11 @@ class TestForkJoinSplit:
         split(chunks)
         tracemalloc.start()
         try:
-            total = count_weighted(2, D, rational(2 * 10**5 + 1, 2)).value
+            total = count_weighted(3, D, rational(2 * 10**5 + 1, 2)).value
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert total == 1 + 2 * 10**5
+        assert total == (10**5 + 1) ** 2  # kappa(3, m) = 2*m + 1 for m = 0 .. 10**5
         assert peak < 2**20, peak
         _assert_no_child_left()
 
@@ -644,6 +755,15 @@ class TestConvexCountChecks:
         for breakpoints, values in [((0.0,), (0.0,)), ((0.5, 1.0), (0.1, 0.0)), ((0.0, 0.0), (0.1, 0.0))]:
             with pytest.raises(ValueError):
                 ConvexTable(breakpoints, values)
+
+    def test_make_and_replace_check_their_input(self):
+        table = ConvexTable((0.0, 1.0), (0.5, 0.0))
+        assert ConvexTable._make([(0.0, 1.0), (0.5, 0.0)]) == table
+        assert table._replace(values=(0.25, 0.0)) == ConvexTable((0.0, 1.0), (0.25, 0.0))
+        with pytest.raises(ValueError):
+            table._replace(breakpoints=(1.0,))
+        with pytest.raises(ValueError):
+            ConvexTable._make([(0.5, 1.0), (0.1, 0.0)])
 
     def test_curve_table_passes_upper(self):
         lam = 7.0
