@@ -95,6 +95,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MAX_GRID_POINTS = 10_000
+
+
+def _too_many_points(stop, step) -> bool:
+    """Whether the grid step, 2*step, ... <= stop (both positive) has more than _MAX_GRID_POINTS points.
+
+    A grid that is too large is reported on stderr here, so its command exits before any work.
+    """
+    points = rat_floor(stop / step)
+    if points <= _MAX_GRID_POINTS:
+        return False
+    print(f"the grid has {points} points; at most {_MAX_GRID_POINTS} are allowed", file=sys.stderr)
+    return True
+
+
 def cmd_certify(args) -> int:
     eps = args.eps
     if args.paper_range:
@@ -170,6 +185,8 @@ def cmd_oracle(args) -> int:
     if step <= 0 or lam_max <= 0:
         print("grid step and lambda-max must be positive", file=sys.stderr)
         return 2
+    if _too_many_points(lam_max, step):
+        return 2
     violations = 0
     rows = 0
     k = 1
@@ -204,6 +221,8 @@ def cmd_plotdata(args) -> int:
     step = to_float(args.step)
     if step <= 0 or stop <= 0 or stop > 100:
         print("need 0 < step and 0 < stop <= 100", file=sys.stderr)
+        return 2
+    if _too_many_points(args.stop, args.step):
         return 2
     lines = [
         "# non-certified data: double-precision oracle evaluations",

@@ -11,31 +11,22 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
 * ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only.
 
 The certified single sums (:func:`count_weighted`,
-:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) sum
-term by term in one kernel, ``_floor_sum``.  A planar or sector sum of at
-least ``_SPLIT_MIN_TERMS`` terms is instead walked by ``_convex_floor_sum``:
-the curve is convex and decreasing, so the lattice points above it form a
-convex set, and the walk follows that set's lower hull with Stern-Brocot
-directions, testing about a third of the columns at lambda 1000 (a sixth
-at 10^4).  It decides each point by ``certified_floor_term`` and stops a
-slope search only on a proved arccos bound, so the count is exact; if a
-point test raises, the whole sum is rerun term by term, so exceptions are
-those of the term-by-term sum.  Three routes keep their own summation,
-because the tests compare the kernels against them: the double-precision
-:func:`count_weighted_oracle` and :func:`sector_lattice_bound_oracle`, and
+:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) add
+their terms one by one, each term generated from its index, never listed.
+A weighted or sector sum of at least ``_WALK_MIN_TERMS`` terms is instead
+walked by ``_convex_floor_sum``: the curve is convex and decreasing, so the
+lattice points above it form a convex set, and the walk follows that set's
+lower hull with Stern-Brocot directions, carrying the weights kappa(d, m)
+of a weighted count along each hull edge.  It tests about a third of the
+columns at lambda 1000 (a sixth at 10^4), decides each point by
+``certified_floor_term`` and stops a slope search only on a proved arccos
+bound, so the count is exact; if a point test raises, the whole sum is
+rerun term by term, so exceptions are those of the term-by-term sum.
+Three routes keep their own summation, because the tests compare the walk
+against them: the double-precision :func:`count_weighted_oracle` and
+:func:`sector_lattice_bound_oracle`, and
 :func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
 count in its dimension-reduction form.
-
-The terms of a floor sum are independent, so ``_floor_sum`` splits a sum
-of at least ``_SPLIT_MIN_TERMS`` terms (a weighted count in d >= 3, a lower
-count, or a walk's fallback) across the usable CPUs: one forked
-child per extra CPU sums every n-th term and sends its integer back
-through a pipe.  It stays serial without ``os.fork``, on one usable CPU,
-while other threads run, and below the split size, where the fork costs
-more than it saves.  Integer addition is exact and any failure reruns the
-whole sum serially, so counts and exceptions are those of the serial sum.
-A sum is an index range and a function from index to weighted floor term,
-so neither the serial loop nor a chunk ever lists its terms.
 
 The lower count prepares its bound once per sum (:func:`curve.prepare_g_lower`):
 each term then builds only its own radicand, verifies the root's and the
@@ -49,13 +40,10 @@ cumulative multiplicity function with its polynomial bound.
 """
 from __future__ import annotations
 
-import gc
 import math
-import os
-import threading
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .curve import BoundKind, g_bracket, g_lower, g_value, prepare_g_lower
 from .errors import (
@@ -166,203 +154,125 @@ def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> i
     return rung
 
 
-# The split's break-even, measured in-process on a 2-vCPU x86_64 host
-# (Python 3.11.7) as serial over split time of count_weighted(2, D or N,
-# lam), median of 60 interleaved pairs: 0.87 at 64 terms, 1.06 at 128,
-# 1.26 at 192, 1.46 at 256 and 1.53 at 800 (the sweep is in CHANGES.md).
-# Below about 128 terms the fork, the child's wake-up and the
-# copy-on-write faults of both processes cost more than the second CPU
-# saves; 256 leaves a margin for hosts where they cost more.  Planar and
-# sector sums of this size are walked instead (see _convex_floor_sum).
-_SPLIT_MIN_TERMS = 256
-_TERMS_PER_CHUNK = 128  # n chunks need at least n * 128 terms
+# Sums of at least this many terms are walked (see _convex_floor_sum).
+# Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100), but they
+# would also speed up the exact_sweep benchmark, whose per-operation
+# records would then push its peak_rss_mb past its bound (ROADMAP items 2
+# and 7).
+_WALK_MIN_TERMS = 256
 
 
-def _floor_sum(indices: range, term) -> int:
-    """Sum of term(i) over indices, where term(i) is one weighted floor of a count.
-
-    The terms are never listed: the serial loop and each chunk of a split
-    generate their own.  A sum of at least _SPLIT_MIN_TERMS terms is split
-    across the usable CPUs (see _chunk_count): chunk k is indices[k::n],
-    this process sums chunk 0 and one forked child per other chunk sums its
-    own.  The terms are independent and integer addition is exact, so the
-    split total is the serial total.  On any Exception, in a child or here,
-    the children are killed and reaped and the whole sum is rerun serially,
-    so a failure surfaces as the serial sum's exception, from its first
-    failing term.  Any other BaseException (KeyboardInterrupt) kills and
-    reaps the children and propagates.
-    """
-    n = _chunk_count(len(indices))
-    if n > 1:
-        try:
-            return _forked_floor_sum(indices, term, n)
-        except Exception:
-            pass  # the serial sum below gives the result, or the serial exception
-    return _serial_floor_sum(indices, term)
-
-
-def _serial_floor_sum(indices: range, term) -> int:
-    return sum(map(term, indices))
-
-
-def _chunk_count(n_terms: int) -> int:
-    """Processes to share a sum of n_terms terms: min(usable CPUs, n_terms // 128), or 1.
-
-    The sum stays serial (1) below _SPLIT_MIN_TERMS terms, without
-    os.fork, on one usable CPU, and while other threads run, which a fork
-    would not copy.
-    """
-    if n_terms < _SPLIT_MIN_TERMS or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_terms // _TERMS_PER_CHUNK)
-
-
-def _forked_floor_sum(indices: range, term, n: int) -> int:
-    """The sum of term over indices, chunk k = indices[k::n] summed by child k for k >= 1.
-
-    Each child writes its total as decimal text to a pipe and exits 0; a
-    child's total counts only if it did both.  Every child is reaped
-    before this returns or raises.
-    """
-    children = []  # (pid, read end of its pipe), not yet reaped
-    try:
-        for k in range(1, n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child_floor_sum(write, indices[k::n], term)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        total = _serial_floor_sum(indices[::n], term)
-        while children:
-            pid, pipe = children[0]
-            text = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            pipe.close()
-            if status != 0:
-                raise ChildProcessError(f"floor-sum child {pid} ended with wait status {status}")
-            total += int(text)
-        return total
-    finally:
-        for pid, pipe in children:
-            _kill_and_reap(pid)
-            pipe.close()
-
-
-def _child_floor_sum(write: int, indices: range, term) -> NoReturn:
-    """In a forked child: sum term over indices, write the total to the pipe and exit.
-
-    os._exit in the finally keeps every outcome, exceptions included, from
-    returning into the caller's frames, running atexit handlers or
-    flushing stdio buffers inherited from the parent.
-    """
-    code = 1
-    try:
-        gc.disable()  # a collection would touch, and so copy, every page of the parent's heap
-        data = b"%d" % _serial_floor_sum(indices, term)
-        while data:
-            data = data[os.write(write, data):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _kill_and_reap(pid: int) -> None:
-    import signal  # only on this failure path: the module costs start-up time
-
-    try:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    except (ProcessLookupError, ChildProcessError):
-        pass  # already reaped
-
-
-def _walked_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps):
-    """_convex_floor_sum(lam, a, shift, eps), or None where a floor term is not decided.
+def _walked_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None):
+    """_convex_floor_sum(lam, a, shift, eps, d), or None where a floor term is not decided.
 
     On None the caller sums term by term, which decides the count or raises
     that sum's own exception.
     """
     try:
-        return _convex_floor_sum(lam, a, shift, eps)
+        return _convex_floor_sum(lam, a, shift, eps, d)
     except (UnresolvedFloorError, GuessFailedError):
         return None
 
 
-def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps) -> tuple[int, int]:
-    """(S, t0): S = sum of floor(f(m)) over m = 0 .. floor(a*lam), t0 = floor(f(0)).
+def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None) -> tuple[int, int]:
+    """(S, t0): S = sum of w(m)*floor(f(m)) over the columns m = 0 .. top, t0 = floor(f(0)).
 
-    f(m) = G(lam, m/a) + shift is convex and decreasing in m, so the lattice
-    points (m, y) of those columns with y > f(m) form a convex set, and the
-    sum is read off the lower hull of that set, walked from (0, t0 + 1) to
-    the last column with a Stern-Brocot stack of directions (q, p), a step
-    of q columns and p rows down, flatter towards the bottom.  Along a hull
-    edge the lowest point above the curve, h(m) = floor(f(m)) + 1, is the
-    edge rounded up, so a step along a primitive (q, p) from (x, y) adds
-    q*y - (p - 1)*(q - 1)/2 to the sum of h.  A point is tested exactly,
-    y > certified_floor_term(lam, m/a, shift, eps), once per column.
+    Column m lies at z = m/a + c/2 and f(m) = G(lam, z) + shift, over the
+    columns with z <= lam.  With d None the weights are 1 and c = 0, a
+    sector's sum; a weighted count passes its dimension d and a = 1, for
+    the weights w(m) = kappa(d, m) at z = m + d/2 - 1 (c = d - 2).
+
+    f is convex and decreasing in m, so the lattice points (m, y) of those
+    columns with y > f(m) form a convex set, and the sum is read off the
+    lower hull of that set, walked from (0, t0 + 1) to the last column with
+    a Stern-Brocot stack of directions (q, p), a step of q columns and p
+    rows down, flatter towards the bottom.  Along a hull edge the lowest
+    point above the curve, h(m) = floor(f(m)) + 1, is the edge rounded up,
+    so a step along a primitive (q, p) from (x, y) adds
+    sum_{j<q} w(x+j)*(y - floor(p*j/q)) to the weighted sum of h
+    (_step_sum).  A point is tested exactly, y > certified_floor_term(lam,
+    z, shift, eps), once per column.
 
     The next edge is the steepest direction whose first point is above the
     curve; it is searched by mediants between a flatter direction whose
     point is above and a steeper one whose point is not.  Once a mediant's
     point A is not above, steeper candidates than the flatter direction can
     only lie past A, so the search stops when the curve at A is provably at
-    least as flat as that direction: arccos(m/(a*lam)) <= pi*a*p/q at
-    A's column m, by _arccos_at_most_pi_times.  A cut-off that is not
-    proved only costs more tests.  A horizontal step is never tested, as f
+    least as flat as that direction: arccos(z/lam) <= pi*a*p/q at A's
+    abscissa z, by _arccos_at_most_pi_times.  A cut-off that is not proved
+    only costs more tests.  A horizontal step is never tested, as f
     decreases.  Raises what certified_floor_term raises.
     """
-    top = rat_floor(a * lam)
+    c = 0 if d is None else d - 2
+    a_num, a_den = a.numerator, a.denominator
+    # z = (m*z_num + z_add)/z_den and z/lam = (m*x_num + x_add)/x_den, as integers
+    z_num, z_add, z_den = 2 * a_den, c * a_num, 2 * a_num
+    x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
+    top = rat_floor((lam - rational(c, 2)) * a)
     floors = {}
 
-    def above(m: int, y: int) -> bool:
+    def above(m: int, y: int, keep_below: bool = True) -> bool:
         if m > top:
             return False
         floor = floors.get(m)
         if floor is None:
-            floor = floors[m] = certified_floor_term(lam, rational(m) / a, shift, eps)
+            floor = certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
+            if keep_below or y > floor:
+                floors[m] = floor
         return y > floor
 
-    first = floors[0] = certified_floor_term(lam, ZERO, shift, eps)
+    first = floors[0] = certified_floor_term(lam, rational(z_add, z_den), shift, eps)
+    if top < 0:
+        return 0, first
     eps = as_rational(eps)
-    x, y, total = 0, first + 1, 0  # total: sum of h over the columns left of x
-    # m/(a*lam) = m*x_num/x_den, and a = a_num/a_den, as integers
-    x_num, x_den = a.denominator * lam.denominator, a.numerator * lam.numerator
-    a_num, a_den = a.numerator, a.denominator
+    x, y, total = 0, first + 1, 0  # total: sum of w*h over the columns left of x
     stack = [(1, 0), (0, 1)]
     while True:
         q, p = stack.pop()  # the steepest direction left: step along it while above
         if p == 0:
-            total += (top - x) * y
+            total += y * (_weight_below(d, top) - _weight_below(d, x))
             x = top
         while above(x + q, y - p):
-            total += q * y - (p - 1) * (q - 1) // 2
+            total += _step_sum(d, x, y, q, p)
             x, y = x + q, y - p
         if x == top:
-            return total + y - (top + 1), first
+            return total + _step_sum(d, top, y, 1, 0) - _weight_below(d, top + 1), first
         # pop the directions that are not above down to one that is
         while not above(x + stack[-1][0], y - stack[-1][1]):
             q, p = stack.pop()
         q1, p1 = stack[-1]  # above, and (q, p) not: Farey neighbours
         while True:
             m, pm = x + q1 + q, p1 + p
-            if above(m, y - pm):
+            # while the flatter direction is horizontal (p1 = 0), a column
+            # whose point is not above lies before the next hull vertex and
+            # is never tested again: a long flat run keeps none of its floors
+            if above(m, y - pm, keep_below=p1 > 0):
                 q1, p1 = q1 + q, pm
                 stack.append((q1, p1))
-            elif m > top or _arccos_at_most_pi_times(m * x_num, x_den, a_num * p1, a_den * q1, eps):
+            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, eps):
                 break
             else:
                 q, p = q1 + q, pm
+
+
+def _weight_below(d: int | None, m: int) -> int:
+    """Sum of the walk's weights over the columns 0 .. m - 1: m for unit weights (d None), else of kappa(d, .)."""
+    if d is None:
+        return m
+    # the hockey-stick identity, summed over the two binomials of kappa
+    return math.comb(m + d - 1, d) - math.comb(m + d - 3, d) if m > 0 else 0
+
+
+def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
+    """sum_{j<q} w(x+j)*(y - floor(p*j/q)), the walk's step along a primitive (q, p) from (x, y)."""
+    unit = q * y - (p - 1) * (q - 1) // 2  # the floors sum to (p-1)*(q-1)/2 for coprime p, q
+    if d is None:
+        return unit
+    if d == 2:  # kappa(2, m) = 2 but kappa(2, 0) = 1
+        return 2 * unit - (y if x == 0 else 0)
+    return y * (_weight_below(d, x + q) - _weight_below(d, x)) - sum(
+        kappa(d, x + j) * (p * j // q) for j in range(1, q)
+    )
 
 
 def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, eps: Fraction) -> bool:
@@ -404,9 +314,10 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
 
     The sum runs over m = 0 .. floor(lam - d/2 + 1); abscissas are
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
-    A planar sum of at least _SPLIT_MIN_TERMS terms is 2*S - t0 from the
-    hull walk (_convex_floor_sum at aperture 1), or the term-by-term sum
-    where a point test of the walk raises; every other sum is term by term.
+    A sum of at least _WALK_MIN_TERMS terms, in any dimension, is read off
+    the hull walk (_convex_floor_sum with the weights kappa(d, m)), or
+    summed term by term where a point test of the walk raises; a shorter
+    sum is summed term by term.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
@@ -414,15 +325,11 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
         raise DomainError(f"lam must be non-negative, got {lam}")
     shift = kind.shift
     indices = _weighted_indices(d, lam)
-    if d == 2 and len(indices) >= _SPLIT_MIN_TERMS:
-        walked = _walked_floor_sum(lam, rational(1), shift, eps)
+    if len(indices) >= _WALK_MIN_TERMS:
+        walked = _walked_floor_sum(lam, rational(1), shift, eps, d)
         if walked is not None:
-            total, first = walked
-            return CountResult(2 * total - first, Rigor.CERTIFIED_EXACT)
-    total = _floor_sum(
-        indices,
-        lambda m: kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), shift, eps),
-    )
+            return CountResult(walked[0], Rigor.CERTIFIED_EXACT)
+    total = sum(kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), shift, eps) for m in indices)
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -463,7 +370,7 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
         raise DomainError(f"lam must be non-negative, got {lam}")
     if lam == 0:  # the one term lies at z = lam, where it is floor(3/4)
         return CountResult(0, Rigor.CERTIFIED_LOWER)
-    total = _floor_sum(_weighted_indices(2, lam), _lower_term(lam, eps))
+    total = sum(map(_lower_term(lam, eps), _weighted_indices(2, lam)))
     return CountResult(total, Rigor.CERTIFIED_LOWER)
 
 
@@ -528,7 +435,7 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
 
     ``alpha_over_pi`` is the aperture divided by pi and must be an exact
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
-    at m = 1, Neumann at m = 0.  A sum of at least _SPLIT_MIN_TERMS terms
+    at m = 1, Neumann at m = 0.  A sum of at least _WALK_MIN_TERMS terms
     is S, minus t0 for Dirichlet, from the hull walk (_convex_floor_sum),
     or the term-by-term sum where a point test of the walk raises.  For
     irrational apertures use :func:`sector_lattice_bound_oracle`.
@@ -547,12 +454,12 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     start = 1 if kind is BoundKind.DIRICHLET else 0
     shift = kind.shift
     indices = range(start, rat_floor(a * lam) + 1)
-    if len(indices) >= _SPLIT_MIN_TERMS:
+    if len(indices) >= _WALK_MIN_TERMS:
         walked = _walked_floor_sum(lam, a, shift, eps)
         if walked is not None:
             total, first = walked
             return CountResult(total - start * first, Rigor.CERTIFIED_EXACT)
-    total = _floor_sum(indices, lambda m: certified_floor_term(lam, rational(m) / a, shift, eps))
+    total = sum(certified_floor_term(lam, rational(m) / a, shift, eps) for m in indices)
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 

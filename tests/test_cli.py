@@ -15,6 +15,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polyacert
+from polyacert import cli
 from polyacert.certify import certify
 from polyacert.cli import main
 from polyacert.curve import BoundKind
@@ -450,6 +451,17 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "--d", "3", "--lambda-max", "5")
         assert code == 0
 
+    def test_a_grid_of_more_than_ten_thousand_points_is_rejected_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_weighted", None)  # any count would raise
+        code, out, err = run(capsys, "oracle", "--lambda-max", "1", "--step", "1/1000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "the grid has 1000000000 points; at most 10000 are allowed\n"
+        code, out, err = run(capsys, "oracle", "--lambda-max", "10001", "--step", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("the grid has 10001 points")
+
 
 class TestPlotdataCommand:
     def test_csv_shape_and_sign_pattern(self, capsys, tmp_path):
@@ -468,3 +480,14 @@ class TestPlotdataCommand:
         code, out, _ = run(capsys, "plotdata", "--stop", "2", "--step", "1/2")
         assert code == 0
         assert out.startswith("# non-certified")
+
+    def test_a_grid_of_more_than_ten_thousand_points_is_rejected_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_weighted_oracle", None)  # any count would raise
+        code, out, err = run(capsys, "plotdata", "--step", "1/1000000000", "--stop", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "the grid has 1000000000 points; at most 10000 are allowed\n"
+        code, out, err = run(capsys, "plotdata", "--step", "100/10001", "--stop", "100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("the grid has 10001 points")

@@ -1,8 +1,5 @@
 """Tests for weighted counts, dimension reduction, sectors, and counting harnesses."""
 import math
-import os
-import random
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -214,8 +211,21 @@ def _term_by_term(lam, a, shift, eps=DEFAULT_EPS):
     return sum(terms), terms[0]
 
 
+# (label, count, lambda): sums of 256 terms or more, which are walked, at
+# lambda in [256, 1200] with denominators up to 100
+_WALKED_CASES = [
+    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, rational(19817, 30)),
+    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, rational(13578, 49)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, rational(5899, 5)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, rational(541, 2)),
+    ("weighted-3D", lambda lam: count_weighted(3, D, lam).value, rational(5621, 18)),
+    ("sector-D", lambda lam: sector_lattice_bound(D, rational(1, 3), lam).value, rational(1003)),
+    ("sector-N", lambda lam: sector_lattice_bound(N, rational(1, 2), lam).value, rational(47104, 63)),
+]
+
+
 class TestConvexWalk:
-    """lattice._convex_floor_sum, the hull walk behind long planar and sector counts."""
+    """lattice._convex_floor_sum, the hull walk behind long weighted and sector counts."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -262,31 +272,32 @@ class TestConvexWalk:
         assert lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS) == walked
 
     @pytest.mark.parametrize(
-        "kind,count",
+        "kind,d,count",
         [
-            pytest.param(D, lambda lam: count_weighted(2, D, lam), id="weighted-D"),
-            pytest.param(N, lambda lam: count_weighted(2, N, lam), id="weighted-N"),
-            pytest.param(N, lambda lam: sector_lattice_bound(N, rational(1), lam), id="sector-N"),
+            pytest.param(D, 2, lambda lam: count_weighted(2, D, lam), id="weighted-D"),
+            pytest.param(N, 2, lambda lam: count_weighted(2, N, lam), id="weighted-N"),
+            pytest.param(N, 2, lambda lam: sector_lattice_bound(N, rational(1), lam), id="sector-N"),
+            pytest.param(D, 3, lambda lam: count_weighted(3, D, lam), id="weighted-3D"),
         ],
     )
-    def test_an_unresolved_walk_raises_as_the_term_by_term_sum(self, monkeypatch, kind, count):
+    def test_an_unresolved_walk_raises_as_the_term_by_term_sum(self, monkeypatch, kind, d, count):
         real, shift = lattice.g_bracket, kind.shift
+        first = lattice._weighted_abscissa(d, 0)  # column 0: z = 0 in the plane, 1/2 for d = 3
 
-        def straddling_at_zero(lam, z, eps):  # G + shift straddles 5 on every rung at z = 0
-            if z == 0:
+        def straddling_at_column_zero(lam, z, eps):  # G + shift straddles 5 on every rung
+            if z == first:
                 return RationalInterval(5 - shift - eps, 5 - shift + eps)
             return real(lam, z, eps)
 
-        monkeypatch.setattr(lattice, "g_bracket", straddling_at_zero)
+        monkeypatch.setattr(lattice, "g_bracket", straddling_at_column_zero)
         lam = rational(300)
         with pytest.raises(UnresolvedFloorError) as serial:
-            for m in range(301):
-                certified_floor_term(lam, rational(m), shift)
+            for m in lattice._weighted_indices(d, lam):
+                certified_floor_term(lam, lattice._weighted_abscissa(d, m), shift)
         with pytest.raises(UnresolvedFloorError) as walked:
             count(lam)
-        assert walked.value.abscissa == serial.value.abscissa == 0
+        assert walked.value.abscissa == serial.value.abscissa == first
         assert walked.value.interval == serial.value.interval
-        _assert_no_child_left()
 
     @pytest.mark.parametrize("kind", [D, N])
     def test_long_sum_makes_few_floor_calls_in_little_memory(self, monkeypatch, kind):
@@ -309,185 +320,58 @@ class TestConvexWalk:
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
 
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def fork_calls(monkeypatch):
-    """The pids that called os.fork, one entry per call."""
-    calls = []
-    real_fork = os.fork
-
-    def recording_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return calls
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """split(n) makes every _floor_sum use n chunks, whatever its size and the CPUs."""
-
-    def force(n):
-        monkeypatch.setattr(lattice, "_chunk_count", lambda n_terms: n)
-
-    return force
-
-
-def _rational_in(rng, lo, hi):
-    q = rng.randint(1, 100)
-    return Fraction(rng.randint(lo * q, hi * q), q)
-
-
-_RNG = random.Random(8)
-# (label, count, lambda): lambda in [256, 1200] with denominators up to 100.
-# The planar and sector sums of these sizes are walked (see TestConvexWalk)
-# and split only where a walk gives up and they are summed term by term.
-_SPLIT_CASES = [
-    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 1200)),
-    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, _rational_in(_RNG, 256, 400)),
-    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, _rational_in(_RNG, 256, 1200)),
-    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, _rational_in(_RNG, 256, 400)),
-    ("weighted-3D", lambda lam: count_weighted(3, D, lam).value, _rational_in(_RNG, 256, 400)),
-    ("lower", lambda lam: count_neumann2_certified_lower(lam).value, _rational_in(_RNG, 256, 1200)),
-    ("lower", lambda lam: count_neumann2_certified_lower(lam).value, _rational_in(_RNG, 256, 1200)),
-    ("sector-D", lambda lam: sector_lattice_bound(D, rational(1, 3), lam).value,
-     _rational_in(_RNG, 768, 1200)),
-    ("sector-N", lambda lam: sector_lattice_bound(N, rational(1, 2), lam).value,
-     _rational_in(_RNG, 512, 900)),
-]
-
-
-class TestForkJoinSplit:
-    """_floor_sum's split across processes gives the serial sum, or the serial exception."""
-
     @pytest.mark.parametrize(
-        "count,lam", [pytest.param(c, lam, id=f"{label}-{lam}") for label, c, lam in _SPLIT_CASES]
+        "count,lam", [pytest.param(c, lam, id=f"{label}-{lam}") for label, c, lam in _WALKED_CASES]
     )
-    def test_split_equals_serial(self, monkeypatch, split, fork_calls, count, lam):
-        split(1)
+    def test_walked_equals_term_by_term(self, monkeypatch, count, lam):
         walked = count(lam)
         # a walk that gives up: the count is summed term by term
-        monkeypatch.setattr(lattice, "_walked_floor_sum", lambda lam, a, shift, eps: None)
-        serial = count(lam)
-        assert fork_calls == []
-        for n in (2, 3):
-            split(n)
-            assert count(lam) == serial
-        assert len(fork_calls) == 1 + 2  # n - 1 children per split sum
-        assert walked == serial
-        _assert_no_child_left()
+        monkeypatch.setattr(lattice, "_walked_floor_sum", lambda *args: None)
+        assert count(lam) == walked
 
-    def test_large_sum_splits_unforced(self, monkeypatch, fork_calls):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        lam = rational(601, 2)
-        shift = rational(1, 4)
-        expected = sum(kappa(3, m) * certified_floor_term(lam, rational(2 * m + 1, 2), shift) for m in range(301))
-        assert count_weighted(3, D, lam).value == expected
-        assert len(fork_calls) == 1
-        _assert_no_child_left()
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(3, 6), lam=st.fractions(min_value=0, max_value=1500, max_denominator=100))
+    @example(d=6, lam=rational(1, 2))  # an empty sum
+    @example(d=3, lam=rational(601, 2))  # 301 terms
+    @example(d=4, lam=rational(1000))
+    def test_weighted_walk_equals_the_term_by_term_sum(self, d, lam):
+        shift = D.shift
+        expected = sum(
+            kappa(d, m) * certified_floor_term(lam, lattice._weighted_abscissa(d, m), shift)
+            for m in lattice._weighted_indices(d, lam)
+        )
+        assert lattice._convex_floor_sum(lam, rational(1), shift, DEFAULT_EPS, d)[0] == expected
+        assert count_weighted(d, D, lam).value == expected
 
-    @staticmethod
-    def straddling_at(bad, real=lattice.g_bracket):
-        """g_bracket whose bracket of G + 1/4 straddles 5 on every rung at the abscissas in bad."""
+    def test_weight_prefix_is_the_sum_of_the_weights(self):
+        for d in range(2, 9):
+            for n in range(60):
+                assert lattice._weight_below(d, n) == sum(kappa(d, m) for m in range(n)), (d, n)
+        assert all(lattice._weight_below(None, n) == n for n in range(60))
 
-        def bracket(lam, z, eps):
-            if z in bad:
-                return RationalInterval(rational(19, 4) - eps, rational(19, 4) + eps)
-            return real(lam, z, eps)
+    @pytest.mark.parametrize("d", [None, 2, 3, 4, 5, 6])
+    def test_step_sum_is_the_weighted_sum_along_the_edge(self, d):
+        weight = (lambda m: 1) if d is None else (lambda m: kappa(d, m))
+        for q in range(1, 12):
+            for p in range(12):
+                if math.gcd(q, p) != 1:
+                    continue
+                for x in (0, 1, 7):
+                    direct = sum(weight(x + j) * (40 - p * j // q) for j in range(q))
+                    assert lattice._step_sum(d, x, 40, q, p) == direct, (q, p, x)
 
-        return bracket
-
-    def _serial_and_split_errors(self, monkeypatch, split, bad, n, lam=rational(81, 2)):
-        monkeypatch.setattr(lattice, "g_bracket", self.straddling_at(bad))
-        errors = []
-        for chunks in (1, n):
-            split(chunks)
-            with pytest.raises(UnresolvedFloorError) as info:
-                count_weighted(2, D, lam)
-            errors.append((info.value.abscissa, info.value.interval))
-            _assert_no_child_left()
-        return errors
-
-    @pytest.mark.parametrize(
-        "bad,n,first",
-        [
-            pytest.param({4}, 2, 4, id="parent-chunk"),
-            pytest.param({7}, 2, 7, id="child-chunk"),
-            pytest.param({8}, 3, 8, id="second-child-chunk"),
-            pytest.param({3, 10}, 2, 3, id="child-first-parent-later"),
-            pytest.param({4, 11}, 2, 4, id="parent-first-child-later"),
-        ],
-    )
-    def test_failure_in_any_chunk_is_the_serial_failure(self, monkeypatch, split, fork_calls, bad, n, first):
-        serial, forked = self._serial_and_split_errors(monkeypatch, split, bad, n)
-        assert len(fork_calls) == n - 1
-        assert serial == forked
-        assert serial[0] == first
-        finest = DEFAULT_EPS / 10**12
-        assert serial[1] == (5 - finest, 5 + finest)
-
-    def test_keyboard_interrupt_in_the_parent_chunk_reaps_the_children(self, monkeypatch, split, fork_calls):
-        real = lattice.g_bracket
-
-        def interrupted(lam, z, eps):
-            if z == rational(5, 2):  # m = 2, in chunk 0, which this process sums
-                raise KeyboardInterrupt
-            return real(lam, z, eps)
-
-        monkeypatch.setattr(lattice, "g_bracket", interrupted)
-        split(2)
-        with pytest.raises(KeyboardInterrupt):
-            count_weighted(3, D, rational(300))
-        assert len(fork_calls) == 1
-        _assert_no_child_left()
-
-    @staticmethod
-    def silent_children(monkeypatch):
-        """Children exit 0 with nothing on the pipe."""
-        parent, real = os.getpid(), lattice._serial_floor_sum
-
-        def serial(*args):
-            if os.getpid() != parent:
-                os._exit(0)
-            return real(*args)
-
-        monkeypatch.setattr(lattice, "_serial_floor_sum", serial)
-
-    @staticmethod
-    def children_failing_mid_write(monkeypatch):
-        """Children write the first digit of their total, then fail: the digit parses as an integer."""
-        parent, real = os.getpid(), os.write
-
-        def write(fd, data):
-            if os.getpid() == parent:
-                return real(fd, data)
-            if len(data) > 1:
-                return real(fd, data[:1])
-            raise OSError("broken pipe")
-
-        monkeypatch.setattr(os, "write", write)
-
-    @pytest.mark.parametrize("fault", ["silent_children", "children_failing_mid_write"])
-    def test_a_child_that_does_not_finish_is_not_counted(self, monkeypatch, split, fork_calls, fault):
-        expected = count_weighted(2, N, rational(301, 3)).value
-        getattr(self, fault)(monkeypatch)
-        split(2)
-        assert count_weighted(2, N, rational(301, 3)).value == expected
-        assert len(fork_calls) == 1
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("chunks", [1, 2])
-    def test_terms_are_generated_not_listed(self, monkeypatch, split, chunks):
-        # 10**5 + 1 terms with a stub floor: listing them first would hold
-        # every (weight, abscissa) pair at once, about 14 MB
+    def test_terms_are_generated_not_listed(self, monkeypatch):
+        # 10**5 + 1 columns of a flat stub floor: the walk scans them all below
+        # the horizontal direction, and keeping one floor per column would
+        # hold about 11 MB
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
-        split(chunks)
+        real, walks = lattice._convex_floor_sum, []
+
+        def recording(*args):
+            walks.append(real(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(lattice, "_convex_floor_sum", recording)
         tracemalloc.start()
         try:
             total = count_weighted(3, D, rational(2 * 10**5 + 1, 2)).value
@@ -495,68 +379,8 @@ class TestForkJoinSplit:
         finally:
             tracemalloc.stop()
         assert total == (10**5 + 1) ** 2  # kappa(3, m) = 2*m + 1 for m = 0 .. 10**5
+        assert len(walks) == 1
         assert peak < 2**20, peak
-        _assert_no_child_left()
-
-    def test_chunk_count_rules(self, monkeypatch):
-        cpus = {"n": 4}
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus["n"])), raising=False)
-        monkeypatch.setattr(os, "fork", os.fork if hasattr(os, "fork") else None, raising=False)
-        chunk_count = lattice._chunk_count
-        assert lattice._SPLIT_MIN_TERMS == 256
-        assert chunk_count(255) == 1
-        assert chunk_count(256) == 2
-        assert chunk_count(383) == 2
-        assert chunk_count(384) == 3
-        assert chunk_count(5000) == 4  # never more chunks than usable CPUs
-        cpus["n"] = 1
-        assert chunk_count(5000) == 1
-        cpus["n"] = 4
-        release = threading.Event()
-        worker = threading.Thread(target=release.wait)
-        worker.start()
-        try:
-            assert chunk_count(5000) == 1  # a fork would not copy the other thread
-        finally:
-            release.set()
-            worker.join()
-        assert chunk_count(5000) == 4
-        monkeypatch.delattr(os, "fork")
-        assert chunk_count(5000) == 1
-
-    def test_chunk_count_without_affinity_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(os, "fork", os.fork if hasattr(os, "fork") else None, raising=False)
-        assert lattice._chunk_count(1000) == 3
-
-    def test_small_sums_never_fork(self, monkeypatch):
-        # the largest sums of acceptance 03, 04, 05 and 08 and of the
-        # exact_sweep and certify_verify benchmark workloads
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "fork", no_fork, raising=False)
-        sizes = []
-        real_chunk_count = lattice._chunk_count
-
-        def recording_chunk_count(n_terms):
-            sizes.append(n_terms)
-            return real_chunk_count(n_terms)
-
-        monkeypatch.setattr(lattice, "_chunk_count", recording_chunk_count)
-        eps = rational(1, 1000)
-        count_weighted(2, D, rational(100), eps)
-        count_weighted(2, N, rational(100), eps)
-        for d in (3, 4, 5):
-            count_weighted(d, D, rational(30), eps)
-            count_dirichlet_dim_reduction(d, rational(17), eps)
-        count_neumann2_certified_lower(rational(100), eps)
-        for kind in (D, N):
-            sector_lattice_bound(kind, rational(2), rational(30), eps)
-        assert max(sizes) < 128
-        assert all(real_chunk_count(n) == 1 for n in sizes)
 
 
 class TestCertifiedLower:
