@@ -360,11 +360,14 @@ class TestConvexWalk:
                     direct = sum(weight(x + j) * (40 - p * j // q) for j in range(q))
                     assert lattice._step_sum(d, x, 40, q, p) == direct, (q, p, x)
 
-    def test_terms_are_generated_not_listed(self, monkeypatch):
+    @pytest.mark.parametrize("walk", [True, False], ids=["walked", "term-by-term"])
+    def test_terms_are_generated_not_listed(self, monkeypatch, walk):
         # 10**5 + 1 columns of a flat stub floor: the walk scans them all below
         # the horizontal direction, and keeping one floor per column would
-        # hold about 11 MB
+        # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
+        if not walk:
+            monkeypatch.setattr(lattice, "_walked_floor_sum", lambda *args: None)
         real, walks = lattice._convex_floor_sum, []
 
         def recording(*args):
@@ -379,7 +382,7 @@ class TestConvexWalk:
         finally:
             tracemalloc.stop()
         assert total == (10**5 + 1) ** 2  # kappa(3, m) = 2*m + 1 for m = 0 .. 10**5
-        assert len(walks) == 1
+        assert len(walks) == (1 if walk else 0)
         assert peak < 2**20, peak
 
 
