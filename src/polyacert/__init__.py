@@ -5,7 +5,9 @@ Laplacian eigenvalue counting functions, entirely in exact rational
 arithmetic on the certified paths, and runs a replayable certification loop
 proving the planar Neumann counting inequality across the spectral interval
 not covered analytically.  A floating-point Bessel oracle cross-validates
-the certified counts against the true spectra at desk scale.
+the certified counts against the true spectra at desk scale, and the
+double-precision analysis of the curve lives apart from the certified
+modules, in ``polyacert.analysis``.
 """
 from .certify import (
     Certificate,
@@ -17,15 +19,9 @@ from .certify import (
 )
 from .curve import (
     BoundKind,
-    a_value,
     g_bracket,
-    g_inverse_quarter,
     g_lower,
-    g_moment,
     g_value,
-    r1,
-    r2_margin,
-    weyl_leading,
     weyl_leading_bounds,
 )
 from .bessel import (
@@ -38,22 +34,27 @@ from .bessel import (
     eigencount_sector,
 )
 from .lattice import (
-    ConvexTable,
     CountResult,
     Rigor,
     certified_floor_term,
-    check_convex_count_lower,
-    check_convex_count_upper,
     count_dirichlet_dim_reduction,
     count_neumann2_certified_lower,
     count_weighted,
+    kappa,
+    sector_lattice_bound,
+)
+from .analysis import (
+    a_value,
     count_weighted_oracle,
     cumulative_multiplicity,
     cumulative_multiplicity_bound,
-    kappa,
+    g_inverse_quarter,
+    g_moment,
     multiplicity_step,
-    sector_lattice_bound,
+    r1,
+    r2_margin,
     sector_lattice_bound_oracle,
+    weyl_leading,
 )
 from .rational import (
     as_rational,
@@ -77,7 +78,6 @@ __all__ = [
     "BoundKind",
     "Certificate",
     "CertificateStep",
-    "ConvexTable",
     "CountResult",
     "DEFAULT_EPS",
     "RationalInterval",
@@ -91,8 +91,6 @@ __all__ = [
     "bessel_j_deriv",
     "certified_floor_term",
     "certify",
-    "check_convex_count_lower",
-    "check_convex_count_upper",
     "cos_bounds",
     "count_dirichlet_dim_reduction",
     "count_neumann2_certified_lower",

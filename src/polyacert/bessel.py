@@ -29,6 +29,8 @@ from .lattice import kappa
 
 NU_MAX = 120.0
 LAMBDA_MAX = 200.0
+# The eigenvalue counts below are supported for 0 <= lam <= EIGENCOUNT_LAMBDA_MAX.
+EIGENCOUNT_LAMBDA_MAX = 100
 
 _SCAN_STEP = 0.5
 _STEP_HALVINGS = 4
@@ -130,8 +132,8 @@ def eigencount_ball_dirichlet(d: int, lam: float) -> int:
     """Dirichlet eigenvalue count of the unit d-ball at spectral parameter lam."""
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if lam < 0 or lam > 100:
-        raise DomainError(f"supported range is 0 <= lam <= 100, got {lam}")
+    if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
+        raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
     total = 0
     for m in range(math.floor(lam - d / 2 + 1) + 1):
         nu = m + d / 2 - 1
@@ -141,8 +143,8 @@ def eigencount_ball_dirichlet(d: int, lam: float) -> int:
 
 def eigencount_disk_neumann(lam: float) -> int:
     """Neumann eigenvalue count of the unit disk, zero mode included."""
-    if lam < 0 or lam > 100:
-        raise DomainError(f"supported range is 0 <= lam <= 100, got {lam}")
+    if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
+        raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
     total = count_zeros(ZeroCountQuery(0.0, lam, derivative=True))
     for m in range(1, math.floor(lam) + 1):
         total += 2 * count_zeros(ZeroCountQuery(float(m), lam, derivative=True))
@@ -153,8 +155,8 @@ def eigencount_sector(kind: BoundKind, alpha: float, lam: float) -> int:
     """Eigenvalue count of the circular sector of aperture alpha in (0, 2*pi]."""
     if not 0 < alpha <= 2 * math.pi + 1e-12:
         raise DomainError(f"aperture must lie in (0, 2*pi], got {alpha}")
-    if lam < 0 or lam > 100:
-        raise DomainError(f"supported range is 0 <= lam <= 100, got {lam}")
+    if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
+        raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
     derivative = kind is BoundKind.NEUMANN
     start = 0 if derivative else 1
     total = 0

@@ -19,16 +19,12 @@ import json
 import math
 import sys
 
-from .bessel import eigencount_ball_dirichlet, eigencount_disk_neumann
+from .analysis import count_weighted_oracle, weyl_leading
+from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
 from .certify import Certificate, certify, gap_endpoints, verify_certificate
-from .curve import BoundKind, weyl_leading
+from .curve import BoundKind
 from .errors import PolyacertError, StallError, StepFailedError, UnresolvedFloorError
-from .lattice import (
-    CountResult,
-    count_weighted,
-    count_weighted_oracle,
-    sector_lattice_bound,
-)
+from .lattice import CountResult, count_weighted, sector_lattice_bound
 from .rational import (
     format_rational,
     parse_rational,
@@ -182,10 +178,16 @@ def cmd_oracle(args) -> int:
     d = args.d
     lam_max = args.lambda_max
     step = args.step
+    if d < 2:
+        print(f"dimension must be >= 2, got --d {d}", file=sys.stderr)
+        return 2
     if step <= 0 or lam_max <= 0:
         print("grid step and lambda-max must be positive", file=sys.stderr)
         return 2
     if _too_many_points(lam_max, step):
+        return 2
+    if lam_max > EIGENCOUNT_LAMBDA_MAX:
+        print(f"the eigenvalue counts need lambda-max <= {EIGENCOUNT_LAMBDA_MAX}", file=sys.stderr)
         return 2
     violations = 0
     rows = 0
@@ -217,20 +219,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    stop = to_float(args.stop)
-    step = to_float(args.step)
-    if step <= 0 or stop <= 0 or stop > 100:
-        print("need 0 < step and 0 < stop <= 100", file=sys.stderr)
+    stop, step = args.stop, args.step
+    if step <= 0 or stop <= 0 or stop > EIGENCOUNT_LAMBDA_MAX:
+        print(f"need 0 < step and 0 < stop <= {EIGENCOUNT_LAMBDA_MAX}", file=sys.stderr)
         return 2
-    if _too_many_points(args.stop, args.step):
+    if _too_many_points(stop, step):
         return 2
     lines = [
         "# non-certified data: double-precision oracle evaluations",
         "lambda,count_dirichlet_2,count_neumann_2,weyl_2,eigen_dirichlet_2,eigen_neumann_2,neumann_excess",
     ]
     n = 1
-    while n * step <= stop + 1e-12:
-        lam = n * step
+    while n * step <= stop:
+        # the grid is exact, so its last point is stop itself, not a double just past it
+        lam = to_float(n * step)
         n += 1
         p_d = count_weighted_oracle(2, BoundKind.DIRICHLET, lam).value
         p_n = count_weighted_oracle(2, BoundKind.NEUMANN, lam).value

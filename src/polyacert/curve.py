@@ -1,4 +1,4 @@
-"""The counting curve and the analytic quantities derived from it.
+"""The counting curve and its certified evaluation.
 
 The central object is the dilated curve
 
@@ -9,13 +9,14 @@ at lam/pi, ends at 0, and has slope bounded by 1/2 in absolute value.  The
 weighted counts of shifted lattice points under this curve bound eigenvalue
 counting functions of balls and the disk from the relevant sides.
 
-Two evaluation regimes coexist:
-
-* exploratory double-precision functions (:func:`g_value`, :func:`g_moment`,
-  :func:`g_inverse_quarter`, ...) used for oracles, plots, and desk checks;
-* the certified bracket :func:`g_bracket`, exact rationals that provably
-  enclose the true value, used by the certified-exact counts, and its lower
-  end alone, :func:`g_lower`, used by the certified lower counts.
+The certified bracket :func:`g_bracket` gives exact rationals that provably
+enclose G, for the certified-exact counts, and its lower end alone,
+:func:`g_lower`, serves the certified lower counts.
+:func:`weyl_leading_bounds` brackets the leading Weyl term.  The one
+double-precision function here, :func:`g_value`, is a hint: the exact floor
+term picks its first bracket accuracy from it and never trusts it.  The
+rest of the double-precision analysis (moments, the Weyl term, the
+quarter-level abscissa) lives in :mod:`polyacert.analysis`.
 
 A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 :func:`prepare_g_lower` builds everything that depends on (lam, eps) alone
@@ -182,35 +183,6 @@ def _over_pi(root: Fraction, zn: int, zd: int, an: int, ad: int, pi: Fraction) -
     return num * pi.denominator, root_d * zd * ad * pi.numerator
 
 
-def g_moment(lam: float, beta: float) -> float:
-    """Closed form of the weighted area integral of z^beta times the curve height.
-
-    Equals Gamma((beta+1)/2) * lam^(beta+2) / (4*sqrt(pi)*(beta+2)*Gamma((beta+4)/2));
-    for beta = 0 this is lam^2/8, the plain area under the curve.
-    """
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if beta < 0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
-    if beta == 0:
-        return lam * lam / 8  # the gamma factors cancel exactly
-    return (
-        math.gamma((beta + 1) / 2)
-        * lam ** (beta + 2)
-        / (4 * math.sqrt(math.pi) * (beta + 2) * math.gamma((beta + 4) / 2))
-    )
-
-
-def weyl_leading(d: int, lam: float) -> float:
-    """Leading eigenvalue-count asymptotics for the unit ball: w_d * lam^d."""
-    if d < 2:
-        raise BadDimensionError(f"dimension must be >= 2, got {d}")
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    w = 1 / (2**d * math.gamma(d / 2 + 1) ** 2)
-    return w * lam**d
-
-
 def weyl_leading_bounds(d: int, lam, eps) -> RationalInterval:
     """Certified rational bracket of the leading term w_d * lam^d.
 
@@ -235,57 +207,15 @@ def weyl_leading_bounds(d: int, lam, eps) -> RationalInterval:
     return RationalInterval(coeff / pi.hi, coeff / pi.lo)
 
 
-def g_inverse_quarter(lam: float) -> float:
-    """The unique z with g_value(lam, z) = 1/4, by bisection.
-
-    Defined for lam >= pi/4 (so the curve starts at or above 1/4).  The curve
-    is strictly decreasing, hence bisection on [0, lam] converges
-    unconditionally; 100 iterations push the relative error below 1e-12.
-    """
-    if lam < math.pi / 4:
-        raise DomainError(f"g_inverse_quarter needs lam >= pi/4, got {lam}")
-    lo, hi = 0.0, float(lam)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g_value(lam, mid) >= 0.25:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lam):
-            break
-    return 0.5 * (lo + hi)
+# Double-precision names of polyacert.analysis that callers import from this
+# module; they resolve here by importing it on first use (PEP 562), so this
+# module never imports it otherwise.
+_ANALYSIS_NAMES = frozenset({"g_moment", "weyl_leading", "g_inverse_quarter", "r1", "a_value", "r2_margin"})
 
 
-def r1(sigma: float) -> float:
-    """Smallest lam at which the quarter-level abscissa is >= lam*cos(sigma).
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
 
-    Equals pi / (4*(sin(sigma) - sigma*cos(sigma))) for sigma in (0, pi/2].
-    """
-    if not 0 < sigma <= math.pi / 2 + 1e-15:
-        raise DomainError(f"sigma must lie in (0, pi/2], got {sigma}")
-    return math.pi / (4 * (math.sin(sigma) - sigma * math.cos(sigma)))
-
-
-def a_value(kind: BoundKind, nu: float, lam: float) -> float:
-    """Envelope for the number of Bessel (derivative) zeros below lam.
-
-    Equals the curve height at nu plus the kind's shift when lam >= nu, and
-    just the shift otherwise.
-    """
-    if nu < 0 or lam < 0:
-        raise DomainError(f"nu and lam must be non-negative, got nu={nu}, lam={lam}")
-    shift = float(kind.shift)
-    if lam < nu:
-        return shift
-    return g_value(lam, nu) + shift if lam > 0 else shift
-
-
-def r2_margin(lam: float) -> float:
-    """Margin 3*g_inverse_quarter(lam) - lam*(1 + 4/pi) - 3 for lam >= 2.
-
-    Non-negativity of this margin makes the analytic route to the Neumann
-    inequality applicable at lam.
-    """
-    if lam < 2:
-        raise DomainError(f"r2_margin needs lam >= 2, got {lam}")
-    return 3 * g_inverse_quarter(lam) - lam * (1 + 4 / math.pi) - 3
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

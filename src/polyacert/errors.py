@@ -49,18 +49,6 @@ class UnresolvedFloorError(PolyacertError):
         )
 
 
-class HypothesisViolatedError(PolyacertError, ValueError):
-    """A tabulated function failed one of the counting-theorem hypotheses."""
-
-    def __init__(self, predicate: str, detail: str = ""):
-        self.predicate = predicate
-        super().__init__(f"hypothesis violated: {predicate}" + (f" ({detail})" if detail else ""))
-
-
-class M0ExceedsBError(PolyacertError, ValueError):
-    """The quarter-level crossing index exceeds the domain endpoint."""
-
-
 class IrrationalApertureError(PolyacertError, ValueError):
     """Certified sector counting needs the aperture as an exact rational multiple of pi."""
 

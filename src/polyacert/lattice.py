@@ -8,7 +8,8 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
   whose two ends share the same floor, so the value equals the true count;
 * ``CERTIFIED_LOWER`` -- floors are taken of a certified lower bound of G
   (single-sided, no refinement), so the value never exceeds the true count;
-* ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only.
+* ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only;
+  the oracle counts live in :mod:`polyacert.analysis`.
 
 The certified single sums (:func:`count_weighted`,
 :func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) add
@@ -23,8 +24,8 @@ columns at lambda 1000 (a sixth at 10^4), decides each point by
 bound, so the count is exact; if a point test raises, the whole sum is
 rerun term by term, so exceptions are those of the term-by-term sum.
 Three routes keep their own summation, because the tests compare the walk
-against them: the double-precision :func:`count_weighted_oracle` and
-:func:`sector_lattice_bound_oracle`, and
+against them: the double-precision ``analysis.count_weighted_oracle`` and
+``analysis.sector_lattice_bound_oracle``, and
 :func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
 count in its dimension-reduction form.
 
@@ -33,10 +34,6 @@ each term then builds only its own radicand, verifies the root's and the
 arccos's ends (the latter on integers) and floors the bound on integers.
 The verified ends are those of :func:`curve.g_lower`, so lower counts are
 the same integers as the term-by-term sum of clamped floors of ``g_lower``.
-
-The module also houses the two counting theorems used to compare floor sums
-against area integrals for tabulated decreasing convex functions, and the
-cumulative multiplicity function with its polynomial bound.
 """
 from __future__ import annotations
 
@@ -50,9 +47,7 @@ from .errors import (
     BadDimensionError,
     DomainError,
     GuessFailedError,
-    HypothesisViolatedError,
     IrrationalApertureError,
-    M0ExceedsBError,
     UnresolvedFloorError,
 )
 from .rational import ZERO, as_rational, rat_floor, rational, to_float
@@ -333,21 +328,6 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
-def count_weighted_oracle(d: int, kind: BoundKind, lam: float) -> CountResult:
-    """Double-precision evaluation of the weighted count; not certified."""
-    _validate_count_args(d, kind)
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    if lam == 0:
-        return CountResult(0, Rigor.ORACLE)
-    shift = to_float(kind.shift)
-    m_top = math.floor(lam - d / 2 + 1)
-    total = 0
-    for m in range(m_top + 1):
-        total += kappa(d, m) * math.floor(g_value(lam, m + d / 2 - 1) + shift)
-    return CountResult(total, Rigor.ORACLE)
-
-
 def _validate_count_args(d: int, kind: BoundKind) -> None:
     if d < 2:
         raise BadDimensionError(f"dimension must be >= 2, got {d}")
@@ -438,7 +418,7 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     at m = 1, Neumann at m = 0.  A sum of at least _WALK_MIN_TERMS terms
     is S, minus t0 for Dirichlet, from the hull walk (_convex_floor_sum),
     or the term-by-term sum where a point test of the walk raises.  For
-    irrational apertures use :func:`sector_lattice_bound_oracle`.
+    irrational apertures use ``analysis.sector_lattice_bound_oracle``.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(
@@ -463,191 +443,22 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
-def sector_lattice_bound_oracle(kind: BoundKind, alpha: float, lam: float) -> CountResult:
-    """Double-precision sector count for arbitrary apertures in (0, 2*pi]."""
-    if not 0 < alpha <= 2 * math.pi + 1e-12:
-        raise DomainError(f"aperture must lie in (0, 2*pi], got {alpha}")
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    shift = to_float(kind.shift)
-    start = 1 if kind is BoundKind.DIRICHLET else 0
-    total = 0
-    for m in range(start, math.floor(alpha * lam / math.pi) + 1):
-        z = m * math.pi / alpha
-        total += math.floor((g_value(lam, z) if lam > 0 else 0.0) + shift)
-    return CountResult(total, Rigor.ORACLE)
+# The double-precision oracles and multiplicity functions of
+# polyacert.analysis that callers import from this module; they resolve here
+# by importing it on first use (PEP 562), so this module never imports it
+# otherwise.
+_ANALYSIS_NAMES = frozenset({
+    "count_weighted_oracle",
+    "sector_lattice_bound_oracle",
+    "multiplicity_step",
+    "cumulative_multiplicity",
+    "cumulative_multiplicity_bound",
+})
 
 
-# ---------------------------------------------------------------------------
-# Cumulative multiplicity and its polynomial bound
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
 
-
-def multiplicity_step(d: int, t: float) -> float:
-    """Piecewise-constant multiplicity density: C(m+d-2, d-2) on the m-th step."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if t < 0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    if t < d / 2 - 1:
-        return 0.0
-    m = math.floor(t - d / 2 + 1)
-    return float(math.comb(m + d - 2, d - 2))
-
-
-def cumulative_multiplicity(d: int, z: float) -> float:
-    """Integral of the multiplicity density from 0 to z, in closed form."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z}")
-    if z < d / 2 - 1:
-        return 0.0
-    m = math.floor(z - d / 2 + 1)
-    rising = math.prod(range(m + 1, m + d - 1))  # (m+1)*...*(m+d-2)
-    return rising / math.factorial(d - 1) * ((d - 1) * z - (d - 2) * m - (d - 1) * (d - 2) / 2)
-
-
-def cumulative_multiplicity_bound(d: int, z: float) -> float:
-    """Smooth upper bound z^(d-1)/(d-1)! of the cumulative multiplicity."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z}")
-    return z ** (d - 1) / math.factorial(d - 1)
-
-
-# ---------------------------------------------------------------------------
-# Counting theorems for tabulated decreasing convex functions
-# ---------------------------------------------------------------------------
-
-_TABLE_TOL = 1e-9
-
-
-class _TableFields(NamedTuple):
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-
-
-class ConvexTable(_TableFields):
-    """Piecewise-linear tabulation of a function on [0, b] (immutable).
-
-    Breakpoints must start at 0, increase strictly, end at b, and contain
-    every integer of [0, b]; the hypothesis checks and both counting
-    inequalities are then exact statements about the piecewise-linear
-    interpolant (its integral is the trapezoid sum, which is exact).
-    Tabulating a genuinely convex decreasing function produces an admissible
-    table, since chords inherit monotonicity, convexity, and the slope bound.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, breakpoints: tuple[float, ...], values: tuple[float, ...]):
-        if len(breakpoints) != len(values) or len(breakpoints) < 2:
-            raise ValueError("need matching breakpoints/values with at least two points")
-        if abs(breakpoints[0]) > _TABLE_TOL:
-            raise ValueError("tabulation must start at 0")
-        for a, b in zip(breakpoints, breakpoints[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must increase strictly")
-        return super().__new__(cls, breakpoints, values)
-
-    @classmethod
-    def _make(cls, iterable) -> "ConvexTable":
-        """Build through __new__, so _make and _replace, which calls it, check their input too."""
-        return cls(*iterable)
-
-    @property
-    def b(self) -> float:
-        return self.breakpoints[-1]
-
-    @classmethod
-    def from_function(cls, g, b: float) -> "ConvexTable":
-        """Tabulate g on the uniform grid k/8 plus the endpoint b."""
-        points = [k / 8 for k in range(int(b * 8) + 1)]
-        if points[-1] < b - _TABLE_TOL:
-            points.append(b)
-        else:
-            points[-1] = b
-        return cls(tuple(points), tuple(float(g(t)) for t in points))
-
-    def integral(self) -> float:
-        total = 0.0
-        for (t0, t1), (v0, v1) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]), zip(self.values, self.values[1:])
-        ):
-            total += 0.5 * (v0 + v1) * (t1 - t0)
-        return total
-
-    def integer_values(self) -> list[float]:
-        """Values at z = 0, 1, ..., floor(b); every integer must be a breakpoint."""
-        out = {}
-        for t, v in zip(self.breakpoints, self.values):
-            r = round(t)
-            if abs(t - r) <= _TABLE_TOL:
-                out[r] = v
-        top = math.floor(self.b + _TABLE_TOL)
-        missing = [m for m in range(top + 1) if m not in out]
-        if missing:
-            raise ValueError(f"tabulation is missing integer breakpoints {missing}")
-        return [out[m] for m in range(top + 1)]
-
-
-def _check_table_hypotheses(table: ConvexTable) -> None:
-    values = table.values
-    if min(values) < -_TABLE_TOL:
-        raise HypothesisViolatedError("non-negative", f"min value {min(values)}")
-    if abs(values[-1]) > _TABLE_TOL:
-        raise HypothesisViolatedError("endpoint zero", f"g(b) = {values[-1]}")
-    slopes = [
-        (v1 - v0) / (t1 - t0)
-        for (t0, t1), (v0, v1) in zip(
-            zip(table.breakpoints, table.breakpoints[1:]), zip(values, values[1:])
-        )
-    ]
-    if max(slopes) > _TABLE_TOL:
-        raise HypothesisViolatedError("decreasing", f"max slope {max(slopes)}")
-    if min(slopes) < -0.5 - _TABLE_TOL:
-        raise HypothesisViolatedError("slope bounded by 1/2", f"min slope {min(slopes)}")
-    for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 < s0 - _TABLE_TOL:
-            raise HypothesisViolatedError("convex", f"slope drops from {s0} to {s1}")
-
-
-def check_convex_count_upper(table: ConvexTable) -> bool:
-    """Quarter-shifted floor sum against twice the area, for admissible tables.
-
-    Checks the table hypotheses (non-negative, decreasing, convex, slope
-    bound, zero endpoint), then tests
-
-        floor(g(0)+1/4) + 2*sum_{m=1..floor(b)} floor(g(m)+1/4) <= 2*integral.
-
-    Equality forces g to vanish identically, so the check should return True
-    with room to spare on any non-trivial admissible table.
-    """
-    _check_table_hypotheses(table)
-    ints = table.integer_values()
-    lhs = math.floor(ints[0] + 0.25) + 2 * sum(math.floor(v + 0.25) for v in ints[1:])
-    return lhs <= 2 * table.integral() + _TABLE_TOL
-
-
-def check_convex_count_lower(table: ConvexTable) -> bool:
-    """Three-quarter-shifted floor sum against the area minus the tail correction.
-
-    Requires additionally g(0) >= 1/4, and that the quarter-level crossing
-    index M0 = 1 + max{m : g(m) >= 1/4} satisfies M0 <= b.  Tests
-
-        sum_{m=0..floor(b)} floor(g(m)+3/4) >= integral - (b - 3*M0)/8.
-    """
-    _check_table_hypotheses(table)
-    ints = table.integer_values()
-    if ints[0] < 0.25 - _TABLE_TOL:
-        raise HypothesisViolatedError("g(0) >= 1/4", f"g(0) = {ints[0]}")
-    above = [m for m, v in enumerate(ints) if v >= 0.25]
-    m0 = 1 + max(above)
-    if m0 > table.b + _TABLE_TOL:
-        raise M0ExceedsBError(f"M0 = {m0} exceeds b = {table.b}")
-    lhs = sum(math.floor(v + 0.75) for v in ints)
-    rhs = table.integral() - (table.b - 3 * m0) / 8
-    return lhs >= rhs - _TABLE_TOL
-
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -462,6 +462,16 @@ class TestOracleCommand:
         assert out == ""
         assert err.startswith("the grid has 10001 points")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--lambda-max", "250", "--step", "50"), "the eigenvalue counts need lambda-max <= 100\n"),
+        (("--lambda-max", "1001/10", "--step", "1/10"), "the eigenvalue counts need lambda-max <= 100\n"),
+        (("--d", "1"), "dimension must be >= 2, got --d 1\n"),
+    ], ids=["past-range", "just-past-range", "d=1"])
+    def test_an_unsupported_grid_is_rejected_before_any_output(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "count_weighted", None)  # any count would raise
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out, err) == (2, "", message)
+
 
 class TestPlotdataCommand:
     def test_csv_shape_and_sign_pattern(self, capsys, tmp_path):
@@ -491,3 +501,14 @@ class TestPlotdataCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("the grid has 10001 points")
+
+    def test_a_grid_past_the_eigencount_range_is_rejected_before_any_output(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_weighted_oracle", None)  # any count would raise
+        code, out, err = run(capsys, "plotdata", "--stop", "1001/10", "--step", "1/10")
+        assert (code, out, err) == (2, "", "need 0 < step and 0 < stop <= 100\n")
+
+    def test_the_last_grid_point_is_stop_itself(self, capsys):
+        # 11 times the double nearest 100/11 is a double just above 100
+        code, out, _ = run(capsys, "plotdata", "--stop", "100", "--step", "100/11")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("100,")

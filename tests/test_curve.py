@@ -8,19 +8,8 @@ from hypothesis import strategies as st
 
 
 from polyacert import verified
-from polyacert.curve import (
-    BoundKind,
-    a_value,
-    g_bracket,
-    g_inverse_quarter,
-    g_lower,
-    g_moment,
-    g_value,
-    r1,
-    r2_margin,
-    weyl_leading,
-    weyl_leading_bounds,
-)
+from polyacert.analysis import a_value, g_inverse_quarter, g_moment, r1, r2_margin, weyl_leading
+from polyacert.curve import BoundKind, g_bracket, g_lower, g_value, weyl_leading_bounds
 from polyacert.errors import BadDimensionError, DomainError, GuessFailedError
 from polyacert.rational import rational, to_float
 from polyacert.verified import DEFAULT_EPS, arccos_bounds, pi_bounds, sqrt_bounds

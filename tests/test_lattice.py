@@ -1,40 +1,36 @@
 """Tests for weighted counts, dimension reduction, sectors, and counting harnesses."""
 import math
 import tracemalloc
-from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyacert import lattice
 from polyacert.cli import main
 from polyacert.curve import BoundKind, g_lower, g_value
+from polyacert.analysis import (
+    count_weighted_oracle,
+    cumulative_multiplicity,
+    cumulative_multiplicity_bound,
+    multiplicity_step,
+    sector_lattice_bound_oracle,
+)
 from polyacert.errors import (
     BadDimensionError,
     DomainError,
     GuessFailedError,
-    HypothesisViolatedError,
     IrrationalApertureError,
-    M0ExceedsBError,
     UnresolvedFloorError,
 )
 from polyacert.lattice import (
-    ConvexTable,
     Rigor,
     certified_floor_term,
-    check_convex_count_lower,
-    check_convex_count_upper,
     count_dirichlet_dim_reduction,
     count_neumann2_certified_lower,
     count_weighted,
-    count_weighted_oracle,
-    cumulative_multiplicity,
-    cumulative_multiplicity_bound,
     kappa,
-    multiplicity_step,
     sector_lattice_bound,
-    sector_lattice_bound_oracle,
 )
 from polyacert.rational import rat_floor, rational
 from polyacert.verified import DEFAULT_EPS, RationalInterval
@@ -526,121 +522,3 @@ class TestCumulativeMultiplicity:
     def test_bad_dimension(self):
         with pytest.raises(BadDimensionError):
             cumulative_multiplicity(2, 1.0)
-
-
-def evaluate_piecewise_linear(breaks, vals, t):
-    for (t0, t1), (v0, v1) in zip(zip(breaks, breaks[1:]), zip(vals, vals[1:])):
-        if t0 <= t <= t1:
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-    raise AssertionError(f"{t} outside table")
-
-
-def admissible_tables(require_lower=False):
-    """Random admissible piecewise-linear tables on a quarter grid."""
-
-    @st.composite
-    def build(draw):
-        n_segments = draw(st.integers(1, 4))
-        lengths = [draw(st.integers(1, 8)) for _ in range(n_segments)]  # quarters
-        magnitudes = sorted(
-            (draw(st.integers(0, 8)) for _ in range(n_segments)), reverse=True
-        )  # slopes -m/16, steepest first keeps the table convex
-        seg_breaks = [Fraction(0)]
-        for length in lengths:
-            seg_breaks.append(seg_breaks[-1] + Fraction(length, 4))
-        b = seg_breaks[-1]
-        seg_vals = [Fraction(0)] * (n_segments + 1)
-        for i in range(n_segments - 1, -1, -1):
-            seg_vals[i] = seg_vals[i + 1] + Fraction(magnitudes[i], 16) * Fraction(lengths[i], 4)
-        quarters = [Fraction(k, 4) for k in range(int(b * 4) + 1)]
-        values = [
-            evaluate_piecewise_linear(seg_breaks, seg_vals, t) for t in quarters
-        ]
-        table = ConvexTable(tuple(float(t) for t in quarters), tuple(float(v) for v in values))
-        if require_lower:
-            assume(values[0] >= Fraction(1, 4))
-            above = [m for m in range(math.floor(b) + 1) if values[4 * m] >= Fraction(1, 4)]
-            assume(above and 1 + max(above) <= b)
-        return table
-
-    return build()
-
-
-class TestConvexCountChecks:
-    def test_zero_function_is_equality(self):
-        table = ConvexTable((0.0, 1.0, 2.0), (0.0, 0.0, 0.0))
-        assert check_convex_count_upper(table)
-
-    def test_table_is_an_immutable_validated_value(self):
-        table = ConvexTable((0.0, 1.0), (0.5, 0.0))
-        assert table == ConvexTable((0.0, 1.0), (0.5, 0.0))
-        assert table != ConvexTable((0.0, 1.0), (0.25, 0.0))
-        assert hash(table) == hash(((0.0, 1.0), (0.5, 0.0)))
-        assert repr(table) == "ConvexTable(breakpoints=(0.0, 1.0), values=(0.5, 0.0))"
-        with pytest.raises(AttributeError):
-            table.values = (0.0, 0.0)
-        for breakpoints, values in [((0.0,), (0.0,)), ((0.5, 1.0), (0.1, 0.0)), ((0.0, 0.0), (0.1, 0.0))]:
-            with pytest.raises(ValueError):
-                ConvexTable(breakpoints, values)
-
-    def test_make_and_replace_check_their_input(self):
-        table = ConvexTable((0.0, 1.0), (0.5, 0.0))
-        assert ConvexTable._make([(0.0, 1.0), (0.5, 0.0)]) == table
-        assert table._replace(values=(0.25, 0.0)) == ConvexTable((0.0, 1.0), (0.25, 0.0))
-        with pytest.raises(ValueError):
-            table._replace(breakpoints=(1.0,))
-        with pytest.raises(ValueError):
-            ConvexTable._make([(0.5, 1.0), (0.1, 0.0)])
-
-    def test_curve_table_passes_upper(self):
-        lam = 7.0
-        table = ConvexTable.from_function(lambda z: g_value(lam, z), lam)
-        assert check_convex_count_upper(table)
-
-    def test_curve_table_passes_lower(self):
-        for lam in (2.0, 14.0):
-            table = ConvexTable.from_function(lambda z: g_value(lam, z), lam)
-            assert check_convex_count_lower(table)
-
-    def test_one_interval_equality_case(self):
-        # the half-weighted one-interval inequality is attained by the line
-        # with slope -1/2 passing through n + 3/4 at the left endpoint
-        n, i = 1, 0
-        g = lambda z: n + (i - z) / 2 + 3 / 4
-        lhs = 0.5 * math.floor(g(i) + 0.25) + 0.5 * math.floor(g(i + 1) + 0.25)
-        integral = (g(i) + g(i + 1)) / 2
-        assert lhs == integral == n + 0.5
-
-    def test_hypothesis_violations_are_named(self):
-        with pytest.raises(HypothesisViolatedError, match="decreasing"):
-            check_convex_count_upper(ConvexTable((0.0, 1.0, 2.0), (0.5, 0.8, 0.0)))
-        with pytest.raises(HypothesisViolatedError, match="slope"):
-            check_convex_count_upper(ConvexTable((0.0, 1.0, 2.0), (1.3, 0.6, 0.0)))
-        with pytest.raises(HypothesisViolatedError, match="endpoint"):
-            check_convex_count_upper(ConvexTable((0.0, 1.0), (0.5, 0.2)))
-        with pytest.raises(HypothesisViolatedError, match="convex"):
-            check_convex_count_upper(
-                ConvexTable((0.0, 1.0, 2.0, 3.0), (0.8, 0.7, 0.4, 0.0))
-            )
-        with pytest.raises(HypothesisViolatedError, match="non-negative"):
-            check_convex_count_upper(ConvexTable((0.0, 1.0, 2.0), (0.4, -0.1, 0.0)))
-
-    def test_lower_requires_quarter_start(self):
-        with pytest.raises(HypothesisViolatedError, match="1/4"):
-            check_convex_count_lower(ConvexTable((0.0, 1.0), (0.2, 0.0)))
-
-    def test_m0_exceeding_b_is_reported(self):
-        table = ConvexTable((0.0, 1.0, 1.9), (0.57, 0.27, 0.0))
-        with pytest.raises(M0ExceedsBError):
-            check_convex_count_lower(table)
-
-    @given(table=admissible_tables())
-    @settings(max_examples=200, deadline=None)
-    def test_upper_never_fails_on_admissible_tables(self, table):
-        assert check_convex_count_upper(table)
-
-    @given(table=admissible_tables(require_lower=True))
-    @settings(max_examples=200, deadline=None)
-    def test_lower_never_fails_on_admissible_tables(self, table):
-        assert check_convex_count_lower(table)
-
