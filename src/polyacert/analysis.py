@@ -3,9 +3,11 @@
 Everything here is floating point and non-certified, for plots, desk checks
 and cross-checks of the certified counts.  The certified modules
 (``rational``, ``verified``, ``curve``, ``lattice`` and ``certify``) never
-import this one; it imports from them.  ``curve`` and ``lattice`` still
-resolve the names that used to live there, by importing this module on
-first use (their module ``__getattr__``).
+import this one; it imports from them.  ``cli`` imports it only inside
+``oracle`` and ``plotdata``, so ``certify``, ``verify`` and ``count`` never
+load it.  ``lattice``
+still resolves ``count_weighted_oracle`` and ``sector_lattice_bound_oracle``,
+which the benchmark reads there, by importing this module on first use.
 """
 from __future__ import annotations
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from .curve import BoundKind
 from .errors import AccuracyLossError, DomainError, ScanAmbiguousError
@@ -59,14 +58,6 @@ def bessel_j_deriv(nu: float, x: float) -> float:
     if not math.isfinite(value):
         raise AccuracyLossError(f"J'_{nu}({x}) evaluation lost accuracy: {value}")
     return value
-
-
-class ZeroCountQuery(NamedTuple):
-    """How many positive zeros of J_nu (or J'_nu) are at most lam."""
-
-    nu: float
-    lam: float
-    derivative: bool = False
 
 
 def _scan_once(func, start: float, stop: float, step: float) -> list[float] | None:
@@ -113,18 +104,21 @@ def _positive_zeros(nu: float, derivative: bool, x_hi: float) -> tuple[float, ..
     )
 
 
-def count_zeros(query: ZeroCountQuery) -> int:
-    """Number of zeros <= lam, honouring the order-zero derivative convention."""
-    if query.nu < 0 or query.lam < 0:
-        raise DomainError(f"need nu >= 0 and lam >= 0, got {query}")
-    if query.nu > NU_MAX or query.lam > LAMBDA_MAX:
+def count_zeros(nu: float, lam: float, derivative: bool = False) -> int:
+    """Number of positive zeros of J_nu (or J'_nu) that are <= lam.
+
+    The order-zero derivative convention holds: its zero at the origin counts.
+    """
+    if nu < 0 or lam < 0:
+        raise DomainError(f"need nu >= 0 and lam >= 0, got nu={nu}, lam={lam}")
+    if nu > NU_MAX or lam > LAMBDA_MAX:
         raise DomainError(f"supported range is nu <= {NU_MAX}, lam <= {LAMBDA_MAX}")
-    bonus = 1 if (query.derivative and query.nu == 0) else 0
-    if query.lam <= 0.1:
+    bonus = 1 if (derivative and nu == 0) else 0
+    if lam <= 0.1:
         return bonus  # scan starts above 0.1; no positive zero can be that small
-    x_hi = 10.0 * math.ceil(query.lam / 10.0)
-    zeros = _positive_zeros(float(query.nu), bool(query.derivative), x_hi)
-    cutoff = query.lam + _COUNT_TOL * (1.0 + query.lam)
+    x_hi = 10.0 * math.ceil(lam / 10.0)
+    zeros = _positive_zeros(float(nu), bool(derivative), x_hi)
+    cutoff = lam + _COUNT_TOL * (1.0 + lam)
     return bonus + sum(1 for z in zeros if z <= cutoff)
 
 
@@ -137,7 +131,7 @@ def eigencount_ball_dirichlet(d: int, lam: float) -> int:
     total = 0
     for m in range(math.floor(lam - d / 2 + 1) + 1):
         nu = m + d / 2 - 1
-        total += kappa(d, m) * count_zeros(ZeroCountQuery(nu, lam))
+        total += kappa(d, m) * count_zeros(nu, lam)
     return total
 
 
@@ -145,9 +139,9 @@ def eigencount_disk_neumann(lam: float) -> int:
     """Neumann eigenvalue count of the unit disk, zero mode included."""
     if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
         raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
-    total = count_zeros(ZeroCountQuery(0.0, lam, derivative=True))
+    total = count_zeros(0.0, lam, derivative=True)
     for m in range(1, math.floor(lam) + 1):
-        total += 2 * count_zeros(ZeroCountQuery(float(m), lam, derivative=True))
+        total += 2 * count_zeros(float(m), lam, derivative=True)
     return total
 
 
@@ -162,5 +156,5 @@ def eigencount_sector(kind: BoundKind, alpha: float, lam: float) -> int:
     total = 0
     for m in range(start, math.floor(alpha * lam / math.pi) + 1):
         nu = m * math.pi / alpha
-        total += count_zeros(ZeroCountQuery(nu, lam, derivative=derivative))
+        total += count_zeros(nu, lam, derivative)
     return total

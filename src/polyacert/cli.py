@@ -10,7 +10,9 @@ plotdata  CSV of counts along a grid (double precision, non-certified)
 
 Exit codes: 0 success; 2 a certified computation or comparison failed;
 3 I/O or certificate parse failure.  All certificate-related output is
-exact rational text; no floats appear in it.
+exact rational text; no floats appear in it.  Only oracle and plotdata
+load the float layer (``analysis``, ``bessel`` and through it scipy), so
+the certified commands run on the standard library alone.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ import json
 import math
 import sys
 
-from .analysis import count_weighted_oracle, weyl_leading
-from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
 from .certify import Certificate, certify, gap_endpoints, verify_certificate
 from .curve import BoundKind
 from .errors import PolyacertError, StallError, StepFailedError, UnresolvedFloorError
@@ -175,6 +175,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
+
     d = args.d
     lam_max = args.lambda_max
     step = args.step
@@ -219,6 +221,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    from .analysis import count_weighted_oracle, weyl_leading
+    from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
+
     stop, step = args.stop, args.step
     if step <= 0 or stop <= 0 or stop > EIGENCOUNT_LAMBDA_MAX:
         print(f"need 0 < step and 0 < stop <= {EIGENCOUNT_LAMBDA_MAX}", file=sys.stderr)

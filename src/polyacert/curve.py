@@ -205,17 +205,3 @@ def weyl_leading_bounds(d: int, lam, eps) -> RationalInterval:
     pi = pi_bounds(eps)
     coeff = rational(2, odd_sq) * power
     return RationalInterval(coeff / pi.hi, coeff / pi.lo)
-
-
-# Double-precision names of polyacert.analysis that callers import from this
-# module; they resolve here by importing it on first use (PEP 562), so this
-# module never imports it otherwise.
-_ANALYSIS_NAMES = frozenset({"g_moment", "weyl_leading", "g_inverse_quarter", "r1", "a_value", "r2_margin"})
-
-
-def __getattr__(name: str):
-    if name in _ANALYSIS_NAMES:
-        from . import analysis
-
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -443,21 +443,16 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
-# The double-precision oracles and multiplicity functions of
-# polyacert.analysis that callers import from this module; they resolve here
-# by importing it on first use (PEP 562), so this module never imports it
-# otherwise.
-_ANALYSIS_NAMES = frozenset({
-    "count_weighted_oracle",
-    "sector_lattice_bound_oracle",
-    "multiplicity_step",
-    "cumulative_multiplicity",
-    "cumulative_multiplicity_bound",
-})
+# The benchmark's output checks (perfbench/workloads.py) read the two
+# double-precision oracles of polyacert.analysis as lattice attributes, and
+# the benchmark stays unchanged until its own fix (ROADMAP item 2).  They
+# resolve here by importing analysis on first use (PEP 562), so this module
+# never imports it otherwise.
+_PERFBENCH_ORACLES = frozenset({"count_weighted_oracle", "sector_lattice_bound_oracle"})
 
 
 def __getattr__(name: str):
-    if name in _ANALYSIS_NAMES:
+    if name in _PERFBENCH_ORACLES:
         from . import analysis
 
         return getattr(analysis, name)

@@ -22,7 +22,8 @@ rational = Fraction
 
 ZERO = Fraction(0)
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII only: \d would also match other scripts' digits, which int() accepts
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def as_rational(value) -> Fraction:

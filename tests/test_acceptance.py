@@ -11,8 +11,8 @@ import time
 import mpmath
 import pytest
 
+from polyacert.analysis import a_value, g_moment
 from polyacert.bessel import (
-    ZeroCountQuery,
     count_zeros,
     eigencount_ball_dirichlet,
     eigencount_disk_neumann,
@@ -25,7 +25,7 @@ from polyacert.certify import (
     gap_endpoints,
     verify_certificate,
 )
-from polyacert.curve import BoundKind, a_value, g_moment, g_value, weyl_leading_bounds
+from polyacert.curve import BoundKind, g_value, weyl_leading_bounds
 from polyacert.lattice import (
     count_dirichlet_dim_reduction,
     count_neumann2_certified_lower,
@@ -181,9 +181,9 @@ def test_07_zero_count_envelope_cross_check():
             for j in range(0, 241):
                 lam = j / 4
                 dirichlet_cap = math.floor(a_value(D, nu, lam))
-                assert count_zeros(ZeroCountQuery(nu, lam)) <= dirichlet_cap
+                assert count_zeros(nu, lam) <= dirichlet_cap
                 neumann_floor = math.floor(a_value(N, nu, lam))
-                assert count_zeros(ZeroCountQuery(nu, lam, derivative=True)) >= neumann_floor
+                assert count_zeros(nu, lam, derivative=True) >= neumann_floor
 
 
 def test_08_dimension_reduction_equality():

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import jn_zeros, jnp_zeros
 
 from polyacert.bessel import (
-    ZeroCountQuery,
     _positive_zeros,
     bessel_j,
     bessel_j_deriv,
@@ -70,29 +69,29 @@ class TestZeroLocation:
 
 class TestCountZeros:
     def test_below_first_zero(self):
-        assert count_zeros(ZeroCountQuery(0, 2)) == 0
+        assert count_zeros(0, 2) == 0
 
     def test_origin_convention_for_derivative(self):
-        assert count_zeros(ZeroCountQuery(0, 0, derivative=True)) == 1
+        assert count_zeros(0, 0, derivative=True) == 1
 
     def test_first_zero_exceeds_order(self):
-        assert count_zeros(ZeroCountQuery(7, 7)) == 0
+        assert count_zeros(7, 7) == 0
 
     def test_counts_follow_zero_table(self):
         # j_0: 2.4048, 5.5201, 8.6537, 11.7915
         for lam, expected in ((2.4, 0), (3, 1), (6, 2), (9, 3), (11.8, 4)):
-            assert count_zeros(ZeroCountQuery(0, lam)) == expected
+            assert count_zeros(0, lam) == expected
 
     def test_boundary_inclusive_for_half_order(self):
         # zeros of the half-order function sit exactly at multiples of pi
-        assert count_zeros(ZeroCountQuery(0.5, math.pi)) == 1
-        assert count_zeros(ZeroCountQuery(0.5, 2 * math.pi)) == 2
+        assert count_zeros(0.5, math.pi) == 1
+        assert count_zeros(0.5, 2 * math.pi) == 2
 
     def test_range_validated(self):
         with pytest.raises(DomainError):
-            count_zeros(ZeroCountQuery(150, 10))
+            count_zeros(150, 10)
         with pytest.raises(DomainError):
-            count_zeros(ZeroCountQuery(1, 300))
+            count_zeros(1, 300)
 
 
 class TestEigencounts:
@@ -126,4 +125,4 @@ class TestEigencounts:
         expected = sum(
             len([z for z in jn_zeros(1, 5) if z <= lam]) for _ in (0,)
         )  # j_1 zeros <= 6: just 3.8317
-        assert count_zeros(ZeroCountQuery(1.0, lam)) == expected
+        assert count_zeros(1.0, lam) == expected

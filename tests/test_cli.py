@@ -15,11 +15,15 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polyacert
-from polyacert import cli
+from polyacert import analysis, cli
 from polyacert.certify import certify
 from polyacert.cli import main
 from polyacert.curve import BoundKind
 from polyacert.lattice import count_weighted
+
+
+# Arabic-Indic digits, which \d and int() accept but certify never writes
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
 def run(capsys, *argv):
@@ -112,6 +116,7 @@ class TestVerifyCommand:
             pytest.param(lambda c: c.update(eps="-1/1000"), 3, id="eps-negative"),
             pytest.param(lambda c: c.update(gap_covered=True), 3, id="unknown-key"),
             pytest.param(lambda c: c["steps"][0].update(note="checked"), 3, id="unknown-step-key"),
+            pytest.param(lambda c: c.update(eps=c["eps"].translate(ARABIC_INDIC)), 3, id="eps-non-ascii-digits"),
         ],
     )
     def test_unchecked_field_edit_is_rejected(self, capsys, certificate_path, edit, code):
@@ -335,6 +340,12 @@ class TestCountCommand:
         with pytest.raises(SystemExit):
             main(["count", "--lambda", "1.5"])
 
+    def test_non_ascii_digits_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--lambda", "400".translate(ARABIC_INDIC)])
+        assert info.value.code == 2
+        assert "not a rational literal" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ("certify", "--eps", "0"),
@@ -403,42 +414,29 @@ def test_certify_target_above_the_lambda_cap_exits_two(capsys):
     assert err.startswith("error: target must be at most 10000")
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # nor, after a small count, any process-pool machinery, which would
-    # cost start-up time and memory
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # nor, after the certified commands, any process-pool machinery (start-up
+    # time and memory) or the float layer: the certified results must not
+    # depend on it, and a stand-alone checker must run without scipy
     script = """
-import sys, polyacert.cli
+import contextlib, io, sys, polyacert
+print(sorted(name for name in sys.modules if name.startswith("polyacert.")))
+import polyacert.cli
 print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))
-assert polyacert.cli.main(["count", "--lambda", "20"]) == 0
-print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent'} & set(sys.modules)))
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(), timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[1].startswith("lambda=20 value=")
-    assert lines[2] == "[]"
-
-
-def test_certified_commands_do_not_import_scipy(tmp_path):
-    script = """
-import sys
-from polyacert import cli
 cert = sys.argv[1]
-assert cli.main(["count", "--lambda", "20"]) == 0
-assert cli.main(["count", "--lambda", "9", "--alpha", "1/2"]) == 0
-assert cli.main(["certify", "--start", "3", "--target", "4", "-o", cert]) == 0
-assert cli.main(["verify", cert]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+for argv in (["certify", "-o", cert], ["verify", cert], ["count", "--lambda", "400"],
+             ["count", "--alpha", "1/2", "--lambda", "400"], ["count", "--d", "3", "--lambda", "50"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert polyacert.cli.main(argv) == 0, argv
+print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent'} & set(sys.modules)))
+print(sorted({'polyacert.analysis', 'polyacert.bessel', 'scipy', 'numpy'} & set(sys.modules)))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "cert.json")],
         capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines() == ["[]"] * 4
 
 
 class TestOracleCommand:
@@ -492,7 +490,7 @@ class TestPlotdataCommand:
         assert out.startswith("# non-certified")
 
     def test_a_grid_of_more_than_ten_thousand_points_is_rejected_before_any_work(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_weighted_oracle", None)  # any count would raise
+        monkeypatch.setattr(analysis, "count_weighted_oracle", None)  # any count would raise
         code, out, err = run(capsys, "plotdata", "--step", "1/1000000000", "--stop", "1")
         assert code == 2
         assert out == ""
@@ -503,7 +501,7 @@ class TestPlotdataCommand:
         assert err.startswith("the grid has 10001 points")
 
     def test_a_grid_past_the_eigencount_range_is_rejected_before_any_output(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_weighted_oracle", None)  # any count would raise
+        monkeypatch.setattr(analysis, "count_weighted_oracle", None)  # any count would raise
         code, out, err = run(capsys, "plotdata", "--stop", "1001/10", "--step", "1/10")
         assert (code, out, err) == (2, "", "need 0 < step and 0 < stop <= 100\n")
 

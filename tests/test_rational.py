@@ -46,7 +46,7 @@ class TestBackend:
         src = str(Path(polyacert.__file__).resolve().parents[1])
         env = dict(os.environ, POLYACERT_BACKEND=backend,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", "import polyacert"],
+        proc = subprocess.run([sys.executable, "-c", "import polyacert.cli"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
@@ -74,7 +74,7 @@ class TestSerialization:
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1.5", "3/0", "1/-2", "2/3/4"])
+    @pytest.mark.parametrize("bad", ["", "abc", "1.5", "3/0", "1/-2", "2/3/4", "\u0663/\u0664", "\uff13"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
