@@ -414,15 +414,33 @@ def test_certify_target_above_the_lambda_cap_exits_two(capsys):
     assert err.startswith("error: target must be at most 10000")
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # nor, after the certified commands, any process-pool machinery (start-up
-    # time and memory) or the float layer: the certified results must not
-    # depend on it, and a stand-alone checker must run without scipy
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor, after a small count, any process-pool machinery, which would
+    # cost start-up time and memory; importing the package loads no submodule
     script = """
-import contextlib, io, sys, polyacert
+import sys, polyacert
 print(sorted(name for name in sys.modules if name.startswith("polyacert.")))
 import polyacert.cli
 print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))
+assert polyacert.cli.main(["count", "--lambda", "20"]) == 0
+print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent'} & set(sys.modules)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[2].startswith("lambda=20 value=")
+    assert lines[3] == "[]"
+
+
+def test_certified_commands_do_not_import_scipy(tmp_path):
+    # nor any other part of the float layer, or a process pool: the certified
+    # results must not depend on it, and a stand-alone checker must run
+    # without scipy
+    script = """
+import contextlib, io, sys, polyacert.cli
 cert = sys.argv[1]
 for argv in (["certify", "-o", cert], ["verify", cert], ["count", "--lambda", "400"],
              ["count", "--alpha", "1/2", "--lambda", "400"], ["count", "--d", "3", "--lambda", "50"]):
@@ -436,7 +454,7 @@ print(sorted({'polyacert.analysis', 'polyacert.bessel', 'scipy', 'numpy'} & set(
         capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"] * 4
+    assert proc.stdout.splitlines() == ["[]"] * 2
 
 
 class TestOracleCommand:
