@@ -20,7 +20,7 @@ that importing the package for the certified paths does not load it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .curve import BoundKind
 from .errors import AccuracyLossError, DomainError, ScanAmbiguousError
@@ -85,13 +85,11 @@ def _scan_once(func, start: float, stop: float, step: float) -> list[float] | No
 
 @lru_cache(maxsize=4096)
 def _positive_zeros(nu: float, derivative: bool, x_hi: float) -> tuple[float, ...]:
-    """All positive zeros up to x_hi, ascending.  Cached per (nu, kind, ceiling)."""
+    """All positive zeros up to x_hi, ascending, by the checked bessel_j(_deriv).  Cached per (nu, kind, ceiling)."""
     start = max(0.8 * nu, 0.1)
     if start >= x_hi:
         return ()
-    from scipy.special import jv, jvp
-
-    func = (lambda x: jvp(nu, x)) if derivative else (lambda x: jv(nu, x))
+    func = partial(bessel_j_deriv if derivative else bessel_j, nu)
     step = _SCAN_STEP
     for _ in range(_STEP_HALVINGS + 1):
         zeros = _scan_once(func, start, x_hi, step)

@@ -14,15 +14,16 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
 The certified single sums (:func:`count_weighted`,
 :func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) add
 their terms one by one, each term generated from its index, never listed.
-A weighted or sector sum of at least ``_WALK_MIN_TERMS`` terms is instead
-walked by ``_convex_floor_sum``: the curve is convex and decreasing, so the
-lattice points above it form a convex set, and the walk follows that set's
-lower hull with Stern-Brocot directions, carrying the weights kappa(d, m)
-of a weighted count along each hull edge.  It tests about a third of the
-columns at lambda 1000 (a sixth at 10^4), decides each point by
+The two exact ones share ``_column_sum``, which walks a sum of at least
+``_WALK_MIN_TERMS`` columns by ``_convex_floor_sum``: the curve is convex
+and decreasing, so the lattice points above it form a convex set, and the
+walk follows that set's lower hull with Stern-Brocot directions, from the
+first summed column on, carrying the weights kappa(d, m) of a weighted
+count along each hull edge.  It tests about a third of the columns at
+lambda 1000 (a sixth at 10^4), decides each point by
 ``certified_floor_term`` and stops a slope search only on a proved arccos
-bound, so the count is exact; if a point test raises, the whole sum is
-rerun term by term, so exceptions are those of the term-by-term sum.
+bound, so the count is exact; a point that cannot be decided raises what
+``certified_floor_term`` raised there, and nothing is rerun.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -150,27 +151,33 @@ def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> i
 
 
 # Sums of at least this many terms are walked (see _convex_floor_sum).
-# Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100), but they
-# would also speed up the exact_sweep benchmark, whose per-operation
-# records would then push its peak_rss_mb past its bound (ROADMAP items 2
-# and 7).
+# Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100; walking
+# every exact sum ran exact_sweep's first 2,400 inputs 1.14-1.32x faster),
+# but they would also speed up the exact_sweep benchmark, whose
+# per-operation records would then push its peak_rss_mb past its bound
+# (ROADMAP items 2 and 7).
 _WALK_MIN_TERMS = 256
 
 
-def _walked_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None):
-    """_convex_floor_sum(lam, a, shift, eps, d), or None where a floor term is not decided.
-
-    On None the caller sums term by term, which decides the count or raises
-    that sum's own exception.
-    """
-    try:
-        return _convex_floor_sum(lam, a, shift, eps, d)
-    except (UnresolvedFloorError, GuessFailedError):
-        return None
+def _columns(lam: Fraction, a: Fraction, d: int | None) -> tuple[int, int, int, int]:
+    """(z_num, z_add, z_den, top): column m = 0 .. top lies at z = (m*z_num + z_add)/z_den <= lam."""
+    c = 0 if d is None else d - 2
+    return 2 * a.denominator, c * a.numerator, 2 * a.numerator, rat_floor((lam - rational(c, 2)) * a)
 
 
-def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None) -> tuple[int, int]:
-    """(S, t0): S = sum of w(m)*floor(f(m)) over the columns m = 0 .. top, t0 = floor(f(0)).
+def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None, start: int = 0) -> int:
+    """_convex_floor_sum's sum, walked by it over at least _WALK_MIN_TERMS columns, else term by term."""
+    z_num, z_add, z_den, top = _columns(lam, a, d)
+    if top + 1 - start >= _WALK_MIN_TERMS:
+        return _convex_floor_sum(lam, a, shift, eps, d, start)
+    return sum(
+        (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
+        for m in range(start, top + 1)
+    )
+
+
+def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None, start: int = 0) -> int:
+    """The sum of w(m)*floor(f(m)) over the columns m = start .. top.
 
     Column m lies at z = m/a + c/2 and f(m) = G(lam, z) + shift, over the
     columns with z <= lam.  With d None the weights are 1 and c = 0, a
@@ -179,14 +186,14 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
 
     f is convex and decreasing in m, so the lattice points (m, y) of those
     columns with y > f(m) form a convex set, and the sum is read off the
-    lower hull of that set, walked from (0, t0 + 1) to the last column with
-    a Stern-Brocot stack of directions (q, p), a step of q columns and p
-    rows down, flatter towards the bottom.  Along a hull edge the lowest
-    point above the curve, h(m) = floor(f(m)) + 1, is the edge rounded up,
-    so a step along a primitive (q, p) from (x, y) adds
+    lower hull of that set, walked from (start, floor(f(start)) + 1) to the
+    last column with a Stern-Brocot stack of directions (q, p), a step of q
+    columns and p rows down, flatter towards the bottom.  Along a hull edge
+    the lowest point above the curve, h(m) = floor(f(m)) + 1, is the edge
+    rounded up, so a step along a primitive (q, p) from (x, y) adds
     sum_{j<q} w(x+j)*(y - floor(p*j/q)) to the weighted sum of h
     (_step_sum).  A point is tested exactly, y > certified_floor_term(lam,
-    z, shift, eps), once per column.
+    z, shift, eps), once per column, and only columns from start on.
 
     The next edge is the steepest direction whose first point is above the
     curve; it is searched by mediants between a flatter direction whose
@@ -198,12 +205,12 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     only costs more tests.  A horizontal step is never tested, as f
     decreases.  Raises what certified_floor_term raises.
     """
-    c = 0 if d is None else d - 2
+    z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
-    # z = (m*z_num + z_add)/z_den and z/lam = (m*x_num + x_add)/x_den, as integers
-    z_num, z_add, z_den = 2 * a_den, c * a_num, 2 * a_num
+    # z/lam = (m*x_num + x_add)/x_den, as integers
     x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
-    top = rat_floor((lam - rational(c, 2)) * a)
+    if top < start:
+        return 0
     floors = {}
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
@@ -216,11 +223,9 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
                 floors[m] = floor
         return y > floor
 
-    first = floors[0] = certified_floor_term(lam, rational(z_add, z_den), shift, eps)
-    if top < 0:
-        return 0, first
+    first = floors[start] = certified_floor_term(lam, rational(start * z_num + z_add, z_den), shift, eps)
     eps = as_rational(eps)
-    x, y, total = 0, first + 1, 0  # total: sum of w*h over the columns left of x
+    x, y, total = start, first + 1, 0  # total: sum of w*h over the columns start .. x - 1
     stack = [(1, 0), (0, 1)]
     while True:
         q, p = stack.pop()  # the steepest direction left: step along it while above
@@ -231,7 +236,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
             total += _step_sum(d, x, y, q, p)
             x, y = x + q, y - p
         if x == top:
-            return total + _step_sum(d, top, y, 1, 0) - _weight_below(d, top + 1), first
+            return total + _step_sum(d, top, y, 1, 0) - (_weight_below(d, top + 1) - _weight_below(d, start))
         # pop the directions that are not above down to one that is
         while not above(x + stack[-1][0], y - stack[-1][1]):
             q, p = stack.pop()
@@ -310,22 +315,14 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     The sum runs over m = 0 .. floor(lam - d/2 + 1); abscissas are
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
     A sum of at least _WALK_MIN_TERMS terms, in any dimension, is read off
-    the hull walk (_convex_floor_sum with the weights kappa(d, m)), or
-    summed term by term where a point test of the walk raises; a shorter
-    sum is summed term by term.
+    the hull walk (_column_sum), a shorter one summed term by term.  An
+    undecided term raises what certified_floor_term raised for it.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    shift = kind.shift
-    indices = _weighted_indices(d, lam)
-    if len(indices) >= _WALK_MIN_TERMS:
-        walked = _walked_floor_sum(lam, rational(1), shift, eps, d)
-        if walked is not None:
-            return CountResult(walked[0], Rigor.CERTIFIED_EXACT)
-    total = sum(kappa(d, m) * certified_floor_term(lam, _weighted_abscissa(d, m), shift, eps) for m in indices)
-    return CountResult(total, Rigor.CERTIFIED_EXACT)
+    return CountResult(_column_sum(lam, rational(1), kind.shift, eps, d), Rigor.CERTIFIED_EXACT)
 
 
 def _validate_count_args(d: int, kind: BoundKind) -> None:
@@ -415,10 +412,10 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
 
     ``alpha_over_pi`` is the aperture divided by pi and must be an exact
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
-    at m = 1, Neumann at m = 0.  A sum of at least _WALK_MIN_TERMS terms
-    is S, minus t0 for Dirichlet, from the hull walk (_convex_floor_sum),
-    or the term-by-term sum where a point test of the walk raises.  For
-    irrational apertures use ``analysis.sector_lattice_bound_oracle``.
+    at m = 1, Neumann at m = 0, and so does the hull walk of a sum of at
+    least _WALK_MIN_TERMS terms (_column_sum).  An undecided term raises
+    what certified_floor_term raised for it.  For irrational apertures use
+    ``analysis.sector_lattice_bound_oracle``.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(
@@ -432,15 +429,7 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
     start = 1 if kind is BoundKind.DIRICHLET else 0
-    shift = kind.shift
-    indices = range(start, rat_floor(a * lam) + 1)
-    if len(indices) >= _WALK_MIN_TERMS:
-        walked = _walked_floor_sum(lam, a, shift, eps)
-        if walked is not None:
-            total, first = walked
-            return CountResult(total - start * first, Rigor.CERTIFIED_EXACT)
-    total = sum(certified_floor_term(lam, rational(m) / a, shift, eps) for m in indices)
-    return CountResult(total, Rigor.CERTIFIED_EXACT)
+    return CountResult(_column_sum(lam, a, kind.shift, eps, start=start), Rigor.CERTIFIED_EXACT)
 
 
 # The benchmark's output checks (perfbench/workloads.py) read the two

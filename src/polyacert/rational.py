@@ -22,8 +22,8 @@ rational = Fraction
 
 ZERO = Fraction(0)
 
-# ASCII only: \d would also match other scripts' digits, which int() accepts
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
+# ASCII only: \d and \s would also match other scripts' digits and spaces
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def as_rational(value) -> Fraction:
@@ -69,8 +69,8 @@ def format_rational(q) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (sign on the numerator) into a rational."""
-    m = _RATIONAL_RE.match(text.strip())
+    """Parse ``"p"`` or ``"p/q"`` (sign on the numerator, ASCII space around) into a rational."""
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))

@@ -2,6 +2,7 @@
 import math
 
 import pytest
+import scipy.special
 from scipy.special import jn_zeros, jnp_zeros
 
 from polyacert.bessel import (
@@ -14,7 +15,7 @@ from polyacert.bessel import (
     eigencount_sector,
 )
 from polyacert.curve import BoundKind
-from polyacert.errors import DomainError
+from polyacert.errors import AccuracyLossError, DomainError
 
 D = BoundKind.DIRICHLET
 N = BoundKind.NEUMANN
@@ -92,6 +93,16 @@ class TestCountZeros:
             count_zeros(150, 10)
         with pytest.raises(DomainError):
             count_zeros(1, 300)
+
+    def test_non_finite_value_raises_instead_of_dropping_zeros(self, monkeypatch):
+        # a NaN has no sign, so a scan that did not check it would find no zero
+        monkeypatch.setattr(scipy.special, "jv", lambda nu, x: math.nan)
+        _positive_zeros.cache_clear()
+        try:
+            with pytest.raises(AccuracyLossError):
+                count_zeros(2.0, 10.0)
+        finally:
+            _positive_zeros.cache_clear()
 
 
 class TestEigencounts:

@@ -296,6 +296,14 @@ def test_single_field_edit_is_rejected_or_sound(gap_certificate, edit):
         _assert_independently_sound(edited)
 
 
+@pytest.mark.parametrize("pad", ["\u3000", "\u2007"])
+def test_eps_padded_by_non_ascii_whitespace_is_unreadable(capsys, gap_certificate, tmp_path, pad):
+    payload, _ = gap_certificate
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(payload, eps=payload["eps"] + pad)))
+    assert run(capsys, "verify", str(path))[0] == 3
+
+
 def test_eps_too_fine_for_pi_gives_a_full_report(capsys, gap_certificate, tmp_path):
     # pi_bounds cannot verify a bracket at eps = 10**-17: the pi bracket
     # fails, and no count, which would use that pi, runs
@@ -343,6 +351,13 @@ class TestCountCommand:
     def test_non_ascii_digits_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["count", "--lambda", "400".translate(ARABIC_INDIC)])
+        assert info.value.code == 2
+        assert "not a rational literal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["400\u3000", "\u2007400"])
+    def test_non_ascii_whitespace_rejected(self, capsys, text):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--lambda", text])
         assert info.value.code == 2
         assert "not a rational literal" in capsys.readouterr().err
 

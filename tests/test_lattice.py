@@ -201,10 +201,9 @@ class TestFloorGiveUp:
 _APERTURES = [rational(1), rational(1, 3), rational(1, 2), rational(3, 2), rational(2), rational(2, 7)]
 
 
-def _term_by_term(lam, a, shift, eps=DEFAULT_EPS):
-    """(S, t0) of lattice._convex_floor_sum, summed term by term."""
-    terms = [certified_floor_term(lam, rational(m) / a, shift, eps) for m in range(rat_floor(a * lam) + 1)]
-    return sum(terms), terms[0]
+def _term_by_term(lam, a, shift, eps=DEFAULT_EPS, start=0):
+    """lattice._convex_floor_sum of a sector, summed term by term."""
+    return sum(certified_floor_term(lam, rational(m) / a, shift, eps) for m in range(start, rat_floor(a * lam) + 1))
 
 
 # (label, count, lambda): sums of 256 terms or more, which are walked, at
@@ -295,6 +294,50 @@ class TestConvexWalk:
         assert walked.value.abscissa == serial.value.abscissa == first
         assert walked.value.interval == serial.value.interval
 
+    def test_dirichlet_sector_walk_tests_no_point_at_z_zero(self, monkeypatch):
+        # the Dirichlet sector sum starts at m = 1, so does its walk
+        real, asked = lattice.certified_floor_term, []
+
+        def recording(lam, z, shift, eps):
+            asked.append(z)
+            return real(lam, z, shift, eps)
+
+        monkeypatch.setattr(lattice, "certified_floor_term", recording)
+        a, lam = rational(1, 3), rational(1003)
+        total = sector_lattice_bound(D, a, lam).value
+        assert asked and 0 not in asked
+        monkeypatch.setattr(lattice, "certified_floor_term", real)
+        assert total == _term_by_term(lam, a, D.shift, start=1)
+
+    def test_an_unresolved_walk_is_not_rerun(self, monkeypatch):
+        # the last column the walk tests below lam straddles an integer on
+        # every rung: the count raises there, after fewer floor calls than
+        # it has columns, so no column is decided twice
+        real_floor, real_bracket, calls = lattice.certified_floor_term, lattice.g_bracket, []
+
+        def counting(lam, z, shift, eps):
+            calls.append(z)
+            return real_floor(lam, z, shift, eps)
+
+        monkeypatch.setattr(lattice, "certified_floor_term", counting)
+        lam = rational(601, 2)
+        columns = len(lattice._weighted_indices(2, lam))
+        count_weighted(2, D, lam)
+        bad = max(z for z in calls if z < lam)
+        assert bad > 0 and len(calls) < columns
+
+        def straddling_at_bad(lam, z, eps):  # G + 1/4 straddles an integer on every rung
+            if z == bad:
+                return RationalInterval(5 - D.shift - eps, 5 - D.shift + eps)
+            return real_bracket(lam, z, eps)
+
+        monkeypatch.setattr(lattice, "g_bracket", straddling_at_bad)
+        calls.clear()
+        with pytest.raises(UnresolvedFloorError) as info:
+            count_weighted(2, D, lam)
+        assert info.value.abscissa == bad
+        assert len(calls) == len(set(calls)) < columns
+
     @pytest.mark.parametrize("kind", [D, N])
     def test_long_sum_makes_few_floor_calls_in_little_memory(self, monkeypatch, kind):
         real, calls = lattice.certified_floor_term, []
@@ -321,8 +364,8 @@ class TestConvexWalk:
     )
     def test_walked_equals_term_by_term(self, monkeypatch, count, lam):
         walked = count(lam)
-        # a walk that gives up: the count is summed term by term
-        monkeypatch.setattr(lattice, "_walked_floor_sum", lambda *args: None)
+        # no sum is long enough to walk: the count is summed term by term
+        monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         assert count(lam) == walked
 
     @settings(max_examples=20, deadline=None)
@@ -336,7 +379,7 @@ class TestConvexWalk:
             kappa(d, m) * certified_floor_term(lam, lattice._weighted_abscissa(d, m), shift)
             for m in lattice._weighted_indices(d, lam)
         )
-        assert lattice._convex_floor_sum(lam, rational(1), shift, DEFAULT_EPS, d)[0] == expected
+        assert lattice._convex_floor_sum(lam, rational(1), shift, DEFAULT_EPS, d) == expected
         assert count_weighted(d, D, lam).value == expected
 
     def test_weight_prefix_is_the_sum_of_the_weights(self):
@@ -363,7 +406,7 @@ class TestConvexWalk:
         # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
         if not walk:
-            monkeypatch.setattr(lattice, "_walked_floor_sum", lambda *args: None)
+            monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
 
         def recording(*args):

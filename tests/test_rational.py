@@ -79,6 +79,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["3/4\u3000", "\u20073/4", "\u30003/4\u3000", "3/4\x1c"])
+    def test_rejects_non_ascii_whitespace(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+    @pytest.mark.parametrize("text", [" 3/4 ", "\t3/4\n", "3/4\r\n"])
+    def test_ascii_whitespace_pads(self, text):
+        assert parse_rational(text) == rational(3, 4)
+
     def test_as_rational_rejects_float(self):
         with pytest.raises(TypeError):
             as_rational(0.1)
