@@ -22,7 +22,9 @@ A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 :func:`prepare_g_lower` builds everything that depends on (lam, eps) alone
 once and returns the per-term core as a function of z's integer parts.
 g_lower itself is that core prepared for a single abscissa, so the two
-give the same rationals.
+give the same rationals.  :func:`prepare_g_bracket` does the same for the
+two-sided bracket, which the exact floor terms prepare once per rung of
+their eps ladder, and g_bracket is its one-shot form.
 """
 from __future__ import annotations
 
@@ -30,17 +32,18 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BadDimensionError, DomainError
+from .errors import BadDimensionError, DomainError, GuessFailedError
 from .rational import as_rational, rational
 from .verified import (
     RationalInterval,
     _arccos_ends,
     _arccos_eps,
     _arccos_upper_end,
+    _sqrt_core,
     _sqrt_lower_core,
     _sqrt_resolution,
     pi_bounds,
-    sqrt_bounds,
+    sqrt_bounds,  # unused here: the benchmark's tracing test reads it as a curve attribute (ROADMAP item 2)
 )
 
 
@@ -108,21 +111,51 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     its upper end over the pi lower bound bracket the height.  The lower end
     may be negative near z = lam; callers flooring it with a positive shift
     must clamp.  The pi lower bound is positive at every eps (see
-    :func:`pi_bounds`), so the upper end is always defined.
+    :func:`pi_bounds`), so the upper end is always defined.  The ends come
+    from the same per-term core as the exact floor terms,
+    :func:`prepare_g_bracket`.
     """
     lam, z, eps = _g_args(lam, z, eps)
-    zn, zd = z.numerator, z.denominator
-    if zn == 0:
-        root, angle_lo, angle_hi = RationalInterval(lam, lam), (0, 1), (0, 1)
-    else:
-        ln, ld = lam.numerator, lam.denominator
-        root = sqrt_bounds(_radicand(ln, ld, zn, zd), eps)  # checks eps > 0 first
-        capped = _arccos_eps(eps)
-        angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, capped.numerator, capped.denominator)
-    pi = pi_bounds(eps)
-    lo = rational(*_over_pi(root.lo, zn, zd, *angle_hi, pi.hi))
-    hi = rational(*_over_pi(root.hi, zn, zd, *angle_lo, pi.lo))
-    return RationalInterval(lo, hi)
+    lo, hi = prepare_g_bracket(lam, eps)(z.numerator, z.denominator)
+    return RationalInterval(rational(*lo), rational(*hi))
+
+
+def prepare_g_bracket(lam: Fraction, eps: Fraction):
+    """g_bracket for one (lam, eps), prepared once: a function of z's integer parts.
+
+    The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num, lo_den),
+    (hi_num, hi_den)), both denominators positive and neither pair
+    normalised, whose quotients are the ends of g_bracket(lam, zn/zd, eps),
+    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  As in
+    :func:`prepare_g_lower`, lam's integer parts, the sqrt resolution, the
+    capped arccos eps and the pi bracket are built here, once, and each call
+    builds only its radicand and the verified ends of the root and the
+    arccos.  A pi bracket that does not verify is asked for again in each
+    call, after the ends of the root and the arccos, so a call raises the
+    error of the first of the three that fails, in that order.
+
+    lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
+    here, from pi_bounds, with g_bracket's message.
+    """
+    try:
+        pi = pi_bounds(eps)
+    except GuessFailedError:
+        pi = None
+    resolution, capped = _sqrt_resolution(eps), _arccos_eps(eps)
+    en, ed = capped.numerator, capped.denominator
+    ln, ld = lam.numerator, lam.denominator
+
+    def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        if zn == 0:
+            root_lo = root_hi = lam
+            angle_lo = angle_hi = (0, 1)
+        else:
+            root_lo, root_hi = _sqrt_core(_radicand(ln, ld, zn, zd), eps, resolution)
+            angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
+        bracket = pi if pi is not None else pi_bounds(eps)
+        return _over_pi(root_lo, zn, zd, *angle_hi, bracket.hi), _over_pi(root_hi, zn, zd, *angle_lo, bracket.lo)
+
+    return ends
 
 
 def g_lower(lam, z, eps) -> Fraction:

@@ -20,10 +20,14 @@ and decreasing, so the lattice points above it form a convex set, and the
 walk follows that set's lower hull with Stern-Brocot directions, from the
 first summed column on, carrying the weights kappa(d, m) of a weighted
 count along each hull edge.  It tests about a third of the columns at
-lambda 1000 (a sixth at 10^4), decides each point by
+lambda 1000 (a sixth at 10^4), decides each point by the floor test of
 ``certified_floor_term`` and stops a slope search only on a proved arccos
 bound, so the count is exact; a point that cannot be decided raises what
-``certified_floor_term`` raised there, and nothing is rerun.
+``certified_floor_term`` raises there, and nothing is rerun.  The walk
+prepares its floor test once per sum (:func:`prepare_floor_term`, each
+rung's bracket prepared by :func:`curve.prepare_g_bracket` on its first
+use) and tests points on the columns' integer parts; the term-by-term
+sums call the one-shot form, ``certified_floor_term``, for each term.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -43,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curve import BoundKind, g_bracket, g_lower, g_value, prepare_g_lower
+from .curve import BoundKind, _g_args, g_lower, g_value, prepare_g_bracket, prepare_g_lower
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -99,55 +103,96 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     coarser rungs whose brackets would reach that integer, so that most
     terms need a single bracket.  The skipped rungs are tried last, so a
     wrong hint can cost time but cannot change the result.
+
+    This is the one-shot form of :func:`prepare_floor_term`, which a sum of
+    many terms prepares once.
     """
     lam = as_rational(lam)
     z = as_rational(z)
     shift = as_rational(shift)
     if z >= lam:
         return rat_floor(shift)
-    eps = as_rational(eps)
-    first = _first_rung(lam, z, shift, eps) if z >= 0 else 0
-    unverified = {}
-    finest = None
-    for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
-        try:
-            bracket = g_bracket(lam, z, eps / 10**rung)
-        except GuessFailedError as exc:
-            unverified[rung] = exc
-            continue
-        f_lo = _floor_plus(bracket.lo, shift)
-        f_hi = _floor_plus(bracket.hi, shift)
-        if f_lo == f_hi:
-            return f_lo
-        if rung == _FLOOR_REFINEMENTS:
-            finest = (bracket.lo + shift, bracket.hi + shift)
-    if unverified:
-        # the failure that refining rung by rung from eps meets first
-        raise unverified[min(unverified)]
-    raise UnresolvedFloorError(z, finest)
+    lam, z, eps = _g_args(lam, z, eps)
+    return prepare_floor_term(lam, shift, eps)(z.numerator, z.denominator)
 
 
-def _first_rung(lam: Fraction, z: Fraction, shift: Fraction, eps: Fraction) -> int:
-    """The first rung of the eps ladder whose bracket of G may miss the integer nearest G + shift.
+def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
+    """certified_floor_term for one (lam, shift, eps), prepared once: a function of z's integer parts.
+
+    The returned ``floor(zn, zd)`` is certified_floor_term(lam, zn/zd, shift,
+    eps) for integers zn >= 0 and zd > 0, neither normalised; it raises what
+    that raises, with the abscissa of an UnresolvedFloorError normalised.
+    Built once: lam's and the shift's integer parts and the hint's doubles
+    (_first_rung); built once per rung, on its first use: the rung's
+    accuracy eps/10^rung and its :func:`curve.prepare_g_bracket`, whose ends
+    are floored on integers.  lam, shift and eps must be Fractions.
+    """
+    ln, ld = lam.numerator, lam.denominator
+    sn, sd = shift.numerator, shift.denominator
+    past_lam = sn // sd  # floor(shift), the term at z >= lam
+    hint = _first_rung(lam, shift, eps)
+    rungs = [None] * (_FLOOR_REFINEMENTS + 1)
+
+    def floor(zn: int, zd: int) -> int:
+        if zn * ld >= ln * zd:
+            return past_lam
+        first = hint(zn, zd)
+        unverified = {}
+        finest = None
+        for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
+            ends = rungs[rung]
+            if ends is None:
+                ends = rungs[rung] = prepare_g_bracket(lam, eps / 10**rung)
+            try:
+                (lo_n, lo_d), (hi_n, hi_d) = ends(zn, zd)
+            except GuessFailedError as exc:
+                unverified[rung] = exc
+                continue
+            f_lo = _floor_plus(lo_n, lo_d, sn, sd)
+            if f_lo == _floor_plus(hi_n, hi_d, sn, sd):
+                return f_lo
+            if rung == _FLOOR_REFINEMENTS:
+                finest = (rational(lo_n, lo_d) + shift, rational(hi_n, hi_d) + shift)
+        if unverified:
+            # the failure that refining rung by rung from eps meets first
+            raise unverified[min(unverified)]
+        raise UnresolvedFloorError(rational(zn, zd), finest)
+
+    return floor
+
+
+def _first_rung(lam: Fraction, shift: Fraction, eps: Fraction):
+    """The hint of a prepared floor test: rung(zn, zd), the first rung of the eps
+    ladder whose bracket of G may miss the integer nearest G + shift at z = zn/zd.
 
     Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
     beyond G (z times the arccos overhang, plus G times the relative pi
     overhang) and at most about three times that.  Rungs whose brackets
     could reach the nearest integer, with a margin of two for the double
-    value's error, are skipped.
+    value's error, are skipped.  The doubles of lam, shift and eps are taken
+    here, once; where one of them has no double (an overflow) or lam's
+    underflows to 0, every hint is rung 0.
     """
     try:
-        g = g_value(to_float(lam), to_float(z))
-        reach = 6 * to_float(eps) * (to_float(z) + 3 * g) / math.pi
+        lam_f, shift_f, six_eps = to_float(lam), to_float(shift), 6 * to_float(eps)
     except OverflowError:
-        return 0
-    frac = (g + to_float(shift)) % 1.0
-    gap = min(frac, 1.0 - frac)
-    rung = 0
-    while rung < _FLOOR_REFINEMENTS and reach > gap:
-        reach /= 10
-        rung += 1
-    return rung
+        return lambda zn, zd: 0
+    if lam_f == 0:  # g_value needs a positive lam
+        return lambda zn, zd: 0
+
+    def hint(zn: int, zd: int) -> int:
+        z = zn / zd  # correctly rounded, whatever the common factor of zn and zd
+        g = g_value(lam_f, z)
+        reach = six_eps * (z + 3 * g) / math.pi
+        frac = (g + shift_f) % 1.0
+        gap = min(frac, 1.0 - frac)
+        rung = 0
+        while rung < _FLOOR_REFINEMENTS and reach > gap:
+            reach /= 10
+            rung += 1
+        return rung
+
+    return hint
 
 
 # Sums of at least this many terms are walked (see _convex_floor_sum).
@@ -170,6 +215,11 @@ def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None 
     z_num, z_add, z_den, top = _columns(lam, a, d)
     if top + 1 - start >= _WALK_MIN_TERMS:
         return _convex_floor_sum(lam, a, shift, eps, d, start)
+    # Each term is the one-shot certified_floor_term.  Preparing the floor
+    # test once per sum here too (prepare_floor_term) ran exact_sweep's first
+    # 2,000 inputs 1.49x faster, but the benchmark's per-operation records
+    # would then raise its peak_rss_mb by about 12 %, past its bound (ROADMAP
+    # items 2 and 3); count_dirichlet_dim_reduction waits for the same fix.
     return sum(
         (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
         for m in range(start, top + 1)
@@ -211,6 +261,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
     if top < start:
         return 0
+    floor_at = prepare_floor_term(lam, shift, as_rational(eps))
     floors = {}
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
@@ -218,13 +269,13 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
             return False
         floor = floors.get(m)
         if floor is None:
-            floor = certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
+            floor = floor_at(m * z_num + z_add, z_den)
             if keep_below or y > floor:
                 floors[m] = floor
         return y > floor
 
-    first = floors[start] = certified_floor_term(lam, rational(start * z_num + z_add, z_den), shift, eps)
-    eps = as_rational(eps)
+    first = floors[start] = floor_at(start * z_num + z_add, z_den)
+    slope = _slope_ends(as_rational(eps))
     x, y, total = start, first + 1, 0  # total: sum of w*h over the columns start .. x - 1
     stack = [(1, 0), (0, 1)]
     while True:
@@ -249,7 +300,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
             if above(m, y - pm, keep_below=p1 > 0):
                 q1, p1 = q1 + q, pm
                 stack.append((q1, p1))
-            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, eps):
+            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, slope):
                 break
             else:
                 q, p = q1 + q, pm
@@ -275,28 +326,38 @@ def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
     )
 
 
-def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, eps: Fraction) -> bool:
-    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 < xn <= xd, sn >= 0 and sd > 0.
-
-    The proof compares the verified upper end of the arccos at eps (capped
-    at 1/4) with sn/sd times the lower end of pi_bounds(eps), on integers.
-    An end that does not verify makes it False, never an exception.
-    """
-    if sn == 0:
-        return False
+def _slope_ends(eps: Fraction) -> tuple[int, int, int, int] | None:
+    """(en, ed, pn, pd) for _arccos_at_most_pi_times: eps capped at 1/4 and the lower end of
+    pi_bounds(eps), on integers, built once per walk; None if that pi bracket does not verify."""
     capped = _arccos_eps(eps)
     try:
-        un, ud = _arccos_upper_end(xn, xd, capped.numerator, capped.denominator)
         pi = pi_bounds(eps).lo
     except GuessFailedError:
+        return None
+    return capped.numerator, capped.denominator, pi.numerator, pi.denominator
+
+
+def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, slope: tuple[int, int, int, int] | None) -> bool:
+    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 < xn <= xd, sn >= 0 and sd > 0.
+
+    The proof compares the verified upper end of the arccos at the capped
+    eps of ``slope = _slope_ends(eps)`` with sn/sd times its lower end of pi,
+    on integers.  An end that does not verify makes it False, never an
+    exception.
+    """
+    if sn == 0 or slope is None:
         return False
-    return un * sd * pi.denominator <= pi.numerator * sn * ud
+    en, ed, pn, pd = slope
+    try:
+        un, ud = _arccos_upper_end(xn, xd, en, ed)
+    except GuessFailedError:
+        return False
+    return un * sd * pd <= pn * sn * ud
 
 
-def _floor_plus(q: Fraction, shift: Fraction) -> int:
-    """floor(q + shift) from the integer parts, without normalising the sum."""
-    q_d, shift_d = q.denominator, shift.denominator
-    return (q.numerator * shift_d + shift.numerator * q_d) // (q_d * shift_d)
+def _floor_plus(n: int, d: int, sn: int, sd: int) -> int:
+    """floor(n/d + sn/sd) for d, sd > 0, from the integer parts, without normalising the sum."""
+    return (n * sd + sn * d) // (d * sd)
 
 
 def _weighted_abscissa(d: int, m: int) -> Fraction:
@@ -364,7 +425,7 @@ def _lower_term(lam: Fraction, eps):
 
     def term(m: int) -> int:
         if m == 0:
-            return max(0, _floor_plus(first, BoundKind.NEUMANN.shift))
+            return max(0, _floor_plus(first.numerator, first.denominator, 3, 4))  # the Neumann shift
         if m * ld >= ln:
             return 0
         num, den = parts(m, 1)
@@ -393,7 +454,7 @@ def count_dirichlet_dim_reduction(d: int, lam, eps=DEFAULT_EPS) -> CountResult:
 
     def term(z: Fraction) -> int:
         cached = floor_cache.get(z)
-        if cached is None:
+        if cached is None:  # one-shot, like _column_sum's short sums (see there)
             cached = floor_cache[z] = certified_floor_term(lam, z, shift, eps)
         return cached
 

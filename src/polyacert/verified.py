@@ -44,7 +44,9 @@ lower count) builds no ``Fraction`` at all.  The public brackets
 :func:`sqrt_lower` is the lower end of :func:`sqrt_bounds` alone, and its
 core :func:`_sqrt_lower_core` skips the argument checks and takes the
 square-root resolution already built, for a caller that evaluates many ends
-at one eps; each returns the same rationals as the two-sided bracket.
+at one eps; :func:`_sqrt_core` does the same for both ends, and is the core
+of :func:`sqrt_bounds` itself.  Each returns the same rationals as the
+two-sided bracket.
 
 Square-root guesses come from exact integer square roots and are close
 enough that the first bracket always verifies.  Arccos guesses come from
@@ -192,15 +194,20 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     NegativeInputError for x < 0.
     """
     x, eps = _sqrt_args(x, eps)
+    return RationalInterval(*_sqrt_core(x, eps, _sqrt_resolution(eps)))
+
+
+def _sqrt_core(x: Fraction, eps: Fraction, resolution: Fraction) -> tuple[Fraction, Fraction]:
+    """The ends (lo, hi) of sqrt_bounds(x, eps), with the arguments as for _sqrt_lower_core."""
     exact = _exact_sqrt(x)
     if exact is not None:
-        return RationalInterval(exact, exact)
-    guess = sqrt_guess(x, _sqrt_resolution(eps))
+        return exact, exact
+    guess = sqrt_guess(x, resolution)
     parts = guess.numerator, guess.denominator, eps.numerator, eps.denominator
     lo, hi = rational(*_window_below(*parts)), rational(*_window_above(*parts))
     if not (_square_below(x, lo) and _square_above(x, hi)):
         raise GuessFailedError(f"square-root bracket for {x} failed to verify")
-    return RationalInterval(lo, hi)
+    return lo, hi
 
 
 def sqrt_lower(x, eps=DEFAULT_EPS) -> Fraction:

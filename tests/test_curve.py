@@ -185,6 +185,16 @@ class TestOneSidedLowerEnd:
         with pytest.raises(GuessFailedError):
             g_bracket(lam, z, eps)
 
+    def test_an_unverifiable_pi_bracket_fails_after_the_arccos_end(self):
+        # at eps = 1e-18 neither arccos(1/3) nor pi = 3*arccos(1/2) verifies:
+        # the prepared bracket builds pi once, but raises its error only
+        # after the root's and the arccos's ends, as at z = 0
+        eps = rational(1, 10**18)
+        with pytest.raises(GuessFailedError, match="arccos bracket for 1/3 failed"):
+            g_bracket(3, 1, eps)
+        with pytest.raises(GuessFailedError, match="arccos bracket for 1/2 failed"):
+            g_bracket(3, 0, eps)
+
     @pytest.mark.parametrize("lam, z, eps", [
         (3, 4, DEFAULT_EPS), (0, 0, DEFAULT_EPS), (3, "-1/2", DEFAULT_EPS), (3, 1, 0), (3, 0, "-1/10"),
     ])

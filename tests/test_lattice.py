@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyacert import lattice
+from polyacert import curve, lattice
 from polyacert.cli import main
-from polyacert.curve import BoundKind, g_lower, g_value
+from polyacert.curve import BoundKind, g_bracket, g_lower, g_value
 from polyacert.analysis import (
     count_weighted_oracle,
     cumulative_multiplicity,
@@ -37,6 +37,39 @@ from polyacert.verified import DEFAULT_EPS, RationalInterval
 
 D = BoundKind.DIRICHLET
 N = BoundKind.NEUMANN
+
+
+def _bracket_seam(monkeypatch, bracket):
+    """Give every floor test its brackets from bracket(lam, z, eps) -> RationalInterval.
+
+    The floor tests, prepared or one-shot, take their brackets through
+    lattice.prepare_g_bracket, once per rung; this routes each one to bracket.
+    """
+
+    def prepare(lam, eps):
+        def ends(zn, zd):
+            b = bracket(lam, rational(zn, zd), eps)
+            return (b.lo.numerator, b.lo.denominator), (b.hi.numerator, b.hi.denominator)
+
+        return ends
+
+    monkeypatch.setattr(lattice, "prepare_g_bracket", prepare)
+
+
+def _watch_floor_tests(monkeypatch, asked):
+    """Append the abscissa of every floor test, prepared or one-shot, to asked."""
+    real = lattice.prepare_floor_term
+
+    def prepare(lam, shift, eps):
+        floor = real(lam, shift, eps)
+
+        def watched(zn, zd):
+            asked.append(rational(zn, zd))
+            return floor(zn, zd)
+
+        return watched
+
+    monkeypatch.setattr(lattice, "prepare_floor_term", prepare)
 
 
 class TestKappa:
@@ -151,6 +184,17 @@ class TestFloatHint:
         monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
         assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
 
+    @pytest.mark.parametrize("kind", [D, N])
+    def test_a_lambda_whose_double_underflows_starts_at_rung_zero(self, kind, capsys):
+        # float(lam) is 0.0, which g_value rejects: the hint falls back to rung 0
+        lam = rational(1, 10**400)
+        assert certified_floor_term(lam, 0, kind.shift) == 0
+        assert count_weighted(2, kind, lam).value == 0  # one term, summed term by term
+        assert lattice._convex_floor_sum(lam, rational(1), kind.shift, DEFAULT_EPS, 2) == 0  # walked
+        assert sector_lattice_bound(kind, 1, lam).value == 0
+        assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**400}"]) == 0
+        assert " value=0 " in capsys.readouterr().out
+
 
 class TestFloorGiveUp:
     """certified_floor_term gives up loudly once every rung of the eps ladder has been tried."""
@@ -166,7 +210,7 @@ class TestFloorGiveUp:
 
     def test_bracket_straddling_on_every_rung_is_unresolved(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(lattice, "g_bracket", self.straddling(seen))
+        _bracket_seam(monkeypatch, self.straddling(seen))
         eps, z, shift = rational(1, 1000), rational(1), rational(1, 4)
         with pytest.raises(UnresolvedFloorError) as info:
             certified_floor_term(rational(3), z, shift, eps)
@@ -182,7 +226,7 @@ class TestFloorGiveUp:
             raised[eps] = GuessFailedError(f"no bracket at eps={eps}")
             raise raised[eps]
 
-        monkeypatch.setattr(lattice, "g_bracket", failing)
+        _bracket_seam(monkeypatch, failing)
         # a hint exactly on an integer sends the ladder to the finest rung first
         monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
         eps = rational(1, 1000)
@@ -192,7 +236,7 @@ class TestFloorGiveUp:
         assert info.value is raised[eps]
 
     def test_count_command_reports_the_unresolved_term(self, monkeypatch, capsys):
-        monkeypatch.setattr(lattice, "g_bracket", self.straddling([]))
+        _bracket_seam(monkeypatch, self.straddling([]))
         code = main(["count", "--lambda", "3"])
         assert code == 2
         assert capsys.readouterr().err.startswith("unresolved floor term: ")
@@ -207,7 +251,9 @@ def _term_by_term(lam, a, shift, eps=DEFAULT_EPS, start=0):
 
 
 # (label, count, lambda): sums of 256 terms or more, which are walked, at
-# lambda in [256, 1200] with denominators up to 100
+# lambda in [256, 1200] with denominators up to 100; the last three lie in
+# large_lambda's range with large denominators, and one term of 11393/11 is
+# decided only by a bracket at eps = 1e-10, past the degree-12/14 sandwich
 _WALKED_CASES = [
     ("weighted-D", lambda lam: count_weighted(2, D, lam).value, rational(19817, 30)),
     ("weighted-D", lambda lam: count_weighted(2, D, lam).value, rational(13578, 49)),
@@ -216,6 +262,9 @@ _WALKED_CASES = [
     ("weighted-3D", lambda lam: count_weighted(3, D, lam).value, rational(5621, 18)),
     ("sector-D", lambda lam: sector_lattice_bound(D, rational(1, 3), lam).value, rational(1003)),
     ("sector-N", lambda lam: sector_lattice_bound(N, rational(1, 2), lam).value, rational(47104, 63)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, rational(11393, 11)),
+    ("weighted-D", lambda lam: count_weighted(2, D, lam).value, rational(100003, 97)),
+    ("weighted-N", lambda lam: count_weighted(2, N, lam).value, rational(67891, 93)),
 ]
 
 
@@ -276,7 +325,7 @@ class TestConvexWalk:
         ],
     )
     def test_an_unresolved_walk_raises_as_the_term_by_term_sum(self, monkeypatch, kind, d, count):
-        real, shift = lattice.g_bracket, kind.shift
+        real, shift = g_bracket, kind.shift
         first = lattice._weighted_abscissa(d, 0)  # column 0: z = 0 in the plane, 1/2 for d = 3
 
         def straddling_at_column_zero(lam, z, eps):  # G + shift straddles 5 on every rung
@@ -284,7 +333,7 @@ class TestConvexWalk:
                 return RationalInterval(5 - shift - eps, 5 - shift + eps)
             return real(lam, z, eps)
 
-        monkeypatch.setattr(lattice, "g_bracket", straddling_at_column_zero)
+        _bracket_seam(monkeypatch, straddling_at_column_zero)
         lam = rational(300)
         with pytest.raises(UnresolvedFloorError) as serial:
             for m in lattice._weighted_indices(d, lam):
@@ -296,30 +345,20 @@ class TestConvexWalk:
 
     def test_dirichlet_sector_walk_tests_no_point_at_z_zero(self, monkeypatch):
         # the Dirichlet sector sum starts at m = 1, so does its walk
-        real, asked = lattice.certified_floor_term, []
-
-        def recording(lam, z, shift, eps):
-            asked.append(z)
-            return real(lam, z, shift, eps)
-
-        monkeypatch.setattr(lattice, "certified_floor_term", recording)
+        asked = []
+        _watch_floor_tests(monkeypatch, asked)
         a, lam = rational(1, 3), rational(1003)
         total = sector_lattice_bound(D, a, lam).value
         assert asked and 0 not in asked
-        monkeypatch.setattr(lattice, "certified_floor_term", real)
+        monkeypatch.undo()
         assert total == _term_by_term(lam, a, D.shift, start=1)
 
     def test_an_unresolved_walk_is_not_rerun(self, monkeypatch):
         # the last column the walk tests below lam straddles an integer on
         # every rung: the count raises there, after fewer floor calls than
         # it has columns, so no column is decided twice
-        real_floor, real_bracket, calls = lattice.certified_floor_term, lattice.g_bracket, []
-
-        def counting(lam, z, shift, eps):
-            calls.append(z)
-            return real_floor(lam, z, shift, eps)
-
-        monkeypatch.setattr(lattice, "certified_floor_term", counting)
+        real_bracket, calls = g_bracket, []
+        _watch_floor_tests(monkeypatch, calls)
         lam = rational(601, 2)
         columns = len(lattice._weighted_indices(2, lam))
         count_weighted(2, D, lam)
@@ -331,7 +370,7 @@ class TestConvexWalk:
                 return RationalInterval(5 - D.shift - eps, 5 - D.shift + eps)
             return real_bracket(lam, z, eps)
 
-        monkeypatch.setattr(lattice, "g_bracket", straddling_at_bad)
+        _bracket_seam(monkeypatch, straddling_at_bad)
         calls.clear()
         with pytest.raises(UnresolvedFloorError) as info:
             count_weighted(2, D, lam)
@@ -340,13 +379,8 @@ class TestConvexWalk:
 
     @pytest.mark.parametrize("kind", [D, N])
     def test_long_sum_makes_few_floor_calls_in_little_memory(self, monkeypatch, kind):
-        real, calls = lattice.certified_floor_term, []
-
-        def counting(lam, z, shift, eps):
-            calls.append(z)
-            return real(lam, z, shift, eps)
-
-        monkeypatch.setattr(lattice, "certified_floor_term", counting)
+        calls = []
+        _watch_floor_tests(monkeypatch, calls)
         tracemalloc.start()
         try:
             lattice._convex_floor_sum(rational(70003, 7), rational(1), kind.shift, DEFAULT_EPS)
@@ -355,6 +389,18 @@ class TestConvexWalk:
             tracemalloc.stop()
         assert len(calls) == len(set(calls)) < 2000  # of 10,001 terms, each column once
         assert peak < 512 * 2**10, peak
+
+    def test_a_walked_count_prepares_once(self, monkeypatch):
+        # the floor test builds one pi bracket per rung it uses, and the slope
+        # proofs one more; term by term, every bracket asked for its own
+        asked = {curve: [], lattice: []}
+        for module, calls in asked.items():
+            real = module.pi_bounds
+            monkeypatch.setattr(module, "pi_bounds", lambda eps, real=real, calls=calls: calls.append(eps) or real(eps))
+        assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
+        rungs = asked[curve]
+        assert 0 < len(rungs) == len(set(rungs)) <= lattice._FLOOR_REFINEMENTS + 1
+        assert len(asked[lattice]) <= 1
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -405,6 +451,7 @@ class TestConvexWalk:
         # the horizontal direction, and keeping one floor per column would
         # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift, eps: lambda zn, zd: 1)
         if not walk:
             monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
