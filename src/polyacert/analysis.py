@@ -132,42 +132,3 @@ def sector_lattice_bound_oracle(kind: BoundKind, alpha: float, lam: float) -> Co
         z = m * math.pi / alpha
         total += math.floor((g_value(lam, z) if lam > 0 else 0.0) + shift)
     return CountResult(total, Rigor.ORACLE)
-
-
-# ---------------------------------------------------------------------------
-# Cumulative multiplicity and its polynomial bound
-# ---------------------------------------------------------------------------
-
-
-def multiplicity_step(d: int, t: float) -> float:
-    """Piecewise-constant multiplicity density: C(m+d-2, d-2) on the m-th step."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if t < 0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    if t < d / 2 - 1:
-        return 0.0
-    m = math.floor(t - d / 2 + 1)
-    return float(math.comb(m + d - 2, d - 2))
-
-
-def cumulative_multiplicity(d: int, z: float) -> float:
-    """Integral of the multiplicity density from 0 to z, in closed form."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z}")
-    if z < d / 2 - 1:
-        return 0.0
-    m = math.floor(z - d / 2 + 1)
-    rising = math.prod(range(m + 1, m + d - 1))  # (m+1)*...*(m+d-2)
-    return rising / math.factorial(d - 1) * ((d - 1) * z - (d - 2) * m - (d - 1) * (d - 2) / 2)
-
-
-def cumulative_multiplicity_bound(d: int, z: float) -> float:
-    """Smooth upper bound z^(d-1)/(d-1)! of the cumulative multiplicity."""
-    if d < 3:
-        raise BadDimensionError(f"needs d >= 3, got {d}")
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z}")
-    return z ** (d - 1) / math.factorial(d - 1)

@@ -23,8 +23,14 @@ A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 once and returns the per-term core as a function of z's integer parts.
 g_lower itself is that core prepared for a single abscissa, so the two
 give the same rationals.  :func:`prepare_g_bracket` does the same for the
-two-sided bracket, which the exact floor terms prepare once per rung of
-their eps ladder, and g_bracket is its one-shot form.
+two-sided bracket, which the one-shot exact floor term prepares once per
+rung of its eps ladder, and g_bracket is its one-shot form.
+
+The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
+the same arccos and pi ends, but a root from one integer square root,
+which needs no guess, window search or squaring check.  Its bracket lies
+inside g_bracket's, so the one-shot floor term on g_bracket's rationals
+is an independent check of the walk.
 """
 from __future__ import annotations
 
@@ -153,7 +159,55 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
             root_lo, root_hi = _sqrt_core(_radicand(ln, ld, zn, zd), eps, resolution)
             angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
         bracket = pi if pi is not None else pi_bounds(eps)
-        return _over_pi(root_lo, zn, zd, *angle_hi, bracket.hi), _over_pi(root_hi, zn, zd, *angle_lo, bracket.lo)
+        return (
+            _over_pi(root_lo.numerator, root_lo.denominator, zn, zd, *angle_hi, bracket.hi),
+            _over_pi(root_hi.numerator, root_hi.denominator, zn, zd, *angle_lo, bracket.lo),
+        )
+
+    return ends
+
+
+def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
+    """prepare_g_bracket's ends with the root taken from one integer square root.
+
+    The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
+    with the same arccos ends, pi bracket and order of errors; only the
+    root differs.  With n = ln^2*zd^2 - zn^2*ld^2, the root
+    sqrt(lam^2 - z^2) is sqrt(n)/(ld*zd), and r = isqrt(n * 4^k) satisfies
+    r <= sqrt(n)*2^k < r + 1, so the root lies in [r, r + 1]/(ld*zd*2^k),
+    and is r/(ld*zd*2^k) itself when r^2 = n*4^k.  The floor property of
+    isqrt proves both ends: no guess enters and no end is checked by
+    squaring.  The scale 2^k > 4/eps keeps the root's ends within eps/4 of
+    it, inside prepare_g_bracket's root ends (at least eps away unless
+    exact), so this bracket lies inside g_bracket's at the same eps.
+    """
+    try:
+        pi = pi_bounds(eps)
+    except GuessFailedError:
+        pi = None
+    capped = _arccos_eps(eps)
+    en, ed = capped.numerator, capped.denominator
+    ln, ld = lam.numerator, lam.denominator
+    ln2, ld2 = ln * ln, ld * ld
+    k = (eps.denominator // eps.numerator).bit_length() + 2  # 2^k > 4/eps, eps > 0 as pi_bounds checked
+
+    # not shared with prepare_g_bracket through a root callback: that extra
+    # call per term cost the one-shot route (exact_sweep) 3.9 % of its op/s
+    def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        if zn == 0:
+            root_lo = root_hi = ln
+            root_d = ld
+            angle_lo = angle_hi = (0, 1)
+        else:
+            scaled = (ln2 * zd * zd - zn * zn * ld2) << 2 * k
+            root_lo, root_d = math.isqrt(scaled), ld * zd << k
+            root_hi = root_lo if root_lo * root_lo == scaled else root_lo + 1
+            angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
+        bracket = pi if pi is not None else pi_bounds(eps)
+        return (
+            _over_pi(root_lo, root_d, zn, zd, *angle_hi, bracket.hi),
+            _over_pi(root_hi, root_d, zn, zd, *angle_lo, bracket.lo),
+        )
 
     return ends
 
@@ -199,21 +253,20 @@ def prepare_g_lower(lam: Fraction, eps: Fraction):
         else:
             root = _sqrt_lower_core(_radicand(ln, ld, zn, zd), eps, resolution)
             angle = _arccos_upper_end(zn * ld, zd * ln, en, ed)
-        return _over_pi(root, zn, zd, *angle, pi)
+        return _over_pi(root.numerator, root.denominator, zn, zd, *angle, pi)
 
     return parts
 
 
-def _over_pi(root: Fraction, zn: int, zd: int, an: int, ad: int, pi: Fraction) -> tuple[int, int]:
-    """(root - z*angle) / pi for z = zn/zd, angle = an/ad and pi > 0, as integers (num, den) with den > 0.
+def _over_pi(rn: int, rd: int, zn: int, zd: int, an: int, ad: int, pi: Fraction) -> tuple[int, int]:
+    """(root - z*angle) / pi for root = rn/rd, z = zn/zd, angle = an/ad and pi > 0, as integers (num, den) with den > 0.
 
     Built from the integer parts and not normalised: a caller normalises
     once, where three chained rational operations would reduce three
     times, or floors it without building the quotient.
     """
-    root_d = root.denominator
-    num = root.numerator * zd * ad - zn * an * root_d
-    return num * pi.denominator, root_d * zd * ad * pi.numerator
+    num = rn * zd * ad - zn * an * rd
+    return num * pi.denominator, rd * zd * ad * pi.numerator
 
 
 def weyl_leading_bounds(d: int, lam, eps) -> RationalInterval:

@@ -20,14 +20,19 @@ and decreasing, so the lattice points above it form a convex set, and the
 walk follows that set's lower hull with Stern-Brocot directions, from the
 first summed column on, carrying the weights kappa(d, m) of a weighted
 count along each hull edge.  It tests about a third of the columns at
-lambda 1000 (a sixth at 10^4), decides each point by the floor test of
-``certified_floor_term`` and stops a slope search only on a proved arccos
-bound, so the count is exact; a point that cannot be decided raises what
-``certified_floor_term`` raises there, and nothing is rerun.  The walk
-prepares its floor test once per sum (:func:`prepare_floor_term`, each
-rung's bracket prepared by :func:`curve.prepare_g_bracket` on its first
-use) and tests points on the columns' integer parts; the term-by-term
-sums call the one-shot form, ``certified_floor_term``, for each term.
+lambda 1000 (a sixth at 10^4), decides each point by an exact floor test
+and stops a slope search only on a proved arccos bound, so the count is
+exact; a point that cannot be decided raises what the floor test raises
+there, and nothing is rerun.  A slope proof that fails at the count's eps
+is tried once more at 1/10^9.  The walk prepares its floor test once per
+sum (:func:`prepare_floor_term`), each rung's bracket on its first use by
+:func:`curve.prepare_g_floor_ends`, whose root comes from one integer
+square root, and tests points on the columns' integer parts.  The
+term-by-term sums call ``certified_floor_term`` for each term, on the same
+ladder and hint but with :func:`curve.prepare_g_bracket`'s brackets, whose
+root ends come from a shortest-rational search; the walk's bracket lies
+inside that one at every rung, so the one-shot route is the walk's
+independent reference.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -47,7 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curve import BoundKind, _g_args, g_lower, g_value, prepare_g_bracket, prepare_g_lower
+from .curve import BoundKind, _g_args, g_lower, g_value, prepare_g_bracket, prepare_g_floor_ends, prepare_g_lower
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -104,8 +109,9 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     terms need a single bracket.  The skipped rungs are tried last, so a
     wrong hint can cost time but cannot change the result.
 
-    This is the one-shot form of :func:`prepare_floor_term`, which a sum of
-    many terms prepares once.
+    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, so this
+    is the independent reference of the hull walk's point test,
+    :func:`prepare_floor_term`, on the same ladder.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -113,19 +119,35 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     if z >= lam:
         return rat_floor(shift)
     lam, z, eps = _g_args(lam, z, eps)
-    return prepare_floor_term(lam, shift, eps)(z.numerator, z.denominator)
+    return _floor_ladder(lam, shift, eps, prepare_g_bracket)(z.numerator, z.denominator)
 
 
 def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
-    """certified_floor_term for one (lam, shift, eps), prepared once: a function of z's integer parts.
+    """The hull walk's point test for one (lam, shift, eps), prepared once: a function of z's integer parts.
 
-    The returned ``floor(zn, zd)`` is certified_floor_term(lam, zn/zd, shift,
-    eps) for integers zn >= 0 and zd > 0, neither normalised; it raises what
-    that raises, with the abscissa of an UnresolvedFloorError normalised.
+    The returned ``floor(zn, zd)`` is floor(G(lam, zn/zd) + shift) for
+    integers zn >= 0 and zd > 0, neither normalised, decided on
+    certified_floor_term's ladder and hint with each rung's bracket from
+    :func:`curve.prepare_g_floor_ends`.  That bracket lies inside
+    certified_floor_term's, so wherever certified_floor_term returns a
+    floor this returns the same one, on the same rung or an earlier one;
+    where it raises, this may still decide the point, or raise the same
+    kind of error.  lam, shift and eps must be Fractions.
+    """
+    return _floor_ladder(lam, shift, eps, prepare_g_floor_ends)
+
+
+def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
+    """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided on the eps ladder by prepare_ends(lam, eps)'s brackets.
+
     Built once: lam's and the shift's integer parts and the hint's doubles
     (_first_rung); built once per rung, on its first use: the rung's
-    accuracy eps/10^rung and its :func:`curve.prepare_g_bracket`, whose ends
-    are floored on integers.  lam, shift and eps must be Fractions.
+    accuracy eps/10^rung and its prepared ends, which are floored on
+    integers.  zn >= 0 and zd > 0 need not be normalised; the abscissa of
+    an UnresolvedFloorError is.  A rung whose bracket does not verify is
+    passed over, and if no rung decides the floor, the failure that
+    refining rung by rung from eps meets first is raised, else
+    UnresolvedFloorError with the finest rung's bracket.
     """
     ln, ld = lam.numerator, lam.denominator
     sn, sd = shift.numerator, shift.denominator
@@ -142,7 +164,7 @@ def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
         for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
             ends = rungs[rung]
             if ends is None:
-                ends = rungs[rung] = prepare_g_bracket(lam, eps / 10**rung)
+                ends = rungs[rung] = prepare_ends(lam, eps / 10**rung)
             try:
                 (lo_n, lo_d), (hi_n, hi_d) = ends(zn, zd)
             except GuessFailedError as exc:
@@ -199,8 +221,11 @@ def _first_rung(lam: Fraction, shift: Fraction, eps: Fraction):
 # Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100; walking
 # every exact sum ran exact_sweep's first 2,400 inputs 1.14-1.32x faster),
 # but they would also speed up the exact_sweep benchmark, whose
-# per-operation records would then push its peak_rss_mb past its bound
-# (ROADMAP items 2 and 7).
+# per-operation records would then push its peak_rss_mb past its 5 %
+# bound (ROADMAP items 2 and 7).  Those records grow with the operations
+# a run makes: in 35 s runs on a 2-vCPU x86_64 host, large_lambda's
+# peak_rss_mb rose 3.4 % (22.03 to 22.79 MB) as its op/s rose from 60 to
+# 107 with the walk's integer-root brackets.
 _WALK_MIN_TERMS = 256
 
 
@@ -215,11 +240,12 @@ def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None 
     z_num, z_add, z_den, top = _columns(lam, a, d)
     if top + 1 - start >= _WALK_MIN_TERMS:
         return _convex_floor_sum(lam, a, shift, eps, d, start)
-    # Each term is the one-shot certified_floor_term.  Preparing the floor
-    # test once per sum here too (prepare_floor_term) ran exact_sweep's first
-    # 2,000 inputs 1.49x faster, but the benchmark's per-operation records
-    # would then raise its peak_rss_mb by about 12 %, past its bound (ROADMAP
-    # items 2 and 3); count_dirichlet_dim_reduction waits for the same fix.
+    # Each term is the one-shot certified_floor_term, on prepare_g_bracket's
+    # brackets.  Preparing the walk's floor test (prepare_floor_term) once
+    # per sum here too ran exact_sweep 2.2x faster in 20 s runs on the same
+    # host, but the benchmark's per-operation records then raised its
+    # peak_rss_mb by 19 %, past its 5 % bound (ROADMAP items 2 and 3);
+    # count_dirichlet_dim_reduction waits for the same fix.
     return sum(
         (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
         for m in range(start, top + 1)
@@ -242,8 +268,8 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     the lowest point above the curve, h(m) = floor(f(m)) + 1, is the edge
     rounded up, so a step along a primitive (q, p) from (x, y) adds
     sum_{j<q} w(x+j)*(y - floor(p*j/q)) to the weighted sum of h
-    (_step_sum).  A point is tested exactly, y > certified_floor_term(lam,
-    z, shift, eps), once per column, and only columns from start on.
+    (_step_sum).  A point is tested exactly, y > floor(f(m)) by
+    prepare_floor_term, once per column, and only columns from start on.
 
     The next edge is the steepest direction whose first point is above the
     curve; it is searched by mediants between a flatter direction whose
@@ -252,8 +278,9 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     only lie past A, so the search stops when the curve at A is provably at
     least as flat as that direction: arccos(z/lam) <= pi*a*p/q at A's
     abscissa z, by _arccos_at_most_pi_times.  A cut-off that is not proved
-    only costs more tests.  A horizontal step is never tested, as f
-    decreases.  Raises what certified_floor_term raises.
+    only costs more tests; one that fails at eps is tried once more at
+    _SLOPE_EPS.  A horizontal step is never tested, as f decreases.
+    Raises what the point test raises.
     """
     z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
@@ -275,7 +302,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
         return y > floor
 
     first = floors[start] = floor_at(start * z_num + z_add, z_den)
-    slope = _slope_ends(as_rational(eps))
+    slopes = _slope_ends(as_rational(eps))
     x, y, total = start, first + 1, 0  # total: sum of w*h over the columns start .. x - 1
     stack = [(1, 0), (0, 1)]
     while True:
@@ -300,7 +327,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
             if above(m, y - pm, keep_below=p1 > 0):
                 q1, p1 = q1 + q, pm
                 stack.append((q1, p1))
-            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, slope):
+            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, slopes):
                 break
             else:
                 q, p = q1 + q, pm
@@ -326,33 +353,46 @@ def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
     )
 
 
-def _slope_ends(eps: Fraction) -> tuple[int, int, int, int] | None:
-    """(en, ed, pn, pd) for _arccos_at_most_pi_times: eps capped at 1/4 and the lower end of
-    pi_bounds(eps), on integers, built once per walk; None if that pi bracket does not verify."""
-    capped = _arccos_eps(eps)
-    try:
-        pi = pi_bounds(eps).lo
-    except GuessFailedError:
-        return None
-    return capped.numerator, capped.denominator, pi.numerator, pi.denominator
+# A slope proof that fails at the count's eps is tried once more at this
+# one: deep in the walk the two sides of a cut-off differ by less than a
+# 1/1000-wide arccos end can separate (at lambda 10^5, 7,284 point tests
+# against 12,196 without the retry).
+_SLOPE_EPS = rational(1, 10**9)
 
 
-def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, slope: tuple[int, int, int, int] | None) -> bool:
+def _slope_ends(eps: Fraction) -> list[tuple[int, int, int, int]]:
+    """[(en, ed, pn, pd), ...] for _arccos_at_most_pi_times, built once per walk: eps capped at 1/4 and
+    the lower end of pi_bounds(eps), on integers, at the count's eps and then at _SLOPE_EPS if that is
+    finer; an eps whose pi bracket does not verify is left out."""
+    slopes = []
+    for e in (eps, _SLOPE_EPS) if _SLOPE_EPS < eps else (eps,):
+        capped = _arccos_eps(e)
+        try:
+            pi = pi_bounds(e).lo
+        except GuessFailedError:
+            continue
+        slopes.append((capped.numerator, capped.denominator, pi.numerator, pi.denominator))
+    return slopes
+
+
+def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, slopes: list[tuple[int, int, int, int]]) -> bool:
     """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 < xn <= xd, sn >= 0 and sd > 0.
 
-    The proof compares the verified upper end of the arccos at the capped
-    eps of ``slope = _slope_ends(eps)`` with sn/sd times its lower end of pi,
-    on integers.  An end that does not verify makes it False, never an
-    exception.
+    The proof compares the verified upper end of the arccos at a capped
+    eps of ``slopes = _slope_ends(eps)`` with sn/sd times its lower end of
+    pi, on integers, at each eps in turn until one proves it.  An end that
+    does not verify makes that eps fail, never an exception.
     """
-    if sn == 0 or slope is None:
+    if sn == 0:
         return False
-    en, ed, pn, pd = slope
-    try:
-        un, ud = _arccos_upper_end(xn, xd, en, ed)
-    except GuessFailedError:
-        return False
-    return un * sd * pd <= pn * sn * ud
+    for en, ed, pn, pd in slopes:
+        try:
+            un, ud = _arccos_upper_end(xn, xd, en, ed)
+        except GuessFailedError:
+            continue
+        if un * sd * pd <= pn * sn * ud:
+            return True
+    return False
 
 
 def _floor_plus(n: int, d: int, sn: int, sd: int) -> int:
@@ -377,7 +417,8 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
     A sum of at least _WALK_MIN_TERMS terms, in any dimension, is read off
     the hull walk (_column_sum), a shorter one summed term by term.  An
-    undecided term raises what certified_floor_term raised for it.
+    undecided term raises what its floor test (prepare_floor_term or
+    certified_floor_term) raised for it.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
@@ -475,8 +516,8 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
     at m = 1, Neumann at m = 0, and so does the hull walk of a sum of at
     least _WALK_MIN_TERMS terms (_column_sum).  An undecided term raises
-    what certified_floor_term raised for it.  For irrational apertures use
-    ``analysis.sector_lattice_bound_oracle``.
+    what its floor test raised for it, as in count_weighted.  For
+    irrational apertures use ``analysis.sector_lattice_bound_oracle``.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(

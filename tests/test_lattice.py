@@ -1,5 +1,6 @@
 """Tests for weighted counts, dimension reduction, sectors, and counting harnesses."""
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -9,13 +10,7 @@ from hypothesis import strategies as st
 from polyacert import curve, lattice
 from polyacert.cli import main
 from polyacert.curve import BoundKind, g_bracket, g_lower, g_value
-from polyacert.analysis import (
-    count_weighted_oracle,
-    cumulative_multiplicity,
-    cumulative_multiplicity_bound,
-    multiplicity_step,
-    sector_lattice_bound_oracle,
-)
+from polyacert.analysis import count_weighted_oracle, sector_lattice_bound_oracle
 from polyacert.errors import (
     BadDimensionError,
     DomainError,
@@ -42,8 +37,9 @@ N = BoundKind.NEUMANN
 def _bracket_seam(monkeypatch, bracket):
     """Give every floor test its brackets from bracket(lam, z, eps) -> RationalInterval.
 
-    The floor tests, prepared or one-shot, take their brackets through
-    lattice.prepare_g_bracket, once per rung; this routes each one to bracket.
+    The floor tests take their brackets once per rung, the walk's through
+    lattice.prepare_g_floor_ends and the one-shot certified_floor_term's
+    through lattice.prepare_g_bracket; this routes both builders to bracket.
     """
 
     def prepare(lam, eps):
@@ -54,10 +50,11 @@ def _bracket_seam(monkeypatch, bracket):
         return ends
 
     monkeypatch.setattr(lattice, "prepare_g_bracket", prepare)
+    monkeypatch.setattr(lattice, "prepare_g_floor_ends", prepare)
 
 
 def _watch_floor_tests(monkeypatch, asked):
-    """Append the abscissa of every floor test, prepared or one-shot, to asked."""
+    """Append the abscissa of every point test of the hull walk (prepare_floor_term) to asked."""
     real = lattice.prepare_floor_term
 
     def prepare(lam, shift, eps):
@@ -392,7 +389,8 @@ class TestConvexWalk:
 
     def test_a_walked_count_prepares_once(self, monkeypatch):
         # the floor test builds one pi bracket per rung it uses, and the slope
-        # proofs one more; term by term, every bracket asked for its own
+        # proofs one per eps they try, the count's and _SLOPE_EPS; term by
+        # term, every bracket asked for its own
         asked = {curve: [], lattice: []}
         for module, calls in asked.items():
             real = module.pi_bounds
@@ -400,7 +398,15 @@ class TestConvexWalk:
         assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
         rungs = asked[curve]
         assert 0 < len(rungs) == len(set(rungs)) <= lattice._FLOOR_REFINEMENTS + 1
-        assert len(asked[lattice]) <= 1
+        assert asked[lattice] == [DEFAULT_EPS, lattice._SLOPE_EPS]
+
+    def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
+        # at the count's eps alone the slope proofs fail deep in the walk,
+        # and the walk tested 12,196 points here
+        asked = []
+        _watch_floor_tests(monkeypatch, asked)
+        assert count_weighted(2, N, 10**5).value == 2_500_049_851
+        assert len(asked) <= 8000
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -470,6 +476,73 @@ class TestConvexWalk:
         assert total == (10**5 + 1) ** 2  # kappa(3, m) = 2*m + 1 for m = 0 .. 10**5
         assert len(walks) == (1 if walk else 0)
         assert peak < 2**20, peak
+
+
+class TestWalkPointTest:
+    """prepare_floor_term, whose root comes from an integer square root, against the one-shot route."""
+
+    @pytest.mark.parametrize(
+        "lam,shift,eps",
+        [
+            (rational(11393, 11), N.shift, DEFAULT_EPS),  # one term is decided only at eps = 1e-10
+            (rational(300), D.shift, DEFAULT_EPS),  # 300^2 - z^2 is a square at z = 84, 180, 240, 288
+            (rational(5), D.shift, DEFAULT_EPS),  # 5^2 - 3^2 and 5^2 - 4^2 are squares
+            (rational(67891, 93), N.shift, DEFAULT_EPS),
+            (rational(1201, 3), D.shift, rational(1, 2)),  # eps above the arccos cap
+            (rational(37, 4), N.shift, rational(1, 10**10)),
+        ],
+    )
+    def test_every_column_equals_certified_floor_term(self, lam, shift, eps):
+        floor = lattice.prepare_floor_term(lam, shift, eps)
+        for m in range(rat_floor(lam) + 2):  # the last column lies past lam
+            assert floor(m, 1) == certified_floor_term(lam, rational(m), shift, eps), m
+        for m in range(0, rat_floor(3 * lam) + 1, 7):  # unnormalised abscissas m/3 as (2m)/6
+            assert floor(2 * m, 6) == certified_floor_term(lam, rational(m, 3), shift, eps), m
+
+    @pytest.mark.parametrize("z", [0, 3, 4])
+    def test_an_exact_root_gives_g_brackets_ends(self, z):
+        # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself), so
+        # both routes take the root exactly and share their arccos and pi ends
+        lam, eps = rational(5), DEFAULT_EPS
+        ends = curve.prepare_g_floor_ends(lam, eps)(z, 1)
+        bracket = g_bracket(lam, z, eps)
+        assert tuple(rational(*end) for end in ends) == (bracket.lo, bracket.hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.fractions(min_value=rational(1, 100), max_value=1500, max_denominator=100),
+        t=st.fractions(min_value=0, max_value=1, max_denominator=200),
+        exponent=st.integers(1, 14),
+    )
+    def test_bracket_lies_inside_g_bracket(self, lam, t, exponent):
+        z, eps = lam * t, rational(1, 10**exponent)
+        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+        outer = g_bracket(lam, z, eps)
+        assert outer.lo <= lo <= hi <= outer.hi
+
+    def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
+        # with the arccos taken as 0 and pi as 1, the ends are the root's own
+        monkeypatch.setattr(curve, "_arccos_ends", lambda a, b, en, ed: ((0, 1), (0, 1)))
+        monkeypatch.setattr(curve, "pi_bounds", lambda eps: RationalInterval(rational(1), rational(1)))
+        rng = random.Random(5)
+        for _ in range(300):
+            lam = rational(rng.randint(1, 150_000), rng.randint(1, 100))
+            z = lam * rational(rng.randint(1, 200), 200)
+            eps = rational(1, 10 ** rng.randint(0, 15))
+            lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+            assert lo**2 <= lam**2 - z**2 <= hi**2, (lam, z, eps)
+            assert hi - lo < eps / 4, (lam, z, eps)
+
+    def test_walked_counts_equal_the_double_oracle_on_seeded_large_lambdas(self):
+        # drawn as the large_lambda benchmark draws them: lambda in [400, 1200]
+        # with denominators up to 100, alternating the boundary kind
+        rng = random.Random(21)
+        for i in range(20):
+            q = rng.randint(1, 100)
+            lam = rational(rng.randint(400 * q, 1200 * q), q)
+            kind = (D, N)[i % 2]
+            expected = count_weighted_oracle(2, kind, lam.numerator / lam.denominator).value
+            assert count_weighted(2, kind, lam).value == expected, (kind, lam)
 
 
 class TestCertifiedLower:
@@ -572,43 +645,3 @@ class TestSectorCounts:
         result = sector_lattice_bound_oracle(N, 2.0, 6.0)
         assert result.rigor is Rigor.ORACLE
         assert result.value >= 0
-
-
-class TestCumulativeMultiplicity:
-    def test_zero_before_threshold(self):
-        assert cumulative_multiplicity(3, 0.4) == 0.0
-
-    def test_touches_bound_at_integer_knot(self):
-        assert cumulative_multiplicity(3, 3) == pytest.approx(4.5, abs=1e-12)
-        assert cumulative_multiplicity_bound(3, 3) == pytest.approx(4.5, abs=1e-12)
-
-    def test_four_dimensional_value(self):
-        assert cumulative_multiplicity(4, 5) == pytest.approx(20.0, abs=1e-12)
-        assert cumulative_multiplicity_bound(4, 5) == pytest.approx(125 / 6, abs=1e-12)
-
-    def test_matches_step_integral(self):
-        # independent oracle: midpoint rule on 1/64 cells is exact for the
-        # piecewise-constant density (its jumps sit on the half-integer grid)
-        for d in (3, 4, 5):
-            for z in (0.7, 1.0, 2.3, 5.5, 9.25):
-                total = 0.0
-                t = 0.0
-                grid = 1 / 64
-                while t < z:
-                    top = min(t + grid, z)
-                    total += multiplicity_step(d, (t + top) / 2) * (top - t)
-                    t = top
-                assert cumulative_multiplicity(d, z) == pytest.approx(total, abs=1e-9)
-
-    @given(
-        d=st.integers(3, 8),
-        z_scaled=st.integers(0, 3200),
-    )
-    @settings(max_examples=1000, deadline=None)
-    def test_bound_dominates(self, d, z_scaled):
-        z = z_scaled / 64
-        assert cumulative_multiplicity(d, z) <= cumulative_multiplicity_bound(d, z) + 1e-12
-
-    def test_bad_dimension(self):
-        with pytest.raises(BadDimensionError):
-            cumulative_multiplicity(2, 1.0)
