@@ -13,10 +13,10 @@ The certified bracket :func:`g_bracket` gives exact rationals that provably
 enclose G, for the certified-exact counts, and its lower end alone,
 :func:`g_lower`, serves the certified lower counts.
 :func:`weyl_leading_bounds` brackets the leading Weyl term.  The one
-double-precision function here, :func:`g_value`, is a hint: the exact floor
-term picks its first bracket accuracy from it and never trusts it.  The
-rest of the double-precision analysis (moments, the Weyl term, the
-quarter-level abscissa) lives in :mod:`polyacert.analysis`.
+double-precision function here, :func:`g_value`, is kept for the acceptance
+suite, which imports it from here, and for :mod:`polyacert.analysis`; no
+certified function calls it.  The rest of the double-precision analysis
+(moments, the Weyl term, the quarter-level abscissa) lives in analysis.
 
 A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 :func:`prepare_g_lower` builds everything that depends on (lam, eps) alone

@@ -27,12 +27,13 @@ there, and nothing is rerun.  A slope proof that fails at the count's eps
 is tried once more at 1/10^9.  The walk prepares its floor test once per
 sum (:func:`prepare_floor_term`), each rung's bracket on its first use by
 :func:`curve.prepare_g_floor_ends`, whose root comes from one integer
-square root, and tests points on the columns' integer parts.  The
-term-by-term sums call ``certified_floor_term`` for each term, on the same
-ladder and hint but with :func:`curve.prepare_g_bracket`'s brackets, whose
-root ends come from a shortest-rational search; the walk's bracket lies
-inside that one at every rung, so the one-shot route is the walk's
-independent reference.
+square root, and tests points on the columns' integer parts; its ladder
+starts at a rung worked out from lambda and eps on integers
+(``_start_rung``).  The term-by-term sums call ``certified_floor_term``
+for each term, on the same ladder from the same start rung but with
+:func:`curve.prepare_g_bracket`'s brackets, whose root ends come from a
+shortest-rational search; the walk's bracket lies inside that one at
+every rung, so the one-shot route is the walk's independent reference.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -52,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curve import BoundKind, _g_args, g_lower, g_value, prepare_g_bracket, prepare_g_floor_ends, prepare_g_lower
+from .curve import BoundKind, _g_args, g_lower, prepare_g_bracket, prepare_g_floor_ends, prepare_g_lower
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -60,7 +61,7 @@ from .errors import (
     IrrationalApertureError,
     UnresolvedFloorError,
 )
-from .rational import ZERO, as_rational, rat_floor, rational, to_float
+from .rational import ZERO, as_rational, rat_floor, rational
 from .verified import DEFAULT_EPS, _arccos_eps, _arccos_upper_end, pi_bounds
 
 
@@ -103,11 +104,11 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     rather than guessed.  For z >= lam the curve vanishes identically and the
     result is floor(shift), with no bracketing needed.
 
-    The double-precision value of G + shift is used only as a hint: its
-    distance to the nearest integer picks the first rung tried, skipping the
-    coarser rungs whose brackets would reach that integer, so that most
-    terms need a single bracket.  The skipped rungs are tried last, so a
-    wrong hint can cost time but cannot change the result.
+    The first rung tried is worked out from lam and eps alone
+    (_start_rung): the coarsest one whose brackets are at most about 1/8
+    wide, so that most terms need a single bracket.  The coarser rungs are
+    tried last, so the start rung can cost time but cannot change the
+    result.
 
     Each rung's bracket comes from :func:`curve.prepare_g_bracket`, so this
     is the independent reference of the hull walk's point test,
@@ -127,12 +128,12 @@ def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
 
     The returned ``floor(zn, zd)`` is floor(G(lam, zn/zd) + shift) for
     integers zn >= 0 and zd > 0, neither normalised, decided on
-    certified_floor_term's ladder and hint with each rung's bracket from
-    :func:`curve.prepare_g_floor_ends`.  That bracket lies inside
-    certified_floor_term's, so wherever certified_floor_term returns a
-    floor this returns the same one, on the same rung or an earlier one;
-    where it raises, this may still decide the point, or raise the same
-    kind of error.  lam, shift and eps must be Fractions.
+    certified_floor_term's ladder, from the same start rung, with each
+    rung's bracket from :func:`curve.prepare_g_floor_ends`.  That bracket
+    lies inside certified_floor_term's, so wherever certified_floor_term
+    returns a floor this returns the same one, on the same rung or an
+    earlier one; where it raises, this may still decide the point, or raise
+    the same kind of error.  lam, shift and eps must be Fractions.
     """
     return _floor_ladder(lam, shift, eps, prepare_g_floor_ends)
 
@@ -140,11 +141,12 @@ def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
 def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
     """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided on the eps ladder by prepare_ends(lam, eps)'s brackets.
 
-    Built once: lam's and the shift's integer parts and the hint's doubles
-    (_first_rung); built once per rung, on its first use: the rung's
-    accuracy eps/10^rung and its prepared ends, which are floored on
-    integers.  zn >= 0 and zd > 0 need not be normalised; the abscissa of
-    an UnresolvedFloorError is.  A rung whose bracket does not verify is
+    Built once: lam's and the shift's integer parts and the order of the
+    rungs, from _start_rung(lam, eps) to the finest and then the coarser
+    ones; built once per rung, on its first use: the rung's accuracy
+    eps/10^rung and its prepared ends, which are floored on integers.
+    zn >= 0 and zd > 0 need not be normalised; the abscissa of an
+    UnresolvedFloorError is.  A rung whose bracket does not verify is
     passed over, and if no rung decides the floor, the failure that
     refining rung by rung from eps meets first is raised, else
     UnresolvedFloorError with the finest rung's bracket.
@@ -152,16 +154,16 @@ def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
     ln, ld = lam.numerator, lam.denominator
     sn, sd = shift.numerator, shift.denominator
     past_lam = sn // sd  # floor(shift), the term at z >= lam
-    hint = _first_rung(lam, shift, eps)
+    first = _start_rung(lam, eps)
+    order = (*range(first, _FLOOR_REFINEMENTS + 1), *range(first))
     rungs = [None] * (_FLOOR_REFINEMENTS + 1)
 
     def floor(zn: int, zd: int) -> int:
         if zn * ld >= ln * zd:
             return past_lam
-        first = hint(zn, zd)
         unverified = {}
         finest = None
-        for rung in (*range(first, _FLOOR_REFINEMENTS + 1), *range(first)):
+        for rung in order:
             ends = rungs[rung]
             if ends is None:
                 ends = rungs[rung] = prepare_ends(lam, eps / 10**rung)
@@ -183,49 +185,31 @@ def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
     return floor
 
 
-def _first_rung(lam: Fraction, shift: Fraction, eps: Fraction):
-    """The hint of a prepared floor test: rung(zn, zd), the first rung of the eps
-    ladder whose bracket of G may miss the integer nearest G + shift at z = zn/zd.
+def _start_rung(lam: Fraction, eps: Fraction) -> int:
+    """The first rung of the eps ladder for G(lam, .): the coarsest r <= _FLOOR_REFINEMENTS with 16*lam*eps <= 10^r.
 
     Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
     beyond G (z times the arccos overhang, plus G times the relative pi
-    overhang) and at most about three times that.  Rungs whose brackets
-    could reach the nearest integer, with a margin of two for the double
-    value's error, are skipped.  The doubles of lam, shift and eps are taken
-    here, once; where one of them has no double (an overflow) or lam's
-    underflows to 0, every hint is rung 0.
+    overhang) and at most about three times that, and z + 3*G <= lam on
+    [0, lam] (it is convex in z, 3*lam/pi at 0 and lam at lam).  So at the
+    start rung every column's bracket is at most about
+    1.9*lam*eps/10^r <= 1/8 wide, and a term misses it only within 1/8 of
+    an integer.  Decided on the integer parts of lam and eps.
     """
-    try:
-        lam_f, shift_f, six_eps = to_float(lam), to_float(shift), 6 * to_float(eps)
-    except OverflowError:
-        return lambda zn, zd: 0
-    if lam_f == 0:  # g_value needs a positive lam
-        return lambda zn, zd: 0
-
-    def hint(zn: int, zd: int) -> int:
-        z = zn / zd  # correctly rounded, whatever the common factor of zn and zd
-        g = g_value(lam_f, z)
-        reach = six_eps * (z + 3 * g) / math.pi
-        frac = (g + shift_f) % 1.0
-        gap = min(frac, 1.0 - frac)
-        rung = 0
-        while rung < _FLOOR_REFINEMENTS and reach > gap:
-            reach /= 10
-            rung += 1
-        return rung
-
-    return hint
+    ln, en, den = lam.numerator, eps.numerator, lam.denominator * eps.denominator
+    return next((r for r in range(_FLOOR_REFINEMENTS) if 16 * ln * en <= 10**r * den), _FLOOR_REFINEMENTS)
 
 
 # Sums of at least this many terms are walked (see _convex_floor_sum).
-# Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100; walking
-# every exact sum ran exact_sweep's first 2,400 inputs 1.14-1.32x faster),
-# but they would also speed up the exact_sweep benchmark, whose
-# per-operation records would then push its peak_rss_mb past its 5 %
-# bound (ROADMAP items 2 and 7).  Those records grow with the operations
-# a run makes: in 35 s runs on a 2-vCPU x86_64 host, large_lambda's
-# peak_rss_mb rose 3.4 % (22.03 to 22.79 MB) as its op/s rose from 60 to
-# 107 with the walk's integer-root brackets.
+# Shorter walks pay too (1.14x at lambda ~ 25, 1.58x at ~ 100), but they
+# would also speed up the exact_sweep benchmark, whose per-operation
+# records would then push its peak_rss_mb past its 5 % bound (ROADMAP
+# items 2 and 7): walking every exact sum ran exact_sweep 2.3x faster in
+# 35 s runs on a 2-vCPU x86_64 host (475 to 1,105 op/s), and its
+# peak_rss_mb rose 34 % (28.15 to 37.81 MB).  Those records grow with the
+# operations a run makes: on the same host, large_lambda's peak_rss_mb
+# rose 3.4 % (22.03 to 22.79 MB) as its op/s rose from 60 to 107 with the
+# walk's integer-root brackets.
 _WALK_MIN_TERMS = 256
 
 
@@ -245,7 +229,10 @@ def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None 
     # per sum here too ran exact_sweep 2.2x faster in 20 s runs on the same
     # host, but the benchmark's per-operation records then raised its
     # peak_rss_mb by 19 %, past its 5 % bound (ROADMAP items 2 and 3);
-    # count_dirichlet_dim_reduction waits for the same fix.
+    # count_dirichlet_dim_reduction waits for the same fix.  Taking only
+    # the one-shot floor's brackets from prepare_g_floor_ends ran exact_sweep
+    # 1.51x faster in 35 s runs (475 to 717 op/s), with peak_rss_mb up
+    # 12.6 % (28.15 to 31.69 MB).
     return sum(
         (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
         for m in range(start, top + 1)

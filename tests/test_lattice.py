@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyacert import curve, lattice
 from polyacert.cli import main
-from polyacert.curve import BoundKind, g_bracket, g_lower, g_value
+from polyacert.curve import BoundKind, g_bracket, g_lower
 from polyacert.analysis import count_weighted_oracle, sector_lattice_bound_oracle
 from polyacert.errors import (
     BadDimensionError,
@@ -142,8 +142,8 @@ class TestCountWeighted:
         assert exact == count_weighted_oracle(2, N, 11393 / 11).value == 268676
 
 
-class TestFloatHint:
-    """The double value of G picks the first refinement rung; it must never change a count."""
+class TestStartRung:
+    """lattice._start_rung picks the first refinement rung from lam and eps; it must never change a count."""
 
     @staticmethod
     def _counts():
@@ -152,45 +152,52 @@ class TestFloatHint:
             + [count_weighted(3, D, rational(k, 2)).value for k in range(1, 13)]
             + [count_dirichlet_dim_reduction(4, rational(k, 2)).value for k in range(1, 9)]
             + [sector_lattice_bound(N, rational(1, 3), rational(k, 2)).value for k in range(1, 13)]
+            + [count_weighted(2, N, rational(11393, 11)).value]  # walked
         )
 
-    @pytest.mark.parametrize(
-        "wrong",
-        [
-            # G + shift looks exactly on an integer for one boundary kind (the
-            # finest rung is tried first) and halfway between two for the other
-            lambda lam, z: 0.25,
-            lambda lam, z: 0.75,
-            lambda lam, z: 1e300,
-            lambda lam, z: math.nan,
-            lambda lam, z: g_value(lam, z) + 0.37,
-        ],
-    )
-    def test_wrong_hints_leave_counts_unchanged(self, monkeypatch, wrong):
-        expected = self._counts()
-        monkeypatch.setattr(lattice, "g_value", wrong)
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return self._counts()
+
+    @pytest.mark.parametrize("rung", range(lattice._FLOOR_REFINEMENTS + 1))
+    def test_any_start_rung_leaves_counts_unchanged(self, monkeypatch, expected, rung):
+        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: rung)
         assert self._counts() == expected
 
-    def test_unverifiable_hinted_rung_falls_back_to_the_skipped_ones(self, monkeypatch):
+    def test_unverifiable_start_rung_falls_back_to_the_coarser_ones(self, monkeypatch):
         # at eps = 1e-10 the finest rung (1e-22) is beyond what a double arccos
-        # guess can seed, so a hint that starts there must fall back to the
-        # coarser rungs it skipped
+        # guess can seed, so a ladder that starts there must fall back to the
+        # coarser rungs
         eps = rational(1, 10**10)
         lam, shift = rational(37, 4), rational(3, 4)
         expected = [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)]
-        monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
+        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: lattice._FLOOR_REFINEMENTS)
         assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
 
     @pytest.mark.parametrize("kind", [D, N])
-    def test_a_lambda_whose_double_underflows_starts_at_rung_zero(self, kind, capsys):
-        # float(lam) is 0.0, which g_value rejects: the hint falls back to rung 0
-        lam = rational(1, 10**400)
+    def test_a_lambda_below_every_double_is_counted(self, kind, capsys):
+        lam = rational(1, 10**400)  # float(lam) is 0.0
+        assert lattice._start_rung(lam, DEFAULT_EPS) == 0
         assert certified_floor_term(lam, 0, kind.shift) == 0
         assert count_weighted(2, kind, lam).value == 0  # one term, summed term by term
         assert lattice._convex_floor_sum(lam, rational(1), kind.shift, DEFAULT_EPS, 2) == 0  # walked
         assert sector_lattice_bound(kind, 1, lam).value == 0
         assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**400}"]) == 0
         assert " value=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", [D, N])
+    @pytest.mark.parametrize("eps", [rational(1, 10**3), rational(1, 10**6)], ids=["1e-3", "1e-6"])
+    def test_start_rung_brackets_are_at_most_an_eighth_wide(self, kind, eps):
+        # every seventh column of count_weighted(2, kind, lam), lam log-uniform
+        # in [1, 10^4]: start rungs 0 to 2, brackets up to 0.84 of the bound
+        rng = random.Random(f"start-rung-{kind.value}")
+        for _ in range(8):
+            den = rng.randint(1, 100)
+            lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
+            ends = curve.prepare_g_floor_ends(lam, eps / 10 ** lattice._start_rung(lam, eps))
+            for m in range(0, rat_floor(lam) + 1, 7):
+                (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
+                assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, eps, m)
 
 
 class TestFloorGiveUp:
@@ -224,8 +231,8 @@ class TestFloorGiveUp:
             raise raised[eps]
 
         _bracket_seam(monkeypatch, failing)
-        # a hint exactly on an integer sends the ladder to the finest rung first
-        monkeypatch.setattr(lattice, "g_value", lambda lam, z: 0.25)
+        # start the ladder at the finest rung, so the coarsest is tried last
+        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: lattice._FLOOR_REFINEMENTS)
         eps = rational(1, 1000)
         with pytest.raises(GuessFailedError) as info:
             certified_floor_term(rational(3), rational(1), rational(3, 4), eps)
