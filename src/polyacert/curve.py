@@ -24,13 +24,17 @@ once and returns the per-term core as a function of z's integer parts.
 g_lower itself is that core prepared for a single abscissa, so the two
 give the same rationals.  :func:`prepare_g_bracket` does the same for the
 two-sided bracket, which the one-shot exact floor term prepares once per
-rung of its eps ladder, and g_bracket is its one-shot form.
+rung of its eps ladder, and g_bracket is its one-shot form.  Each core
+takes the radicand lam^2 - z^2 to the verified square-root ends as a
+reduced integer pair, and the z/lam of the arccos ends as an unnormalised
+one, so no term builds a ``Fraction``.
 
 The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
 the same arccos and pi ends, but a root from one integer square root,
-which needs no guess, window search or squaring check.  Its bracket lies
-inside g_bracket's, so the one-shot floor term on g_bracket's rationals
-is an independent check of the walk.
+which needs no guess, window search or squaring check.  Both two-sided
+brackets are one closure, :func:`_prepare_two_sided`, given the root.
+The walk's bracket lies inside g_bracket's, so the one-shot floor term on
+g_bracket's rationals is an independent check of the walk.
 """
 from __future__ import annotations
 
@@ -45,9 +49,8 @@ from .verified import (
     _arccos_ends,
     _arccos_eps,
     _arccos_upper_end,
-    _sqrt_core,
-    _sqrt_lower_core,
-    _sqrt_resolution,
+    _sqrt_ends,
+    _sqrt_lower_end,
     pi_bounds,
     sqrt_bounds,  # unused here: the benchmark's tracing test reads it as a curve attribute (ROADMAP item 2)
 )
@@ -99,13 +102,16 @@ def _g_args(lam, z, eps) -> tuple[Fraction, Fraction, Fraction]:
     return lam, z, eps
 
 
-def _radicand(ln: int, ld: int, zn: int, zd: int) -> Fraction:
-    """lam^2 - z^2 for lam = ln/ld and z = zn/zd, normalised once.
+def _radicand(ln: int, ld: int, zn: int, zd: int) -> tuple[int, int]:
+    """lam^2 - z^2 for lam = ln/ld and z = zn/zd, as the coprime pair (n, d).
 
-    The arccos argument z/lam is passed on as the integers (zn*ld, zd*ln)
-    and never normalised.
+    It is reduced because the square root's guess scale depends on d.  The
+    arccos argument z/lam is passed on as the integers (zn*ld, zd*ln) and
+    never normalised.
     """
-    return rational(ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd)
+    n, d = ln * ln * zd * zd - zn * zn * ld * ld, ld * ld * zd * zd
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def g_bracket(lam, z, eps) -> RationalInterval:
@@ -132,39 +138,25 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
     The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num, lo_den),
     (hi_num, hi_den)), both denominators positive and neither pair
     normalised, whose quotients are the ends of g_bracket(lam, zn/zd, eps),
-    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  As in
-    :func:`prepare_g_lower`, lam's integer parts, the sqrt resolution, the
-    capped arccos eps and the pi bracket are built here, once, and each call
+    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  It is
+    :func:`_prepare_two_sided` with sqrt_bounds's root ends, so each call
     builds only its radicand and the verified ends of the root and the
-    arccos.  A pi bracket that does not verify is asked for again in each
-    call, after the ends of the root and the arccos, so a call raises the
-    error of the first of the three that fails, in that order.
+    arccos, all on integers.
 
     lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
     here, from pi_bounds, with g_bracket's message.
     """
-    try:
-        pi = pi_bounds(eps)
-    except GuessFailedError:
-        pi = None
-    resolution, capped = _sqrt_resolution(eps), _arccos_eps(eps)
-    en, ed = capped.numerator, capped.denominator
-    ln, ld = lam.numerator, lam.denominator
+    return _prepare_two_sided(lam, eps, _verified_root)
 
-    def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        if zn == 0:
-            root_lo = root_hi = lam
-            angle_lo = angle_hi = (0, 1)
-        else:
-            root_lo, root_hi = _sqrt_core(_radicand(ln, ld, zn, zd), eps, resolution)
-            angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
-        bracket = pi if pi is not None else pi_bounds(eps)
-        return (
-            _over_pi(root_lo.numerator, root_lo.denominator, zn, zd, *angle_hi, bracket.hi),
-            _over_pi(root_hi.numerator, root_hi.denominator, zn, zd, *angle_lo, bracket.lo),
-        )
 
-    return ends
+def _verified_root(ln: int, ld: int, eps: Fraction):
+    """root(zn, zd): the verified ends of sqrt(lam^2 - z^2), as sqrt_bounds gives them at eps."""
+    en, ed = eps.numerator, eps.denominator
+
+    def root(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        return _sqrt_ends(*_radicand(ln, ld, zn, zd), en, ed)
+
+    return root
 
 
 def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
@@ -172,14 +164,43 @@ def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
 
     The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
     with the same arccos ends, pi bracket and order of errors; only the
-    root differs.  With n = ln^2*zd^2 - zn^2*ld^2, the root
-    sqrt(lam^2 - z^2) is sqrt(n)/(ld*zd), and r = isqrt(n * 4^k) satisfies
-    r <= sqrt(n)*2^k < r + 1, so the root lies in [r, r + 1]/(ld*zd*2^k),
-    and is r/(ld*zd*2^k) itself when r^2 = n*4^k.  The floor property of
-    isqrt proves both ends: no guess enters and no end is checked by
-    squaring.  The scale 2^k > 4/eps keeps the root's ends within eps/4 of
-    it, inside prepare_g_bracket's root ends (at least eps away unless
-    exact), so this bracket lies inside g_bracket's at the same eps.
+    root differs (:func:`_isqrt_root`).  Its bracket lies inside
+    g_bracket's at the same eps.
+    """
+    return _prepare_two_sided(lam, eps, _isqrt_root)
+
+
+def _isqrt_root(ln: int, ld: int, eps: Fraction):
+    """root(zn, zd): ends of sqrt(lam^2 - z^2) from one integer square root, no guess or check.
+
+    With n = ln^2*zd^2 - zn^2*ld^2, the root is sqrt(n)/(ld*zd), and
+    r = isqrt(n * 4^k) satisfies r <= sqrt(n)*2^k < r + 1, so the root lies
+    in [r, r + 1]/(ld*zd*2^k), and is r/(ld*zd*2^k) itself when
+    r^2 = n*4^k.  The floor property of isqrt proves both ends: no guess
+    enters and no end is checked by squaring.  The scale 2^k > 4/eps keeps
+    the ends within eps/4 of the root, inside sqrt_bounds's ends (at least
+    eps away unless exact).  eps > 0, as pi_bounds has checked.
+    """
+    ln2, ld2 = ln * ln, ld * ld
+    k = (eps.denominator // eps.numerator).bit_length() + 2  # 2^k > 4/eps
+
+    def root(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        scaled = (ln2 * zd * zd - zn * zn * ld2) << 2 * k
+        r, rd = math.isqrt(scaled), ld * zd << k
+        return (r, rd), (r if r * r == scaled else r + 1, rd)
+
+    return root
+
+
+def _prepare_two_sided(lam: Fraction, eps: Fraction, prepare_root):
+    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root.
+
+    As in :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and
+    lam's integer parts are built once, and root = prepare_root(ln, ld, eps)
+    gives the ends of sqrt(lam^2 - z^2) as integer pairs; at z = 0 the root
+    is lam and the angle 0.  A pi bracket that does not verify is asked for
+    again in each call, after the ends of the root and the arccos, so a call
+    raises the error of the first of the three that fails, in that order.
     """
     try:
         pi = pi_bounds(eps)
@@ -188,25 +209,19 @@ def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
     capped = _arccos_eps(eps)
     en, ed = capped.numerator, capped.denominator
     ln, ld = lam.numerator, lam.denominator
-    ln2, ld2 = ln * ln, ld * ld
-    k = (eps.denominator // eps.numerator).bit_length() + 2  # 2^k > 4/eps, eps > 0 as pi_bounds checked
+    root = prepare_root(ln, ld, eps)
 
-    # not shared with prepare_g_bracket through a root callback: that extra
-    # call per term cost the one-shot route (exact_sweep) 3.9 % of its op/s
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if zn == 0:
-            root_lo = root_hi = ln
-            root_d = ld
-            angle_lo = angle_hi = (0, 1)
+            root_lo = root_hi = ln, ld
+            angle_lo = angle_hi = 0, 1
         else:
-            scaled = (ln2 * zd * zd - zn * zn * ld2) << 2 * k
-            root_lo, root_d = math.isqrt(scaled), ld * zd << k
-            root_hi = root_lo if root_lo * root_lo == scaled else root_lo + 1
+            root_lo, root_hi = root(zn, zd)
             angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
         bracket = pi if pi is not None else pi_bounds(eps)
         return (
-            _over_pi(root_lo, root_d, zn, zd, *angle_hi, bracket.hi),
-            _over_pi(root_hi, root_d, zn, zd, *angle_lo, bracket.lo),
+            _over_pi(*root_lo, zn, zd, *angle_hi, bracket.hi),
+            _over_pi(*root_hi, zn, zd, *angle_lo, bracket.lo),
         )
 
     return ends
@@ -233,27 +248,28 @@ def prepare_g_lower(lam: Fraction, eps: Fraction):
     num/den = g_lower(lam, zn/zd, eps) for integers zn >= 0 and zd > 0 with
     zn/zd <= lam, not normalised, so a caller that only floors it never
     builds the quotient.  Everything that depends on (lam, eps) alone is
-    built here, once: lam's integer parts, the sqrt resolution, the arccos
-    eps capped at 1/4 (as integers) and the upper end of pi.  Each call
-    then builds only its own radicand, takes z/lam as the unnormalised
-    integers (zn*ld, zd*ln), and verifies the root's lower end and the
-    arccos's upper end; the arccos end stays an integer pair throughout.
+    built here, once: lam's and eps's integer parts, the arccos eps capped
+    at 1/4 (as integers) and the upper end of pi.  Each call then builds
+    only its own radicand, takes z/lam as the unnormalised integers
+    (zn*ld, zd*ln), and verifies the root's lower end and the arccos's
+    upper end; both ends stay integer pairs throughout.
 
     lam > 0 and eps > 0 must be Fractions that g_lower has checked; a
     non-positive eps raises DomainError here, from pi_bounds.
     """
     pi = pi_bounds(eps).hi
-    resolution, capped = _sqrt_resolution(eps), _arccos_eps(eps)
+    capped = _arccos_eps(eps)
     en, ed = capped.numerator, capped.denominator
+    sn, sd = eps.numerator, eps.denominator
     ln, ld = lam.numerator, lam.denominator
 
     def parts(zn: int, zd: int) -> tuple[int, int]:
         if zn == 0:
-            root, angle = lam, (0, 1)
+            root, angle = (ln, ld), (0, 1)
         else:
-            root = _sqrt_lower_core(_radicand(ln, ld, zn, zd), eps, resolution)
+            root = _sqrt_lower_end(*_radicand(ln, ld, zn, zd), sn, sd)
             angle = _arccos_upper_end(zn * ld, zd * ln, en, ed)
-        return _over_pi(root.numerator, root.denominator, zn, zd, *angle, pi)
+        return _over_pi(*root, zn, zd, *angle, pi)
 
     return parts
 

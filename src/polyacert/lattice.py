@@ -102,7 +102,8 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     both ends land in the same unit interval; if the bracket keeps straddling
     an integer on every rung the term is reported via UnresolvedFloorError
     rather than guessed.  For z >= lam the curve vanishes identically and the
-    result is floor(shift), with no bracketing needed.
+    result is floor(shift), with no bracketing needed; lam < 0 and eps <= 0
+    raise DomainError before that.
 
     The first rung tried is worked out from lam and eps alone
     (_start_rung): the coarsest one whose brackets are at most about 1/8
@@ -117,6 +118,11 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     lam = as_rational(lam)
     z = as_rational(z)
     shift = as_rational(shift)
+    eps = as_rational(eps)
+    if lam.numerator < 0:
+        raise DomainError(f"lam must be non-negative, got {lam}")
+    if eps.numerator <= 0:
+        raise DomainError("eps must be positive")
     if z >= lam:
         return rat_floor(shift)
     lam, z, eps = _g_args(lam, z, eps)

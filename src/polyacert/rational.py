@@ -2,9 +2,10 @@
 
 All certified computations in this package are carried out on exact
 rationals; no float ever enters a certified comparison.  The one rational
-type is ``fractions.Fraction``, at the API edge and in every bracket and
-count; the Taylor and squaring checks inside the verified brackets compare
-plain ``int`` numerators and denominators.
+type is ``fractions.Fraction``, at the API edge; inside the verified
+brackets and the curve's per-term cores, guesses, windows and the Taylor
+and squaring checks work on plain ``int`` numerators and denominators.
+:func:`_simplest_positive` is the integer window search they share.
 
 Rationals serialize as ``"p/q"`` (or just ``"p"`` for integers) with the
 sign on the numerator; :func:`parse_rational` accepts both forms.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
 # perfbench/run.py records this name in each result's environment.
 RATIONAL_BACKEND = "fractions"
@@ -124,19 +124,3 @@ def simplest_in(lo, hi) -> Fraction:
     p, q = _simplest_positive(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     return rational(p, q)
 
-
-def sqrt_guess(q, resolution) -> Fraction:
-    """Exact rational r with r <= sqrt(q) < r + resolution, via integer square roots.
-
-    No floating point is involved, so guesses seeded from here are identical
-    on every platform.  ``resolution`` must be a positive rational.
-    """
-    n, d = q.numerator, q.denominator
-    if n < 0:
-        raise ValueError("negative radicand")
-    rn, rd = resolution.numerator, resolution.denominator
-    if rn <= 0:
-        raise ValueError("resolution must be positive")
-    # need scale m with 1/(m*d) <= resolution, i.e. m >= rd/(rn*d)
-    m = max(1, -((-rd) // (rn * d)))
-    return rational(isqrt(n * d * m * m), m * d)

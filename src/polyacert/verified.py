@@ -31,25 +31,21 @@ is only a hint, and correctness never depends on it.
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
 integer parts of guess and eps and return the coprime pair of their
-candidate; :func:`_square_below` and :func:`_square_above` check the two
-ends of a square root, and :func:`_arccos_below` and :func:`_arccos_above`
-those of an arccos, given x = a/b and the end as integers.  The arccos
-bracket has one integer implementation, :func:`_arccos_ends`, with
-:func:`_arccos_upper_end` for callers that use only the upper end; both take
-x = a/b and the capped eps as integers, neither normalised, and return
-integer pairs, so a caller that keeps the ends as integers (the curve's
-lower count) builds no ``Fraction`` at all.  The public brackets
-(:func:`arccos_bounds` and through it :func:`pi_bounds`) build their
-``Fraction`` ends from those pairs.
-:func:`sqrt_lower` is the lower end of :func:`sqrt_bounds` alone, and its
-core :func:`_sqrt_lower_core` skips the argument checks and takes the
-square-root resolution already built, for a caller that evaluates many ends
-at one eps; :func:`_sqrt_core` does the same for both ends, and is the core
-of :func:`sqrt_bounds` itself.  Each returns the same rationals as the
-two-sided bracket.
+candidate; :func:`_square_below` and :func:`_square_above` check the ends
+of a square root of n/d, and :func:`_arccos_below` and :func:`_arccos_above`
+those of an arccos of a/b, all on integers.  Each bracket has one integer
+implementation, with a variant for callers that use one end only:
+:func:`_sqrt_ends` and :func:`_sqrt_lower_end` take the reduced radicand
+n/d and eps, :func:`_arccos_ends` and :func:`_arccos_upper_end` take
+x = a/b, not normalised, and the capped eps.  All four return integer
+pairs, so the curve's per-term cores build no ``Fraction`` at all; the
+public brackets (:func:`sqrt_bounds`, :func:`sqrt_lower`,
+:func:`arccos_bounds` and through it :func:`pi_bounds`) check their
+arguments and build their ``Fraction`` ends from those pairs.
 
-Square-root guesses come from exact integer square roots and are close
-enough that the first bracket always verifies.  Arccos guesses come from
+Square-root guesses come from one integer square root (:func:`_root_guess`)
+and lie within eps/2^20 below the root, so the first bracket always
+verifies; an exact root is taken as both ends.  Arccos guesses come from
 the C library's double ``acos`` of ``a / b``; integer true division is
 correctly rounded, so that is the double nearest x whatever the common
 factor of a and b.  There is one attempt per bracket: the Taylor
@@ -64,7 +60,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
-from .rational import _simplest_positive, as_rational, rational, sqrt_guess
+from .rational import _simplest_positive, as_rational, rational
 
 DEFAULT_EPS = rational(1, 1000)
 
@@ -134,20 +130,6 @@ def _cos_taylor(p: int, q: int, n: int) -> tuple[int, int]:
     return acc, coeffs[-1] * q2_pow  # coeffs[-1] is n!
 
 
-def _exact_sqrt(x):
-    """The exact rational root when x is a perfect square of a rational, else None.
-
-    Exact roots are taken exactly (a degenerate bracket): they verify by
-    squaring like any other endpoint, and stepping strictly below an exact
-    root would only waste margin.
-    """
-    n, d = x.numerator, x.denominator
-    root_n, root_d = math.isqrt(n), math.isqrt(d)
-    if root_n * root_n == n and root_d * root_d == d:
-        return rational(root_n, root_d)
-    return None
-
-
 def _window_below(gn: int, gd: int, en: int, ed: int) -> tuple[int, int]:
     """Smallest-denominator rational in [guess - 3*eps, guess - eps], or 0 if that window reaches 0.
 
@@ -180,13 +162,6 @@ def _sqrt_args(x, eps) -> tuple[Fraction, Fraction]:
     return x, eps
 
 
-def _sqrt_resolution(eps) -> Fraction:
-    # r <= sqrt(x) < r + eps/2**20 for r = sqrt_guess(x, eps/2**20), so the
-    # window below r squares to at most x and the window above r + eps lies
-    # above sqrt(x): both ends verify
-    return eps / 2**20
-
-
 def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     """Rational bracket [r, R] of sqrt(x) with r^2 <= x <= R^2 and R - r <= 6*eps.
 
@@ -194,49 +169,67 @@ def sqrt_bounds(x, eps=DEFAULT_EPS) -> RationalInterval:
     NegativeInputError for x < 0.
     """
     x, eps = _sqrt_args(x, eps)
-    return RationalInterval(*_sqrt_core(x, eps, _sqrt_resolution(eps)))
-
-
-def _sqrt_core(x: Fraction, eps: Fraction, resolution: Fraction) -> tuple[Fraction, Fraction]:
-    """The ends (lo, hi) of sqrt_bounds(x, eps), with the arguments as for _sqrt_lower_core."""
-    exact = _exact_sqrt(x)
-    if exact is not None:
-        return exact, exact
-    guess = sqrt_guess(x, resolution)
-    parts = guess.numerator, guess.denominator, eps.numerator, eps.denominator
-    lo, hi = rational(*_window_below(*parts)), rational(*_window_above(*parts))
-    if not (_square_below(x, lo) and _square_above(x, hi)):
-        raise GuessFailedError(f"square-root bracket for {x} failed to verify")
-    return lo, hi
+    lo, hi = _sqrt_ends(x.numerator, x.denominator, eps.numerator, eps.denominator)
+    return RationalInterval(rational(*lo), rational(*hi))
 
 
 def sqrt_lower(x, eps=DEFAULT_EPS) -> Fraction:
     """``sqrt_bounds(x, eps).lo``, without building or checking the upper end."""
     x, eps = _sqrt_args(x, eps)
-    return _sqrt_lower_core(x, eps, _sqrt_resolution(eps))
+    return rational(*_sqrt_lower_end(x.numerator, x.denominator, eps.numerator, eps.denominator))
 
 
-def _sqrt_lower_core(x: Fraction, eps: Fraction, resolution: Fraction) -> Fraction:
-    """sqrt_lower(x, eps) for x >= 0 and eps > 0 as _sqrt_args returns them, and
-    resolution = _sqrt_resolution(eps): the arguments are not checked again."""
-    exact = _exact_sqrt(x)
-    if exact is not None:
-        return exact
-    guess = sqrt_guess(x, resolution)
-    lo = rational(*_window_below(guess.numerator, guess.denominator, eps.numerator, eps.denominator))
-    if not _square_below(x, lo):
-        raise GuessFailedError(f"square-root bracket for {x} failed to verify")
+def _root_guess(n: int, d: int, en: int, ed: int) -> tuple[int, int, bool]:
+    """(r, s, exact) with r/s <= sqrt(n/d) < r/s + eps/2**20, and exact true iff r/s = sqrt(n/d).
+
+    For coprime n >= 0 and d > 0 and eps = en/ed > 0, not necessarily
+    normalised.  s = m*d with m = ceil(2**20/(eps*d)), so 1/s <= eps/2**20,
+    and r = isqrt(n*d*m^2), so r <= sqrt(n*d)*m < r + 1.  As n and d are
+    coprime, n*d*m^2 is a square only if n and d are, and then r/s is the
+    root itself.
+    """
+    m = -(-(ed << 20) // (en * d))
+    square = n * d * m * m
+    r = math.isqrt(square)
+    return r, m * d, r * r == square
+
+
+def _sqrt_ends(n: int, d: int, en: int, ed: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Verified ends ((r, s), (p, q)) of sqrt(n/d), r/s <= sqrt(n/d) <= p/q, on integers.
+
+    For coprime n >= 0 and d > 0 and eps = en/ed > 0, as sqrt_bounds and
+    curve._radicand leave them; eps need not be normalised.  An exact root
+    is returned as both ends, not normalised; otherwise the ends are
+    coprime pairs.  The arguments are not checked again.
+    """
+    gn, gd, exact = _root_guess(n, d, en, ed)
+    if exact:
+        return (gn, gd), (gn, gd)
+    lo, hi = _window_below(gn, gd, en, ed), _window_above(gn, gd, en, ed)
+    if not (_square_below(n, d, *lo) and _square_above(n, d, *hi)):
+        raise GuessFailedError(f"square-root bracket for {rational(n, d)} failed to verify")
+    return lo, hi
+
+
+def _sqrt_lower_end(n: int, d: int, en: int, ed: int) -> tuple[int, int]:
+    """The lower end (r, s) of _sqrt_ends(n, d, en, ed), without building or checking the upper end."""
+    gn, gd, exact = _root_guess(n, d, en, ed)
+    if exact:
+        return gn, gd
+    lo = _window_below(gn, gd, en, ed)
+    if not _square_below(n, d, *lo):
+        raise GuessFailedError(f"square-root bracket for {rational(n, d)} failed to verify")
     return lo
 
 
-def _square_below(x, lo) -> bool:
-    """Exact check of lo^2 <= x by cross-multiplying integers."""
-    return lo.numerator ** 2 * x.denominator <= x.numerator * lo.denominator ** 2
+def _square_below(n: int, d: int, r: int, s: int) -> bool:
+    """Exact check of (r/s)^2 <= n/d by cross-multiplying integers (d, s > 0)."""
+    return r * r * d <= n * s * s
 
 
-def _square_above(x, hi) -> bool:
-    """Exact check of x <= hi^2 by cross-multiplying integers."""
-    return x.numerator * hi.denominator ** 2 <= hi.numerator ** 2 * x.denominator
+def _square_above(n: int, d: int, p: int, q: int) -> bool:
+    """Exact check of n/d <= (p/q)^2 by cross-multiplying integers (d, q > 0)."""
+    return n * q * q <= p * p * d
 
 
 def cos_bounds(x) -> RationalInterval:

@@ -1,5 +1,8 @@
 """Tests for the counting curve, its certified brackets, moments, and margins."""
+import hashlib
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-from polyacert import verified
+from polyacert import curve, verified
 from polyacert.analysis import a_value, g_inverse_quarter, g_moment, r1, r2_margin, weyl_leading
 from polyacert.curve import BoundKind, g_bracket, g_lower, g_value, weyl_leading_bounds
 from polyacert.errors import BadDimensionError, DomainError, GuessFailedError
-from polyacert.rational import rational, to_float
-from polyacert.verified import DEFAULT_EPS, arccos_bounds, pi_bounds, sqrt_bounds
+from polyacert.lattice import certified_floor_term
+from polyacert.rational import as_rational, format_rational, rational, to_float
+from polyacert.verified import DEFAULT_EPS, arccos_bounds, pi_bounds, sqrt_bounds, sqrt_lower
 
 mpmath.mp.dps = 50
 
@@ -197,11 +201,20 @@ class TestOneSidedLowerEnd:
 
     @pytest.mark.parametrize("lam, z, eps", [
         (3, 4, DEFAULT_EPS), (0, 0, DEFAULT_EPS), (3, "-1/2", DEFAULT_EPS), (3, 1, 0), (3, 0, "-1/10"),
+        (-1, 0, DEFAULT_EPS), (3, 4, -1), (0, 0, 0),
     ])
     def test_domain_matches_the_bracket(self, lam, z, eps):
         for f in (g_lower, g_bracket):
             with pytest.raises(DomainError):
                 f(lam, z, eps)
+        # the exact floor term also takes z >= lam >= 0, where G vanishes and
+        # the term is floor(shift), but it checks lam >= 0 and eps > 0 first
+        lam, z, eps = (as_rational(v) for v in (lam, z, eps))
+        if z >= lam >= 0 and eps > 0:
+            assert certified_floor_term(lam, z, rational(3, 4), eps) == 0
+        else:
+            with pytest.raises(DomainError):
+                certified_floor_term(lam, z, rational(3, 4), eps)
 
     def test_does_not_build_the_ends_it_discards(self, monkeypatch):
         eps = rational(1, 10**4)
@@ -236,6 +249,87 @@ class TestOneSidedLowerEnd:
             g_bracket(lam, z, eps)  # the two-sided path does call the patched helpers
         monkeypatch.undo()
         assert lower == g_bracket(lam, z, eps).lo
+
+
+# lam^2 - z^2 is a square at these points (z = 0 takes lam itself), and a
+# fraction with common factors before reduction at (7/3, 5/3) and (10/3, 2/3)
+_EXACT_AND_COMMON = [
+    (rational(5), rational(3)), (rational(5), rational(4)), (rational(13), rational(5)),
+    (rational(13), rational(12)), (rational(5, 2), rational(2)), (rational(15, 2), rational(9, 2)),
+    (rational(7, 3), rational(5, 3)), (rational(10, 3), rational(2, 3)), (rational(7, 3), rational(0)),
+    (rational(7, 3), rational(7, 3)),
+]
+_PINNED_EPS = [rational(1, 10**k) for k in (14, 12, 9, 6, 3, 1)] + [
+    rational(3, 50000), rational(1, 4), rational(1, 3), rational(4, 7), rational(1), rational(7, 3),
+]
+
+
+def _pinned_outputs():
+    """Lines of sqrt_bounds, sqrt_lower, g_bracket and g_lower over a seeded grid, errors by name."""
+    rng = random.Random(23)
+    radicands = [rational(0), rational(1), rational(9, 4), rational(144, 25), rational(2), rational(12),
+                 rational(10**30 + 1, 7), rational(1, 10**20)]
+    radicands += [rational(rng.randint(0, 10**6), rng.randint(1, 10**4)) for _ in range(60)]
+    points = list(_EXACT_AND_COMMON)
+    for _ in range(25):
+        lam = rational(rng.randint(1, 3000), rng.randint(1, 60))
+        points.append((lam, lam * rational(rng.randint(0, 120), 120)))
+
+    def show(f, *args):
+        try:
+            value = f(*args)
+        except GuessFailedError as exc:
+            return type(exc).__name__
+        if isinstance(value, Fraction):
+            return format_rational(value)
+        return f"{format_rational(value.lo)} {format_rational(value.hi)}"
+
+    lines = []
+    for eps in _PINNED_EPS:
+        for x in radicands:
+            lines.append(f"sqrt {x} {eps}: {show(sqrt_bounds, x, eps)} | {show(sqrt_lower, x, eps)}")
+        for lam, z in points:
+            lines.append(f"g {lam} {z} {eps}: {show(g_bracket, lam, z, eps)} | {show(g_lower, lam, z, eps)}")
+    return lines
+
+
+class TestIntegerRoots:
+    """The square-root ends on plain integers: the same rationals, and no Fraction per term."""
+
+    def test_brackets_keep_their_pinned_rationals(self):
+        # 1,236 lines; the digest was taken when the root ends were built
+        # from Fraction guesses, before they moved onto integers
+        lines = _pinned_outputs()
+        assert len(lines) == 1236
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "52cac9f9acdc7d920843d09699a4221b177b8329d93185fc525ea0a4ec491167"
+
+    def test_prepared_terms_build_no_fraction(self, monkeypatch):
+        # each prepared per-term core works on integers alone, exact roots too
+        # (lam = 5, 13, 5/2 and 15/2 have them); it is prepared before the
+        # count starts, as a sum prepares it once
+        cases = []
+        for lam in (rational(5), rational(13), rational(5, 2), rational(15, 2), rational(40, 3), rational(1003, 7)):
+            grid = [(zn, zd) for zd in (1, 2, 3) for zn in range(lam.numerator * zd // lam.denominator + 1)]
+            for eps in (DEFAULT_EPS, rational(1, 10**9), rational(1, 3), rational(7, 3)):
+                for prepare in (curve.prepare_g_lower, curve.prepare_g_bracket, curve.prepare_g_floor_ends):
+                    cases.append((prepare(lam, eps), grid))
+        real = Fraction.__new__
+        built = []
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        terms = 0
+        for term, grid in cases:
+            for zn, zd in grid:
+                term(zn, zd)
+                terms += 1
+        monkeypatch.undo()
+        assert terms > 3000
+        assert built == []
 
 
 class TestMoments:

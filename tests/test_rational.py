@@ -19,7 +19,6 @@ from polyacert.rational import (
     rat_floor,
     rational,
     simplest_in,
-    sqrt_guess,
 )
 
 
@@ -143,19 +142,3 @@ class TestSimplestIn:
         got = simplest_in(rational(a_num, a_den), rational(hi.numerator, hi.denominator))
         expected = brute_force_simplest(lo, hi)
         assert got == expected
-
-
-class TestSqrtGuess:
-    @given(
-        num=st.integers(0, 10**6),
-        den=st.integers(1, 10**4),
-        res_exp=st.integers(1, 9),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_guess_brackets_root(self, num, den, res_exp):
-        x = rational(num, den)
-        res = rational(1, 10**res_exp)
-        guess = sqrt_guess(x, res)
-        assert guess * guess <= x
-        top = guess + res
-        assert top * top > x

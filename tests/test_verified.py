@@ -16,6 +16,7 @@ from polyacert.verified import (
     _arccos_above,
     _arccos_below,
     _cos_taylor,
+    _root_guess,
     arccos_bounds,
     cos_bounds,
     pi_bounds,
@@ -112,6 +113,24 @@ class TestSqrtBounds:
         for eps in (rational(1, 100), rational(1, 1000), rational(1, 100000)):
             iv = sqrt_bounds(x, eps)
             assert iv.lo**2 <= x <= iv.hi**2
+
+
+class TestSqrtGuess:
+    @given(
+        num=st.integers(0, 10**6),
+        den=st.integers(1, 10**4),
+        eps_exp=st.integers(1, 9),
+    )
+    @example(num=9, den=4, eps_exp=3)  # an exact root
+    @settings(max_examples=150, deadline=None)
+    def test_guess_brackets_root(self, num, den, eps_exp):
+        x, eps = rational(num, den), rational(1, 10**eps_exp)
+        r, s, exact = _root_guess(x.numerator, x.denominator, 1, 10**eps_exp)
+        guess = rational(r, s)
+        assert guess * guess <= x
+        top = guess + eps / 2**20
+        assert top * top > x
+        assert exact == (guess * guess == x)
 
 
 class TestCosBounds:
