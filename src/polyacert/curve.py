@@ -295,8 +295,11 @@ def weyl_leading_bounds(d: int, lam, eps) -> RationalInterval:
     if d < 2:
         raise BadDimensionError(f"dimension must be >= 2, got {d}")
     lam = as_rational(lam)
+    eps = as_rational(eps)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
     power = lam**d
     if d % 2 == 0:
         half = d // 2

@@ -37,16 +37,14 @@ class UnresolvedFloorError(PolyacertError):
 
     Attributes:
         abscissa: where on the curve the term was evaluated
-        interval: the last (tightest) rational bracket tried
+        interval: the tightest rational bracket that verified, or None if none did
     """
 
     def __init__(self, abscissa, interval):
         self.abscissa = abscissa
         self.interval = interval
-        super().__init__(
-            f"floor unresolved at abscissa {abscissa}: bracket {interval} "
-            "straddles an integer after all refinements"
-        )
+        found = "no bracket verified" if interval is None else f"bracket {interval} straddles an integer"
+        super().__init__(f"floor unresolved at abscissa {abscissa}: {found} after all refinements")
 
 
 class IrrationalApertureError(PolyacertError, ValueError):

@@ -22,15 +22,16 @@ first summed column on, carrying the weights kappa(d, m) of a weighted
 count along each hull edge.  It tests about a third of the columns at
 lambda 1000 (a sixth at 10^4), decides each point by an exact floor test
 and stops a slope search only on a proved arccos bound, so the count is
-exact; a point that cannot be decided raises what the floor test raises
-there, and nothing is rerun.  A slope proof that fails at the count's eps
-is tried once more at 1/10^9.  The walk prepares its floor test once per
-sum (:func:`prepare_floor_term`), each rung's bracket on its first use by
-:func:`curve.prepare_g_floor_ends`, whose root comes from one integer
-square root, and tests points on the columns' integer parts; its ladder
-starts at a rung worked out from lambda and eps on integers
-(``_start_rung``).  The term-by-term sums call ``certified_floor_term``
-for each term, on the same ladder from the same start rung but with
+exact; a point that cannot be decided raises UnresolvedFloorError there,
+and nothing is rerun.  A slope proof that fails at the count's eps is
+tried once more at 1/10^9.  Every floor test refines on one ladder of
+accuracies 1/10^r (``_ACCURACIES``), from a start rung worked out from
+lambda and eps on integers (``_start_rung``) to the finest.  The walk
+prepares its floor test once per sum (:func:`prepare_floor_term`), each
+rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
+whose root comes from one integer square root, and tests points on the
+columns' integer parts.  The term-by-term sums call
+``certified_floor_term`` for each term, with
 :func:`curve.prepare_g_bracket`'s brackets, whose root ends come from a
 shortest-rational search; the walk's bracket lies inside that one at
 every rung, so the one-shot route is the walk's independent reference.
@@ -92,28 +93,23 @@ def kappa(d: int, m: int) -> int:
     return math.comb(m + d - 1, d - 1) - math.comb(m + d - 3, d - 1)
 
 
-_FLOOR_REFINEMENTS = 12
+# The floor ladder's accuracies 1/10^r.  A bracket seeded by a double guess
+# stops verifying near 1/10^16, so the finest rung only bounds the loop.
+_ACCURACIES = tuple(rational(1, 10**r) for r in range(31))
 
 
 def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     """Exact value of floor(G(lam, z) + shift), proved by rational bracketing.
 
-    The bracket of G is taken on the ladder eps, eps/10, ..., eps/10^12 until
-    both ends land in the same unit interval; if the bracket keeps straddling
-    an integer on every rung the term is reported via UnresolvedFloorError
-    rather than guessed.  For z >= lam the curve vanishes identically and the
-    result is floor(shift), with no bracketing needed; lam < 0 and eps <= 0
-    raise DomainError before that.
-
-    The first rung tried is worked out from lam and eps alone
-    (_start_rung): the coarsest one whose brackets are at most about 1/8
-    wide, so that most terms need a single bracket.  The coarser rungs are
-    tried last, so the start rung can cost time but cannot change the
-    result.
-
-    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, so this
-    is the independent reference of the hull walk's point test,
-    :func:`prepare_floor_term`, on the same ladder.
+    The bracket of G is taken on the ladder of accuracies 1/10^r, from
+    _start_rung(lam, eps) to the finest, until both ends land in the same
+    unit interval; a term that no rung decides raises UnresolvedFloorError
+    rather than being guessed.  For z >= lam the curve vanishes identically
+    and the result is floor(shift), with no bracketing needed; lam < 0 and
+    eps <= 0 raise DomainError before that.  eps only picks the start rung,
+    so a floor returned is the same at every eps.  Each rung's bracket
+    comes from :func:`curve.prepare_g_bracket`, so this is the independent
+    reference of the hull walk's point test, :func:`prepare_floor_term`.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -138,72 +134,66 @@ def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
     rung's bracket from :func:`curve.prepare_g_floor_ends`.  That bracket
     lies inside certified_floor_term's, so wherever certified_floor_term
     returns a floor this returns the same one, on the same rung or an
-    earlier one; where it raises, this may still decide the point, or raise
-    the same kind of error.  lam, shift and eps must be Fractions.
+    earlier one.  lam, shift and eps must be Fractions.
     """
     return _floor_ladder(lam, shift, eps, prepare_g_floor_ends)
 
 
 def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
-    """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided on the eps ladder by prepare_ends(lam, eps)'s brackets.
+    """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided by prepare_ends(lam, accuracy)'s brackets.
 
-    Built once: lam's and the shift's integer parts and the order of the
-    rungs, from _start_rung(lam, eps) to the finest and then the coarser
-    ones; built once per rung, on its first use: the rung's accuracy
-    eps/10^rung and its prepared ends, which are floored on integers.
-    zn >= 0 and zd > 0 need not be normalised; the abscissa of an
-    UnresolvedFloorError is.  A rung whose bracket does not verify is
-    passed over, and if no rung decides the floor, the failure that
-    refining rung by rung from eps meets first is raised, else
-    UnresolvedFloorError with the finest rung's bracket.
+    Built once: lam's and the shift's integer parts and the start rung
+    _start_rung(lam, eps); once per rung, on its first use: its prepared
+    ends, which are floored on integers.  zn >= 0 and zd > 0 need not be
+    normalised; the abscissa of an UnresolvedFloorError is.  The rungs are
+    tried once each, from the start rung to the finest, passing over one
+    whose bracket does not verify.  A point that no rung decides raises
+    UnresolvedFloorError with the finest verified bracket plus the shift
+    (None if none verified), from the first GuessFailedError, if any.
     """
     ln, ld = lam.numerator, lam.denominator
     sn, sd = shift.numerator, shift.denominator
     past_lam = sn // sd  # floor(shift), the term at z >= lam
     first = _start_rung(lam, eps)
-    order = (*range(first, _FLOOR_REFINEMENTS + 1), *range(first))
-    rungs = [None] * (_FLOOR_REFINEMENTS + 1)
+    rungs = [None] * len(_ACCURACIES)
 
     def floor(zn: int, zd: int) -> int:
         if zn * ld >= ln * zd:
             return past_lam
-        unverified = {}
-        finest = None
-        for rung in order:
+        failed = finest = None
+        for rung in range(first, len(_ACCURACIES)):
             ends = rungs[rung]
             if ends is None:
-                ends = rungs[rung] = prepare_ends(lam, eps / 10**rung)
+                ends = rungs[rung] = prepare_ends(lam, _ACCURACIES[rung])
             try:
-                (lo_n, lo_d), (hi_n, hi_d) = ends(zn, zd)
+                bracket = ends(zn, zd)
             except GuessFailedError as exc:
-                unverified[rung] = exc
+                failed = failed or exc
                 continue
+            (lo_n, lo_d), (hi_n, hi_d) = bracket
             f_lo = _floor_plus(lo_n, lo_d, sn, sd)
             if f_lo == _floor_plus(hi_n, hi_d, sn, sd):
                 return f_lo
-            if rung == _FLOOR_REFINEMENTS:
-                finest = (rational(lo_n, lo_d) + shift, rational(hi_n, hi_d) + shift)
-        if unverified:
-            # the failure that refining rung by rung from eps meets first
-            raise unverified[min(unverified)]
-        raise UnresolvedFloorError(rational(zn, zd), finest)
+            finest = bracket
+        interval = None if finest is None else tuple(rational(n, d) + shift for n, d in finest)
+        raise UnresolvedFloorError(rational(zn, zd), interval) from failed
 
     return floor
 
 
 def _start_rung(lam: Fraction, eps: Fraction) -> int:
-    """The first rung of the eps ladder for G(lam, .): the coarsest r <= _FLOOR_REFINEMENTS with 16*lam*eps <= 10^r.
+    """The first rung of the floor ladder: the coarsest r with 1/10^r <= min(eps, 1/(16*lam)), or the finest.
 
     Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
     beyond G (z times the arccos overhang, plus G times the relative pi
     overhang) and at most about three times that, and z + 3*G <= lam on
     [0, lam] (it is convex in z, 3*lam/pi at 0 and lam at lam).  So at the
     start rung every column's bracket is at most about
-    1.9*lam*eps/10^r <= 1/8 wide, and a term misses it only within 1/8 of
-    an integer.  Decided on the integer parts of lam and eps.
+    1.9*lam/10^r <= 1/8 wide, and a term misses it only within 1/8 of an
+    integer.  Decided on the integer parts of lam and eps.
     """
-    ln, en, den = lam.numerator, eps.numerator, lam.denominator * eps.denominator
-    return next((r for r in range(_FLOOR_REFINEMENTS) if 16 * ln * en <= 10**r * den), _FLOOR_REFINEMENTS)
+    ln, ld, en, ed, finest = lam.numerator, lam.denominator, eps.numerator, eps.denominator, len(_ACCURACIES) - 1
+    return next((r for r in range(finest) if ed <= 10**r * en and 16 * ln <= 10**r * ld), finest)
 
 
 # Sums of at least this many terms are walked (see _convex_floor_sum).
@@ -273,7 +263,6 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     abscissa z, by _arccos_at_most_pi_times.  A cut-off that is not proved
     only costs more tests; one that fails at eps is tried once more at
     _SLOPE_EPS.  A horizontal step is never tested, as f decreases.
-    Raises what the point test raises.
     """
     z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
@@ -410,8 +399,7 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
     A sum of at least _WALK_MIN_TERMS terms, in any dimension, is read off
     the hull walk (_column_sum), a shorter one summed term by term.  An
-    undecided term raises what its floor test (prepare_floor_term or
-    certified_floor_term) raised for it.
+    undecided term raises UnresolvedFloorError.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
@@ -509,8 +497,8 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
     at m = 1, Neumann at m = 0, and so does the hull walk of a sum of at
     least _WALK_MIN_TERMS terms (_column_sum).  An undecided term raises
-    what its floor test raised for it, as in count_weighted.  For
-    irrational apertures use ``analysis.sector_lattice_bound_oracle``.
+    UnresolvedFloorError.  For irrational apertures use
+    ``analysis.sector_lattice_bound_oracle``.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(

@@ -129,8 +129,8 @@ class TestArccosEnds:
 
 
 # pi_bounds(1/10**k) for k = 0..15, as built before the arccos layer moved to
-# integers.  k = 3..15 are the 13 rungs eps/10**r (r = 0..12) of the
-# certified floor ladder at the default eps = 1/1000.
+# integers.  These are rungs 0 to 15 of the certified floor ladder, which
+# starts at rung 3 or finer at the default eps = 1/1000.
 PI_TABLE = [
     (0, "3/2", "9/2"),
     (1, "9/4", "4"),

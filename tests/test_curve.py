@@ -370,6 +370,17 @@ class TestWeyl:
         with pytest.raises(BadDimensionError):
             weyl_leading(1, 3)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bounds_domain(self, d):
+        # eps is checked in every dimension, not only where pi enters
+        for eps in (-1, 0):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                weyl_leading_bounds(d, 3, eps)
+        with pytest.raises(TypeError, match="refusing implicit float"):
+            weyl_leading_bounds(d, 3, 1.5)
+        with pytest.raises(DomainError):
+            weyl_leading_bounds(d, -1, DEFAULT_EPS)
+
     def test_bounds_even_exact(self):
         iv = weyl_leading_bounds(4, rational(2), DEFAULT_EPS)
         assert iv.lo == iv.hi == rational(1, 4)

@@ -134,6 +134,11 @@ class TestCountWeighted:
                 assert value >= previous
                 previous = value
 
+    def test_term_decided_past_twelve_rungs_below_eps(self):
+        # G + 3/4 = 1627003.99999999880... (mpmath, 60 digits): decided at
+        # accuracy 1/10^16, 13 decades below the default eps
+        assert certified_floor_term(10**7, 3508103, rational(3, 4)) == 1627003
+
     def test_term_near_an_integer_refines_to_the_last_rung(self):
         # a floor term so close to an integer that it needs a bracket at
         # eps ~ 1e-15, below what the degree-12/14 Taylor sandwich verifies
@@ -143,7 +148,7 @@ class TestCountWeighted:
 
 
 class TestStartRung:
-    """lattice._start_rung picks the first refinement rung from lam and eps; it must never change a count."""
+    """lattice._start_rung picks the first rung of the floor ladder from lam and eps; it must never change a count."""
 
     @staticmethod
     def _counts():
@@ -159,25 +164,51 @@ class TestStartRung:
     def expected(self):
         return self._counts()
 
-    @pytest.mark.parametrize("rung", range(lattice._FLOOR_REFINEMENTS + 1))
+    # rungs 3 to 15 are the default eps, 1/1000, and the 12 decades below it
+    @pytest.mark.parametrize("rung", range(16))
     def test_any_start_rung_leaves_counts_unchanged(self, monkeypatch, expected, rung):
         monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: rung)
         assert self._counts() == expected
 
-    def test_unverifiable_start_rung_falls_back_to_the_coarser_ones(self, monkeypatch):
-        # at eps = 1e-10 the finest rung (1e-22) is beyond what a double arccos
-        # guess can seed, so a ladder that starts there must fall back to the
-        # coarser rungs
+    def test_unverifiable_start_rung_is_passed_over(self, monkeypatch):
+        # a start rung whose brackets do not verify costs one failed try per
+        # term; the next rung decides it
         eps = rational(1, 10**10)
         lam, shift = rational(37, 4), rational(3, 4)
         expected = [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)]
-        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: lattice._FLOOR_REFINEMENTS)
+        start = lattice._ACCURACIES[lattice._start_rung(lam, eps)]
+        failed = []
+
+        def failing_at_the_start(lam, z, accuracy):
+            if accuracy == start:
+                failed.append(z)
+                raise GuessFailedError(f"no bracket at {accuracy}")
+            return g_bracket(lam, z, accuracy)
+
+        _bracket_seam(monkeypatch, failing_at_the_start)
         assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
+        assert failed == [rational(m) for m in range(10)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.builds(rational, st.integers(1, 10**9), st.integers(1, 1000)),
+        eps=st.builds(rational, st.integers(1, 1000), st.integers(1, 10**42)),
+    )
+    @example(lam=rational(1, 16), eps=rational(1))  # 16*lam = 1: rung 0
+    @example(lam=rational(1000, 16), eps=rational(7, 3))  # 16*lam = 10^3: rung 3
+    @example(lam=rational(1), eps=rational(1, 10**40))  # past the finest rung
+    def test_start_rung_is_the_coarsest_at_most_eps_and_a_sixteenth_of_one_over_lam(self, lam, eps):
+        rung = lattice._start_rung(lam, eps)
+        finest = len(lattice._ACCURACIES) - 1
+        accuracy, bound = rational(1, 10**rung), min(eps, 1 / (16 * lam))
+        assert lattice._ACCURACIES[rung] == accuracy
+        assert rung == finest or accuracy <= bound
+        assert rung == 0 or 10 * accuracy > bound
 
     @pytest.mark.parametrize("kind", [D, N])
     def test_a_lambda_below_every_double_is_counted(self, kind, capsys):
         lam = rational(1, 10**400)  # float(lam) is 0.0
-        assert lattice._start_rung(lam, DEFAULT_EPS) == 0
+        assert lattice._start_rung(lam, DEFAULT_EPS) == 3  # eps's own rung, 1/1000
         assert certified_floor_term(lam, 0, kind.shift) == 0
         assert count_weighted(2, kind, lam).value == 0  # one term, summed term by term
         assert lattice._convex_floor_sum(lam, rational(1), kind.shift, DEFAULT_EPS, 2) == 0  # walked
@@ -189,19 +220,42 @@ class TestStartRung:
     @pytest.mark.parametrize("eps", [rational(1, 10**3), rational(1, 10**6)], ids=["1e-3", "1e-6"])
     def test_start_rung_brackets_are_at_most_an_eighth_wide(self, kind, eps):
         # every seventh column of count_weighted(2, kind, lam), lam log-uniform
-        # in [1, 10^4]: start rungs 0 to 2, brackets up to 0.84 of the bound
+        # in [1, 10^4]: start rungs 3 to 5 at eps 1e-3 and 6 at 1e-6, brackets
+        # up to 0.84 of the bound
         rng = random.Random(f"start-rung-{kind.value}")
         for _ in range(8):
             den = rng.randint(1, 100)
             lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
-            ends = curve.prepare_g_floor_ends(lam, eps / 10 ** lattice._start_rung(lam, eps))
+            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam, eps)])
             for m in range(0, rat_floor(lam) + 1, 7):
                 (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
                 assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, eps, m)
 
+    def test_exact_counts_do_not_depend_on_eps(self):
+        # eps only picks where the ladder starts, here from above the arccos
+        # eps cap (7/3) down to 1/10^10
+        rng = random.Random("eps-invariance")
+
+        def lam(top, max_den):
+            den = rng.randint(1, max_den)
+            return rational(rng.randint(1, top * den), den)
+
+        counts = (
+            [lambda eps, lam=lam(700, 50), kind=kind: count_weighted(2, kind, lam, eps) for kind in (D, N) * 3]
+            + [lambda eps, lam=lam(40, 20), d=d: count_weighted(d, D, lam, eps) for d in (3, 4, 5) for _ in range(2)]
+            + [
+                lambda eps, lam=lam(300, 30), a=rng.choice(_APERTURES), kind=kind: sector_lattice_bound(kind, a, lam, eps)
+                for kind in (D, N) * 2
+            ]
+            + [lambda eps, lam=lam(12, 10), d=d: count_dirichlet_dim_reduction(d, lam, eps) for d in (3, 4, 5)]
+        )
+        expected = [count(DEFAULT_EPS).value for count in counts]
+        for eps in (rational(7, 3), rational(1, 4), rational(3, 50000), rational(1, 10**6), rational(1, 10**10)):
+            assert [count(eps).value for count in counts] == expected, eps
+
 
 class TestFloorGiveUp:
-    """certified_floor_term gives up loudly once every rung of the eps ladder has been tried."""
+    """certified_floor_term gives up loudly, with one error, once every rung of the floor ladder has been tried."""
 
     @staticmethod
     def straddling(seen):
@@ -218,26 +272,53 @@ class TestFloorGiveUp:
         eps, z, shift = rational(1, 1000), rational(1), rational(1, 4)
         with pytest.raises(UnresolvedFloorError) as info:
             certified_floor_term(rational(3), z, shift, eps)
-        finest = eps / 10**12
-        assert sorted(seen) == sorted(eps / 10**rung for rung in range(13))
+        finest = lattice._ACCURACIES[-1]
+        # in one direction, from eps's own rung to the finest, each rung once
+        assert seen == [rational(1, 10**rung) for rung in range(3, len(lattice._ACCURACIES))]
         assert info.value.abscissa == z
-        assert info.value.interval == (1 - finest, 1 + finest)  # the rung-12 bracket plus the shift
+        assert info.value.interval == (1 - finest, 1 + finest)  # the finest bracket plus the shift
+        assert info.value.__cause__ is None
 
-    def test_guess_failing_on_every_rung_reraises_the_coarsest(self, monkeypatch):
-        raised = {}
+    @pytest.mark.parametrize(
+        "count",
+        [
+            pytest.param(lambda: certified_floor_term(rational(3), rational(1), rational(3, 4)), id="one-shot"),
+            pytest.param(lambda: count_weighted(2, N, rational(3)), id="term-by-term"),
+            pytest.param(lambda: lattice._convex_floor_sum(rational(3), rational(1), N.shift, DEFAULT_EPS), id="walked"),
+        ],
+    )
+    def test_guess_failing_on_every_rung_is_unresolved_from_the_first_failure(self, monkeypatch, count):
+        raised = []
 
         def failing(lam, z, eps):
-            raised[eps] = GuessFailedError(f"no bracket at eps={eps}")
-            raise raised[eps]
+            raised.append(GuessFailedError(f"no bracket at eps={eps}"))
+            raise raised[-1]
 
         _bracket_seam(monkeypatch, failing)
-        # start the ladder at the finest rung, so the coarsest is tried last
-        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: lattice._FLOOR_REFINEMENTS)
-        eps = rational(1, 1000)
-        with pytest.raises(GuessFailedError) as info:
-            certified_floor_term(rational(3), rational(1), rational(3, 4), eps)
-        assert len(raised) == 13
-        assert info.value is raised[eps]
+        with pytest.raises(UnresolvedFloorError) as info:
+            count()
+        assert info.value.interval is None  # no rung verified
+        assert "no bracket verified after all refinements" in str(info.value)
+        assert info.value.__cause__ is raised[0]
+        assert len(raised) == len(lattice._ACCURACIES) - 3  # rungs 3 to 30, each once
+
+    def test_unresolved_term_keeps_the_finest_verified_bracket(self, monkeypatch):
+        # rungs 3 to 9 straddle, the finer ones do not verify
+        raised = []
+
+        def straddling_then_failing(lam, z, eps):
+            if eps < rational(1, 10**9):
+                raised.append(GuessFailedError(f"no bracket at eps={eps}"))
+                raise raised[-1]
+            return RationalInterval(rational(3, 4) - eps, rational(3, 4) + eps)
+
+        _bracket_seam(monkeypatch, straddling_then_failing)
+        with pytest.raises(UnresolvedFloorError) as info:
+            certified_floor_term(rational(3), rational(1), rational(1, 4))
+        finest = rational(1, 10**9)
+        assert info.value.interval == (1 - finest, 1 + finest)
+        assert info.value.__cause__ is raised[0]
+        assert len(raised) == len(lattice._ACCURACIES) - 10
 
     def test_count_command_reports_the_unresolved_term(self, monkeypatch, capsys):
         _bracket_seam(monkeypatch, self.straddling([]))
@@ -404,7 +485,7 @@ class TestConvexWalk:
             monkeypatch.setattr(module, "pi_bounds", lambda eps, real=real, calls=calls: calls.append(eps) or real(eps))
         assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
         rungs = asked[curve]
-        assert 0 < len(rungs) == len(set(rungs)) <= lattice._FLOOR_REFINEMENTS + 1
+        assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
         assert asked[lattice] == [DEFAULT_EPS, lattice._SLOPE_EPS]
 
     def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
