@@ -124,23 +124,26 @@ def eigencount_ball_dirichlet(d: int, lam: float) -> int:
     """Dirichlet eigenvalue count of the unit d-ball at spectral parameter lam."""
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
-        raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
-    total = 0
-    for m in range(math.floor(lam - d / 2 + 1) + 1):
-        nu = m + d / 2 - 1
-        total += kappa(d, m) * count_zeros(nu, lam)
-    return total
+    return _ball_count(d, lam, derivative=False)
 
 
 def eigencount_disk_neumann(lam: float) -> int:
     """Neumann eigenvalue count of the unit disk, zero mode included."""
+    return _ball_count(2, lam, derivative=True)
+
+
+def _ball_count(d: int, lam: float, derivative: bool) -> int:
+    """sum of kappa(d, m) * count_zeros(m + d/2 - 1, lam, derivative) over m = 0 .. floor(lam - d/2 + 1).
+
+    The d-ball's Dirichlet count over zeros, and with d = 2 the disk's
+    Neumann count over derivative zeros, whose order-zero zero at the
+    origin is the zero mode.
+    """
     if lam < 0 or lam > EIGENCOUNT_LAMBDA_MAX:
         raise DomainError(f"supported range is 0 <= lam <= {EIGENCOUNT_LAMBDA_MAX}, got {lam}")
-    total = count_zeros(0.0, lam, derivative=True)
-    for m in range(1, math.floor(lam) + 1):
-        total += 2 * count_zeros(float(m), lam, derivative=True)
-    return total
+    return sum(
+        kappa(d, m) * count_zeros(m + d / 2 - 1, lam, derivative) for m in range(math.floor(lam - d / 2 + 1) + 1)
+    )
 
 
 def eigencount_sector(kind: BoundKind, alpha: float, lam: float) -> int:

@@ -24,10 +24,10 @@ once and returns the per-term core as a function of z's integer parts.
 g_lower itself is that core prepared for a single abscissa, so the two
 give the same rationals.  :func:`prepare_g_bracket` does the same for the
 two-sided bracket, which the one-shot exact floor term prepares once per
-rung of its eps ladder, and g_bracket is its one-shot form.  Each core
-takes the radicand lam^2 - z^2 to the verified square-root ends as a
-reduced integer pair, and the z/lam of the arccos ends as an unnormalised
-one, so no term builds a ``Fraction``.
+rung of its ladder of accuracies, and g_bracket is its one-shot form.
+Each core takes the radicand lam^2 - z^2 to the verified square-root ends
+as a reduced integer pair, and the z/lam of the arccos ends as an
+unnormalised one, so no term builds a ``Fraction``.
 
 The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
 the same arccos and pi ends, but a root from one integer square root,

@@ -21,12 +21,14 @@ walk follows that set's lower hull with Stern-Brocot directions, from the
 first summed column on, carrying the weights kappa(d, m) of a weighted
 count along each hull edge.  It tests about a third of the columns at
 lambda 1000 (a sixth at 10^4), decides each point by an exact floor test
-and stops a slope search only on a proved arccos bound, so the count is
-exact; a point that cannot be decided raises UnresolvedFloorError there,
-and nothing is rerun.  A slope proof that fails at the count's eps is
-tried once more at 1/10^9.  Every floor test refines on one ladder of
-accuracies 1/10^r (``_ACCURACIES``), from a start rung worked out from
-lambda and eps on integers (``_start_rung``) to the finest.  The walk
+and stops a slope search only on a proof that arccos(z/lam) <= pi*s for
+the rational slope s, so the count is exact; a point that cannot be
+decided raises UnresolvedFloorError there, and nothing is rerun.  The
+proof is one exact Taylor check of cos at min(pi_lo*s, 4), with pi_lo the
+lower end of pi at 1/10^9, which needs no guess and never raises.  Every floor
+test refines on one ladder of accuracies 1/10^r (``_ACCURACIES``), from a
+start rung worked out from lambda and eps on integers (``_start_rung``) to
+the finest, and a non-empty sum raises DomainError for eps <= 0.  The walk
 prepares its floor test once per sum (:func:`prepare_floor_term`), each
 rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
 whose root comes from one integer square root, and tests points on the
@@ -54,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curve import BoundKind, _g_args, g_lower, prepare_g_bracket, prepare_g_floor_ends, prepare_g_lower
+from .curve import BoundKind, g_lower, prepare_g_bracket, prepare_g_floor_ends, prepare_g_lower
 from .errors import (
     BadDimensionError,
     DomainError,
@@ -63,7 +65,7 @@ from .errors import (
     UnresolvedFloorError,
 )
 from .rational import ZERO, as_rational, rat_floor, rational
-from .verified import DEFAULT_EPS, _arccos_eps, _arccos_upper_end, pi_bounds
+from .verified import DEFAULT_EPS, _arccos_above, pi_bounds
 
 
 class Rigor(Enum):
@@ -106,8 +108,9 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     unit interval; a term that no rung decides raises UnresolvedFloorError
     rather than being guessed.  For z >= lam the curve vanishes identically
     and the result is floor(shift), with no bracketing needed; lam < 0 and
-    eps <= 0 raise DomainError before that.  eps only picks the start rung,
-    so a floor returned is the same at every eps.  Each rung's bracket
+    eps <= 0 raise DomainError before that, and z < 0 after it, which
+    leaves 0 <= z < lam.  eps only picks the start rung, so a floor
+    returned is the same at every eps.  Each rung's bracket
     comes from :func:`curve.prepare_g_bracket`, so this is the independent
     reference of the hull walk's point test, :func:`prepare_floor_term`.
     """
@@ -121,7 +124,8 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
         raise DomainError("eps must be positive")
     if z >= lam:
         return rat_floor(shift)
-    lam, z, eps = _g_args(lam, z, eps)
+    if z.numerator < 0:
+        raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
     return _floor_ladder(lam, shift, eps, prepare_g_bracket)(z.numerator, z.denominator)
 
 
@@ -260,9 +264,13 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     point A is not above, steeper candidates than the flatter direction can
     only lie past A, so the search stops when the curve at A is provably at
     least as flat as that direction: arccos(z/lam) <= pi*a*p/q at A's
-    abscissa z, by _arccos_at_most_pi_times.  A cut-off that is not proved
-    only costs more tests; one that fails at eps is tried once more at
-    _SLOPE_EPS.  A horizontal step is never tested, as f decreases.
+    abscissa z, by _arccos_at_most_pi_times, an exact Taylor check against
+    pi's lower end at _SLOPE_EPS, whatever the count's eps.  A cut-off that
+    is not proved only costs more tests.  A horizontal step is never
+    tested, as f decreases.
+
+    eps picks the floor ladder's start rung; an empty sum is 0 at any eps,
+    and a non-empty one raises DomainError for eps <= 0 before any test.
     """
     z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
@@ -270,7 +278,10 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
     if top < start:
         return 0
-    floor_at = prepare_floor_term(lam, shift, as_rational(eps))
+    eps = as_rational(eps)
+    if eps.numerator <= 0:
+        raise DomainError("eps must be positive")
+    floor_at = prepare_floor_term(lam, shift, eps)
     floors = {}
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
@@ -284,7 +295,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
         return y > floor
 
     first = floors[start] = floor_at(start * z_num + z_add, z_den)
-    slopes = _slope_ends(as_rational(eps))
+    pi_lo = pi_bounds(_SLOPE_EPS).lo
     x, y, total = start, first + 1, 0  # total: sum of w*h over the columns start .. x - 1
     stack = [(1, 0), (0, 1)]
     while True:
@@ -309,7 +320,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
             if above(m, y - pm, keep_below=p1 > 0):
                 q1, p1 = q1 + q, pm
                 stack.append((q1, p1))
-            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, slopes):
+            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, pi_lo):
                 break
             else:
                 q, p = q1 + q, pm
@@ -335,46 +346,26 @@ def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
     )
 
 
-# A slope proof that fails at the count's eps is tried once more at this
-# one: deep in the walk the two sides of a cut-off differ by less than a
-# 1/1000-wide arccos end can separate (at lambda 10^5, 7,284 point tests
-# against 12,196 without the retry).
+# The walk's slope proofs take pi's lower end at this accuracy, whatever
+# the count's eps (pi_bounds memoises it): deep in the walk a cut-off's
+# slope lies closer to the curve's than pi's lower end at 1/1000 can tell
+# apart (at lambda 10^5, 7,284 point tests against 9,383 with that end).
 _SLOPE_EPS = rational(1, 10**9)
 
 
-def _slope_ends(eps: Fraction) -> list[tuple[int, int, int, int]]:
-    """[(en, ed, pn, pd), ...] for _arccos_at_most_pi_times, built once per walk: eps capped at 1/4 and
-    the lower end of pi_bounds(eps), on integers, at the count's eps and then at _SLOPE_EPS if that is
-    finer; an eps whose pi bracket does not verify is left out."""
-    slopes = []
-    for e in (eps, _SLOPE_EPS) if _SLOPE_EPS < eps else (eps,):
-        capped = _arccos_eps(e)
-        try:
-            pi = pi_bounds(e).lo
-        except GuessFailedError:
-            continue
-        slopes.append((capped.numerator, capped.denominator, pi.numerator, pi.denominator))
-    return slopes
+def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, pi_lo: Fraction) -> bool:
+    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 <= xn <= xd, sn >= 0 and sd > 0.
 
-
-def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, slopes: list[tuple[int, int, int, int]]) -> bool:
-    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 < xn <= xd, sn >= 0 and sd > 0.
-
-    The proof compares the verified upper end of the arccos at a capped
-    eps of ``slopes = _slope_ends(eps)`` with sn/sd times its lower end of
-    pi, on integers, at each eps in turn until one proves it.  An end that
-    does not verify makes that eps fail, never an exception.
+    With theta = min(pi_lo*sn/sd, 4) <= pi*sn/sd, for pi_lo a lower end
+    of pi, the exact Taylor check _arccos_above proves arccos(x) < theta
+    on integers, needing no guess.  The cap keeps theta in the check's
+    domain (0, 4], and arccos(x) <= pi/2 lies below 4, so a slope past
+    4/pi, such as a wide sector's first hull edge, stays proved.  theta = 0
+    (sn = 0), a tie such as arccos(1/2) = pi/3 and an unproved bound all
+    give False.
     """
-    if sn == 0:
-        return False
-    for en, ed, pn, pd in slopes:
-        try:
-            un, ud = _arccos_upper_end(xn, xd, en, ed)
-        except GuessFailedError:
-            continue
-        if un * sd * pd <= pn * sn * ud:
-            return True
-    return False
+    pn, pd = pi_lo.numerator * sn, pi_lo.denominator * sd
+    return _arccos_above(xn, xd, min(pn, 4 * pd), pd)
 
 
 def _floor_plus(n: int, d: int, sn: int, sd: int) -> int:

@@ -28,7 +28,7 @@ from polyacert.lattice import (
     sector_lattice_bound,
 )
 from polyacert.rational import rat_floor, rational
-from polyacert.verified import DEFAULT_EPS, RationalInterval
+from polyacert.verified import DEFAULT_EPS, RationalInterval, _arccos_upper_end, pi_bounds
 
 D = BoundKind.DIRICHLET
 N = BoundKind.NEUMANN
@@ -477,8 +477,8 @@ class TestConvexWalk:
 
     def test_a_walked_count_prepares_once(self, monkeypatch):
         # the floor test builds one pi bracket per rung it uses, and the slope
-        # proofs one per eps they try, the count's and _SLOPE_EPS; term by
-        # term, every bracket asked for its own
+        # proofs one, at _SLOPE_EPS whatever the count's eps; term by term,
+        # every bracket asked for its own
         asked = {curve: [], lattice: []}
         for module, calls in asked.items():
             real = module.pi_bounds
@@ -486,15 +486,45 @@ class TestConvexWalk:
         assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
         rungs = asked[curve]
         assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
-        assert asked[lattice] == [DEFAULT_EPS, lattice._SLOPE_EPS]
+        assert asked[lattice] == [lattice._SLOPE_EPS]
 
-    def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
-        # at the count's eps alone the slope proofs fail deep in the walk,
-        # and the walk tested 12,196 points here
+    def test_slope_proofs_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
+        # with pi's lower end at the count's eps the slope proofs fail deep in
+        # the walk, and the walk tested 9,383 points here
         asked = []
         _watch_floor_tests(monkeypatch, asked)
         assert count_weighted(2, N, 10**5).value == 2_500_049_851
         assert len(asked) <= 8000
+
+    def test_steep_sector_slopes_are_proved(self, monkeypatch):
+        # at aperture 2*pi the first hull edge (1, 1) asks for arccos(x) <= 2*pi,
+        # beyond the Taylor check's domain (0, 4]: without the cap at 4 the
+        # walk tested 2,827 points here, not 468
+        asked = []
+        _watch_floor_tests(monkeypatch, asked)
+        lam, a = rational(9897, 7), rational(2)
+        total = sector_lattice_bound(D, a, lam).value
+        assert len(asked) <= 500
+        monkeypatch.undo()
+        assert total == _term_by_term(lam, a, D.shift, start=1) == 498_822
+
+    @pytest.mark.parametrize("eps", [0, -1])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            pytest.param(lambda eps: count_weighted(2, N, 300, eps), id="weighted-N"),
+            pytest.param(lambda eps: sector_lattice_bound(D, rational(1, 3), 1003, eps), id="sector-D"),
+            pytest.param(lambda eps: count_weighted(3, D, rational(601, 2), eps), id="weighted-3D"),
+        ],
+    )
+    def test_a_walked_count_rejects_a_non_positive_eps(self, monkeypatch, count, eps):
+        # as the term-by-term sum does, from certified_floor_term; an empty sum needs no eps
+        real, walks = lattice._convex_floor_sum, []
+        monkeypatch.setattr(lattice, "_convex_floor_sum", lambda *args: walks.append(args) or real(*args))
+        with pytest.raises(DomainError, match="eps must be positive"):
+            count(eps)
+        assert walks
+        assert real(rational(2), rational(1, 3), D.shift, eps, start=1) == 0
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -564,6 +594,58 @@ class TestConvexWalk:
         assert total == (10**5 + 1) ** 2  # kappa(3, m) = 2*m + 1 for m = 0 .. 10**5
         assert len(walks) == (1 if walk else 0)
         assert peak < 2**20, peak
+
+
+def _guessed_slope_proof(xn, xd, sn, sd):
+    """The walk's slope proof built from a double-guessed arccos end, as it stood before the Taylor check alone.
+
+    At the default eps and then at 1/10^9: the verified upper end of
+    arccos(xn/xd) at eps capped at 1/4 against sn/sd times the lower end of
+    pi_bounds(eps), on integers; an end that does not verify fails that eps.
+    """
+    if sn == 0:
+        return False
+    for eps in (DEFAULT_EPS, rational(1, 10**9)):
+        capped, pi = min(eps, rational(1, 4)), pi_bounds(eps).lo
+        try:
+            un, ud = _arccos_upper_end(xn, xd, capped.numerator, capped.denominator)
+        except GuessFailedError:
+            continue
+        if un * sd * pi.denominator <= pi.numerator * sn * ud:
+            return True
+    return False
+
+
+class TestSlopeProof:
+    """lattice._arccos_at_most_pi_times, the walk's cut-off proof, against the guessed-end proof."""
+
+    def test_proves_wherever_the_guessed_end_proves(self):
+        pi_lo = pi_bounds(lattice._SLOPE_EPS).lo
+        rng = random.Random(25)
+        cases = [(1, 2, 1, 3), (2, 4, 1, 3), (1, 2, 1, 2), (1, 1, 1, 1000), (0, 7, 1, 2)]
+        for _ in range(1500):
+            xd = rng.choice((10, 1000, 10**6, 10**12))
+            xn = rng.choice((1, 2, xd - 1, xd, rng.randint(1, xd)))  # x near 0 and 1, and anywhere
+            k, sd = rng.randint(1, 5), rng.randint(1, 300)
+            if rng.random() < 0.5:  # s anywhere in [0, 5/2]: at or past 1/2, and past 4/pi
+                sn = rng.randint(0, 5 * sd // 2)
+            else:  # s within a few 1/sd of arccos(x)/pi, where the two proofs part
+                sn = max(0, round(math.acos(xn / xd) / math.pi * sd) + rng.randint(-2, 2))
+            cases.append((k * xn, k * xd, sn, sd))  # x/lam need not be normalised
+        outcomes = set()
+        for xn, xd, sn, sd in cases:
+            guessed = _guessed_slope_proof(xn, xd, sn, sd)
+            proved = lattice._arccos_at_most_pi_times(xn, xd, sn, sd, pi_lo)
+            assert proved or not guessed, (xn, xd, sn, sd)
+            outcomes.add((guessed, proved))
+        assert {(True, True), (False, False)} <= outcomes
+
+    def test_a_tie_and_a_zero_slope_are_not_proved(self):
+        pi_lo = pi_bounds(lattice._SLOPE_EPS).lo
+        assert not lattice._arccos_at_most_pi_times(1, 2, 1, 3, pi_lo)  # arccos(1/2) = pi/3
+        assert not lattice._arccos_at_most_pi_times(1, 1, 0, 1, pi_lo)  # arccos(1) = 0 = pi*0
+        assert lattice._arccos_at_most_pi_times(1, 2, 10**6 + 1, 3 * 10**6, pi_lo)
+        assert lattice._arccos_at_most_pi_times(1, 10**9, 2, 1, pi_lo)  # pi*s past 4
 
 
 class TestWalkPointTest:
