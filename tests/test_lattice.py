@@ -488,9 +488,11 @@ class TestConvexWalk:
         assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
         assert asked[lattice] == [lattice._SLOPE_EPS]
 
-    def test_slope_proofs_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
-        # with pi's lower end at the count's eps the slope proofs fail deep in
-        # the walk, and the walk tested 9,383 points here
+    def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
+        # the slope proofs take pi's lower end once, at their own eps 1/10^9,
+        # not at the count's eps and no longer as a retry; with pi's lower end
+        # at the count's eps they fail deep in the walk, and the walk tested
+        # 9,383 points here
         asked = []
         _watch_floor_tests(monkeypatch, asked)
         assert count_weighted(2, N, 10**5).value == 2_500_049_851
