@@ -38,13 +38,16 @@ class UnresolvedFloorError(PolyacertError):
     Attributes:
         abscissa: where on the curve the term was evaluated
         interval: the tightest rational bracket that verified, or None if none did
+        accuracies: (coarsest, finest), the range of bracket accuracies tried
     """
 
-    def __init__(self, abscissa, interval):
+    def __init__(self, abscissa, interval, accuracies):
         self.abscissa = abscissa
         self.interval = interval
+        self.accuracies = accuracies
         found = "no bracket verified" if interval is None else f"bracket {interval} straddles an integer"
-        super().__init__(f"floor unresolved at abscissa {abscissa}: {found} after all refinements")
+        tried = "from accuracy {} to {}".format(*accuracies)
+        super().__init__(f"floor unresolved at abscissa {abscissa}: {found} after all refinements, {tried}")
 
 
 class IrrationalApertureError(PolyacertError, ValueError):

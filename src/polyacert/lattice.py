@@ -11,10 +11,11 @@ the shift is 1/4 (Dirichlet) or 3/4 (Neumann).  Three rigour levels exist:
 * ``ORACLE`` -- double-precision evaluation, for plots and cross-checks only;
   the oracle counts live in :mod:`polyacert.analysis`.
 
-The certified single sums (:func:`count_weighted`,
-:func:`count_neumann2_certified_lower`, :func:`sector_lattice_bound`) add
-their terms one by one, each term generated from its index, never listed.
-The two exact ones share ``_column_sum``, which walks a sum of at least
+Every certified sum adds its terms one by one, each generated from its
+index, never listed, on one column layout (``_columns``): column m lies
+at z = m/a + c/2, with a the aperture over pi (1 for a weighted count)
+and c = d - 2 (0 for a sector).  :func:`count_weighted` and
+:func:`sector_lattice_bound` share ``_column_sum``, which walks a sum of at least
 ``_WALK_MIN_TERMS`` columns by ``_convex_floor_sum``: the curve is convex
 and decreasing, so the lattice points above it form a convex set, and the
 walk follows that set's lower hull with Stern-Brocot directions, from the
@@ -26,9 +27,11 @@ the rational slope s, so the count is exact; a point that cannot be
 decided raises UnresolvedFloorError there, and nothing is rerun.  The
 proof is one exact Taylor check of cos at min(pi_lo*s, 4), with pi_lo the
 lower end of pi at 1/10^9, which needs no guess and never raises.  Every floor
-test refines on one ladder of accuracies 1/10^r (``_ACCURACIES``), from a
-start rung worked out from lambda and eps on integers (``_start_rung``) to
-the finest, and a non-empty sum raises DomainError for eps <= 0.  The walk
+test refines on one ladder of accuracies 1/10^r, r = 0 .. 16
+(``_ACCURACIES``), from a start rung worked out from lambda alone on
+integers (``_start_rung``) to the finest.  No exact count depends on
+eps: each public one raises DomainError for eps <= 0 on entry, even for
+an empty sum, and otherwise ignores it.  The walk
 prepares its floor test once per sum (:func:`prepare_floor_term`), each
 rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
 whose root comes from one integer square root, and tests points on the
@@ -41,7 +44,7 @@ Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
 :func:`count_dirichlet_dim_reduction`, the higher-dimensional Dirichlet
-count in its dimension-reduction form.
+count in its dimension-reduction form, one one-shot floor per column.
 
 The lower count prepares its bound once per sum (:func:`curve.prepare_g_lower`):
 each term then builds only its own radicand, verifies the root's and the
@@ -64,7 +67,7 @@ from .errors import (
     IrrationalApertureError,
     UnresolvedFloorError,
 )
-from .rational import ZERO, as_rational, rat_floor, rational
+from .rational import ONE, ZERO, as_rational, rat_floor, rational
 from .verified import DEFAULT_EPS, _arccos_above, pi_bounds
 
 
@@ -95,42 +98,47 @@ def kappa(d: int, m: int) -> int:
     return math.comb(m + d - 1, d - 1) - math.comb(m + d - 3, d - 1)
 
 
-# The floor ladder's accuracies 1/10^r.  A bracket seeded by a double guess
-# stops verifying near 1/10^16, so the finest rung only bounds the loop.
-_ACCURACIES = tuple(rational(1, 10**r) for r in range(31))
+# The floor ladder's accuracies 1/10^r.  Every bracket needs pi, and no
+# double guess verifies pi below about 3.6e-17 (the double nearest pi/3 is
+# 1.07e-16 from it), so a finer rung could only fail.
+_ACCURACIES = tuple(rational(1, 10**r) for r in range(17))
 
 
 def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     """Exact value of floor(G(lam, z) + shift), proved by rational bracketing.
 
     The bracket of G is taken on the ladder of accuracies 1/10^r, from
-    _start_rung(lam, eps) to the finest, until both ends land in the same
+    _start_rung(lam) to the finest, until both ends land in the same
     unit interval; a term that no rung decides raises UnresolvedFloorError
     rather than being guessed.  For z >= lam the curve vanishes identically
     and the result is floor(shift), with no bracketing needed; lam < 0 and
     eps <= 0 raise DomainError before that, and z < 0 after it, which
-    leaves 0 <= z < lam.  eps only picks the start rung, so a floor
-    returned is the same at every eps.  Each rung's bracket
-    comes from :func:`curve.prepare_g_bracket`, so this is the independent
-    reference of the hull walk's point test, :func:`prepare_floor_term`.
+    leaves 0 <= z < lam.  eps is otherwise unused: the floor is exact.
+    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, so
+    this is the independent reference of the hull walk's point test,
+    :func:`prepare_floor_term`.
     """
     lam = as_rational(lam)
     z = as_rational(z)
     shift = as_rational(shift)
-    eps = as_rational(eps)
     if lam.numerator < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    if eps.numerator <= 0:
-        raise DomainError("eps must be positive")
+    _check_eps(eps)
     if z >= lam:
         return rat_floor(shift)
     if z.numerator < 0:
         raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
-    return _floor_ladder(lam, shift, eps, prepare_g_bracket)(z.numerator, z.denominator)
+    return _floor_ladder(lam, shift, prepare_g_bracket)(z.numerator, z.denominator)
 
 
-def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
-    """The hull walk's point test for one (lam, shift, eps), prepared once: a function of z's integer parts.
+def _check_eps(eps) -> None:
+    """The exact counts' one use of eps: DomainError unless it is positive."""
+    if as_rational(eps).numerator <= 0:
+        raise DomainError("eps must be positive")
+
+
+def prepare_floor_term(lam: Fraction, shift: Fraction):
+    """The hull walk's point test for one (lam, shift), prepared once: a function of z's integer parts.
 
     The returned ``floor(zn, zd)`` is floor(G(lam, zn/zd) + shift) for
     integers zn >= 0 and zd > 0, neither normalised, decided on
@@ -138,27 +146,28 @@ def prepare_floor_term(lam: Fraction, shift: Fraction, eps: Fraction):
     rung's bracket from :func:`curve.prepare_g_floor_ends`.  That bracket
     lies inside certified_floor_term's, so wherever certified_floor_term
     returns a floor this returns the same one, on the same rung or an
-    earlier one.  lam, shift and eps must be Fractions.
+    earlier one.  lam and shift must be Fractions.
     """
-    return _floor_ladder(lam, shift, eps, prepare_g_floor_ends)
+    return _floor_ladder(lam, shift, prepare_g_floor_ends)
 
 
-def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
+def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
     """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided by prepare_ends(lam, accuracy)'s brackets.
 
     Built once: lam's and the shift's integer parts and the start rung
-    _start_rung(lam, eps); once per rung, on its first use: its prepared
+    _start_rung(lam); once per rung, on its first use: its prepared
     ends, which are floored on integers.  zn >= 0 and zd > 0 need not be
     normalised; the abscissa of an UnresolvedFloorError is.  The rungs are
     tried once each, from the start rung to the finest, passing over one
     whose bracket does not verify.  A point that no rung decides raises
     UnresolvedFloorError with the finest verified bracket plus the shift
-    (None if none verified), from the first GuessFailedError, if any.
+    (None if none verified) and the accuracies tried, from the first
+    GuessFailedError, if any.
     """
     ln, ld = lam.numerator, lam.denominator
     sn, sd = shift.numerator, shift.denominator
     past_lam = sn // sd  # floor(shift), the term at z >= lam
-    first = _start_rung(lam, eps)
+    first = _start_rung(lam)
     rungs = [None] * len(_ACCURACIES)
 
     def floor(zn: int, zd: int) -> int:
@@ -180,13 +189,14 @@ def _floor_ladder(lam: Fraction, shift: Fraction, eps: Fraction, prepare_ends):
                 return f_lo
             finest = bracket
         interval = None if finest is None else tuple(rational(n, d) + shift for n, d in finest)
-        raise UnresolvedFloorError(rational(zn, zd), interval) from failed
+        tried = (_ACCURACIES[first], _ACCURACIES[-1])
+        raise UnresolvedFloorError(rational(zn, zd), interval, tried) from failed
 
     return floor
 
 
-def _start_rung(lam: Fraction, eps: Fraction) -> int:
-    """The first rung of the floor ladder: the coarsest r with 1/10^r <= min(eps, 1/(16*lam)), or the finest.
+def _start_rung(lam: Fraction) -> int:
+    """The first rung of the floor ladder: the coarsest r with 1/10^r <= min(1/1000, 1/(16*lam)), or the finest.
 
     Each end of the bracket at accuracy e lies at least e*(z + 3*G)/pi
     beyond G (z times the arccos overhang, plus G times the relative pi
@@ -194,10 +204,12 @@ def _start_rung(lam: Fraction, eps: Fraction) -> int:
     [0, lam] (it is convex in z, 3*lam/pi at 0 and lam at lam).  So at the
     start rung every column's bracket is at most about
     1.9*lam/10^r <= 1/8 wide, and a term misses it only within 1/8 of an
-    integer.  Decided on the integer parts of lam and eps.
+    integer.  Below lam = 6.25 the ladder still starts at 1/1000, as at
+    the default eps: a coarser start there showed no reliable speedup.
+    Decided on lam's integer parts.
     """
-    ln, ld, en, ed, finest = lam.numerator, lam.denominator, eps.numerator, eps.denominator, len(_ACCURACIES) - 1
-    return next((r for r in range(finest) if ed <= 10**r * en and 16 * ln <= 10**r * ld), finest)
+    ln, ld, finest = lam.numerator, lam.denominator, len(_ACCURACIES) - 1
+    return next((r for r in range(3, finest) if 16 * ln <= 10**r * ld), finest)
 
 
 # Sums of at least this many terms are walked (see _convex_floor_sum).
@@ -219,27 +231,26 @@ def _columns(lam: Fraction, a: Fraction, d: int | None) -> tuple[int, int, int, 
     return 2 * a.denominator, c * a.numerator, 2 * a.numerator, rat_floor((lam - rational(c, 2)) * a)
 
 
-def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None, start: int = 0) -> int:
+def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None = None, start: int = 0) -> int:
     """_convex_floor_sum's sum, walked by it over at least _WALK_MIN_TERMS columns, else term by term."""
     z_num, z_add, z_den, top = _columns(lam, a, d)
     if top + 1 - start >= _WALK_MIN_TERMS:
-        return _convex_floor_sum(lam, a, shift, eps, d, start)
+        return _convex_floor_sum(lam, a, shift, d, start)
     # Each term is the one-shot certified_floor_term, on prepare_g_bracket's
     # brackets.  Preparing the walk's floor test (prepare_floor_term) once
     # per sum here too ran exact_sweep 2.2x faster in 20 s runs on the same
     # host, but the benchmark's per-operation records then raised its
-    # peak_rss_mb by 19 %, past its 5 % bound (ROADMAP items 2 and 3);
-    # count_dirichlet_dim_reduction waits for the same fix.  Taking only
-    # the one-shot floor's brackets from prepare_g_floor_ends ran exact_sweep
-    # 1.51x faster in 35 s runs (475 to 717 op/s), with peak_rss_mb up
-    # 12.6 % (28.15 to 31.69 MB).
+    # peak_rss_mb by 19 %, past its 5 % bound (ROADMAP items 2 and 3).
+    # Taking only the one-shot floor's brackets from prepare_g_floor_ends
+    # ran exact_sweep 1.51x faster in 35 s runs (475 to 717 op/s), with
+    # peak_rss_mb up 12.6 % (28.15 to 31.69 MB).
     return sum(
-        (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift, eps)
+        (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift)
         for m in range(start, top + 1)
     )
 
 
-def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int | None = None, start: int = 0) -> int:
+def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None = None, start: int = 0) -> int:
     """The sum of w(m)*floor(f(m)) over the columns m = start .. top.
 
     Column m lies at z = m/a + c/2 and f(m) = G(lam, z) + shift, over the
@@ -265,12 +276,8 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     only lie past A, so the search stops when the curve at A is provably at
     least as flat as that direction: arccos(z/lam) <= pi*a*p/q at A's
     abscissa z, by _arccos_at_most_pi_times, an exact Taylor check against
-    pi's lower end at _SLOPE_EPS, whatever the count's eps.  A cut-off that
-    is not proved only costs more tests.  A horizontal step is never
-    tested, as f decreases.
-
-    eps picks the floor ladder's start rung; an empty sum is 0 at any eps,
-    and a non-empty one raises DomainError for eps <= 0 before any test.
+    pi's lower end at _SLOPE_EPS.  A cut-off that is not proved only costs
+    more tests.  A horizontal step is never tested, as f decreases.
     """
     z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
@@ -278,10 +285,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, eps, d: int |
     x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
     if top < start:
         return 0
-    eps = as_rational(eps)
-    if eps.numerator <= 0:
-        raise DomainError("eps must be positive")
-    floor_at = prepare_floor_term(lam, shift, eps)
+    floor_at = prepare_floor_term(lam, shift)
     floors = {}
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
@@ -346,10 +350,10 @@ def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
     )
 
 
-# The walk's slope proofs take pi's lower end at this accuracy, whatever
-# the count's eps (pi_bounds memoises it): deep in the walk a cut-off's
-# slope lies closer to the curve's than pi's lower end at 1/1000 can tell
-# apart (at lambda 10^5, 7,284 point tests against 9,383 with that end).
+# The walk's slope proofs take pi's lower end at this accuracy (pi_bounds
+# memoises it): deep in the walk a cut-off's slope lies closer to the
+# curve's than pi's lower end at 1/1000 can tell apart (at lambda 10^5,
+# 7,284 point tests against 9,383 with that end).
 _SLOPE_EPS = rational(1, 10**9)
 
 
@@ -373,16 +377,6 @@ def _floor_plus(n: int, d: int, sn: int, sd: int) -> int:
     return (n * sd + sn * d) // (d * sd)
 
 
-def _weighted_abscissa(d: int, m: int) -> Fraction:
-    # z = m + d/2 - 1, exact also for odd d
-    return rational(2 * m + d - 2, 2)
-
-
-def _weighted_indices(d: int, lam: Fraction) -> range:
-    """m = 0 .. floor(lam - d/2 + 1), the indices of the weighted counts."""
-    return range(rat_floor(lam - rational(d, 2) + 1) + 1)
-
-
 def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult:
     """Certified-exact weighted count: sum of kappa(d, m)*floor(G(lam, z_m) + shift).
 
@@ -390,13 +384,14 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     z_m = m + d/2 - 1.  Neumann counting is only defined in dimension 2.
     A sum of at least _WALK_MIN_TERMS terms, in any dimension, is read off
     the hull walk (_column_sum), a shorter one summed term by term.  An
-    undecided term raises UnresolvedFloorError.
+    undecided term raises UnresolvedFloorError.  eps is only checked.
     """
     _validate_count_args(d, kind)
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    return CountResult(_column_sum(lam, rational(1), kind.shift, eps, d), Rigor.CERTIFIED_EXACT)
+    _check_eps(eps)
+    return CountResult(_column_sum(lam, ONE, kind.shift, d), Rigor.CERTIFIED_EXACT)
 
 
 def _validate_count_args(d: int, kind: BoundKind) -> None:
@@ -421,8 +416,8 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
         raise DomainError(f"lam must be non-negative, got {lam}")
     if lam == 0:  # the one term lies at z = lam, where it is floor(3/4)
         return CountResult(0, Rigor.CERTIFIED_LOWER)
-    total = sum(map(_lower_term(lam, eps), _weighted_indices(2, lam)))
-    return CountResult(total, Rigor.CERTIFIED_LOWER)
+    top = _columns(lam, ONE, 2)[3]  # column m lies at z = m
+    return CountResult(sum(map(_lower_term(lam, eps), range(top + 1))), Rigor.CERTIFIED_LOWER)
 
 
 def _lower_term(lam: Fraction, eps):
@@ -450,34 +445,26 @@ def _lower_term(lam: Fraction, eps):
 def count_dirichlet_dim_reduction(d: int, lam, eps=DEFAULT_EPS) -> CountResult:
     """The d >= 3 Dirichlet count evaluated through its dimension-reduction form.
 
-    Sums binomially weighted planar-style counts along shifted abscissas:
-    for each n the inner count is floor(G(r)+1/4) + 2*sum_j floor(G(j+r)+1/4)
-    with r = n + d/2 - 1.  Must agree exactly with count_weighted; the two
-    routes share no summation structure, which makes the equality a useful
-    cross-check.
+    With f(m) = floor(G(lam, z_m) + 1/4) on count_weighted's columns, it
+    sums comb(n + d - 3, d - 3) * (f(n) + 2*sum_{m > n} f(m)) over n, the
+    planar-style counts along the abscissas z_n + j, streamed down from
+    the last column with one running suffix sum and one certified_floor_term
+    per column.  It must equal count_weighted, which weights the columns by
+    kappa(d, m) and walks long sums.  eps is only checked.
     """
     if d < 3:
         raise BadDimensionError(f"dimension reduction needs d >= 3, got {d}")
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
-    shift = rational(1, 4)
-    n_top = rat_floor(lam - rational(d, 2) + 1)
-    floor_cache: dict[Fraction, int] = {}
-
-    def term(z: Fraction) -> int:
-        cached = floor_cache.get(z)
-        if cached is None:  # one-shot, like _column_sum's short sums (see there)
-            cached = floor_cache[z] = certified_floor_term(lam, z, shift, eps)
-        return cached
-
-    total = 0
-    for n in range(n_top + 1):
-        r = _weighted_abscissa(d, n)
-        inner = term(r)
-        for j in range(1, rat_floor(lam - r) + 1):
-            inner += 2 * term(j + r)
-        total += math.comb(n + d - 3, d - 3) * inner
+    _check_eps(eps)
+    z_num, z_add, z_den, top = _columns(lam, ONE, d)
+    shift = BoundKind.DIRICHLET.shift
+    total = after = 0  # after: the sum of f over the columns past m
+    for m in range(top, -1, -1):
+        f = certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift)
+        total += math.comb(m + d - 3, d - 3) * (f + 2 * after)
+        after += f
     return CountResult(total, Rigor.CERTIFIED_EXACT)
 
 
@@ -488,8 +475,8 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     rational in (0, 2] so the abscissas stay rational; Dirichlet sums start
     at m = 1, Neumann at m = 0, and so does the hull walk of a sum of at
     least _WALK_MIN_TERMS terms (_column_sum).  An undecided term raises
-    UnresolvedFloorError.  For irrational apertures use
-    ``analysis.sector_lattice_bound_oracle``.
+    UnresolvedFloorError, and eps is only checked.  For irrational
+    apertures use ``analysis.sector_lattice_bound_oracle``.
     """
     if isinstance(alpha_over_pi, float):
         raise IrrationalApertureError(
@@ -502,8 +489,9 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     lam = as_rational(lam)
     if lam < 0:
         raise DomainError(f"lam must be non-negative, got {lam}")
+    _check_eps(eps)
     start = 1 if kind is BoundKind.DIRICHLET else 0
-    return CountResult(_column_sum(lam, a, kind.shift, eps, start=start), Rigor.CERTIFIED_EXACT)
+    return CountResult(_column_sum(lam, a, kind.shift, start=start), Rigor.CERTIFIED_EXACT)
 
 
 # The benchmark's output checks (perfbench/workloads.py) read the two

@@ -21,6 +21,7 @@ RATIONAL_BACKEND = "fractions"
 rational = Fraction
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # ASCII only: \d and \s would also match other scripts' digits and spaces
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)

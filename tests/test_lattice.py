@@ -57,8 +57,8 @@ def _watch_floor_tests(monkeypatch, asked):
     """Append the abscissa of every point test of the hull walk (prepare_floor_term) to asked."""
     real = lattice.prepare_floor_term
 
-    def prepare(lam, shift, eps):
-        floor = real(lam, shift, eps)
+    def prepare(lam, shift):
+        floor = real(lam, shift)
 
         def watched(zn, zd):
             asked.append(rational(zn, zd))
@@ -118,8 +118,8 @@ class TestCountWeighted:
                 assert exact == approx, (kind, lam)
 
     def test_coarse_eps_whose_pi_bracket_starts_at_zero(self):
-        # eps = 1/2 is above the arccos eps cap of 1/4, so the rung-0 bracket
-        # is built at 1/4, where the pi lower bound is 3/2; it must still be usable
+        # eps = 1/2 is above the arccos eps cap of 1/4; an exact count only
+        # checks that eps is positive, so the counts are the oracle's
         for kind in (D, N):
             for k in (1, 2, 7, 20):
                 lam = rational(k, 7)
@@ -148,7 +148,7 @@ class TestCountWeighted:
 
 
 class TestStartRung:
-    """lattice._start_rung picks the first rung of the floor ladder from lam and eps; it must never change a count."""
+    """lattice._start_rung picks the first rung of the floor ladder from lam alone; it must never change a count."""
 
     @staticmethod
     def _counts():
@@ -164,19 +164,32 @@ class TestStartRung:
     def expected(self):
         return self._counts()
 
-    # rungs 3 to 15 are the default eps, 1/1000, and the 12 decades below it
-    @pytest.mark.parametrize("rung", range(16))
+    # every rung, 0 to 16; the ladder itself starts at 1/1000 (rung 3) or
+    # finer.  At the finest rung alone the arccos bracket of 28/29 (lambda =
+    # 29/4, column 7) does not verify, so no rung decides that term (ROADMAP
+    # item 10)
+    @pytest.mark.parametrize(
+        "rung",
+        [
+            *range(16),
+            pytest.param(
+                16,
+                marks=pytest.mark.xfail(
+                    raises=UnresolvedFloorError, strict=True, reason="arccos(28/29) does not verify at 1/10^16"
+                ),
+            ),
+        ],
+    )
     def test_any_start_rung_leaves_counts_unchanged(self, monkeypatch, expected, rung):
-        monkeypatch.setattr(lattice, "_start_rung", lambda lam, eps: rung)
+        monkeypatch.setattr(lattice, "_start_rung", lambda lam: rung)
         assert self._counts() == expected
 
     def test_unverifiable_start_rung_is_passed_over(self, monkeypatch):
         # a start rung whose brackets do not verify costs one failed try per
         # term; the next rung decides it
-        eps = rational(1, 10**10)
         lam, shift = rational(37, 4), rational(3, 4)
-        expected = [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)]
-        start = lattice._ACCURACIES[lattice._start_rung(lam, eps)]
+        expected = [certified_floor_term(lam, rational(m), shift) for m in range(10)]
+        start = lattice._ACCURACIES[lattice._start_rung(lam)]
         failed = []
 
         def failing_at_the_start(lam, z, accuracy):
@@ -186,54 +199,49 @@ class TestStartRung:
             return g_bracket(lam, z, accuracy)
 
         _bracket_seam(monkeypatch, failing_at_the_start)
-        assert [certified_floor_term(lam, rational(m), shift, eps) for m in range(10)] == expected
+        assert [certified_floor_term(lam, rational(m), shift) for m in range(10)] == expected
         assert failed == [rational(m) for m in range(10)]
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        lam=st.builds(rational, st.integers(1, 10**9), st.integers(1, 1000)),
-        eps=st.builds(rational, st.integers(1, 1000), st.integers(1, 10**42)),
-    )
-    @example(lam=rational(1, 16), eps=rational(1))  # 16*lam = 1: rung 0
-    @example(lam=rational(1000, 16), eps=rational(7, 3))  # 16*lam = 10^3: rung 3
-    @example(lam=rational(1), eps=rational(1, 10**40))  # past the finest rung
-    def test_start_rung_is_the_coarsest_at_most_eps_and_a_sixteenth_of_one_over_lam(self, lam, eps):
-        rung = lattice._start_rung(lam, eps)
+    @given(lam=st.builds(rational, st.integers(1, 10**18), st.integers(1, 1000)))
+    @example(lam=rational(1, 16))  # 16*lam = 1: rung 3, the default eps's
+    @example(lam=rational(10**4, 16))  # 16*lam = 10^4: rung 4
+    @example(lam=rational(10**16, 16))  # 16*lam = 10^16: the finest rung
+    @example(lam=rational(10**16 + 1, 16))  # past the finest rung
+    def test_start_rung_is_the_coarsest_at_most_eps_and_a_sixteenth_of_one_over_lam(self, lam):
+        rung = lattice._start_rung(lam)
         finest = len(lattice._ACCURACIES) - 1
-        accuracy, bound = rational(1, 10**rung), min(eps, 1 / (16 * lam))
+        accuracy, bound = rational(1, 10**rung), min(DEFAULT_EPS, 1 / (16 * lam))
         assert lattice._ACCURACIES[rung] == accuracy
-        assert rung == finest or accuracy <= bound
-        assert rung == 0 or 10 * accuracy > bound
+        assert rung == finest or accuracy <= bound < 10 * accuracy
 
     @pytest.mark.parametrize("kind", [D, N])
     def test_a_lambda_below_every_double_is_counted(self, kind, capsys):
         lam = rational(1, 10**400)  # float(lam) is 0.0
-        assert lattice._start_rung(lam, DEFAULT_EPS) == 3  # eps's own rung, 1/1000
+        assert lattice._start_rung(lam) == 3  # the default eps's rung, 1/1000
         assert certified_floor_term(lam, 0, kind.shift) == 0
         assert count_weighted(2, kind, lam).value == 0  # one term, summed term by term
-        assert lattice._convex_floor_sum(lam, rational(1), kind.shift, DEFAULT_EPS, 2) == 0  # walked
+        assert lattice._convex_floor_sum(lam, rational(1), kind.shift, 2) == 0  # walked
         assert sector_lattice_bound(kind, 1, lam).value == 0
         assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**400}"]) == 0
         assert " value=0 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind", [D, N])
-    @pytest.mark.parametrize("eps", [rational(1, 10**3), rational(1, 10**6)], ids=["1e-3", "1e-6"])
-    def test_start_rung_brackets_are_at_most_an_eighth_wide(self, kind, eps):
+    @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
+    def test_start_rung_brackets_are_at_most_an_eighth_wide(self, kind):
         # every seventh column of count_weighted(2, kind, lam), lam log-uniform
-        # in [1, 10^4]: start rungs 3 to 5 at eps 1e-3 and 6 at 1e-6, brackets
-        # up to 0.84 of the bound
+        # in [1, 10^4]: start rungs 3 to 5, brackets up to 0.84 of the bound
         rng = random.Random(f"start-rung-{kind.value}")
         for _ in range(8):
             den = rng.randint(1, 100)
             lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
-            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam, eps)])
+            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam)])
             for m in range(0, rat_floor(lam) + 1, 7):
                 (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
-                assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, eps, m)
+                assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, m)
 
     def test_exact_counts_do_not_depend_on_eps(self):
-        # eps only picks where the ladder starts, here from above the arccos
-        # eps cap (7/3) down to 1/10^10
+        # an exact count only checks that eps is positive, here from above
+        # the arccos eps cap (7/3) down to 1/10^10
         rng = random.Random("eps-invariance")
 
         def lam(top, max_den):
@@ -273,8 +281,9 @@ class TestFloorGiveUp:
         with pytest.raises(UnresolvedFloorError) as info:
             certified_floor_term(rational(3), z, shift, eps)
         finest = lattice._ACCURACIES[-1]
-        # in one direction, from eps's own rung to the finest, each rung once
+        # in one direction, from 1/1000's rung to the finest, each rung once
         assert seen == [rational(1, 10**rung) for rung in range(3, len(lattice._ACCURACIES))]
+        assert info.value.accuracies == (eps, finest) and str(info.value).endswith(f"from accuracy {eps} to {finest}")
         assert info.value.abscissa == z
         assert info.value.interval == (1 - finest, 1 + finest)  # the finest bracket plus the shift
         assert info.value.__cause__ is None
@@ -284,7 +293,7 @@ class TestFloorGiveUp:
         [
             pytest.param(lambda: certified_floor_term(rational(3), rational(1), rational(3, 4)), id="one-shot"),
             pytest.param(lambda: count_weighted(2, N, rational(3)), id="term-by-term"),
-            pytest.param(lambda: lattice._convex_floor_sum(rational(3), rational(1), N.shift, DEFAULT_EPS), id="walked"),
+            pytest.param(lambda: lattice._convex_floor_sum(rational(3), rational(1), N.shift), id="walked"),
         ],
     )
     def test_guess_failing_on_every_rung_is_unresolved_from_the_first_failure(self, monkeypatch, count):
@@ -300,7 +309,7 @@ class TestFloorGiveUp:
         assert info.value.interval is None  # no rung verified
         assert "no bracket verified after all refinements" in str(info.value)
         assert info.value.__cause__ is raised[0]
-        assert len(raised) == len(lattice._ACCURACIES) - 3  # rungs 3 to 30, each once
+        assert len(raised) == len(lattice._ACCURACIES) - 3  # rungs 3 to 16, each once
 
     def test_unresolved_term_keeps_the_finest_verified_bracket(self, monkeypatch):
         # rungs 3 to 9 straddle, the finer ones do not verify
@@ -320,6 +329,15 @@ class TestFloorGiveUp:
         assert info.value.__cause__ is raised[0]
         assert len(raised) == len(lattice._ACCURACIES) - 10
 
+    def test_pi_verifies_on_every_rung_and_not_past_the_finest(self):
+        # every bracket needs pi, so a rung finer than 1/10^16 could only fail:
+        # the double nearest pi/3 lies 1.07e-16 from it
+        pi = rational(314159265358979323846, 10**20)  # within 10^-20 of pi
+        for accuracy in lattice._ACCURACIES:
+            assert pi_bounds(accuracy).lo < pi < pi_bounds(accuracy).hi
+        with pytest.raises(GuessFailedError):
+            pi_bounds(lattice._ACCURACIES[-1] / 10)
+
     def test_count_command_reports_the_unresolved_term(self, monkeypatch, capsys):
         _bracket_seam(monkeypatch, self.straddling([]))
         code = main(["count", "--lambda", "3"])
@@ -330,9 +348,14 @@ class TestFloorGiveUp:
 _APERTURES = [rational(1), rational(1, 3), rational(1, 2), rational(3, 2), rational(2), rational(2, 7)]
 
 
-def _term_by_term(lam, a, shift, eps=DEFAULT_EPS, start=0):
+def _term_by_term(lam, a, shift, start=0):
     """lattice._convex_floor_sum of a sector, summed term by term."""
-    return sum(certified_floor_term(lam, rational(m) / a, shift, eps) for m in range(start, rat_floor(a * lam) + 1))
+    return sum(certified_floor_term(lam, rational(m) / a, shift) for m in range(start, rat_floor(a * lam) + 1))
+
+
+def _weighted_abscissas(d, lam):
+    """z_m = m + d/2 - 1 for m = 0 .. floor(lam - d/2 + 1), the columns of the weighted counts."""
+    return [rational(2 * m + d - 2, 2) for m in range(rat_floor(lam - rational(d, 2) + 1) + 1)]
 
 
 # (label, count, lambda): sums of 256 terms or more, which are walked, at
@@ -368,7 +391,7 @@ class TestConvexWalk:
     @example(lam=rational(5), a=rational(1), shift=D.shift)  # 5^2 - 3^2 and 5^2 - 4^2 are squares
     @example(lam=rational(600), a=rational(1), shift=N.shift)  # see test_pi_over_three_cut_off
     def test_equals_the_term_by_term_sum(self, lam, a, shift):
-        assert lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS) == _term_by_term(lam, a, shift)
+        assert lattice._convex_floor_sum(lam, a, shift) == _term_by_term(lam, a, shift)
 
     def test_pi_over_three_cut_off_is_not_proved_and_costs_only_tests(self, monkeypatch):
         # arccos(300/600) = pi/3 exactly, so no bracket proves the slope-1/3 cut-off there
@@ -381,7 +404,7 @@ class TestConvexWalk:
 
         monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", recording)
         lam = rational(600)
-        assert lattice._convex_floor_sum(lam, rational(1), N.shift, DEFAULT_EPS) == _term_by_term(lam, 1, N.shift)
+        assert lattice._convex_floor_sum(lam, rational(1), N.shift) == _term_by_term(lam, 1, N.shift)
         assert (rational(1, 2), rational(1, 3), False) in asked
         assert any(proved for _, _, proved in asked)
 
@@ -396,9 +419,9 @@ class TestConvexWalk:
         ],
     )
     def test_counts_without_a_proved_cut_off_are_unchanged(self, monkeypatch, lam, a, shift):
-        walked = lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS)
+        walked = lattice._convex_floor_sum(lam, a, shift)
         monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", lambda xn, xd, sn, sd, eps: False)
-        assert lattice._convex_floor_sum(lam, a, shift, DEFAULT_EPS) == walked
+        assert lattice._convex_floor_sum(lam, a, shift) == walked
 
     @pytest.mark.parametrize(
         "kind,d,count",
@@ -411,7 +434,7 @@ class TestConvexWalk:
     )
     def test_an_unresolved_walk_raises_as_the_term_by_term_sum(self, monkeypatch, kind, d, count):
         real, shift = g_bracket, kind.shift
-        first = lattice._weighted_abscissa(d, 0)  # column 0: z = 0 in the plane, 1/2 for d = 3
+        first = rational(d - 2, 2)  # column 0: z = 0 in the plane, 1/2 for d = 3
 
         def straddling_at_column_zero(lam, z, eps):  # G + shift straddles 5 on every rung
             if z == first:
@@ -421,8 +444,8 @@ class TestConvexWalk:
         _bracket_seam(monkeypatch, straddling_at_column_zero)
         lam = rational(300)
         with pytest.raises(UnresolvedFloorError) as serial:
-            for m in lattice._weighted_indices(d, lam):
-                certified_floor_term(lam, lattice._weighted_abscissa(d, m), shift)
+            for z in _weighted_abscissas(d, lam):
+                certified_floor_term(lam, z, shift)
         with pytest.raises(UnresolvedFloorError) as walked:
             count(lam)
         assert walked.value.abscissa == serial.value.abscissa == first
@@ -445,7 +468,7 @@ class TestConvexWalk:
         real_bracket, calls = g_bracket, []
         _watch_floor_tests(monkeypatch, calls)
         lam = rational(601, 2)
-        columns = len(lattice._weighted_indices(2, lam))
+        columns = len(_weighted_abscissas(2, lam))
         count_weighted(2, D, lam)
         bad = max(z for z in calls if z < lam)
         assert bad > 0 and len(calls) < columns
@@ -468,7 +491,7 @@ class TestConvexWalk:
         _watch_floor_tests(monkeypatch, calls)
         tracemalloc.start()
         try:
-            lattice._convex_floor_sum(rational(70003, 7), rational(1), kind.shift, DEFAULT_EPS)
+            lattice._convex_floor_sum(rational(70003, 7), rational(1), kind.shift)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,13 +543,19 @@ class TestConvexWalk:
         ],
     )
     def test_a_walked_count_rejects_a_non_positive_eps(self, monkeypatch, count, eps):
-        # as the term-by-term sum does, from certified_floor_term; an empty sum needs no eps
+        # on entry, before the walk, as every exact count does, even an empty one
         real, walks = lattice._convex_floor_sum, []
         monkeypatch.setattr(lattice, "_convex_floor_sum", lambda *args: walks.append(args) or real(*args))
         with pytest.raises(DomainError, match="eps must be positive"):
             count(eps)
-        assert walks
-        assert real(rational(2), rational(1, 3), D.shift, eps, start=1) == 0
+        assert not walks
+        for empty in (
+            lambda: count_weighted(6, D, rational(1, 2), eps),
+            lambda: sector_lattice_bound(D, rational(1, 3), 2, eps),
+            lambda: count_dirichlet_dim_reduction(3, rational(1, 4), eps),
+        ):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                empty()
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -547,11 +576,9 @@ class TestConvexWalk:
     @example(d=4, lam=rational(1000))
     def test_weighted_walk_equals_the_term_by_term_sum(self, d, lam):
         shift = D.shift
-        expected = sum(
-            kappa(d, m) * certified_floor_term(lam, lattice._weighted_abscissa(d, m), shift)
-            for m in lattice._weighted_indices(d, lam)
-        )
-        assert lattice._convex_floor_sum(lam, rational(1), shift, DEFAULT_EPS, d) == expected
+        columns = enumerate(_weighted_abscissas(d, lam))
+        expected = sum(kappa(d, m) * certified_floor_term(lam, z, shift) for m, z in columns)
+        assert lattice._convex_floor_sum(lam, rational(1), shift, d) == expected
         assert count_weighted(d, D, lam).value == expected
 
     def test_weight_prefix_is_the_sum_of_the_weights(self):
@@ -576,8 +603,8 @@ class TestConvexWalk:
         # 10**5 + 1 columns of a flat stub floor: the walk scans them all below
         # the horizontal direction, and keeping one floor per column would
         # hold about 11 MB; the term-by-term sum must not list them either
-        monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift, eps: 1)
-        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift, eps: lambda zn, zd: 1)
+        monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift: 1)
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: 1)
         if not walk:
             monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
@@ -665,7 +692,8 @@ class TestWalkPointTest:
         ],
     )
     def test_every_column_equals_certified_floor_term(self, lam, shift, eps):
-        floor = lattice.prepare_floor_term(lam, shift, eps)
+        # the one-shot route checks eps and otherwise ignores it
+        floor = lattice.prepare_floor_term(lam, shift)
         for m in range(rat_floor(lam) + 2):  # the last column lies past lam
             assert floor(m, 1) == certified_floor_term(lam, rational(m), shift, eps), m
         for m in range(0, rat_floor(3 * lam) + 1, 7):  # unnormalised abscissas m/3 as (2m)/6
@@ -774,6 +802,15 @@ class TestDimensionReduction:
             count_dirichlet_dim_reduction(d, lam).value
             == count_weighted(d, D, lam).value
         )
+
+    @pytest.mark.parametrize("d,lam", [(3, rational(601, 2)), (4, rational(300)), (5, rational(1031, 4))])
+    def test_equals_the_walked_count(self, monkeypatch, d, lam):
+        # 301, 300 and 257 columns: count_weighted walks them, and the
+        # reduction decides every column's floor by the one-shot route
+        real, walks = lattice._convex_floor_sum, []
+        monkeypatch.setattr(lattice, "_convex_floor_sum", lambda *args: walks.append(args) or real(*args))
+        assert count_dirichlet_dim_reduction(d, lam).value == count_weighted(d, D, lam).value
+        assert len(walks) == 1
 
     def test_empty_below_threshold(self):
         assert count_dirichlet_dim_reduction(3, rational(1, 4)).value == 0
