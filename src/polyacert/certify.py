@@ -157,11 +157,21 @@ def _json_field(data: dict, name: str, kind: type):
     return value
 
 
+def check_digits(text: str, name: str) -> None:
+    """Raise ValueError if the literal ``text`` has a part of more than _MAX_DIGITS digits.
+
+    Checked before ``parse_rational`` converts any digit, so an oversized
+    literal costs no big-int work.  Certificate fields and the command line's
+    ``p/q`` arguments share this cap.
+    """
+    if any(len(part.strip().lstrip("+-")) > _MAX_DIGITS for part in text.split("/")):
+        raise ValueError(f"{name} has a numerator or denominator of more than {_MAX_DIGITS} digits")
+
+
 def _rational_field(data: dict, name: str) -> Fraction:
     """data[name] parsed as a rational, with at most _MAX_DIGITS digits in each part."""
     text = _json_field(data, name, str)
-    if any(len(part.strip().lstrip("+-")) > _MAX_DIGITS for part in text.split("/")):
-        raise ValueError(f"{name} has a numerator or denominator of more than {_MAX_DIGITS} digits")
+    check_digits(text, name)
     return parse_rational(text)
 
 

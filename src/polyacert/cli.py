@@ -8,20 +8,24 @@ count     certified lattice counts (ball/disk or sector)
 oracle    compare certified counts against true eigenvalue counts
 plotdata  CSV of counts along a grid (double precision, non-certified)
 
-Exit codes: 0 success; 2 a certified computation or comparison failed;
-3 I/O or certificate parse failure.  All certificate-related output is
-exact rational text; no floats appear in it.  Only oracle and plotdata
-load the float layer (``analysis``, ``bessel`` and through it scipy), so
-the certified commands run on the standard library alone.
+Exit codes: 0 success; 2 a certified computation or comparison failed, or
+a usage error; 3 I/O or certificate parse failure, or a ``p/q`` argument with
+a numerator or denominator of more than 100 digits (rejected before any
+work).  :func:`main` returns the exit code and may be called any number of
+times in one process; it builds its parser once.  All certificate-related
+output is exact rational text; no floats appear in it.  Only oracle and
+plotdata load the float layer (``analysis``, ``bessel`` and through it
+scipy), so the certified commands run on the standard library alone.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from .certify import Certificate, certify, gap_endpoints, verify_certificate
+from .certify import Certificate, certify, check_digits, gap_endpoints, verify_certificate
 from .curve import BoundKind
 from .errors import PolyacertError, StallError, StepFailedError, UnresolvedFloorError
 from .lattice import CountResult, count_weighted, sector_lattice_bound
@@ -35,14 +39,31 @@ from .rational import (
 from .verified import DEFAULT_EPS
 
 
+class _TooManyDigits(Exception):
+    """A p/q argument over the certificates' digit cap; main exits 3 on it.
+
+    Not a ValueError, which argparse would turn into a usage error (exit 2).
+    """
+
+
 def _rational_arg(text: str):
+    try:
+        check_digits(text, "a p/q argument")
+    except ValueError as exc:
+        raise _TooManyDigits(str(exc)) from None
     try:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to main, not at import.
+
+    Parsing keeps no state between calls: each returns a fresh namespace, and
+    the handlers look up the module's names when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="polyacert",
         description="Certified lattice-point counting for eigenvalue inequalities "
@@ -114,9 +135,11 @@ def cmd_certify(args) -> int:
             return 2
         start, target = rational(3), rational(14)
     else:
-        default_start, default_target = gap_endpoints(eps)
-        start = args.start if args.start is not None else default_start
-        target = args.target if args.target is not None else default_target
+        start, target = args.start, args.target
+        if start is None or target is None:
+            default_start, default_target = gap_endpoints(eps)
+            start = default_start if start is None else start
+            target = default_target if target is None else target
     cert = certify(start, target, eps)
     print(f"certifying count > lambda^2/4 on [{format_rational(start)}, {format_rational(target)}]")
     print(f"{'step':>4}  {'lambda':>12}  {'margin':>16}  {'advance':>12}")
@@ -256,7 +279,11 @@ def cmd_plotdata(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _TooManyDigits as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     try:
         return args.handler(args)
     except UnresolvedFloorError as exc:

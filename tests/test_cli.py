@@ -55,6 +55,14 @@ class TestCertifyCommand:
         assert code == 0
         assert "6/13" in out
 
+    def test_an_explicit_range_does_not_compute_the_gap(self, capsys):
+        # eps 1/10 is too coarse for the gap's pi bracket, which this range
+        # does not need: the run fails in the loop itself, not over the gap
+        code, out, err = run(capsys, "certify", "--start", "3", "--target", "4", "--eps", "1/10")
+        assert code == 2
+        assert err.startswith("certification failed: ")
+        assert out == ""
+
     def test_default_range_is_computed_gap(self, capsys):
         code, out, _ = run(capsys, "certify")
         assert code == 0
@@ -391,15 +399,23 @@ def _package_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+_PAPER_RANGE_SHA256 = "8e95354af793fb6c714f8871ce736b1c290fdfb5e5ca0b5d98614d3cbb654b81"
+_GAP_SHA256 = "2b19b82e238fe8078eae0aff1867a48e48ab13d739816c6f352f3806a4e2fd8d"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (("--paper-range",), "8e95354af793fb6c714f8871ce736b1c290fdfb5e5ca0b5d98614d3cbb654b81"),
-    ((), "2b19b82e238fe8078eae0aff1867a48e48ab13d739816c6f352f3806a4e2fd8d"),
+    (("--paper-range",), _PAPER_RANGE_SHA256),
+    ((), _GAP_SHA256),
 ], ids=["paper-range", "gap"])
 def test_default_certificates_keep_their_bytes(capsys, tmp_path, argv, digest):
     path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", *argv, "-o", str(path))
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _sha256(path) == digest
 
 
 @pytest.mark.parametrize("extra", [
@@ -429,14 +445,84 @@ def test_certify_target_above_the_lambda_cap_exits_two(capsys):
     assert err.startswith("error: target must be at most 10000")
 
 
+_TOO_LONG = "1" + "0" * 100  # 10^100, one digit over the cap
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--lambda", f"1/{_TOO_LONG}"),
+    ("count", "--lambda", "1/" + "7" * 5000),  # past CPython's own int-string limit
+    ("count", "--alpha", f"1/{_TOO_LONG}", "--lambda", "3"),
+    ("certify", "--eps", f"1/{_TOO_LONG}"),
+    ("certify", "--start", f"1/{_TOO_LONG}", "--target", "4"),
+    ("certify", "--start", "3", "--target", f"1/{_TOO_LONG}"),
+    ("oracle", "--step", f"1/{_TOO_LONG}"),
+    ("plotdata", "--stop", f"1/{_TOO_LONG}"),
+], ids=["count-lambda", "count-lambda-5000", "count-alpha", "certify-eps", "certify-start",
+        "certify-target", "oracle-step", "plotdata-stop"])
+def test_a_literal_of_more_than_a_hundred_digits_exits_three_before_any_work(capsys, monkeypatch, argv):
+    # the cap of certificate fields; the literals sit in denominators, since a
+    # huge lambda that got through would run without bound
+    for name in ("count_weighted", "sector_lattice_bound", "certify", "gap_endpoints"):
+        monkeypatch.setattr(cli, name, None)  # any work would raise
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: a p/q argument has a numerator or denominator of more than 100 digits\n"
+
+
+def test_a_hundred_digit_denominator_is_accepted(capsys):
+    lam = "1/1" + "0" * 99
+    code, out, _ = run(capsys, "count", "--lambda", lam)
+    assert (code, out) == (0, f"lambda={lam} value=0 rigor=certified-exact\n")
+
+
+def test_main_called_repeatedly_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    # one parser serves every call in a process: outputs, exit codes and
+    # certificate bytes are those of a fresh `python -m polyacert.cli` each
+    sequence = [
+        ("count", "--lambda"),  # usage error
+        ("--help",),
+        ("certify", "-o", "c.json"),
+        ("verify", "c.json"),
+        ("count", "--kind", "N", "--lambda", "400"),
+        ("certify", "--paper-range", "-o", "p.json"),
+        ("verify", "p.json"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    cli._build_parser.cache_clear()
+    results = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in results] == [2, 0, 0, 0, 0, 0, 0]
+    for argv, got in zip(sequence, results):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyacert.cli", *argv], cwd=fresh, capture_output=True, text=True,
+            env=dict(_package_env(), COLUMNS="80"), timeout=120,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    for name, digest in (("c.json", _GAP_SHA256), ("p.json", _PAPER_RANGE_SHA256)):
+        assert _sha256(here / name) == _sha256(fresh / name) == digest
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # nor, after a small count, any process-pool machinery, which would
-    # cost start-up time and memory; importing the package loads no submodule
+    # cost start-up time and memory; importing the package loads no submodule,
+    # and importing the CLI builds no parser
     script = """
 import sys, polyacert
 print(sorted(name for name in sys.modules if name.startswith("polyacert.")))
 import polyacert.cli
 print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))
+assert polyacert.cli._build_parser.cache_info().currsize == 0
 assert polyacert.cli.main(["count", "--lambda", "20"]) == 0
 print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent'} & set(sys.modules)))
 """

@@ -223,7 +223,10 @@ class TestStartRung:
         assert count_weighted(2, kind, lam).value == 0  # one term, summed term by term
         assert lattice._convex_floor_sum(lam, rational(1), kind.shift, 2) == 0  # walked
         assert sector_lattice_bound(kind, 1, lam).value == 0
-        assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**400}"]) == 0
+        # the command line caps a literal at 100 digits, so it rejects this
+        # lambda (exit 3) and counts the smallest one it takes
+        assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**400}"]) == 3
+        assert main(["count", "--kind", kind.value, "--lambda", f"1/{10**99}"]) == 0
         assert " value=0 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
