@@ -31,8 +31,9 @@ unnormalised one, so no term builds a ``Fraction``.
 
 The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
 the same arccos and pi ends, but a root from one integer square root,
-which needs no guess, window search or squaring check.  Both two-sided
-brackets are one closure, :func:`_prepare_two_sided`, given the root.
+which needs no guess, window search or squaring check, and one upper end
+of G alone for the walk's one-sided check.  Both two-sided brackets are
+one closure, :func:`_prepare_two_sided`, given the root and pi.
 The walk's bracket lies inside g_bracket's, so the one-shot floor term on
 g_bracket's rationals is an independent check of the walk.
 """
@@ -46,6 +47,7 @@ from .errors import BadDimensionError, DomainError, GuessFailedError
 from .rational import as_rational, rational
 from .verified import (
     RationalInterval,
+    _arccos_below,
     _arccos_ends,
     _arccos_eps,
     _arccos_upper_end,
@@ -146,7 +148,8 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
     lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
     here, from pi_bounds, with g_bracket's message.
     """
-    return _prepare_two_sided(lam, eps, _verified_root)
+    pi = _verified_pi(eps)
+    return _prepare_two_sided(lam, eps, _verified_root(lam.numerator, lam.denominator, eps), pi)
 
 
 def _verified_root(ln: int, ld: int, eps: Fraction):
@@ -160,18 +163,34 @@ def _verified_root(ln: int, ld: int, eps: Fraction):
 
 
 def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
-    """prepare_g_bracket's ends with the root taken from one integer square root.
+    """(ends, upper): prepare_g_bracket's ends with the root taken from one integer square root, and one end alone.
 
     The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
     with the same arccos ends, pi bracket and order of errors; only the
     root differs (:func:`_isqrt_root`).  Its bracket lies inside
-    g_bracket's at the same eps.
+    g_bracket's at the same eps.  ``upper(zn, zd, gn, gd)``, for a guess
+    gn/gd of arccos(z/lam), is the pair (num, den), den > 0, of the root's
+    upper end less z*A over pi's lower end, at least G as root - z*arccos
+    >= 0, with the arccos lower end A = (floor(gn/gd * 2^k) - c)/2^k at the
+    root's scale 2^k, c = ceil(2*eps*2^k), proved by _arccos_below alone;
+    None if A or pi did not verify.
     """
-    return _prepare_two_sided(lam, eps, _isqrt_root)
+    pi = _verified_pi(eps)
+    ln, ld = lam.numerator, lam.denominator
+    root, k = _isqrt_root(ln, ld, eps)
+    scale, cut = 1 << k, -(-(eps.numerator << k + 1) // eps.denominator)
+
+    def upper(zn: int, zd: int, gn: int, gd: int) -> tuple[int, int] | None:
+        an = (gn << k) // gd - cut
+        if pi is None or not _arccos_below(zn * ld, zd * ln, an, scale):
+            return None
+        return _over_pi(*root(zn, zd)[1], zn, zd, an, scale, pi.lo)
+
+    return _prepare_two_sided(lam, eps, root, pi), upper
 
 
 def _isqrt_root(ln: int, ld: int, eps: Fraction):
-    """root(zn, zd): ends of sqrt(lam^2 - z^2) from one integer square root, no guess or check.
+    """(root, k): root(zn, zd) gives ends of sqrt(lam^2 - z^2) from one integer square root at scale 2^k.
 
     With n = ln^2*zd^2 - zn^2*ld^2, the root is sqrt(n)/(ld*zd), and
     r = isqrt(n * 4^k) satisfies r <= sqrt(n)*2^k < r + 1, so the root lies
@@ -189,27 +208,30 @@ def _isqrt_root(ln: int, ld: int, eps: Fraction):
         r, rd = math.isqrt(scaled), ld * zd << k
         return (r, rd), (r if r * r == scaled else r + 1, rd)
 
-    return root
+    return root, k
 
 
-def _prepare_two_sided(lam: Fraction, eps: Fraction, prepare_root):
-    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root.
+def _verified_pi(eps: Fraction) -> RationalInterval | None:
+    """pi_bounds(eps), built once per prepared bracket, or None if it does not verify."""
+    try:
+        return pi_bounds(eps)
+    except GuessFailedError:
+        return None
 
-    As in :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and
-    lam's integer parts are built once, and root = prepare_root(ln, ld, eps)
-    gives the ends of sqrt(lam^2 - z^2) as integer pairs; at z = 0 the root
-    is lam and the angle 0.  A pi bracket that does not verify is asked for
+
+def _prepare_two_sided(lam: Fraction, eps: Fraction, root, pi: RationalInterval | None):
+    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root and pi.
+
+    As in :func:`prepare_g_lower`, the capped arccos eps and lam's integer
+    parts are built once, root(zn, zd) gives the ends of sqrt(lam^2 - z^2)
+    as integer pairs, and pi is _verified_pi(eps); at z = 0 the root is lam
+    and the angle 0.  A pi bracket that does not verify is asked for
     again in each call, after the ends of the root and the arccos, so a call
     raises the error of the first of the three that fails, in that order.
     """
-    try:
-        pi = pi_bounds(eps)
-    except GuessFailedError:
-        pi = None
     capped = _arccos_eps(eps)
     en, ed = capped.numerator, capped.denominator
     ln, ld = lam.numerator, lam.denominator
-    root = prepare_root(ln, ld, eps)
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if zn == 0:

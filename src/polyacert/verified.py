@@ -334,7 +334,8 @@ def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     (3/2 at eps >= 1/4, the arccos eps cap).  Results are memoised per eps,
     keyed on its integer numerator and denominator, which hash much faster
     than a Fraction; the cache is only ever read or idempotently written,
-    so concurrent use is safe.
+    so concurrent use is safe.  Below eps of about 1e-16 no double guess of
+    arccos(1/2) verifies, and the GuessFailedError names pi and eps.
     """
     eps = as_rational(eps)
     key = (eps.numerator, eps.denominator)
@@ -342,7 +343,12 @@ def pi_bounds(eps=DEFAULT_EPS) -> RationalInterval:
     if cached is None:
         if key[0] <= 0:
             raise DomainError("eps must be positive")
-        third = arccos_bounds(rational(1, 2), eps)
+        try:
+            third = arccos_bounds(rational(1, 2), eps)
+        except GuessFailedError as exc:
+            raise GuessFailedError(
+                f"pi bracket at eps {eps} failed to verify ({exc}): pi verifies down to eps of about 1e-16 only"
+            ) from exc
         cached = RationalInterval(3 * third.lo, 3 * third.hi)
         _PI_CACHE[key] = cached
     return cached

@@ -73,6 +73,16 @@ class TestCertifyCommand:
         assert code == 2
         assert "failed" in err or "error" in err
 
+    def test_an_eps_past_pis_limit_names_pi(self, capsys):
+        # no double guess verifies pi = 3*arccos(1/2) below eps of about 1e-16;
+        # the error names pi and keeps the arccos bracket's own message
+        code, out, err = run(capsys, "certify", "--eps", "1/100000000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pi bracket at eps 1/100000000000000000 failed to verify ")
+        assert "(arccos bracket for 1/2 failed to verify)" in err
+        assert "about 1e-16" in err
+
     def test_stalled_step_exits_two(self, capsys):
         code, _, err = run(capsys, "certify", "--paper-range", "--eps", "1/20")
         assert code == 2

@@ -40,6 +40,8 @@ def _bracket_seam(monkeypatch, bracket):
     The floor tests take their brackets once per rung, the walk's through
     lattice.prepare_g_floor_ends and the one-shot certified_floor_term's
     through lattice.prepare_g_bracket; this routes both builders to bracket.
+    The walk's upper end alone never verifies, so its one-sided check
+    confirms no point, and every point is decided by bracket.
     """
 
     def prepare(lam, eps):
@@ -50,21 +52,32 @@ def _bracket_seam(monkeypatch, bracket):
         return ends
 
     monkeypatch.setattr(lattice, "prepare_g_bracket", prepare)
-    monkeypatch.setattr(lattice, "prepare_g_floor_ends", prepare)
+    monkeypatch.setattr(lattice, "prepare_g_floor_ends", lambda lam, eps: (prepare(lam, eps), lambda zn, zd, gn, gd: None))
 
 
-def _watch_floor_tests(monkeypatch, asked):
-    """Append the abscissa of every point test of the hull walk (prepare_floor_term) to asked."""
+def _watch_floor_tests(monkeypatch, asked, confirmed=None):
+    """Append the abscissa of every ladder floor test of the hull walk (prepare_floor_term) to asked.
+
+    With a list confirmed, also append the abscissa of every point that
+    the walk's one-sided check confirms above the curve.
+    """
     real = lattice.prepare_floor_term
 
     def prepare(lam, shift):
-        floor = real(lam, shift)
+        floor, above = real(lam, shift)
 
         def watched(zn, zd):
             asked.append(rational(zn, zd))
             return floor(zn, zd)
 
-        return watched
+        def watched_above(zn, zd, y):
+            if not above(zn, zd, y):
+                return False
+            if confirmed is not None:
+                confirmed.append(rational(zn, zd))
+            return True
+
+        return watched, watched_above
 
     monkeypatch.setattr(lattice, "prepare_floor_term", prepare)
 
@@ -237,7 +250,7 @@ class TestStartRung:
         for _ in range(8):
             den = rng.randint(1, 100)
             lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
-            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam)])
+            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam)])[0]
             for m in range(0, rat_floor(lam) + 1, 7):
                 (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
                 assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, m)
@@ -455,12 +468,13 @@ class TestConvexWalk:
         assert walked.value.interval == serial.value.interval
 
     def test_dirichlet_sector_walk_tests_no_point_at_z_zero(self, monkeypatch):
-        # the Dirichlet sector sum starts at m = 1, so does its walk
-        asked = []
-        _watch_floor_tests(monkeypatch, asked)
+        # the Dirichlet sector sum starts at m = 1, so does its walk, by the
+        # floor ladder and by the one-sided check
+        asked, confirmed = [], []
+        _watch_floor_tests(monkeypatch, asked, confirmed)
         a, lam = rational(1, 3), rational(1003)
         total = sector_lattice_bound(D, a, lam).value
-        assert asked and 0 not in asked
+        assert asked and confirmed and 0 not in asked + confirmed
         monkeypatch.undo()
         assert total == _term_by_term(lam, a, D.shift, start=1)
 
@@ -513,6 +527,15 @@ class TestConvexWalk:
         rungs = asked[curve]
         assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
         assert asked[lattice] == [lattice._SLOPE_EPS]
+
+    def test_the_one_sided_check_spares_most_ladder_floor_tests(self, monkeypatch):
+        # at lambda 10^4 the walk took 1,520 ladder floor tests without the
+        # check; with it, 648, and the check confirms 1,021 points above
+        asked, confirmed = [], []
+        _watch_floor_tests(monkeypatch, asked, confirmed)
+        assert count_weighted(2, N, 10**4).value == 25_004_989
+        assert len(asked) <= 800
+        assert len(confirmed) >= 900
 
     def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
         # the slope proofs take pi's lower end once, at their own eps 1/10^9,
@@ -607,7 +630,8 @@ class TestConvexWalk:
         # the horizontal direction, and keeping one floor per column would
         # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift: 1)
-        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: 1)
+        # the stub's one-sided check agrees with its floor: (z, y) is above iff y > 1
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: (lambda zn, zd: 1, lambda zn, zd, y: y > 1))
         if not walk:
             monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
@@ -696,7 +720,7 @@ class TestWalkPointTest:
     )
     def test_every_column_equals_certified_floor_term(self, lam, shift, eps):
         # the one-shot route checks eps and otherwise ignores it
-        floor = lattice.prepare_floor_term(lam, shift)
+        floor = lattice.prepare_floor_term(lam, shift)[0]
         for m in range(rat_floor(lam) + 2):  # the last column lies past lam
             assert floor(m, 1) == certified_floor_term(lam, rational(m), shift, eps), m
         for m in range(0, rat_floor(3 * lam) + 1, 7):  # unnormalised abscissas m/3 as (2m)/6
@@ -707,7 +731,7 @@ class TestWalkPointTest:
         # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself), so
         # both routes take the root exactly and share their arccos and pi ends
         lam, eps = rational(5), DEFAULT_EPS
-        ends = curve.prepare_g_floor_ends(lam, eps)(z, 1)
+        ends = curve.prepare_g_floor_ends(lam, eps)[0](z, 1)
         bracket = g_bracket(lam, z, eps)
         assert tuple(rational(*end) for end in ends) == (bracket.lo, bracket.hi)
 
@@ -719,7 +743,7 @@ class TestWalkPointTest:
     )
     def test_bracket_lies_inside_g_bracket(self, lam, t, exponent):
         z, eps = lam * t, rational(1, 10**exponent)
-        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)[0](z.numerator, z.denominator))
         outer = g_bracket(lam, z, eps)
         assert outer.lo <= lo <= hi <= outer.hi
 
@@ -732,9 +756,69 @@ class TestWalkPointTest:
             lam = rational(rng.randint(1, 150_000), rng.randint(1, 100))
             z = lam * rational(rng.randint(1, 200), 200)
             eps = rational(1, 10 ** rng.randint(0, 15))
-            lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+            lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)[0](z.numerator, z.denominator))
             assert lo**2 <= lam**2 - z**2 <= hi**2, (lam, z, eps)
             assert hi - lo < eps / 4, (lam, z, eps)
+
+    @pytest.mark.parametrize(
+        "a, d, kind",
+        [
+            (rational(1), 2, D),
+            (rational(1), 2, N),
+            (rational(1, 3), None, D),
+            (rational(3, 2), None, N),
+            (rational(2), None, D),
+            (rational(1), 3, D),
+        ],
+        ids=["planar-D", "planar-N", "sector-1/3", "sector-3/2", "sector-2", "weighted-3D"],
+    )
+    @pytest.mark.parametrize("forced", [False, True], ids=["hinted", "forced"])
+    def test_the_one_sided_check_confirms_only_points_above(self, monkeypatch, a, d, kind, forced):
+        # seeded columns of walked sums at lambda in [400, 1200] with
+        # denominators up to 100: at y = floor(G + shift) the point is not
+        # above, and the check must not confirm it; at y = floor + 1 it is,
+        # and the check confirms most such points.  Forced, the hint always
+        # says above, so the exact end alone must refuse the first kind
+        if forced:
+            monkeypatch.setattr(lattice, "_above_hint", lambda a, b, tn, td: math.acos(a / b).as_integer_ratio())
+        rng = random.Random(f"one-sided-{a}-{d}-{kind.value}")
+        confirmed = tested = 0
+        for _ in range(3):
+            q = rng.randint(1, 100)
+            lam = rational(rng.randint(400 * q, 1200 * q), q)
+            z_num, z_add, z_den, top = lattice._columns(lam, a, d)
+            above = lattice.prepare_floor_term(lam, kind.shift)[1]
+            for m in rng.sample(range(top + 1), 40):
+                zn = m * z_num + z_add
+                floor = certified_floor_term(lam, rational(zn, z_den), kind.shift)
+                assert not above(zn, z_den, floor), (lam, m)
+                confirmed += above(zn, z_den, floor + 1)
+                tested += 1
+        assert confirmed >= 0.8 * tested
+
+    @pytest.mark.parametrize("hint", ["always-above", "always-below", "half-angle", "past-angle"])
+    def test_walked_counts_do_not_depend_on_the_hint(self, monkeypatch, hint):
+        # the double hint only decides whether the one-sided check runs, and
+        # its arccos guess only seeds that check's verified end: a hint that
+        # always says above, never does, or seeds a loose or a false angle
+        # leaves every walked count equal to the double oracle
+        def guess(scale):
+            return lambda a, b, tn, td: (math.acos(a / b) * scale).as_integer_ratio()
+
+        hints = {
+            "always-above": guess(1),
+            "always-below": lambda a, b, tn, td: None,
+            "half-angle": guess(0.5),  # a valid but loose lower end
+            "past-angle": guess(1.5),  # above the arccos: never verifies
+        }
+        monkeypatch.setattr(lattice, "_above_hint", hints[hint])
+        rng = random.Random(28)
+        for i in range(6):
+            q = rng.randint(1, 100)
+            lam = rational(rng.randint(400 * q, 1200 * q), q)
+            d, kind = ((2, D), (2, N), (3, D))[i % 3]
+            expected = count_weighted_oracle(d, kind, lam.numerator / lam.denominator).value
+            assert count_weighted(d, kind, lam).value == expected, (d, kind, lam)
 
     def test_walked_counts_equal_the_double_oracle_on_seeded_large_lambdas(self):
         # drawn as the large_lambda benchmark draws them: lambda in [400, 1200]
