@@ -30,12 +30,13 @@ as a reduced integer pair, and the z/lam of the arccos ends as an
 unnormalised one, so no term builds a ``Fraction``.
 
 The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
-the same arccos and pi ends, but a root from one integer square root,
-which needs no guess, window search or squaring check, and one upper end
-of G alone for the walk's one-sided check.  Both two-sided brackets are
-one closure, :func:`_prepare_two_sided`, given the root and pi.
-The walk's bracket lies inside g_bracket's, so the one-shot floor term on
-g_bracket's rationals is an independent check of the walk.
+the same pi bracket, but a root from one integer square root, which needs
+no guess, window search or squaring check, and arccos ends on a power of
+two around the double guess, which need no window search.  Both two-sided
+brackets are one closure, :func:`_prepare_two_sided`, given the root and
+the arccos ends.  The walk's bracket lies inside g_bracket's, so the
+one-shot floor term on g_bracket's rationals is an independent check of
+the walk.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from .errors import BadDimensionError, DomainError, GuessFailedError
 from .rational import as_rational, rational
 from .verified import (
     RationalInterval,
-    _arccos_below,
+    _arccos_dyadic_ends,
     _arccos_ends,
     _arccos_eps,
     _arccos_upper_end,
@@ -141,15 +142,14 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
     (hi_num, hi_den)), both denominators positive and neither pair
     normalised, whose quotients are the ends of g_bracket(lam, zn/zd, eps),
     for integers zn >= 0 and zd > 0 with zn/zd <= lam.  It is
-    :func:`_prepare_two_sided` with sqrt_bounds's root ends, so each call
-    builds only its radicand and the verified ends of the root and the
-    arccos, all on integers.
+    :func:`_prepare_two_sided` with sqrt_bounds's root ends and
+    :func:`verified._arccos_ends`, so each call builds only its radicand and
+    the verified ends of the root and the arccos, all on integers.
 
     lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
     here, from pi_bounds, with g_bracket's message.
     """
-    pi = _verified_pi(eps)
-    return _prepare_two_sided(lam, eps, _verified_root(lam.numerator, lam.denominator, eps), pi)
+    return _prepare_two_sided(lam, eps, _verified_root, _arccos_ends)
 
 
 def _verified_root(ln: int, ld: int, eps: Fraction):
@@ -163,34 +163,19 @@ def _verified_root(ln: int, ld: int, eps: Fraction):
 
 
 def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
-    """(ends, upper): prepare_g_bracket's ends with the root taken from one integer square root, and one end alone.
+    """prepare_g_bracket's ends with the root and the arccos ends on a power of two.
 
     The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
-    with the same arccos ends, pi bracket and order of errors; only the
-    root differs (:func:`_isqrt_root`).  Its bracket lies inside
-    g_bracket's at the same eps.  ``upper(zn, zd, gn, gd)``, for a guess
-    gn/gd of arccos(z/lam), is the pair (num, den), den > 0, of the root's
-    upper end less z*A over pi's lower end, at least G as root - z*arccos
-    >= 0, with the arccos lower end A = (floor(gn/gd * 2^k) - c)/2^k at the
-    root's scale 2^k, c = ceil(2*eps*2^k), proved by _arccos_below alone;
-    None if A or pi did not verify.
+    with the same pi bracket and order of errors; the root comes from one
+    integer square root (:func:`_isqrt_root`) and the arccos ends from
+    :func:`verified._arccos_dyadic_ends`.  Each lies inside its
+    counterpart's, so the bracket lies inside g_bracket's at the same eps.
     """
-    pi = _verified_pi(eps)
-    ln, ld = lam.numerator, lam.denominator
-    root, k = _isqrt_root(ln, ld, eps)
-    scale, cut = 1 << k, -(-(eps.numerator << k + 1) // eps.denominator)
-
-    def upper(zn: int, zd: int, gn: int, gd: int) -> tuple[int, int] | None:
-        an = (gn << k) // gd - cut
-        if pi is None or not _arccos_below(zn * ld, zd * ln, an, scale):
-            return None
-        return _over_pi(*root(zn, zd)[1], zn, zd, an, scale, pi.lo)
-
-    return _prepare_two_sided(lam, eps, root, pi), upper
+    return _prepare_two_sided(lam, eps, _isqrt_root, _arccos_dyadic_ends)
 
 
 def _isqrt_root(ln: int, ld: int, eps: Fraction):
-    """(root, k): root(zn, zd) gives ends of sqrt(lam^2 - z^2) from one integer square root at scale 2^k.
+    """root(zn, zd): ends of sqrt(lam^2 - z^2) from one integer square root, no guess or check.
 
     With n = ln^2*zd^2 - zn^2*ld^2, the root is sqrt(n)/(ld*zd), and
     r = isqrt(n * 4^k) satisfies r <= sqrt(n)*2^k < r + 1, so the root lies
@@ -208,30 +193,28 @@ def _isqrt_root(ln: int, ld: int, eps: Fraction):
         r, rd = math.isqrt(scaled), ld * zd << k
         return (r, rd), (r if r * r == scaled else r + 1, rd)
 
-    return root, k
+    return root
 
 
-def _verified_pi(eps: Fraction) -> RationalInterval | None:
-    """pi_bounds(eps), built once per prepared bracket, or None if it does not verify."""
-    try:
-        return pi_bounds(eps)
-    except GuessFailedError:
-        return None
+def _prepare_two_sided(lam: Fraction, eps: Fraction, prepare_root, arccos_ends):
+    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root and arccos ends.
 
-
-def _prepare_two_sided(lam: Fraction, eps: Fraction, root, pi: RationalInterval | None):
-    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root and pi.
-
-    As in :func:`prepare_g_lower`, the capped arccos eps and lam's integer
-    parts are built once, root(zn, zd) gives the ends of sqrt(lam^2 - z^2)
-    as integer pairs, and pi is _verified_pi(eps); at z = 0 the root is lam
-    and the angle 0.  A pi bracket that does not verify is asked for
-    again in each call, after the ends of the root and the arccos, so a call
-    raises the error of the first of the three that fails, in that order.
+    As in :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and
+    lam's integer parts are built once, root = prepare_root(ln, ld, eps)
+    gives the ends of sqrt(lam^2 - z^2) and arccos_ends(a, b, en, ed) those
+    of arccos(a/b), as integer pairs; at z = 0 the root is lam and the angle
+    0.  A pi bracket that does not verify is asked for again in each call,
+    after the ends of the root and the arccos, so a call raises the error of
+    the first of the three that fails, in that order.
     """
+    try:
+        pi = pi_bounds(eps)
+    except GuessFailedError:
+        pi = None
     capped = _arccos_eps(eps)
     en, ed = capped.numerator, capped.denominator
     ln, ld = lam.numerator, lam.denominator
+    root = prepare_root(ln, ld, eps)
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if zn == 0:
@@ -239,7 +222,7 @@ def _prepare_two_sided(lam: Fraction, eps: Fraction, root, pi: RationalInterval 
             angle_lo = angle_hi = 0, 1
         else:
             root_lo, root_hi = root(zn, zd)
-            angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
+            angle_lo, angle_hi = arccos_ends(zn * ld, zd * ln, en, ed)
         bracket = pi if pi is not None else pi_bounds(eps)
         return (
             _over_pi(*root_lo, zn, zd, *angle_hi, bracket.hi),

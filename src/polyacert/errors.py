@@ -54,10 +54,6 @@ class IrrationalApertureError(PolyacertError, ValueError):
     """Certified sector counting needs the aperture as an exact rational multiple of pi."""
 
 
-class ScanAmbiguousError(PolyacertError):
-    """Two sign changes landed in one scan cell even after step halving."""
-
-
 class AccuracyLossError(PolyacertError):
     """A floating-point special-function evaluation is not trustworthy."""
 

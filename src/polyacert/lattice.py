@@ -21,12 +21,10 @@ and decreasing, so the lattice points above it form a convex set, and the
 walk follows that set's lower hull with Stern-Brocot directions, from the
 first summed column on, carrying the weights kappa(d, m) of a weighted
 count along each hull edge.  It tests about a third of the columns at
-lambda 1000 (a sixth at 10^4), decides each point by an exact floor test,
-unless a double hint says it lies above the curve and one upper end of
-G + shift proves it (104 floor tests per large_lambda benchmark operation
-remain of 247), and stops a slope search only on a proof that
-arccos(z/lam) <= pi*s for the rational slope s, so the count is exact; an
-undecided point raises UnresolvedFloorError there, and nothing is rerun.  The
+lambda 1000 (a sixth at 10^4), decides each point by an exact floor test
+and stops a slope search only on a proof that arccos(z/lam) <= pi*s for
+the rational slope s, so the count is exact; a point that cannot be
+decided raises UnresolvedFloorError there, and nothing is rerun.  The
 proof is one exact Taylor check of cos at min(pi_lo*s, 4), with pi_lo the
 lower end of pi at 1/10^9, which needs no guess and never raises.  Every floor
 test refines on one ladder of accuracies 1/10^r, r = 0 .. 16
@@ -36,12 +34,13 @@ eps: each public one raises DomainError for eps <= 0 on entry, even for
 an empty sum, and otherwise ignores it.  The walk
 prepares its floor test once per sum (:func:`prepare_floor_term`), each
 rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
-whose root comes from one integer square root, and tests points on the
-columns' integer parts.  The term-by-term sums call
-``certified_floor_term`` for each term, with
-:func:`curve.prepare_g_bracket`'s brackets, whose root ends come from a
-shortest-rational search; the walk's bracket lies inside that one at
-every rung, so the one-shot route is the walk's independent reference.
+whose root comes from one integer square root and whose arccos ends lie
+on a power of two, and tests points on the columns' integer parts.  The
+term-by-term sums call ``certified_floor_term`` for each term, with
+:func:`curve.prepare_g_bracket`'s brackets, whose root and arccos ends
+come from a shortest-rational search; the walk's bracket lies inside that
+one at every rung, so the one-shot route is the walk's independent
+reference.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -140,7 +139,7 @@ def _check_eps(eps) -> None:
 
 
 def prepare_floor_term(lam: Fraction, shift: Fraction):
-    """The hull walk's point tests for one (lam, shift), prepared once: (floor, above), functions of z's integer parts.
+    """The hull walk's point test for one (lam, shift), prepared once: a function of z's integer parts.
 
     The returned ``floor(zn, zd)`` is floor(G(lam, zn/zd) + shift) for
     integers zn >= 0 and zd > 0, neither normalised, decided on
@@ -148,45 +147,17 @@ def prepare_floor_term(lam: Fraction, shift: Fraction):
     rung's bracket from :func:`curve.prepare_g_floor_ends`.  That bracket
     lies inside certified_floor_term's, so wherever certified_floor_term
     returns a floor this returns the same one, on the same rung or an
-    earlier one.  ``above(zn, zd, y)``, for zn/zd <= lam, floors the start
-    rung's upper end alone plus the shift when _above_hint says the point
-    looks above, and is True if that lies below y; False proves nothing.
-    lam and shift must be Fractions.
+    earlier one.  lam and shift must be Fractions.
     """
-    ends, upper = prepare_g_floor_ends(lam, _ACCURACIES[_start_rung(lam)])
-    floor = _floor_ladder(lam, shift, lambda lam, eps: prepare_g_floor_ends(lam, eps)[0], ends)
-    ln, ld, sn, sd = lam.numerator, lam.denominator, shift.numerator, shift.denominator
-
-    def above(zn: int, zd: int, y: int) -> bool:
-        guess = _above_hint(zn * ld, zd * ln, (y * sd - sn) * ld, sd * ln)
-        if guess is None:
-            return False
-        end = upper(zn, zd, *guess)
-        return end is not None and _floor_plus(*end, sn, sd) < y
-
-    return floor, above
+    return _floor_ladder(lam, shift, prepare_g_floor_ends)
 
 
-def _above_hint(a: int, b: int, tn: int, td: int) -> tuple[int, int] | None:
-    """The walk's double hint and guess: arccos(x) as an exact ratio if G/lam < tn/td in doubles, else None.
-
-    x = z/lam = a/b in [0, 1] and tn/td = (y - shift)/lam, so no double
-    overflows.  Both only seed an exact check: a wrong one costs time.
-    """
-    x = a / b
-    angle = math.acos(x)
-    if (math.sqrt(1 - x * x) - x * angle) / math.pi < tn / td:
-        return angle.as_integer_ratio()
-    return None
-
-
-def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends, start_ends=None):
+def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
     """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided by prepare_ends(lam, accuracy)'s brackets.
 
     Built once: lam's and the shift's integer parts and the start rung
-    _start_rung(lam), whose ends are start_ends if given; once per rung,
-    on its first use: its prepared ends, unless given, which are floored
-    on integers.  zn >= 0 and zd > 0 need not be
+    _start_rung(lam); once per rung, on its first use: its prepared
+    ends, which are floored on integers.  zn >= 0 and zd > 0 need not be
     normalised; the abscissa of an UnresolvedFloorError is.  The rungs are
     tried once each, from the start rung to the finest, passing over one
     whose bracket does not verify.  A point that no rung decides raises
@@ -199,7 +170,6 @@ def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends, start_ends=None)
     past_lam = sn // sd  # floor(shift), the term at z >= lam
     first = _start_rung(lam)
     rungs = [None] * len(_ACCURACIES)
-    rungs[first] = start_ends
 
     def floor(zn: int, zd: int) -> int:
         if zn * ld >= ln * zd:
@@ -316,7 +286,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None
     x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
     if top < start:
         return 0
-    floor_at, confirm = prepare_floor_term(lam, shift)
+    floor_at = prepare_floor_term(lam, shift)
     floors = {}
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
@@ -324,10 +294,7 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None
             return False
         floor = floors.get(m)
         if floor is None:
-            zn = m * z_num + z_add
-            if confirm(zn, z_den, y):
-                return True
-            floor = floor_at(zn, z_den)
+            floor = floor_at(m * z_num + z_add, z_den)
             if keep_below or y > floor:
                 floors[m] = floor
         return y > floor

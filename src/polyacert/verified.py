@@ -26,7 +26,10 @@ double-precision arccos guess runs out of accuracy.
 Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
-is only a hint, and correctness never depends on it.
+is only a hint, and correctness never depends on it.  The hull walk only
+floors its brackets, so it takes its arccos ends on a power of two instead
+(:func:`_arccos_dyadic_ends`), within eps of the guess and inside those
+windows, with no search; where they do not verify, it takes the windows'.
 
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
@@ -37,20 +40,22 @@ those of an arccos of a/b, all on integers.  Each bracket has one integer
 implementation, with a variant for callers that use one end only:
 :func:`_sqrt_ends` and :func:`_sqrt_lower_end` take the reduced radicand
 n/d and eps, :func:`_arccos_ends` and :func:`_arccos_upper_end` take
-x = a/b, not normalised, and the capped eps.  All four return integer
-pairs, so the curve's per-term cores build no ``Fraction`` at all; the
-public brackets (:func:`sqrt_bounds`, :func:`sqrt_lower`,
-:func:`arccos_bounds` and through it :func:`pi_bounds`) check their
-arguments and build their ``Fraction`` ends from those pairs.
+x = a/b, not normalised, and the capped eps.  All four, and
+_arccos_dyadic_ends, return integer pairs, so the curve's per-term cores
+build no ``Fraction`` at all; the public brackets (:func:`sqrt_bounds`,
+:func:`sqrt_lower`, :func:`arccos_bounds` and through it
+:func:`pi_bounds`) check their arguments and build their ``Fraction``
+ends from those pairs.
 
 Square-root guesses come from one integer square root (:func:`_root_guess`)
 and lie within eps/2^20 below the root, so the first bracket always
 verifies; an exact root is taken as both ends.  Arccos guesses come from
-the C library's double ``acos`` of ``a / b``; integer true division is
-correctly rounded, so that is the double nearest x whatever the common
-factor of a and b.  There is one attempt per bracket: the Taylor
-polynomials decrease on [0, 5/2], so a window nearer the guess cannot
-verify an end that failed.
+one function, :func:`_arccos_guess`: the C library's double ``acos`` of
+``a / b``, whose integer true division is correctly rounded, so that is
+the double nearest x whatever the common factor of a and b.  There is one
+attempt per bracket, and one fallback from the dyadic ends to the windows
+farther out: the Taylor polynomials decrease on [0, 5/2], so an end
+nearer the guess cannot verify where one farther out failed.
 Their eps is capped at 1/4, which keeps every window inside [0, 5/2] and
 the lower window of arccos(1/2), hence every pi lower end, above 0.
 """
@@ -280,16 +285,42 @@ def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tup
     _arccos_eps leave them; a/b and eps need not be normalised, and the ends
     are coprime pairs.  The arguments are not checked again.
     """
-    gn, gd = math.acos(a / b).as_integer_ratio()  # the double guess (see the module note)
+    gn, gd = _arccos_guess(a, b)
     lo, hi = _window_below(gn, gd, en, ed), _window_above(gn, gd, en, ed)
     if not (_arccos_above(a, b, *hi) and _arccos_below(a, b, *lo)):
         raise GuessFailedError(f"arccos bracket for {rational(a, b)} failed to verify")
     return lo, hi
 
 
+def _arccos_dyadic_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """_arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
+
+    With 2^j > 4/eps, as :func:`curve._isqrt_root` takes its scale, the
+    ends are max(0, ceil((g - eps)*2^j))/2^j and floor((g + eps)*2^j)/2^j
+    around the guess g, not normalised.  Each lies between 3*eps/4 and eps
+    from g, so inside the window that _arccos_ends searches on its side,
+    and the bracket inside its bracket.  If either end does not verify,
+    the ends are _arccos_ends's, whose windows leave the guess more room.
+    """
+    gn, gd = _arccos_guess(a, b)
+    j = (ed // en).bit_length() + 2  # 2^j > 4/eps
+    centre, step, den = gn * ed, en * gd, gd * ed
+    lo = max(0, -(((step - centre) << j) // den))
+    hi = ((centre + step) << j) // den
+    scale = 1 << j
+    if _arccos_above(a, b, hi, scale) and _arccos_below(a, b, lo, scale):
+        return (lo, scale), (hi, scale)
+    return _arccos_ends(a, b, en, ed)
+
+
+def _arccos_guess(a: int, b: int) -> tuple[int, int]:
+    """The double guess of arccos(a/b), as its exact ratio (see the module note)."""
+    return math.acos(a / b).as_integer_ratio()
+
+
 def _arccos_upper_end(a: int, b: int, en: int, ed: int) -> tuple[int, int]:
     """The upper end (p, q) of _arccos_ends(a, b, en, ed), without building or checking the lower end."""
-    hi = _window_above(*math.acos(a / b).as_integer_ratio(), en, ed)
+    hi = _window_above(*_arccos_guess(a, b), en, ed)
     if not _arccos_above(a, b, *hi):
         raise GuessFailedError(f"arccos bracket for {rational(a, b)} failed to verify")
     return hi

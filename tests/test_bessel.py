@@ -68,6 +68,16 @@ class TestZeroLocation:
             assert a == pytest.approx(b, abs=1e-9)
 
 
+    @pytest.mark.parametrize("derivative", [False, True], ids=["J", "J-prime"])
+    def test_consecutive_zeros_lie_more_than_3_apart(self, derivative):
+        # why the step-1/2 sign scan finds every zero (the module note): on
+        # the orders k/2 up to 120, every sixth and 1/2 to 3/2, up to x = 200;
+        # the closest pair of all 241 orders is J_0's first two zeros, 3.115 apart
+        for k in sorted({*range(0, 241, 6), 1, 2, 3}):
+            zeros = _positive_zeros(k / 2, derivative, 200.0)
+            assert len(zeros) > 10 and all(b - a > 3 for a, b in zip(zeros, zeros[1:])), k / 2
+
+
 class TestCountZeros:
     def test_below_first_zero(self):
         assert count_zeros(0, 2) == 0

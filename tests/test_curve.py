@@ -312,10 +312,8 @@ class TestIntegerRoots:
         for lam in (rational(5), rational(13), rational(5, 2), rational(15, 2), rational(40, 3), rational(1003, 7)):
             grid = [(zn, zd) for zd in (1, 2, 3) for zn in range(lam.numerator * zd // lam.denominator + 1)]
             for eps in (DEFAULT_EPS, rational(1, 10**9), rational(1, 3), rational(7, 3)):
-                ends, upper = curve.prepare_g_floor_ends(lam, eps)
-                cases += [(curve.prepare_g_lower(lam, eps), grid), (curve.prepare_g_bracket(lam, eps), grid)]
-                # upper with the arccos guess 1, which verifies where z/lam < cos(1)
-                cases += [(ends, grid), (lambda zn, zd, upper=upper: upper(zn, zd, 1, 1), grid)]
+                for prepare in (curve.prepare_g_lower, curve.prepare_g_bracket, curve.prepare_g_floor_ends):
+                    cases.append((prepare(lam, eps), grid))
         real = Fraction.__new__
         built = []
 

@@ -32,8 +32,7 @@ CERTIFIED = ("rational", "verified", "curve", "lattice", "certify")
 
 GUESS_SITES = {
     "curve": {"g_value"},  # kept for the acceptance suite's import; no certified function calls it
-    "verified": {"_arccos_ends", "_arccos_upper_end"},  # the double arccos guess
-    "lattice": {"_above_hint"},  # the walk's double hint and arccos guess, seeding its one-sided check
+    "verified": {"_arccos_guess"},  # the double arccos guess
     "rational": {"to_float"},
 }
 

@@ -15,6 +15,8 @@ from polyacert.verified import (
     RationalInterval,
     _arccos_above,
     _arccos_below,
+    _arccos_dyadic_ends,
+    _arccos_ends,
     _cos_taylor,
     _root_guess,
     arccos_bounds,
@@ -244,6 +246,41 @@ class TestArccosBounds:
         with pytest.raises(GuessFailedError):
             arccos_bounds(rational(1, 1000), rational(1, 10**18))
         assert len(calls) == 1
+
+
+class TestDyadicArccosEnds:
+    """_arccos_dyadic_ends, the hull walk's arccos ends on a power of two, inside _arccos_ends's."""
+
+    EPS = st.sampled_from([rational(1, 4)] + [rational(1, 10**k) for k in range(3, 16)])
+
+    @given(x=st.fractions(min_value=rational(1, 10**6), max_value=1, max_denominator=10**6), eps=EPS)
+    @example(x=rational(1), eps=rational(1, 4))
+    @example(x=rational(1, 2), eps=rational(1, 10**15))
+    @example(x=rational(1, 10**6), eps=rational(1, 1000))
+    @settings(max_examples=300, deadline=None)
+    def test_inside_the_window_ends_and_around_the_true_value(self, x, eps):
+        args = (x.numerator, x.denominator, eps.numerator, eps.denominator)
+        try:
+            outer = [rational(*end) for end in _arccos_ends(*args)]
+        except GuessFailedError:
+            outer = None
+        try:
+            lo, hi = (rational(*end) for end in _arccos_dyadic_ends(*args))
+        except GuessFailedError:
+            assert outer is None  # the fallback raises only where the windows fail
+            return
+        if outer is not None:
+            assert outer[0] <= lo <= hi <= outer[1]
+        assert rational_to_mpf(lo) <= mpmath.acos(rational_to_mpf(x)) <= rational_to_mpf(hi)
+
+    def test_a_guess_off_by_about_eps_falls_back_to_the_windows(self):
+        # the double guess of arccos(3508103/10^7) lies 1.27e-16 below it, so at
+        # eps = 1/10^16 the dyadic upper end does not verify; this is the term
+        # at z = 3508103 of the walked count at lambda 10^7, on its finest rung
+        args = (3508103, 10**7, 1, 10**16)
+        ends = _arccos_dyadic_ends(*args)
+        assert ends == _arccos_ends(*args)
+        assert ends[1][1] & (ends[1][1] - 1)  # not a power of two
 
 
 class TestOneSidedEnds:
