@@ -739,6 +739,36 @@ class TestWalkPointTest:
             assert lo**2 <= lam**2 - z**2 <= hi**2, (lam, z, eps)
             assert hi - lo < eps / 4, (lam, z, eps)
 
+    @pytest.mark.parametrize(
+        "a, d, kind",
+        [
+            (rational(1), 2, D),
+            (rational(1), 2, N),
+            (rational(1, 3), None, D),
+            (rational(3, 2), None, N),
+            (rational(2), None, D),
+            (rational(1), 3, D),
+        ],
+        ids=["planar-D", "planar-N", "sector-1/3", "sector-3/2", "sector-2", "weighted-3D"],
+    )
+    @pytest.mark.parametrize("arccos", ["dyadic", "windows"])
+    def test_seeded_walk_columns_equal_certified_floor_term(self, monkeypatch, a, d, kind, arccos):
+        # seeded columns of walked sums at lambda in [400, 1200] with
+        # denominators up to 100, at the walk's own abscissas: the ladder
+        # floors each as the one-shot route does, with its dyadic arccos ends
+        # and with the windows' ends that it falls back to
+        if arccos == "windows":
+            monkeypatch.setattr(curve, "_arccos_dyadic_ends", verified._arccos_ends)
+        rng = random.Random(f"seeded-columns-{a}-{d}-{kind.value}")
+        for _ in range(3):
+            q = rng.randint(1, 100)
+            lam = rational(rng.randint(400 * q, 1200 * q), q)
+            z_num, z_add, z_den, top = lattice._columns(lam, a, d)
+            floor = lattice.prepare_floor_term(lam, kind.shift)
+            for m in rng.sample(range(top + 1), 40):
+                zn = m * z_num + z_add
+                assert floor(zn, z_den) == certified_floor_term(lam, rational(zn, z_den), kind.shift), (lam, m)
+
     def test_walked_counts_equal_the_double_oracle_on_seeded_large_lambdas(self):
         # drawn as the large_lambda benchmark draws them: lambda in [400, 1200]
         # with denominators up to 100, alternating the boundary kind
@@ -763,14 +793,26 @@ class TestWalkPointTest:
         monkeypatch.setattr(verified, "_window_above", searched)
         self.test_walked_counts_equal_the_double_oracle_on_seeded_large_lambdas()
 
-    @pytest.mark.parametrize("scale", [0.5, 1.5])
-    def test_a_wrong_arccos_guess_only_fails_a_rung(self, monkeypatch, scale):
-        # the guess only seeds verified ends: from half or one and a half
-        # times the angle, most ends do not verify, dyadic and window ends
+    @pytest.mark.parametrize("hint", ["always-above", "always-below", "half-angle", "past-angle"])
+    def test_walked_counts_do_not_depend_on_the_hint(self, monkeypatch, hint):
+        # the walk's one double hint is verified._arccos_guess, and it only
+        # seeds verified ends.  2^-30 above or below the angle, the dyadic
+        # ends verify down to eps = 1/10^8 and the windows' ends at 1/10^9,
+        # and these counts need no finer rung.  From half or one and a half
+        # times the angle most ends do not verify, dyadic and window ends
         # alike, so rungs are passed over and a point that no rung decides
         # raises; no count is ever wrong
+        def guess(scale, offset=0.0):
+            return lambda a, b: (math.acos(a / b) * scale + offset).as_integer_ratio()
+
+        hints = {
+            "always-above": guess(1, 2.0**-30),
+            "always-below": guess(1, -(2.0**-30)),
+            "half-angle": guess(0.5),
+            "past-angle": guess(1.5),
+        }
         _warm_pi()
-        monkeypatch.setattr(verified, "_arccos_guess", lambda a, b: (math.acos(a / b) * scale).as_integer_ratio())
+        monkeypatch.setattr(verified, "_arccos_guess", hints[hint])
         rng = random.Random(28)
         for i in range(6):
             q = rng.randint(1, 100)
@@ -780,7 +822,7 @@ class TestWalkPointTest:
             try:
                 assert count_weighted(d, kind, lam).value == expected, (d, kind, lam)
             except UnresolvedFloorError:
-                pass
+                assert hint in ("half-angle", "past-angle"), (d, kind, lam)
 
 
 def _warm_pi():
