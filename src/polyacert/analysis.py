@@ -1,13 +1,13 @@
 """Double-precision analysis of the counting curve: moments, Weyl terms, oracles.
 
-Everything here is floating point and non-certified, for plots, desk checks
-and cross-checks of the certified counts.  The certified modules
-(``rational``, ``verified``, ``curve``, ``lattice`` and ``certify``) never
-import this one; it imports from them.  ``cli`` imports it only inside
-``oracle`` and ``plotdata``, so ``certify``, ``verify`` and ``count`` never
-load it.  ``lattice``
-still resolves ``count_weighted_oracle`` and ``sector_lattice_bound_oracle``,
-which the benchmark reads there, by importing this module on first use.
+Everything here is floating point and non-certified, for plots and
+cross-checks of the certified counts.  The certified modules (``rational``,
+``verified``, ``curve``, ``lattice`` and ``certify``) never import this one;
+it imports from them.  ``cli`` imports it only inside ``oracle`` and
+``plotdata``, so ``certify``, ``verify`` and ``count`` never load it.
+``lattice`` still resolves ``count_weighted_oracle`` and
+``sector_lattice_bound_oracle``, which the benchmark reads there, by
+importing this module on first use.
 """
 from __future__ import annotations
 
@@ -48,37 +48,6 @@ def weyl_leading(d: int, lam: float) -> float:
     return w * lam**d
 
 
-def g_inverse_quarter(lam: float) -> float:
-    """The unique z with g_value(lam, z) = 1/4, by bisection.
-
-    Defined for lam >= pi/4 (so the curve starts at or above 1/4).  The curve
-    is strictly decreasing, hence bisection on [0, lam] converges
-    unconditionally; 100 iterations push the relative error below 1e-12.
-    """
-    if lam < math.pi / 4:
-        raise DomainError(f"g_inverse_quarter needs lam >= pi/4, got {lam}")
-    lo, hi = 0.0, float(lam)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g_value(lam, mid) >= 0.25:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lam):
-            break
-    return 0.5 * (lo + hi)
-
-
-def r1(sigma: float) -> float:
-    """Smallest lam at which the quarter-level abscissa is >= lam*cos(sigma).
-
-    Equals pi / (4*(sin(sigma) - sigma*cos(sigma))) for sigma in (0, pi/2].
-    """
-    if not 0 < sigma <= math.pi / 2 + 1e-15:
-        raise DomainError(f"sigma must lie in (0, pi/2], got {sigma}")
-    return math.pi / (4 * (math.sin(sigma) - sigma * math.cos(sigma)))
-
-
 def a_value(kind: BoundKind, nu: float, lam: float) -> float:
     """Envelope for the number of Bessel (derivative) zeros below lam.
 
@@ -91,17 +60,6 @@ def a_value(kind: BoundKind, nu: float, lam: float) -> float:
     if lam < nu:
         return shift
     return g_value(lam, nu) + shift if lam > 0 else shift
-
-
-def r2_margin(lam: float) -> float:
-    """Margin 3*g_inverse_quarter(lam) - lam*(1 + 4/pi) - 3 for lam >= 2.
-
-    Non-negativity of this margin makes the analytic route to the Neumann
-    inequality applicable at lam.
-    """
-    if lam < 2:
-        raise DomainError(f"r2_margin needs lam >= 2, got {lam}")
-    return 3 * g_inverse_quarter(lam) - lam * (1 + 4 / math.pi) - 3
 
 
 def count_weighted_oracle(d: int, kind: BoundKind, lam: float) -> CountResult:

@@ -33,7 +33,11 @@ _DELTA_RETRIES = 6
 # lambda has floor(lambda) + 1 terms, and the gap ends near 13.4.  The work
 # bound caps those terms summed over the steps (the default gap certificate
 # needs 99), so it also caps the steps, each of which adds at least one.
+# The byte cap is checked before parsing.  The largest certificates inside
+# the work bound, partial ones of certify runs that stall at it, have 81,708
+# bytes (561 steps) at eps 1/1000 and 70,003 (448 steps) at eps 1/100000.
 LAMBDA_MAX = 10**4
+_MAX_BYTES = 2**20
 _MAX_DIGITS = 100
 _MAX_TERMS = 100_000
 _STEP_KEYS = ("index", "lambda", "p_lower", "e_lower", "delta_lower")
@@ -96,9 +100,9 @@ class Certificate(NamedTuple):
         seven or a step's five raises ValueError, so every field of an
         accepted file is checked.  Hostile input is bounded before any
         count: steps whose counts need more than _MAX_TERMS floor terms in
-        all, a numerator or denominator of more than _MAX_DIGITS digits, a
-        negative lambda or one above LAMBDA_MAX, or a non-positive ``eps``
-        raises ValueError.
+        all, an integer, numerator or denominator of more than _MAX_DIGITS
+        digits, a negative lambda or one above LAMBDA_MAX, or a
+        non-positive ``eps`` raises ValueError.
         """
         _check_keys(data, cls._fields)
         steps = []
@@ -130,14 +134,18 @@ class Certificate(NamedTuple):
         )
 
     def dump(self, path) -> None:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_json_dict(), handle, indent=2)
             handle.write("\n")
 
     @classmethod
     def load(cls, path) -> "Certificate":
-        with open(path) as handle:
-            return cls.from_json_dict(json.load(handle))
+        """Parse a UTF-8 file; one of more than _MAX_BYTES bytes raises ValueError unparsed."""
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_BYTES + 1)
+        if len(data) > _MAX_BYTES:
+            raise ValueError(f"the file is larger than {_MAX_BYTES} bytes")
+        return cls.from_json_dict(json.loads(data.decode("utf-8")))
 
 
 def _check_keys(data: dict, known: tuple[str, ...]) -> None:
@@ -150,10 +158,12 @@ def _check_keys(data: dict, known: tuple[str, ...]) -> None:
 
 
 def _json_field(data: dict, name: str, kind: type):
-    """data[name] if its type is exactly ``kind`` (so a bool is not an int)."""
+    """data[name] if its type is exactly ``kind`` (so a bool is not an int), ints capped by _MAX_DIGITS."""
     value = data[name]
     if type(value) is not kind:
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is int and abs(value) >= 10**_MAX_DIGITS:
+        raise ValueError(f"{name} has more than {_MAX_DIGITS} digits")
     return value
 
 

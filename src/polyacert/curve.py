@@ -16,7 +16,7 @@ enclose G, for the certified-exact counts, and its lower end alone,
 double-precision function here, :func:`g_value`, is kept for the acceptance
 suite, which imports it from here, and for :mod:`polyacert.analysis`; no
 certified function calls it.  The rest of the double-precision analysis
-(moments, the Weyl term, the quarter-level abscissa) lives in analysis.
+(moments, the Weyl term, the oracles) lives in analysis.
 
 A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 :func:`prepare_g_lower` builds everything that depends on (lam, eps) alone

@@ -16,8 +16,10 @@ from polyacert.certify import (
     gap_endpoints,
     verify_certificate,
 )
+from polyacert.curve import g_lower
 from polyacert.errors import DomainError, EpsTooCoarseError, GuessFailedError, StallError, StepFailedError
 from polyacert.rational import format_rational, rational, to_float
+from polyacert.verified import arccos_bounds, pi_bounds, sqrt_bounds
 
 # the package exports the function certify under the submodule's name
 certify_module = importlib.import_module("polyacert.certify")
@@ -61,6 +63,38 @@ class TestGapEndpoints:
     def test_coarse_eps_rejected(self):
         with pytest.raises(EpsTooCoarseError):
             gap_endpoints(rational(1))
+
+    # Why the gap ends at 6*pi/(3*pi - 8) (arXiv 2203.07696), on certified
+    # brackets.  With cos(sigma) = 5/6, G(lam, 5*lam/6) =
+    # lam*(sqrt(11) - 5*sigma)/(6*pi) is linear in lam, and it reaches 1/4 at
+    # lam = 3*pi/(2*(sqrt(11) - 5*sigma)).  The first test proves that this
+    # threshold is at most 6*pi/(3*pi - 8), so for every lam from there on the
+    # quarter-level abscissa z, where G(lam, z) = 1/4, is at least 5*lam/6, as
+    # G falls in z.  The analytic route's margin 3*z - lam*(1 + 4/pi) - 3 is
+    # then at least lam*(3/2 - 4/pi) - 3, which is >= 0 for those lam.  The
+    # second test checks the quarter level directly at the gap's target, and
+    # the third that the target clears the margin's root despite the pi
+    # bracket.
+    EPS_CASES = [rational(1, 1000), rational(1, 10**6)]
+
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_special_angle_threshold_is_below_the_target(self, eps):
+        # (3*pi - 8)/4 < sqrt(11) - 5*arccos(5/6), both sides bracketed outwards
+        pi = pi_bounds(eps)
+        assert (3 * pi.hi - 8) / 4 < sqrt_bounds(11, eps).lo - 5 * arccos_bounds(rational(5, 6), eps).hi
+
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_target_reaches_the_quarter_level_at_five_sixths(self, eps):
+        _, target = gap_endpoints(eps)
+        assert g_lower(target, 5 * target / 6, eps) >= rational(1, 4)
+
+    @pytest.mark.parametrize("eps", EPS_CASES)
+    def test_margin_at_the_target_is_non_negative(self, eps):
+        _, target = gap_endpoints(eps)
+        pi = pi_bounds(eps)
+        margin = target * (rational(3, 2) - 4 / pi.lo) - 3
+        assert margin == 3 * (pi.hi / pi.lo - 1)
+        assert margin >= 0
 
 
 class TestCertify:
@@ -160,6 +194,18 @@ class TestSerialization:
         loaded = Certificate.load(path)
         assert loaded.to_json_dict() == paper_range_certificate.to_json_dict()
 
+    def test_the_largest_certificate_loads_under_the_byte_cap(self, tmp_path):
+        # a run to target 300 at eps 1/1000 stalls at the work bound after 561
+        # steps; its partial certificate is the largest measured inside that bound
+        with pytest.raises(StallError, match="floor terms") as info:
+            certify(3, 300, rational(1, 1000))
+        partial = info.value.partial
+        path = tmp_path / "cert.json"
+        partial.dump(path)
+        assert len(partial.steps) == 561
+        assert 80_000 < path.stat().st_size < certify_module._MAX_BYTES // 12
+        assert Certificate.load(path) == partial
+
     def test_no_floats_in_payload(self, paper_range_certificate):
         payload = paper_range_certificate.to_json_dict()
 
@@ -208,6 +254,8 @@ class TestSerialization:
             pytest.param(lambda c: c.update(lambda_target="100000"), id="lambda_target"),
             pytest.param(lambda c: c.update(pi_upper="3/" + "1" * 101), id="denominator-digits"),
             pytest.param(lambda c: c["steps"][2].update(e_lower="-" + "7" * 101), id="numerator-digits"),
+            pytest.param(lambda c: c["steps"][1].update(index=10**100), id="index-digits"),
+            pytest.param(lambda c: c["steps"][1].update(p_lower=-(10**100)), id="p_lower-digits"),
             pytest.param(lambda c: c.update(steps=c["steps"] * 2), id="too-many-steps"),
         ],
     )
@@ -236,9 +284,11 @@ class TestSerialization:
         payload = paper_range_certificate.to_json_dict()
         payload["lambda_target"] = "10000"
         payload["pi_lower"] = "3" + "0" * 99 + "/" + "1" + "0" * 99
+        payload["steps"][0].update(index=10**100 - 1, p_lower=-(10**100 - 1))
         cert = Certificate.from_json_dict(payload)
         assert cert.lambda_target == certify_module.LAMBDA_MAX
         assert cert.pi_lower == 3
+        assert cert.steps[0].index == -cert.steps[0].p_lower == 10**100 - 1
 
 
 def _replace_step(cert: Certificate, position: int, **changes) -> Certificate:

@@ -2,6 +2,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -188,6 +189,34 @@ class TestVerifyCommand:
         certificate_path.write_text(nested)
         stderr = _verify_exits_three_within_two_seconds(certificate_path)
         assert stderr.startswith("cannot read certificate:")
+
+    @pytest.mark.parametrize("field", ["index", "p_lower"])
+    def test_an_integer_of_more_than_a_hundred_digits_exits_three(self, capsys, certificate_path, field):
+        payload = json.loads(certificate_path.read_text())
+        payload["steps"][0][field] = 10**100
+        certificate_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(certificate_path))
+        assert (code, out) == (3, "")
+        assert f"{field} has more than 100 digits" in err
+
+    def test_a_file_over_the_byte_cap_exits_three_before_parsing(self, capsys, monkeypatch, certificate_path):
+        certify_module = importlib.import_module("polyacert.certify")
+        parsed, real_loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real_loads(text))
+        size = certificate_path.stat().st_size
+        monkeypatch.setattr(certify_module, "_MAX_BYTES", size - 1)
+        code, out, err = run(capsys, "verify", str(certificate_path))
+        assert (code, out, parsed) == (3, "", [])
+        assert f"larger than {size - 1} bytes" in err
+        monkeypatch.setattr(certify_module, "_MAX_BYTES", size)
+        assert run(capsys, "verify", str(certificate_path))[0] == 0
+        assert len(parsed) == 1
+
+    def test_invalid_utf8_exits_three(self, capsys, certificate_path):
+        certificate_path.write_bytes(certificate_path.read_bytes().replace(b'"3"', b'"3\xff"', 1))
+        code, _, err = run(capsys, "verify", str(certificate_path))
+        assert code == 3
+        assert "utf-8" in err
 
     def test_truncated_file_exits_three(self, capsys, certificate_path):
         certificate_path.write_text(certificate_path.read_text()[:40])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 
 from polyacert import curve, verified
-from polyacert.analysis import a_value, g_inverse_quarter, g_moment, r1, r2_margin, weyl_leading
+from polyacert.analysis import a_value, g_moment, weyl_leading
 from polyacert.curve import BoundKind, g_bracket, g_lower, g_value, weyl_leading_bounds
 from polyacert.errors import BadDimensionError, DomainError, GuessFailedError
 from polyacert.lattice import certified_floor_term
@@ -401,60 +401,8 @@ class TestWeyl:
         assert to_float(iv.lo) <= weyl_leading(d, 3.5) <= to_float(iv.hi)
 
 
-class TestInverseQuarter:
-    def test_at_minimum_lambda(self):
-        assert g_inverse_quarter(math.pi / 4) == pytest.approx(0.0, abs=1e-9)
-
-    def test_is_inverse(self):
-        z = g_inverse_quarter(10)
-        assert g_value(10, z) == pytest.approx(0.25, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            g_inverse_quarter(0.5)
-
-    def test_upper_bound_on_grid(self):
-        lam = 2.0
-        while lam <= 100.0:
-            assert g_inverse_quarter(lam) < lam - 1
-            lam += 0.5
-
-    @pytest.mark.parametrize("sigma", [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
-    def test_lower_bound_when_lambda_large_enough(self, sigma):
-        threshold = r1(sigma)
-        for lam in (threshold, threshold + 0.5, 2 * threshold, 50.0):
-            if lam < threshold or lam < math.pi / 4:
-                continue
-            assert g_inverse_quarter(lam) >= lam * math.cos(sigma) - 1e-9
-
-
-class TestR1AndMargin:
-    def test_r1_at_quadrant(self):
-        assert r1(math.pi / 2) == pytest.approx(math.pi / 4, rel=1e-14)
-
-    def test_r1_at_pi_third(self):
-        assert r1(math.pi / 3) == pytest.approx(3 * math.pi / (6 * math.sqrt(3) - 2 * math.pi), rel=1e-13)
-
-    def test_r1_at_special_angle(self):
-        sigma = math.acos(5 / 6)
-        expected = (3 * math.pi / 2) / (math.sqrt(11) - 5 * sigma)
-        assert r1(sigma) == pytest.approx(expected, rel=1e-13)
-
-    def test_r1_domain(self):
-        with pytest.raises(DomainError):
-            r1(0.0)
-        with pytest.raises(DomainError):
-            r1(2.0)
-
+class TestAValue:
     def test_a_value_cases(self):
         assert a_value(D, 5, 3) == 0.25
         assert a_value(N, 0, math.pi) == pytest.approx(1.75, abs=1e-14)
         assert a_value(D, 5, 5) == 0.25
-
-    def test_margin_sign_pattern(self):
-        lambda1 = 6 * math.pi / (3 * math.pi - 8)
-        assert r2_margin(lambda1) >= 0
-        assert r2_margin(2) < 0
-        assert r2_margin(100) > 0
-        with pytest.raises(DomainError):
-            r2_margin(1.5)
