@@ -30,13 +30,12 @@ as a reduced integer pair, and the z/lam of the arccos ends as an
 unnormalised one, so no term builds a ``Fraction``.
 
 The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
-the same pi bracket, but a root from one integer square root, which needs
-no guess, window search or squaring check, and arccos ends on a power of
-two around the double guess, which need no window search.  Both two-sided
-brackets are one closure, :func:`_prepare_two_sided`, given the root and
-the arccos ends.  The walk's bracket lies inside g_bracket's, so the
-one-shot floor term on g_bracket's rationals is an independent check of
-the walk.
+the same pi bracket, but on one scale 2^k per accuracy, a root from one
+integer square root, which needs no guess, window search or squaring
+check, and arccos ends on 2^k around the double guess, which need no
+window search and are checked on Taylor tables prescaled by 2^k.  The
+walk's bracket lies inside g_bracket's, so the one-shot floor term on
+g_bracket's rationals is an independent check of the walk.
 """
 from __future__ import annotations
 
@@ -48,13 +47,13 @@ from .errors import BadDimensionError, DomainError, GuessFailedError
 from .rational import as_rational, rational
 from .verified import (
     RationalInterval,
-    _arccos_dyadic_ends,
     _arccos_ends,
     _arccos_eps,
     _arccos_upper_end,
     _sqrt_ends,
     _sqrt_lower_end,
     pi_bounds,
+    prepare_arccos_dyadic,
     sqrt_bounds,  # unused here: the benchmark's tracing test reads it as a curve attribute (ROADMAP item 2)
 )
 
@@ -141,93 +140,70 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
     The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num, lo_den),
     (hi_num, hi_den)), both denominators positive and neither pair
     normalised, whose quotients are the ends of g_bracket(lam, zn/zd, eps),
-    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  It is
-    :func:`_prepare_two_sided` with sqrt_bounds's root ends and
-    :func:`verified._arccos_ends`, so each call builds only its radicand and
-    the verified ends of the root and the arccos, all on integers.
+    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  As in
+    :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and lam's
+    integer parts are built once; each call builds only its radicand and
+    the verified ends of the root (:func:`verified._sqrt_ends`) and of the
+    arccos (:func:`verified._arccos_ends`), all on integers.  At z = 0 the
+    root is lam and the angle 0.  A pi bracket that does not verify is
+    asked for again in each call, after the ends of the root and the
+    arccos, so a call raises the error of the first of the three that
+    fails, in that order.
 
     lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
     here, from pi_bounds, with g_bracket's message.
     """
-    return _prepare_two_sided(lam, eps, _verified_root, _arccos_ends)
-
-
-def _verified_root(ln: int, ld: int, eps: Fraction):
-    """root(zn, zd): the verified ends of sqrt(lam^2 - z^2), as sqrt_bounds gives them at eps."""
-    en, ed = eps.numerator, eps.denominator
-
-    def root(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return _sqrt_ends(*_radicand(ln, ld, zn, zd), en, ed)
-
-    return root
-
-
-def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
-    """prepare_g_bracket's ends with the root and the arccos ends on a power of two.
-
-    The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
-    with the same pi bracket and order of errors; the root comes from one
-    integer square root (:func:`_isqrt_root`) and the arccos ends from
-    :func:`verified._arccos_dyadic_ends`.  Each lies inside its
-    counterpart's, so the bracket lies inside g_bracket's at the same eps.
-    """
-    return _prepare_two_sided(lam, eps, _isqrt_root, _arccos_dyadic_ends)
-
-
-def _isqrt_root(ln: int, ld: int, eps: Fraction):
-    """root(zn, zd): ends of sqrt(lam^2 - z^2) from one integer square root, no guess or check.
-
-    With n = ln^2*zd^2 - zn^2*ld^2, the root is sqrt(n)/(ld*zd), and
-    r = isqrt(n * 4^k) satisfies r <= sqrt(n)*2^k < r + 1, so the root lies
-    in [r, r + 1]/(ld*zd*2^k), and is r/(ld*zd*2^k) itself when
-    r^2 = n*4^k.  The floor property of isqrt proves both ends: no guess
-    enters and no end is checked by squaring.  The scale 2^k > 4/eps keeps
-    the ends within eps/4 of the root, inside sqrt_bounds's ends (at least
-    eps away unless exact).  eps > 0, as pi_bounds has checked.
-    """
-    ln2, ld2 = ln * ln, ld * ld
-    k = (eps.denominator // eps.numerator).bit_length() + 2  # 2^k > 4/eps
-
-    def root(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        scaled = (ln2 * zd * zd - zn * zn * ld2) << 2 * k
-        r, rd = math.isqrt(scaled), ld * zd << k
-        return (r, rd), (r if r * r == scaled else r + 1, rd)
-
-    return root
-
-
-def _prepare_two_sided(lam: Fraction, eps: Fraction, prepare_root, arccos_ends):
-    """The ends(zn, zd) of prepare_g_bracket and prepare_g_floor_ends, given their root and arccos ends.
-
-    As in :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and
-    lam's integer parts are built once, root = prepare_root(ln, ld, eps)
-    gives the ends of sqrt(lam^2 - z^2) and arccos_ends(a, b, en, ed) those
-    of arccos(a/b), as integer pairs; at z = 0 the root is lam and the angle
-    0.  A pi bracket that does not verify is asked for again in each call,
-    after the ends of the root and the arccos, so a call raises the error of
-    the first of the three that fails, in that order.
-    """
-    try:
-        pi = pi_bounds(eps)
-    except GuessFailedError:
-        pi = None
-    capped = _arccos_eps(eps)
-    en, ed = capped.numerator, capped.denominator
-    ln, ld = lam.numerator, lam.denominator
-    root = prepare_root(ln, ld, eps)
+    pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
+    sn, sd = eps.numerator, eps.denominator
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if zn == 0:
             root_lo = root_hi = ln, ld
             angle_lo = angle_hi = 0, 1
         else:
-            root_lo, root_hi = root(zn, zd)
-            angle_lo, angle_hi = arccos_ends(zn * ld, zd * ln, en, ed)
-        bracket = pi if pi is not None else pi_bounds(eps)
-        return (
-            _over_pi(*root_lo, zn, zd, *angle_hi, bracket.hi),
-            _over_pi(*root_hi, zn, zd, *angle_lo, bracket.lo),
-        )
+            root_lo, root_hi = _sqrt_ends(*_radicand(ln, ld, zn, zd), sn, sd)
+            angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
+        bracket = pi or pi_bounds(eps)
+        return _over_pi(*root_lo, zn, zd, *angle_hi, bracket.hi), _over_pi(*root_hi, zn, zd, *angle_lo, bracket.lo)
+
+    return ends
+
+
+def _pi_or_none(eps: Fraction) -> RationalInterval | None:
+    """pi_bounds(eps), or None if it does not verify, for a prepared bracket to ask again per call."""
+    try:
+        return pi_bounds(eps)
+    except GuessFailedError:
+        return None
+
+
+def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
+    """prepare_g_bracket's ends with the root and the arccos ends on a power of two: the hull walk's bracket.
+
+    The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
+    with the same pi bracket and order of errors.  With 2^k > 4/eps for the
+    capped arccos eps, n = ln^2*zd^2 - zn^2*ld^2 and D = ld*zd*2^k, the
+    root sqrt(n)/(ld*zd) lies in [r, r + 1]/D for r = isqrt(n * 4^k), and
+    is r/D itself when r^2 = n*4^k: the floor property of isqrt proves
+    both ends, with no guess and no squaring check, within eps/4 of the
+    root and so inside sqrt_bounds's ends (at least eps away unless exact).
+    The arccos ends come from :func:`verified.prepare_arccos_dyadic`, on
+    the same scale 2^k, prepared once.  At z = 0 the root is exact and the
+    angle is taken as 0.  Each end lies inside its counterpart's in
+    prepare_g_bracket, so the bracket lies inside g_bracket's at the same
+    eps.
+    """
+    pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
+    k = (ed // en).bit_length() + 2  # 2^k > 4/eps, prepare_arccos_dyadic's scale
+    ln2, ld2, arccos = ln * ln, ld * ld, prepare_arccos_dyadic(en, ed)
+
+    def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        scaled, den = (ln2 * zd * zd - zn * zn * ld2) << 2 * k, ld * zd << k
+        r = math.isqrt(scaled)
+        r_hi = r if r * r == scaled else r + 1
+        angle_lo, angle_hi = arccos(zn * ld, zd * ln) if zn else ((0, 1), (0, 1))
+        bracket = pi or pi_bounds(eps)
+        return _over_pi(r, den, zn, zd, *angle_hi, bracket.hi), _over_pi(r_hi, den, zn, zd, *angle_lo, bracket.lo)
 
     return ends
 

@@ -27,9 +27,11 @@ Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
 is only a hint, and correctness never depends on it.  The hull walk only
-floors its brackets, so it takes its arccos ends on a power of two instead
-(:func:`_arccos_dyadic_ends`), within eps of the guess and inside those
-windows, with no search; where they do not verify, it takes the windows'.
+floors its brackets, so it takes its arccos ends on a power of two 2^j
+instead (:func:`prepare_arccos_dyadic`), within eps of the guess and inside
+those windows, with no search, and checks them on Taylor coefficients
+prescaled by 2^j once per process (:func:`_taylor_tables`), one
+multiply-add a Horner step; where they do not verify, it takes the windows'.
 
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
@@ -40,8 +42,8 @@ those of an arccos of a/b, all on integers.  Each bracket has one integer
 implementation, with a variant for callers that use one end only:
 :func:`_sqrt_ends` and :func:`_sqrt_lower_end` take the reduced radicand
 n/d and eps, :func:`_arccos_ends` and :func:`_arccos_upper_end` take
-x = a/b, not normalised, and the capped eps.  All four, and
-_arccos_dyadic_ends, return integer pairs, so the curve's per-term cores
+x = a/b, not normalised, and the capped eps.  All four, and the
+prepared dyadic ends, return integer pairs, so the curve's per-term cores
 build no ``Fraction`` at all; the public brackets (:func:`sqrt_bounds`,
 :func:`sqrt_lower`, :func:`arccos_bounds` and through it
 :func:`pi_bounds`) check their arguments and build their ``Fraction``
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, GuessFailedError, NegativeInputError
 from .rational import _simplest_positive, as_rational, rational
@@ -292,25 +295,53 @@ def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tup
     return lo, hi
 
 
-def _arccos_dyadic_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """_arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
+def prepare_arccos_dyadic(en: int, ed: int):
+    """ends(a, b): _arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
 
-    With 2^j > 4/eps, as :func:`curve._isqrt_root` takes its scale, the
-    ends are max(0, ceil((g - eps)*2^j))/2^j and floor((g + eps)*2^j)/2^j
-    around the guess g, not normalised.  Each lies between 3*eps/4 and eps
-    from g, so inside the window that _arccos_ends searches on its side,
-    and the bracket inside its bracket.  If either end does not verify,
-    the ends are _arccos_ends's, whose windows leave the guess more room.
+    With 2^j > 4/eps, as :func:`curve.prepare_g_floor_ends` takes its
+    scale, the ends are max(0, ceil((g - eps)*2^j))/2^j and
+    floor((g + eps)*2^j)/2^j around the guess g, not normalised.  Each lies
+    between 3*eps/4 and eps from g, so inside the window that _arccos_ends
+    searches on its side, and the bracket inside its bracket.  They are
+    checked as _arccos_above and _arccos_below check them, on the Taylor
+    tables of 2^j (:func:`_taylor_tables`); both lie in [0, 2], inside the
+    checks' domain.  If either end does not verify, the ends are
+    _arccos_ends's, whose windows leave the guess more room.
     """
-    gn, gd = _arccos_guess(a, b)
     j = (ed // en).bit_length() + 2  # 2^j > 4/eps
-    centre, step, den = gn * ed, en * gd, gd * ed
-    lo = max(0, -(((step - centre) << j) // den))
-    hi = ((centre + step) << j) // den
-    scale = 1 << j
-    if _arccos_above(a, b, hi, scale) and _arccos_below(a, b, lo, scale):
-        return (lo, scale), (hi, scale)
-    return _arccos_ends(a, b, en, ed)
+    scale, (above, below) = 1 << j, _taylor_tables(j)
+
+    def ends(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        gn, gd = _arccos_guess(a, b)
+        centre, step, den = gn * ed, en * gd, gd * ed
+        lo = max(0, -(((step - centre) << j) // den))
+        hi = ((centre + step) << j) // den
+        for c, d in above:  # as _arccos_above(a, b, hi, 2^j), then _arccos_below(a, b, lo, 2^j)
+            if _taylor_at(hi, c) * b < a * d:
+                for c, d in below:
+                    if lo == 0 or a * d < _taylor_at(lo, c) * b:
+                        return (lo, scale), (hi, scale)
+                break
+        return _arccos_ends(a, b, en, ed)
+
+    return ends
+
+
+@cache
+def _taylor_tables(j: int):
+    """The tables (c, n! << j*n) of _ABOVE_COS's, then _BELOW_COS's degrees n: c_i = _TAYLOR_INTS[n][i] << 2*j*i."""
+    def table(n: int) -> tuple[tuple[int, ...], int]:
+        return tuple(c << 2 * j * i for i, c in enumerate(_TAYLOR_INTS[n])), math.factorial(n) << j * n
+
+    return [table(n) for n in _ABOVE_COS], [table(n) for n in _BELOW_COS]
+
+
+def _taylor_at(p: int, coeffs: tuple[int, ...]) -> int:
+    """_cos_taylor(p, 2^j, n)'s numerator, by Horner on _taylor_tables(j)'s c of degree n: one multiply-add a step."""
+    p2, acc = p * p, 0
+    for c in coeffs:
+        acc = acc * p2 + c
+    return acc
 
 
 def _arccos_guess(a: int, b: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Tests for the certification loop, certificate files, and the verifier."""
 import importlib
+import json
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from polyacert.certify import (
     gap_endpoints,
     verify_certificate,
 )
+from polyacert.cli import main
 from polyacert.curve import g_lower
 from polyacert.errors import DomainError, EpsTooCoarseError, GuessFailedError, StallError, StepFailedError
 from polyacert.rational import format_rational, rational, to_float
@@ -279,6 +281,24 @@ class TestSerialization:
         edit(payload)
         with pytest.raises(ValueError, match="must be non-negative"):
             Certificate.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda c: c["steps"][0].update({"k" * 500_000: 1}), "k" * 40, id="unknown-key"),
+            pytest.param(lambda c: c["steps"][1].update(index="9" * 500_000), "index", id="string-index"),
+        ],
+    )
+    def test_hostile_input_gets_a_short_error(self, paper_range_certificate, tmp_path, capsys, edit, named):
+        # the error names the field, or the first unknown key cut to 40
+        # characters, and echoes no more of the input than that
+        payload = paper_range_certificate.to_json_dict()
+        edit(payload)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and named in err, err[:300]
 
     def test_input_at_the_caps_is_accepted(self, paper_range_certificate):
         payload = paper_range_certificate.to_json_dict()

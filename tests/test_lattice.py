@@ -53,6 +53,11 @@ def _bracket_seam(monkeypatch, bracket):
     monkeypatch.setattr(lattice, "prepare_g_floor_ends", prepare)
 
 
+def _windows_arccos(en, ed):
+    """A stand-in for verified.prepare_arccos_dyadic whose ends are always the windows' fallback ends."""
+    return lambda a, b: verified._arccos_ends(a, b, en, ed)
+
+
 def _watch_floor_tests(monkeypatch, asked):
     """Append the abscissa of every floor test of the hull walk (prepare_floor_term) to asked."""
     real = lattice.prepare_floor_term
@@ -707,8 +712,8 @@ class TestWalkPointTest:
         # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself), so
         # both routes take the root exactly; given one arccos function, they
         # share their arccos and pi ends
-        for name in ("_arccos_ends", "_arccos_dyadic_ends"):
-            monkeypatch.setattr(curve, name, verified._arccos_ends)
+        monkeypatch.setattr(curve, "_arccos_ends", verified._arccos_ends)
+        monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
         lam, eps = rational(5), DEFAULT_EPS
         ends = curve.prepare_g_floor_ends(lam, eps)(z, 1)
         bracket = g_bracket(lam, z, eps)
@@ -728,7 +733,7 @@ class TestWalkPointTest:
 
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
-        monkeypatch.setattr(curve, "_arccos_dyadic_ends", lambda a, b, en, ed: ((0, 1), (0, 1)))
+        monkeypatch.setattr(curve, "prepare_arccos_dyadic", lambda en, ed: lambda a, b: ((0, 1), (0, 1)))
         monkeypatch.setattr(curve, "pi_bounds", lambda eps: RationalInterval(rational(1), rational(1)))
         rng = random.Random(5)
         for _ in range(300):
@@ -758,7 +763,7 @@ class TestWalkPointTest:
         # floors each as the one-shot route does, with its dyadic arccos ends
         # and with the windows' ends that it falls back to
         if arccos == "windows":
-            monkeypatch.setattr(curve, "_arccos_dyadic_ends", verified._arccos_ends)
+            monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
         rng = random.Random(f"seeded-columns-{a}-{d}-{kind.value}")
         for _ in range(3):
             q = rng.randint(1, 100)

@@ -7,21 +7,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyacert import verified
+from polyacert import curve, verified
+from polyacert.curve import BoundKind
 from polyacert.errors import DomainError, GuessFailedError, NegativeInputError
+from polyacert.lattice import count_weighted
 from polyacert.rational import format_rational, rational, to_float
 from polyacert.verified import (
+    _ABOVE_COS,
+    _BELOW_COS,
     DEFAULT_EPS,
     RationalInterval,
     _arccos_above,
     _arccos_below,
-    _arccos_dyadic_ends,
     _arccos_ends,
     _cos_taylor,
     _root_guess,
+    _taylor_at,
+    _taylor_tables,
     arccos_bounds,
     cos_bounds,
     pi_bounds,
+    prepare_arccos_dyadic,
     sqrt_bounds,
     sqrt_lower,
 )
@@ -249,7 +255,7 @@ class TestArccosBounds:
 
 
 class TestDyadicArccosEnds:
-    """_arccos_dyadic_ends, the hull walk's arccos ends on a power of two, inside _arccos_ends's."""
+    """prepare_arccos_dyadic, the hull walk's arccos ends on a power of two, inside _arccos_ends's."""
 
     EPS = st.sampled_from([rational(1, 4)] + [rational(1, 10**k) for k in range(3, 16)])
 
@@ -265,7 +271,7 @@ class TestDyadicArccosEnds:
         except GuessFailedError:
             outer = None
         try:
-            lo, hi = (rational(*end) for end in _arccos_dyadic_ends(*args))
+            lo, hi = (rational(*end) for end in prepare_arccos_dyadic(*args[2:])(*args[:2]))
         except GuessFailedError:
             assert outer is None  # the fallback raises only where the windows fail
             return
@@ -277,10 +283,39 @@ class TestDyadicArccosEnds:
         # the double guess of arccos(3508103/10^7) lies 1.27e-16 below it, so at
         # eps = 1/10^16 the dyadic upper end does not verify; this is the term
         # at z = 3508103 of the walked count at lambda 10^7, on its finest rung
-        args = (3508103, 10**7, 1, 10**16)
-        ends = _arccos_dyadic_ends(*args)
-        assert ends == _arccos_ends(*args)
+        ends = prepare_arccos_dyadic(1, 10**16)(3508103, 10**7)
+        assert ends == _arccos_ends(3508103, 10**7, 1, 10**16)
         assert ends[1][1] & (ends[1][1] - 1)  # not a power of two
+
+    @given(n=st.sampled_from(_ABOVE_COS + _BELOW_COS), j=st.integers(3, 60), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_prescaled_horner_sum_is_the_taylor_kernel(self, n, j, data):
+        # p/2^j over [0, 4], its ends included: the same numerator and
+        # denominator as _cos_taylor's at q = 2^j
+        p = data.draw(st.sampled_from([0, 4 << j]) | st.integers(0, 4 << j), label="p")
+        above, below = _taylor_tables(j)
+        coeffs, den = dict(zip(_ABOVE_COS + _BELOW_COS, above + below))[n]
+        assert (_taylor_at(p, coeffs), den) == _cos_taylor(p, 1 << j, n)
+
+    def test_a_walked_count_builds_each_scales_tables_once(self, monkeypatch):
+        # the walk's rungs prepare their arccos ends on the scales 2^j they
+        # use; the first count builds one table per new scale, at most, and a
+        # second count of the same lambda builds none
+        scales = set()
+        real = curve.prepare_arccos_dyadic
+
+        def prepare(en, ed):
+            scales.add((ed // en).bit_length() + 2)
+            return real(en, ed)
+
+        monkeypatch.setattr(curve, "prepare_arccos_dyadic", prepare)
+        _taylor_tables.cache_clear()
+        lam = rational(70003, 7)
+        assert count_weighted(2, BoundKind.NEUMANN, lam).value == 25_007_157
+        built = _taylor_tables.cache_info().misses
+        assert 0 < built <= len(scales)
+        assert count_weighted(2, BoundKind.NEUMANN, lam).value == 25_007_157
+        assert _taylor_tables.cache_info().misses == built
 
 
 class TestOneSidedEnds:
