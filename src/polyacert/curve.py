@@ -187,15 +187,14 @@ def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
     is r/D itself when r^2 = n*4^k: the floor property of isqrt proves
     both ends, with no guess and no squaring check, within eps/4 of the
     root and so inside sqrt_bounds's ends (at least eps away unless exact).
-    The arccos ends come from :func:`verified.prepare_arccos_dyadic`, on
-    the same scale 2^k, prepared once.  At z = 0 the root is exact and the
-    angle is taken as 0.  Each end lies inside its counterpart's in
-    prepare_g_bracket, so the bracket lies inside g_bracket's at the same
-    eps.
+    The arccos ends, and the scale 2^k itself, come from
+    :func:`verified.prepare_arccos_dyadic`, prepared once.  At z = 0 the
+    root is exact and the angle is taken as 0.  Each end lies inside its
+    counterpart's in prepare_g_bracket, so the bracket lies inside
+    g_bracket's at the same eps.
     """
     pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
-    k = (ed // en).bit_length() + 2  # 2^k > 4/eps, prepare_arccos_dyadic's scale
-    ln2, ld2, arccos = ln * ln, ld * ld, prepare_arccos_dyadic(en, ed)
+    (k, arccos), ln2, ld2 = prepare_arccos_dyadic(en, ed), ln * ln, ld * ld  # 2^k > 4/eps
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         scaled, den = (ln2 * zd * zd - zn * zn * ld2) << 2 * k, ld * zd << k

@@ -296,10 +296,11 @@ def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tup
 
 
 def prepare_arccos_dyadic(en: int, ed: int):
-    """ends(a, b): _arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
+    """(j, ends(a, b)): _arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
 
-    With 2^j > 4/eps, as :func:`curve.prepare_g_floor_ends` takes its
-    scale, the ends are max(0, ceil((g - eps)*2^j))/2^j and
+    The scale 2^j > 4/eps is returned with ``ends``, so that
+    :func:`curve.prepare_g_floor_ends` takes its root on the same scale.
+    The ends are max(0, ceil((g - eps)*2^j))/2^j and
     floor((g + eps)*2^j)/2^j around the guess g, not normalised.  Each lies
     between 3*eps/4 and eps from g, so inside the window that _arccos_ends
     searches on its side, and the bracket inside its bracket.  They are
@@ -324,7 +325,7 @@ def prepare_arccos_dyadic(en: int, ed: int):
                 break
         return _arccos_ends(a, b, en, ed)
 
-    return ends
+    return j, ends
 
 
 @cache

@@ -55,7 +55,12 @@ def _bracket_seam(monkeypatch, bracket):
 
 def _windows_arccos(en, ed):
     """A stand-in for verified.prepare_arccos_dyadic whose ends are always the windows' fallback ends."""
-    return lambda a, b: verified._arccos_ends(a, b, en, ed)
+    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: verified._arccos_ends(a, b, en, ed)
+
+
+def _zero_arccos(en, ed):
+    """A stand-in for verified.prepare_arccos_dyadic, on its scale, whose ends are both 0."""
+    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: ((0, 1), (0, 1))
 
 
 def _watch_floor_tests(monkeypatch, asked):
@@ -733,7 +738,7 @@ class TestWalkPointTest:
 
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
-        monkeypatch.setattr(curve, "prepare_arccos_dyadic", lambda en, ed: lambda a, b: ((0, 1), (0, 1)))
+        monkeypatch.setattr(curve, "prepare_arccos_dyadic", _zero_arccos)
         monkeypatch.setattr(curve, "pi_bounds", lambda eps: RationalInterval(rational(1), rational(1)))
         rng = random.Random(5)
         for _ in range(300):

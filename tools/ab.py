@@ -1,7 +1,7 @@
 """A/B benchmark of the working tree against a parent commit, written as ``BENCH_<n>.json``.
 
 Runs ``perfbench/run.py``, unchanged, on two trees: the parent commit,
-exported with ``git archive`` into a scratch directory, and the working
+exported with ``git archive`` into a temporary directory, and the working
 tree.  Each workload runs in alternating pairs of untraced runs at one
 seed: odd pairs run the parent first, even pairs the change first, so
 that a slow drift of the host's speed falls on both sides alike.  The
@@ -14,8 +14,8 @@ compares its two sides only with each other.
     python3 tools/ab.py --number 31 --parent HEAD --what "what the change does"
 
 takes about 40 minutes at the defaults (three workloads, ten 35 s pairs).
-The scratch directory (``--scratch``, a new temporary one by default) is
-left in place and holds the parent tree and every run's result file.
+The parent tree and the runs' result files live in a temporary directory
+that is removed at the end.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("certify_verify", "exact_sweep", "large_lambda")
+SECONDS = 35  # the length of every run, as BENCHMARK.json's run_seconds
 ORDER = "alternating: odd pairs ran the parent first, even pairs the change first"
 
 
@@ -43,19 +44,15 @@ def export_tree(rev: str, dest: Path) -> str:
     return commit
 
 
-def same_perfbench(parent: Path, change: Path) -> bool:
-    """Whether the two trees' committed-style perfbench sources (``*.py``, ``*.md``) are byte for byte the same."""
-    def files(tree: Path) -> dict:
-        return {path.relative_to(tree): path.read_bytes()
-                for path in sorted((tree / "perfbench").glob("*")) if path.suffix in (".py", ".md")}
-
-    return files(parent) == files(change)
+def same_perfbench(commit: str) -> bool:
+    """Whether the working tree's tracked perfbench files are those of ``commit``."""
+    return subprocess.run(["git", "diff", "--quiet", commit, "--", "perfbench"], cwd=ROOT).returncode == 0
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int, out: Path) -> dict:
+def run_once(tree: Path, workload: str, seed: int, out: Path) -> dict:
     """One untraced perfbench run of ``tree``: its metric values, correctness and operation counts."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(seconds), "--out", str(out)], cwd=tree, check=False,
+                    "--seconds", str(SECONDS), "--out", str(out)], cwd=tree, check=False,
                    stdout=subprocess.DEVNULL)
     with open(out / f"{workload}-seed{seed}-trace0.json") as handle:
         result = json.load(handle)
@@ -95,8 +92,8 @@ def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
     return summary
 
 
-def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: int, seed: int,
-            metrics: dict[str, str], scratch: Path) -> dict:
+def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, metrics: dict[str, str],
+            scratch: Path) -> dict:
     """The workload's entry in the BENCH file."""
     runs, correct = [], True
     failed, attempted = {"parent": 0, "change": 0}, {"parent": 0, "change": 0}
@@ -104,13 +101,13 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: int,
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             tree = parent if side == "parent" else change
-            outcome = run_once(tree, workload, seed, seconds, scratch / "results" / f"{workload}-{pair}-{side}")
+            outcome = run_once(tree, workload, seed, scratch / "results" / f"{workload}-{pair}-{side}")
             print(f"{workload} pair {pair} {side}: {outcome['values']} correct={outcome['correct']}", flush=True)
             runs.append({"pair": pair, "side": side, **{k: round(v, 4) for k, v in outcome["values"].items()}})
             failed[side] += outcome["failed"]
             attempted[side] += outcome["attempted"]
             correct &= outcome["correct"]
-    entry = {"seed": seed, "pairs": pairs, "seconds": seconds, "order": ORDER,
+    entry = {"seed": seed, "pairs": pairs, "seconds": SECONDS, "order": ORDER,
              "failed_operations": failed, "attempted_operations": attempted,
              "all_correct": correct, "metrics": summarise(runs, metrics), "runs": runs}
     return {"end_to_end": [entry]}
@@ -122,30 +119,28 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
     parser.add_argument("--what", required=True, help="the file's description of the comparison and the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (repeatable; default all three)")
-    parser.add_argument("--scratch", type=Path, help="directory for the parent tree and the results")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 
-    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="polyacert-ab-"))
-    parent = scratch / "parent"
-    parent.mkdir(parents=True)
-    commit = export_tree(args.parent, parent)
     with open(ROOT / "BENCHMARK.json") as handle:
         metrics = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
-    workloads = {workload: compare(parent, ROOT, workload, args.pairs, args.seconds, args.seed, metrics, scratch)
-                 for workload in args.workload or WORKLOADS}
+    with tempfile.TemporaryDirectory(prefix="polyacert-ab-") as scratch:
+        parent = Path(scratch) / "parent"
+        parent.mkdir()
+        commit = export_tree(args.parent, parent)
+        workloads = {workload: compare(parent, ROOT, workload, args.pairs, args.seed, metrics, Path(scratch))
+                     for workload in args.workload or WORKLOADS}
     bench = {
         "what": args.what,
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "machine": platform.machine(), "rational_type": "fractions.Fraction"},
         "revisions": {"parent_commit": commit,
                       "note": "the change side is the working tree's src tree; the perfbench trees of both sides "
-                              + ("are identical" if same_perfbench(parent, ROOT) else "differ")},
+                              + ("are identical" if same_perfbench(commit) else "differ")},
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.number}.json"
