@@ -27,11 +27,13 @@ Bracket endpoints are picked as the smallest-denominator rationals in
 ``[guess - 3*eps, guess - eps]`` and ``[guess + eps, guess + 3*eps]`` around a
 numeric guess, so certified values stay small and fast to compute.  The guess
 is only a hint, and correctness never depends on it.  The hull walk only
-floors its brackets, so it takes its arccos ends on a power of two 2^j
-instead (:func:`prepare_arccos_dyadic`), within eps of the guess and inside
-those windows, with no search, and checks them on Taylor coefficients
-prescaled by 2^j once per process (:func:`_taylor_tables`), one
-multiply-add a Horner step; where they do not verify, it takes the windows'.
+floors its brackets, so it takes its arccos ends on a power of two
+2^j > 8/eps instead (:func:`prepare_arccos_dyadic`), built from the
+guess's power-of-two denominator by shifts, between 3*eps/4 and eps from
+the guess and so inside the windows' bracket, with no search and no
+division, and checks them on Taylor coefficients prescaled by 2^j once
+per process (:func:`_taylor_tables`), one multiply-add a Horner step;
+where they do not verify, it takes the windows'.
 
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
@@ -298,25 +300,28 @@ def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tup
 def prepare_arccos_dyadic(en: int, ed: int):
     """(j, ends(a, b)): _arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
 
-    The scale 2^j > 4/eps is returned with ``ends``, so that
+    The scale 2^j > 8/eps is returned with ``ends``, so that
     :func:`curve.prepare_g_floor_ends` takes its root on the same scale.
-    The ends are max(0, ceil((g - eps)*2^j))/2^j and
-    floor((g + eps)*2^j)/2^j around the guess g, not normalised.  Each lies
-    between 3*eps/4 and eps from g, so inside the window that _arccos_ends
-    searches on its side, and the bracket inside its bracket.  They are
-    checked as _arccos_above and _arccos_below check them, on the Taylor
-    tables of 2^j (:func:`_taylor_tables`); both lie in [0, 2], inside the
-    checks' domain.  If either end does not verify, the ends are
+    The guess g = gn/2^e is a double, so its denominator is a power of
+    two, and the ends are built from it by shifts, with t = floor(eps*2^j)
+    taken once: hi = floor(g*2^j) + t and lo = max(0, ceil(g*2^j) - t),
+    over 2^j and not normalised.  Each lies more than t - 1 and at most t
+    steps of 2^-j from g (lo = 0 lies nearer), and t > eps*2^j - 1 with
+    2/2^j < eps/4, so each lies between 3*eps/4 and eps from g: the bracket
+    lies inside _arccos_ends's, whose ends lie eps to 3*eps from g.  They
+    are checked as _arccos_above and _arccos_below check them, on the
+    Taylor tables of 2^j (:func:`_taylor_tables`); both lie in [0, 2],
+    inside the checks' domain.  If either end does not verify, the ends are
     _arccos_ends's, whose windows leave the guess more room.
     """
-    j = (ed // en).bit_length() + 2  # 2^j > 4/eps
-    scale, (above, below) = 1 << j, _taylor_tables(j)
+    j = (ed // en).bit_length() + 3  # 2^j > 8/eps
+    scale, t, (above, below) = 1 << j, (en << j) // ed, _taylor_tables(j)
 
     def ends(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
         gn, gd = _arccos_guess(a, b)
-        centre, step, den = gn * ed, en * gd, gd * ed
-        lo = max(0, -(((step - centre) << j) // den))
-        hi = ((centre + step) << j) // den
+        e = gd.bit_length() - 1
+        lo = max(0, -((-gn << j) >> e) - t)
+        hi = ((gn << j) >> e) + t
         for c, d in above:  # as _arccos_above(a, b, hi, 2^j), then _arccos_below(a, b, lo, 2^j)
             if _taylor_at(hi, c) * b < a * d:
                 for c, d in below:

@@ -40,3 +40,60 @@ def test_summary_reproduces_a_recorded_bench_file(workload):
     # every median, quartile, IQR, ratio and count of pairs from those runs
     entry = json.loads((ROOT / "BENCH_30.json").read_text())["workloads"][workload]["end_to_end"][0]
     assert ab.summarise(entry["runs"], METRICS) == entry["metrics"]
+
+
+def _fixed_runs(monkeypatch, outcomes):
+    """Make ab.run_once return outcomes[(pair, side)], or a correct run with the values {"ops_per_s": 100, "peak_rss_mb": 20}."""
+
+    def run_once(tree, workload, seed, out):
+        pair, side = int(out.name.split("-")[-2]), out.name.split("-")[-1]
+        default = {"values": {"ops_per_s": 100, "peak_rss_mb": 20}, "correct": True, "attempted": 10, "failed": 0}
+        return outcomes.get((pair, side), default)
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+
+
+SPECS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+         if m["name"] in ("ops_per_s", "peak_rss_mb")}
+
+
+def test_peak_rss_past_its_bound_is_recorded_outside_the_metrics(monkeypatch, tmp_path, capsys):
+    # every change run reads 5.6 % more peak RSS than the parent, past the 5 % bound
+    outcome = {"values": {"ops_per_s": 101, "peak_rss_mb": 21.12}, "correct": True, "attempted": 10, "failed": 0}
+    _fixed_runs(monkeypatch, {(pair, "change"): outcome for pair in range(1, 5)})
+    faulty = []
+    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, faulty)["end_to_end"][0]
+    assert entry["over_bound"] == {"peak_rss_mb": 1.056}
+    assert entry["metrics"]["peak_rss_mb"]["change_over_parent"] == 1.056
+    assert "over_bound" not in entry["metrics"]
+    assert faulty == []
+    assert "large_lambda: peak_rss_mb change median is 1.056x the parent's" in capsys.readouterr().out
+
+
+def test_a_run_that_is_not_correct_makes_the_script_exit_1_and_is_named(monkeypatch, tmp_path, capsys):
+    # pair 2's change run is not correct, and pair 3's parent run failed an
+    # operation; the BENCH file is still written, within bounds
+    bad = {"values": {"ops_per_s": 100, "peak_rss_mb": 20}, "correct": False, "attempted": 10, "failed": 0}
+    failing = {"values": {"ops_per_s": 100, "peak_rss_mb": 20}, "correct": True, "attempted": 10, "failed": 1}
+    _fixed_runs(monkeypatch, {(2, "change"): bad, (3, "parent"): failing})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export_tree", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(ab, "same_perfbench", lambda commit: True)
+    assert ab.main(["--number", "0", "--what", "fixed runs", "--pairs", "4", "--workload", "large_lambda"]) == 1
+    err = capsys.readouterr().err
+    assert "large_lambda pair 2 change (correct=False, failed operations=0)" in err
+    assert "large_lambda pair 3 parent (correct=True, failed operations=1)" in err
+    entry = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]["large_lambda"]["end_to_end"][0]
+    assert entry["all_correct"] is False
+    assert entry["failed_operations"] == {"parent": 1, "change": 0}
+    assert entry["over_bound"] == {}
+
+
+def test_a_clean_run_exits_0(monkeypatch, tmp_path):
+    _fixed_runs(monkeypatch, {})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export_tree", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(ab, "same_perfbench", lambda commit: True)
+    assert ab.main(["--number", "0", "--what", "fixed runs", "--pairs", "2", "--workload", "large_lambda"]) == 0

@@ -736,6 +736,41 @@ class TestWalkPointTest:
         outer = g_bracket(lam, z, eps)
         assert outer.lo <= lo <= hi <= outer.hi
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lam=st.fractions(min_value=rational(1, 100), max_value=1500, max_denominator=100),
+        t=st.fractions(min_value=0, max_value=1, max_denominator=200),
+        exponent=st.integers(0, 16),
+    )
+    @example(lam=rational(1201, 3), t=rational(0), exponent=3)  # z = 0
+    @example(lam=rational(5), t=rational(3, 5), exponent=3)  # an exact root, 5^2 - 3^2 = 4^2
+    @example(lam=rational(10**7), t=rational(3508103, 10**7), exponent=16)  # the windows' fallback ends
+    def test_shared_denominator_ends_are_over_pi_of_the_same_ends(self, lam, t, exponent):
+        # each end of G over ld*zd*2^k is the rational that _over_pi builds
+        # from the same isqrt root ends, dyadic arccos ends and pi bracket, and
+        # both raise where one of those does not verify
+        z, eps = lam * t, rational(1, 10**exponent)
+        (zn, zd), (ln, ld) = z.as_integer_ratio(), lam.as_integer_ratio()
+        k, arccos = verified.prepare_arccos_dyadic(*verified._arccos_eps(eps).as_integer_ratio())
+        scaled, den = (ln * ln * zd * zd - zn * zn * ld * ld) << 2 * k, ld * zd << k
+        r = math.isqrt(scaled)
+        r_hi = r if r * r == scaled else r + 1
+        try:
+            got = curve.prepare_g_floor_ends(lam, eps)(zn, zd)
+        except GuessFailedError:
+            got = None
+        try:
+            angle_lo, angle_hi = arccos(zn * ld, zd * ln) if zn else ((0, 1), (0, 1))
+            pi = pi_bounds(eps)
+        except GuessFailedError:
+            assert got is None
+            return
+        assert got is not None
+        expected = curve._over_pi(r, den, zn, zd, *angle_hi, pi.hi), curve._over_pi(r_hi, den, zn, zd, *angle_lo, pi.lo)
+        assert [rational(*end) for end in got] == [rational(*end) for end in expected]
+        if zn and angle_lo[1] == angle_hi[1] == 1 << k:  # taken as one subtraction over the shared denominator
+            assert (got[0][1], got[1][1]) == (den * pi.hi.numerator, den * pi.lo.numerator)
+
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
         monkeypatch.setattr(curve, "prepare_arccos_dyadic", _zero_arccos)

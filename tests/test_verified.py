@@ -279,6 +279,30 @@ class TestDyadicArccosEnds:
             assert outer[0] <= lo <= hi <= outer[1]
         assert rational_to_mpf(lo) <= mpmath.acos(rational_to_mpf(x)) <= rational_to_mpf(hi)
 
+    @given(
+        x=st.fractions(min_value=rational(1, 10**6), max_value=1, max_denominator=10**6),
+        eps=st.sampled_from(
+            [rational(1, 4), verified._arccos_eps(rational(3, 10)), rational(3, 1000)]
+            + [rational(1, 10**k) for k in range(3, 17)]
+        ),
+    )
+    @example(x=rational(1), eps=rational(1, 4))  # guess 0: the lower end is 0
+    @example(x=rational(1, 2), eps=rational(3, 1000))  # a numerator other than 1
+    @settings(max_examples=300, deadline=None)
+    def test_ends_lie_between_three_quarters_of_eps_and_eps_from_the_guess(self, x, eps):
+        # decided on integers: with the guess gn/gd, an end p/2^j lies d from
+        # it, where d*gd*2^j = |p*gd - gn*2^j|, and eps = en/ed
+        en, ed, a, b = eps.numerator, eps.denominator, x.numerator, x.denominator
+        j, ends = prepare_arccos_dyadic(en, ed)
+        assert en << j > 8 * ed >= en << (j - 1)  # the least j with 2^j > 8/eps
+        (lo, lo_den), (hi, hi_den) = ends(a, b)
+        assume(lo_den == hi_den == 1 << j)  # not the windows' fallback ends
+        gn, gd = verified._arccos_guess(a, b)
+        unit = en * gd << j  # eps*gd*2^j*ed
+        above, below = hi * gd - (gn << j), (gn << j) - lo * gd
+        assert 3 * unit <= 4 * ed * above and ed * above <= unit
+        assert (lo == 0 or 3 * unit <= 4 * ed * below) and 0 <= ed * below <= unit
+
     def test_a_guess_off_by_about_eps_falls_back_to_the_windows(self):
         # the double guess of arccos(3508103/10^7) lies 1.27e-16 below it, so at
         # eps = 1/10^16 the dyadic upper end does not verify; this is the term
@@ -299,13 +323,15 @@ class TestDyadicArccosEnds:
 
     def test_a_walked_count_builds_each_scales_tables_once(self, monkeypatch):
         # the walk's rungs prepare their arccos ends on the scales 2^j they
-        # use; the first count builds one table per new scale, at most, and a
-        # second count of the same lambda builds none
+        # use, each the least with 2^j > 8/eps; the first count builds one
+        # table per new scale, at most, and a second count of the same lambda
+        # builds none
         scales = set()
         real = curve.prepare_arccos_dyadic
 
         def prepare(en, ed):
             j, ends = real(en, ed)
+            assert en << j > 8 * ed >= en << (j - 1), (en, ed, j)
             scales.add(j)
             return j, ends
 

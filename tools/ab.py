@@ -8,14 +8,18 @@ that a slow drift of the host's speed falls on both sides alike.  The
 result has the layout of the earlier ``BENCH_*.json`` files: every run,
 and per end-to-end metric of ``BENCHMARK.json`` the median, quartiles and
 IQR of each side, the ratio of the medians and the pairs the change won.
-Op/s of one tree move between sessions on a shared host, so a file
-compares its two sides only with each other.
+Each workload also records, under ``over_bound``, every metric whose
+change median is worse than the parent's by more than its bound, and the
+script prints them.  Op/s of one tree move between sessions on a shared
+host, so a file compares its two sides only with each other.
 
     python3 tools/ab.py --number 31 --parent HEAD --what "what the change does"
 
 takes about 40 minutes at the defaults (three workloads, ten 35 s pairs).
 The parent tree and the runs' result files live in a temporary directory
-that is removed at the end.
+that is removed at the end.  The file is written either way, but the
+script exits 1, naming the runs, if any run is not correct or has failed
+operations.
 """
 from __future__ import annotations
 
@@ -92,9 +96,23 @@ def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
     return summary
 
 
-def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, metrics: dict[str, str],
-            scratch: Path) -> dict:
-    """The workload's entry in the BENCH file."""
+def over_bound(summary: dict, metrics: dict[str, dict]) -> dict[str, float]:
+    """The metrics of ``summary`` whose change median is worse than the parent's by more than their bound.
+
+    ``metrics`` maps each metric to its BENCHMARK.json entry ("better" and
+    "bound"); the result maps each such metric to its ratio of medians.
+    """
+    worse = {}
+    for name, entry in summary.items():
+        ratio, spec = entry["change_over_parent"], metrics[name]
+        if (ratio < 1 - spec["bound"]) if spec["better"] == "higher" else (ratio > 1 + spec["bound"]):
+            worse[name] = ratio
+    return worse
+
+
+def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, metrics: dict[str, dict],
+            scratch: Path, faulty: list[str]) -> dict:
+    """The workload's entry in the BENCH file; appends to ``faulty`` each run that is not correct or failed operations."""
     runs, correct = [], True
     failed, attempted = {"parent": 0, "change": 0}, {"parent": 0, "change": 0}
     for pair in range(1, pairs + 1):
@@ -107,9 +125,17 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, me
             failed[side] += outcome["failed"]
             attempted[side] += outcome["attempted"]
             correct &= outcome["correct"]
+            if not outcome["correct"] or outcome["failed"]:
+                faulty.append(f"{workload} pair {pair} {side} (correct={outcome['correct']}, "
+                              f"failed operations={outcome['failed']})")
+    summary = summarise(runs, {name: spec["better"] for name, spec in metrics.items()})
+    worse = over_bound(summary, metrics)
+    for name, ratio in worse.items():
+        print(f"{workload}: {name} change median is {ratio}x the parent's, past its bound "
+              f"{metrics[name]['bound']}", flush=True)
     entry = {"seed": seed, "pairs": pairs, "seconds": SECONDS, "order": ORDER,
              "failed_operations": failed, "attempted_operations": attempted,
-             "all_correct": correct, "metrics": summarise(runs, metrics), "runs": runs}
+             "all_correct": correct, "over_bound": worse, "metrics": summary, "runs": runs}
     return {"end_to_end": [entry]}
 
 
@@ -127,12 +153,13 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2, for quartiles")
 
     with open(ROOT / "BENCHMARK.json") as handle:
-        metrics = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(handle)["end_to_end"]}
+    faulty = []
     with tempfile.TemporaryDirectory(prefix="polyacert-ab-") as scratch:
         parent = Path(scratch) / "parent"
         parent.mkdir()
         commit = export_tree(args.parent, parent)
-        workloads = {workload: compare(parent, ROOT, workload, args.pairs, args.seed, metrics, Path(scratch))
+        workloads = {workload: compare(parent, ROOT, workload, args.pairs, args.seed, metrics, Path(scratch), faulty)
                      for workload in args.workload or WORKLOADS}
     bench = {
         "what": args.what,
@@ -148,7 +175,9 @@ def main(argv=None) -> int:
         json.dump(bench, handle, indent=2)
         handle.write("\n")
     print(f"wrote {out}")
-    return 0
+    for run in faulty:
+        print(f"not correct or with failed operations: {run}", file=sys.stderr)
+    return 1 if faulty else 0
 
 
 if __name__ == "__main__":
