@@ -29,16 +29,19 @@ Each core takes the radicand lam^2 - z^2 to the verified square-root ends
 as a reduced integer pair, and the z/lam of the arccos ends as an
 unnormalised one, so no term builds a ``Fraction``.
 
-The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead:
-the same pi bracket, but on one scale 2^k > 8/eps per accuracy, a root
-from one integer square root, which needs no guess, window search or
-squaring check, and arccos ends on 2^k built by shifts from the double
-guess, which need no window search and are checked on Taylor tables
-prescaled by 2^k.  Root and arccos ends then share the denominator
-ld*zd*2^k, so each end of G is one subtraction over it, divided by pi's
-end through its integer parts, taken once per accuracy.  The walk's
-bracket lies inside g_bracket's, so the one-shot floor term on
-g_bracket's rationals is an independent check of the walk.
+The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead,
+which brackets G + shift: the same pi bracket, but on one scale
+2^k > 8/eps per accuracy, a root from one integer square root, which
+needs no guess, window search or squaring check, and arccos ends on 2^k
+built by shifts from the double guess, which need no window search, are
+checked on Taylor tables prescaled by 2^k and come back as bare
+numerators.  Root and arccos ends then share the denominator ld*zd*2^k,
+and pi's and the shift's integer parts are folded into three integers
+once per accuracy, so each end of G + shift is one subtraction, two
+products and a sum over one denominator, which the walk floors by
+integer division.  The walk's bracket lies inside g_bracket's plus the
+shift, so the one-shot floor term on g_bracket's rationals is an
+independent check of the walk.
 """
 from __future__ import annotations
 
@@ -180,45 +183,54 @@ def _pi_or_none(eps: Fraction) -> RationalInterval | None:
         return None
 
 
-def prepare_g_floor_ends(lam: Fraction, eps: Fraction):
-    """prepare_g_bracket's ends with the root and the arccos ends on a power of two: the hull walk's bracket.
+def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
+    """The bracket of G + shift with the root and the arccos ends on a power of two: the hull walk's bracket.
 
-    The returned ``ends(zn, zd)`` has the contract of prepare_g_bracket's,
-    with the same pi bracket and order of errors.  With 2^k > 8/eps for the
-    capped arccos eps, n = ln^2*zd^2 - zn^2*ld^2 and D = ld*zd*2^k, the
-    root sqrt(n)/(ld*zd) lies in [r, r + 1]/D for r = isqrt(n * 4^k), and
-    is r/D itself when r^2 = n*4^k: the floor property of isqrt proves
-    both ends, with no guess and no squaring check, within eps/8 of the
-    root and so inside sqrt_bounds's ends (at least eps away unless exact).
-    The arccos ends, and the scale 2^k itself, come from
-    :func:`verified.prepare_arccos_dyadic`, prepared once.  When both come
-    back on 2^k, as A/2^k, z*A/2^k is zn*ld*A/D, so each end of G is one
-    subtraction over D and pi's integer parts, taken once:
-    (r - zn*ld*A_hi)*pi_hi_den over D*pi_hi_num, and the upper end alike.
-    At z = 0 (where the root is exact and the angle is taken as 0), where
-    the arccos ends are the windows' fallback and where pi does not
-    verify, the ends are :func:`_over_pi`'s, the same rationals.  Each end
+    The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num,
+    lo_den), (hi_num, hi_den)), not normalised, of a bracket of
+    G(lam, zn/zd) + shift, for integers zn >= 0 and zd > 0 with
+    zn/zd <= lam, with prepare_g_bracket's pi bracket and order of errors.
+    With 2^k > 8/eps for the capped arccos eps, n = ln^2*zd^2 - zn^2*ld^2
+    and D = ld*zd*2^k, the root sqrt(n)/(ld*zd) lies in [r, r + 1]/D for
+    r = isqrt(n * 4^k), and is r/D itself when r^2 = n*4^k: the floor
+    property of isqrt proves both ends, with no guess and no squaring
+    check, within eps/8 of the root and so inside sqrt_bounds's ends (at
+    least eps away unless exact).  The arccos ends, and the scale 2^k
+    itself, come from :func:`verified.prepare_arccos_dyadic`, prepared
+    once.  When they come back, as numerators A over 2^k (0 at z = 0),
+    each end of G + shift is (r - x*A)*P + D*Q over D*R for x = zn*ld,
+    with pi's and the shift's integer parts folded in once: for the lower
+    end A_hi, P = pi_hi_den*shift_den, Q = pi_hi_num*shift_num and
+    R = pi_hi_num*shift_den, and the upper end alike.  On the windows'
+    fallback ends and where pi does not verify, the ends are
+    :func:`_over_pi`'s plus the shift, the same rationals.  Each end of G
     lies inside its counterpart's in prepare_g_bracket, so the bracket lies
-    inside g_bracket's at the same eps.
+    inside g_bracket's plus the shift at the same eps.
     """
     pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
-    (k, arccos), ln2, ld2 = prepare_arccos_dyadic(en, ed), ln * ln, ld * ld  # 2^k > 8/eps
-    scale = 1 << k if pi else 0  # 0: no end comes back on it, so a pi that did not verify is asked for again
-    (lo_n, lo_d), (hi_n, hi_d) = (pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()) if pi else ((0, 1), (0, 1))
+    (k, arccos), ln2, ld2, (sn, sd) = prepare_arccos_dyadic(en, ed), ln * ln, ld * ld, shift.as_integer_ratio()
+    # with pi unverified these are unused: each call asks for pi again, after the arccos ends
+    (pl_n, pl_d), (ph_n, ph_d) = (pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()) if pi else ((1, 1), (1, 1))
+    lo_p, lo_q, lo_r = ph_d * sd, ph_n * sn, ph_n * sd  # the lower end takes pi's upper end
+    hi_p, hi_q, hi_r = pl_d * sd, pl_n * sn, pl_n * sd
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         scaled, den = (ln2 * zd * zd - zn * zn * ld2) << 2 * k, ld * zd << k
         r = math.isqrt(scaled)
         r_hi = r if r * r == scaled else r + 1
-        if not zn:
-            angle_lo = angle_hi = 0, 1
-        else:
-            x = zn * ld
-            angle_lo, angle_hi = arccos(x, zd * ln)
-            if angle_lo[1] == scale == angle_hi[1]:
-                return ((r - x * angle_hi[0]) * hi_d, den * hi_n), ((r_hi - x * angle_lo[0]) * lo_d, den * lo_n)
+        x = zn * ld
+        angle = arccos(x, zd * ln) if x else (0, 0)
+        if angle and pi:
+            a_lo, a_hi = angle
+            return ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
+        # where pi did not verify, the windows' ends verify wherever the
+        # dyadic ones did, so the arccos's error still comes before pi's
+        angle_lo, angle_hi = _arccos_ends(x, zd * ln, en, ed) if x else ((0, 1), (0, 1))
         bracket = pi or pi_bounds(eps)
-        return _over_pi(r, den, zn, zd, *angle_hi, bracket.hi), _over_pi(r_hi, den, zn, zd, *angle_lo, bracket.lo)
+        (lo_n, lo_d), (hi_n, hi_d) = _over_pi(r, den, zn, zd, *angle_hi, bracket.hi), _over_pi(
+            r_hi, den, zn, zd, *angle_lo, bracket.lo
+        )
+        return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
 
     return ends
 

@@ -35,12 +35,14 @@ an empty sum, and otherwise ignores it.  The walk
 prepares its floor test once per sum (:func:`prepare_floor_term`), each
 rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
 whose root comes from one integer square root and whose arccos ends lie
-on a power of two, and tests points on the columns' integer parts.  The
-term-by-term sums call ``certified_floor_term`` for each term, with
-:func:`curve.prepare_g_bracket`'s brackets, whose root and arccos ends
-come from a shortest-rational search; the walk's bracket lies inside that
-one at every rung, so the one-shot route is the walk's independent
-reference.
+on a power of two, and tests points on the columns' integer parts: that
+bracket is of G + shift, each end one integer pair over one denominator,
+floored by integer division.  The term-by-term sums call
+``certified_floor_term`` for each term, with
+:func:`curve.prepare_g_bracket`'s brackets plus the shift, whose root and
+arccos ends come from a shortest-rational search; the walk's bracket lies
+inside that one at every rung, so the one-shot route is the walk's
+independent reference.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -115,9 +117,9 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     and the result is floor(shift), with no bracketing needed; lam < 0 and
     eps <= 0 raise DomainError before that, and z < 0 after it, which
     leaves 0 <= z < lam.  eps is otherwise unused: the floor is exact.
-    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, so
-    this is the independent reference of the hull walk's point test,
-    :func:`prepare_floor_term`.
+    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, plus
+    the shift, so this is the independent reference of the hull walk's
+    point test, :func:`prepare_floor_term`.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -129,7 +131,18 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
         return rat_floor(shift)
     if z.numerator < 0:
         raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
-    return _floor_ladder(lam, shift, prepare_g_bracket)(z.numerator, z.denominator)
+    return _floor_ladder(lam, shift, _g_bracket_plus)(z.numerator, z.denominator)
+
+
+def _g_bracket_plus(lam: Fraction, shift: Fraction, eps: Fraction):
+    """prepare_g_bracket(lam, eps)'s ends plus the shift: the one-shot floor term's bracket of G + shift."""
+    ends, (sn, sd) = prepare_g_bracket(lam, eps), shift.as_integer_ratio()
+
+    def plus(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        (lo_n, lo_d), (hi_n, hi_d) = ends(zn, zd)
+        return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
+
+    return plus
 
 
 def _check_eps(eps) -> None:
@@ -153,43 +166,43 @@ def prepare_floor_term(lam: Fraction, shift: Fraction):
 
 
 def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
-    """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided by prepare_ends(lam, accuracy)'s brackets.
+    """floor(zn, zd): floor(G(lam, zn/zd) + shift), decided by prepare_ends(lam, shift, accuracy)'s brackets.
 
-    Built once: lam's and the shift's integer parts and the start rung
-    _start_rung(lam); once per rung, on its first use: its prepared
-    ends, which are floored on integers.  zn >= 0 and zd > 0 need not be
-    normalised; the abscissa of an UnresolvedFloorError is.  The rungs are
-    tried once each, from the start rung to the finest, passing over one
-    whose bracket does not verify.  A point that no rung decides raises
-    UnresolvedFloorError with the finest verified bracket plus the shift
-    (None if none verified) and the accuracies tried, from the first
-    GuessFailedError, if any.
+    prepare_ends returns the ends of a bracket of G + shift as integer
+    pairs (num, den) with den > 0, each floored by num // den.  Built once:
+    lam's integer parts, floor(shift) and the rungs from _start_rung(lam);
+    once per rung, on its first use: its prepared ends.  zn >= 0 and
+    zd > 0 need not be normalised; the abscissa of an UnresolvedFloorError
+    is.  The rungs are tried once each, from the start rung to the finest,
+    passing over one whose bracket does not verify.  A point that no rung
+    decides raises UnresolvedFloorError with the finest verified bracket
+    of G + shift (None if none verified) and the accuracies tried, from
+    the first GuessFailedError, if any.
     """
     ln, ld = lam.numerator, lam.denominator
-    sn, sd = shift.numerator, shift.denominator
-    past_lam = sn // sd  # floor(shift), the term at z >= lam
+    past_lam = shift.numerator // shift.denominator  # floor(shift), the term at z >= lam
     first = _start_rung(lam)
-    rungs = [None] * len(_ACCURACIES)
+    rungs, tries = [None] * len(_ACCURACIES), range(first, len(_ACCURACIES))
 
     def floor(zn: int, zd: int) -> int:
         if zn * ld >= ln * zd:
             return past_lam
         failed = finest = None
-        for rung in range(first, len(_ACCURACIES)):
+        for rung in tries:
             ends = rungs[rung]
             if ends is None:
-                ends = rungs[rung] = prepare_ends(lam, _ACCURACIES[rung])
+                ends = rungs[rung] = prepare_ends(lam, shift, _ACCURACIES[rung])
             try:
                 bracket = ends(zn, zd)
             except GuessFailedError as exc:
                 failed = failed or exc
                 continue
             (lo_n, lo_d), (hi_n, hi_d) = bracket
-            f_lo = _floor_plus(lo_n, lo_d, sn, sd)
-            if f_lo == _floor_plus(hi_n, hi_d, sn, sd):
+            f_lo = lo_n // lo_d
+            if f_lo == hi_n // hi_d:
                 return f_lo
             finest = bracket
-        interval = None if finest is None else tuple(rational(n, d) + shift for n, d in finest)
+        interval = None if finest is None else tuple(rational(n, d) for n, d in finest)
         tried = (_ACCURACIES[first], _ACCURACIES[-1])
         raise UnresolvedFloorError(rational(zn, zd), interval, tried) from failed
 
@@ -373,11 +386,6 @@ def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, pi_lo: Fraction
     return _arccos_above(xn, xd, min(pn, 4 * pd), pd)
 
 
-def _floor_plus(n: int, d: int, sn: int, sd: int) -> int:
-    """floor(n/d + sn/sd) for d, sd > 0, from the integer parts, without normalising the sum."""
-    return (n * sd + sn * d) // (d * sd)
-
-
 def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult:
     """Certified-exact weighted count: sum of kappa(d, m)*floor(G(lam, z_m) + shift).
 
@@ -434,7 +442,7 @@ def _lower_term(lam: Fraction, eps):
 
     def term(m: int) -> int:
         if m == 0:
-            return max(0, _floor_plus(first.numerator, first.denominator, 3, 4))  # the Neumann shift
+            return max(0, (4 * first.numerator + 3 * first.denominator) // (4 * first.denominator))  # the Neumann shift
         if m * ld >= ln:
             return 0
         num, den = parts(m, 1)

@@ -32,8 +32,9 @@ floors its brackets, so it takes its arccos ends on a power of two
 guess's power-of-two denominator by shifts, between 3*eps/4 and eps from
 the guess and so inside the windows' bracket, with no search and no
 division, and checks them on Taylor coefficients prescaled by 2^j once
-per process (:func:`_taylor_tables`), one multiply-add a Horner step;
-where they do not verify, it takes the windows'.
+per process (:func:`_taylor_tables`), one multiply-add a Horner step.
+They come back as bare numerators over 2^j, or as None where they do not
+verify, and the caller then takes the windows'.
 
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
@@ -44,12 +45,12 @@ those of an arccos of a/b, all on integers.  Each bracket has one integer
 implementation, with a variant for callers that use one end only:
 :func:`_sqrt_ends` and :func:`_sqrt_lower_end` take the reduced radicand
 n/d and eps, :func:`_arccos_ends` and :func:`_arccos_upper_end` take
-x = a/b, not normalised, and the capped eps.  All four, and the
-prepared dyadic ends, return integer pairs, so the curve's per-term cores
-build no ``Fraction`` at all; the public brackets (:func:`sqrt_bounds`,
-:func:`sqrt_lower`, :func:`arccos_bounds` and through it
-:func:`pi_bounds`) check their arguments and build their ``Fraction``
-ends from those pairs.
+x = a/b, not normalised, and the capped eps.  All four return integer
+pairs, and the prepared dyadic ends integers over 2^j, so the curve's
+per-term cores build no ``Fraction`` at all; the public brackets
+(:func:`sqrt_bounds`, :func:`sqrt_lower`, :func:`arccos_bounds` and
+through it :func:`pi_bounds`) check their arguments and build their
+``Fraction`` ends from those pairs.
 
 Square-root guesses come from one integer square root (:func:`_root_guess`)
 and lie within eps/2^20 below the root, so the first bracket always
@@ -298,37 +299,39 @@ def _arccos_ends(a: int, b: int, en: int, ed: int) -> tuple[tuple[int, int], tup
 
 
 def prepare_arccos_dyadic(en: int, ed: int):
-    """(j, ends(a, b)): _arccos_ends(a, b, en, ed)'s contract, with ends on a power of two: no window search.
+    """(j, ends(a, b)): the hull walk's arccos ends of a/b at eps = en/ed, as numerators over 2^j: no window search.
 
     The scale 2^j > 8/eps is returned with ``ends``, so that
     :func:`curve.prepare_g_floor_ends` takes its root on the same scale.
+    For 0 < a <= b and eps in (0, 1/4], as for _arccos_ends, ``ends(a, b)``
+    returns the integers (lo, hi) with lo/2^j <= arccos(a/b) <= hi/2^j, or
+    None where an end does not verify; the caller then takes
+    _arccos_ends's, whose windows leave the guess more room.
     The guess g = gn/2^e is a double, so its denominator is a power of
     two, and the ends are built from it by shifts, with t = floor(eps*2^j)
-    taken once: hi = floor(g*2^j) + t and lo = max(0, ceil(g*2^j) - t),
-    over 2^j and not normalised.  Each lies more than t - 1 and at most t
-    steps of 2^-j from g (lo = 0 lies nearer), and t > eps*2^j - 1 with
-    2/2^j < eps/4, so each lies between 3*eps/4 and eps from g: the bracket
-    lies inside _arccos_ends's, whose ends lie eps to 3*eps from g.  They
-    are checked as _arccos_above and _arccos_below check them, on the
+    taken once: hi = floor(g*2^j) + t and lo = max(0, ceil(g*2^j) - t).
+    Each lies more than t - 1 and at most t steps of 2^-j from g (lo = 0
+    lies nearer), and t > eps*2^j - 1 with 2/2^j < eps/4, so each lies
+    between 3*eps/4 and eps from g: the bracket lies inside _arccos_ends's,
+    whose ends lie eps to 3*eps from g.  They are checked as _arccos_above
+    and _arccos_below check them, in the same order (T12 then T28 on hi,
+    T14 then T30 on lo, lo = 0 passing), each by one Horner sum on the
     Taylor tables of 2^j (:func:`_taylor_tables`); both lie in [0, 2],
-    inside the checks' domain.  If either end does not verify, the ends are
-    _arccos_ends's, whose windows leave the guess more room.
+    inside the checks' domain.
     """
     j = (ed // en).bit_length() + 3  # 2^j > 8/eps
-    scale, t, (above, below) = 1 << j, (en << j) // ed, _taylor_tables(j)
+    t, (((c12, d12), (c28, d28)), ((c14, d14), (c30, d30))) = (en << j) // ed, _taylor_tables(j)
 
-    def ends(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    def ends(a: int, b: int) -> tuple[int, int] | None:
         gn, gd = _arccos_guess(a, b)
         e = gd.bit_length() - 1
-        lo = max(0, -((-gn << j) >> e) - t)
+        lo = -((-gn << j) >> e) - t  # ceil(g*2^j) - t, returned as 0 where it is negative
         hi = ((gn << j) >> e) + t
-        for c, d in above:  # as _arccos_above(a, b, hi, 2^j), then _arccos_below(a, b, lo, 2^j)
-            if _taylor_at(hi, c) * b < a * d:
-                for c, d in below:
-                    if lo == 0 or a * d < _taylor_at(lo, c) * b:
-                        return (lo, scale), (hi, scale)
-                break
-        return _arccos_ends(a, b, en, ed)
+        if (_taylor_at(hi, c12) * b < a * d12 or _taylor_at(hi, c28) * b < a * d28) and (
+            lo <= 0 or a * d14 < _taylor_at(lo, c14) * b or a * d30 < _taylor_at(lo, c30) * b
+        ):
+            return (lo if lo > 0 else 0), hi
+        return None
 
     return j, ends
 

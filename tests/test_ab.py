@@ -97,3 +97,21 @@ def test_a_clean_run_exits_0(monkeypatch, tmp_path):
     monkeypatch.setattr(ab, "export_tree", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(ab, "same_perfbench", lambda commit: True)
     assert ab.main(["--number", "0", "--what", "fixed runs", "--pairs", "2", "--workload", "large_lambda"]) == 0
+
+
+def test_worst_pair_of_fixed_runs(monkeypatch, tmp_path, capsys):
+    # op/s: the change reads 1.2x, 0.98x, 1.1x and 1.05x the parent's, so its
+    # worst pair is pair 2; peak RSS: 1.01x, 1.0x, 1.044x and 0.99x, worst in
+    # pair 3, within the 5 % bound
+    ops = {"parent": [100, 100, 100, 100], "change": [120, 98, 110, 105]}
+    rss = {"parent": [20, 20, 25, 20], "change": [20.2, 20, 26.1, 19.8]}
+    _fixed_runs(monkeypatch, {
+        (pair, side): {"values": {"ops_per_s": ops[side][pair - 1], "peak_rss_mb": rss[side][pair - 1]},
+                       "correct": True, "attempted": 10, "failed": 0}
+        for pair in range(1, 5) for side in ("parent", "change")
+    })
+    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, [])["end_to_end"][0]
+    assert entry["worst_pair"] == {"ops_per_s": 0.98, "peak_rss_mb": 1.044}
+    assert entry["over_bound"] == {}
+    assert "worst_pair" not in entry["metrics"]
+    assert "large_lambda: peak_rss_mb is 1.044x the parent's in the change's worst pair" in capsys.readouterr().out

@@ -38,29 +38,30 @@ def _bracket_seam(monkeypatch, bracket):
     """Give every floor test its brackets from bracket(lam, z, eps) -> RationalInterval.
 
     The floor tests take their brackets once per rung, the walk's through
-    lattice.prepare_g_floor_ends and the one-shot certified_floor_term's
-    through lattice.prepare_g_bracket; this routes both builders to bracket.
+    lattice.prepare_g_floor_ends, which brackets G + shift, and the one-shot
+    certified_floor_term's through lattice.prepare_g_bracket, which brackets
+    G; this routes both builders to bracket, the walk's plus the shift.
     """
 
-    def prepare(lam, eps):
+    def prepare(lam, eps, shift=0):
         def ends(zn, zd):
             b = bracket(lam, rational(zn, zd), eps)
-            return (b.lo.numerator, b.lo.denominator), (b.hi.numerator, b.hi.denominator)
+            return (b.lo + shift).as_integer_ratio(), (b.hi + shift).as_integer_ratio()
 
         return ends
 
     monkeypatch.setattr(lattice, "prepare_g_bracket", prepare)
-    monkeypatch.setattr(lattice, "prepare_g_floor_ends", prepare)
+    monkeypatch.setattr(lattice, "prepare_g_floor_ends", lambda lam, shift, eps: prepare(lam, eps, shift))
 
 
 def _windows_arccos(en, ed):
     """A stand-in for verified.prepare_arccos_dyadic whose ends are always the windows' fallback ends."""
-    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: verified._arccos_ends(a, b, en, ed)
+    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: None
 
 
 def _zero_arccos(en, ed):
     """A stand-in for verified.prepare_arccos_dyadic, on its scale, whose ends are both 0."""
-    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: ((0, 1), (0, 1))
+    return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: (0, 0)
 
 
 def _watch_floor_tests(monkeypatch, asked):
@@ -247,7 +248,7 @@ class TestStartRung:
         for _ in range(8):
             den = rng.randint(1, 100)
             lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
-            ends = curve.prepare_g_floor_ends(lam, lattice._ACCURACIES[lattice._start_rung(lam)])
+            ends = curve.prepare_g_floor_ends(lam, kind.shift, lattice._ACCURACIES[lattice._start_rung(lam)])
             for m in range(0, rat_floor(lam) + 1, 7):
                 (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
                 assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, m)
@@ -720,56 +721,65 @@ class TestWalkPointTest:
         monkeypatch.setattr(curve, "_arccos_ends", verified._arccos_ends)
         monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
         lam, eps = rational(5), DEFAULT_EPS
-        ends = curve.prepare_g_floor_ends(lam, eps)(z, 1)
+        ends = curve.prepare_g_floor_ends(lam, D.shift, eps)(z, 1)
         bracket = g_bracket(lam, z, eps)
-        assert tuple(rational(*end) for end in ends) == (bracket.lo, bracket.hi)
+        assert tuple(rational(*end) for end in ends) == (bracket.lo + D.shift, bracket.hi + D.shift)
 
     @settings(max_examples=60, deadline=None)
     @given(
         lam=st.fractions(min_value=rational(1, 100), max_value=1500, max_denominator=100),
         t=st.fractions(min_value=0, max_value=1, max_denominator=200),
         exponent=st.integers(1, 14),
+        shift=st.sampled_from([D.shift, N.shift]),
     )
-    def test_bracket_lies_inside_g_bracket(self, lam, t, exponent):
+    def test_bracket_lies_inside_g_bracket(self, lam, t, exponent, shift):
         z, eps = lam * t, rational(1, 10**exponent)
-        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, shift, eps)(z.numerator, z.denominator))
         outer = g_bracket(lam, z, eps)
-        assert outer.lo <= lo <= hi <= outer.hi
+        assert outer.lo + shift <= lo <= hi <= outer.hi + shift
 
     @settings(max_examples=150, deadline=None)
     @given(
         lam=st.fractions(min_value=rational(1, 100), max_value=1500, max_denominator=100),
         t=st.fractions(min_value=0, max_value=1, max_denominator=200),
         exponent=st.integers(0, 16),
+        shift=st.sampled_from([D.shift, N.shift]),
     )
-    @example(lam=rational(1201, 3), t=rational(0), exponent=3)  # z = 0
-    @example(lam=rational(5), t=rational(3, 5), exponent=3)  # an exact root, 5^2 - 3^2 = 4^2
-    @example(lam=rational(10**7), t=rational(3508103, 10**7), exponent=16)  # the windows' fallback ends
-    def test_shared_denominator_ends_are_over_pi_of_the_same_ends(self, lam, t, exponent):
-        # each end of G over ld*zd*2^k is the rational that _over_pi builds
-        # from the same isqrt root ends, dyadic arccos ends and pi bracket, and
-        # both raise where one of those does not verify
+    @example(lam=rational(1201, 3), t=rational(0), exponent=3, shift=N.shift)  # z = 0
+    @example(lam=rational(5), t=rational(3, 5), exponent=3, shift=D.shift)  # an exact root, 5^2 - 3^2 = 4^2
+    @example(lam=rational(10**7), t=rational(3508103, 10**7), exponent=16, shift=N.shift)  # the windows' fallback ends
+    def test_shared_denominator_ends_are_over_pi_of_the_same_ends(self, lam, t, exponent, shift):
+        # each end of G + shift over ld*zd*2^k is the rational that _over_pi
+        # builds from the same isqrt root ends, dyadic arccos ends and pi
+        # bracket, plus the shift, and both raise where one of those does not
+        # verify
         z, eps = lam * t, rational(1, 10**exponent)
         (zn, zd), (ln, ld) = z.as_integer_ratio(), lam.as_integer_ratio()
-        k, arccos = verified.prepare_arccos_dyadic(*verified._arccos_eps(eps).as_integer_ratio())
+        en, ed = verified._arccos_eps(eps).as_integer_ratio()
+        k, arccos = verified.prepare_arccos_dyadic(en, ed)
         scaled, den = (ln * ln * zd * zd - zn * zn * ld * ld) << 2 * k, ld * zd << k
         r = math.isqrt(scaled)
         r_hi = r if r * r == scaled else r + 1
         try:
-            got = curve.prepare_g_floor_ends(lam, eps)(zn, zd)
+            got = curve.prepare_g_floor_ends(lam, shift, eps)(zn, zd)
         except GuessFailedError:
             got = None
         try:
-            angle_lo, angle_hi = arccos(zn * ld, zd * ln) if zn else ((0, 1), (0, 1))
+            dyadic = arccos(zn * ld, zd * ln) if zn else (0, 0)
+            if dyadic is None:
+                angle_lo, angle_hi = verified._arccos_ends(zn * ld, zd * ln, en, ed)
+            else:
+                angle_lo, angle_hi = ((end, 1 << k) for end in dyadic)
             pi = pi_bounds(eps)
         except GuessFailedError:
             assert got is None
             return
         assert got is not None
         expected = curve._over_pi(r, den, zn, zd, *angle_hi, pi.hi), curve._over_pi(r_hi, den, zn, zd, *angle_lo, pi.lo)
-        assert [rational(*end) for end in got] == [rational(*end) for end in expected]
-        if zn and angle_lo[1] == angle_hi[1] == 1 << k:  # taken as one subtraction over the shared denominator
-            assert (got[0][1], got[1][1]) == (den * pi.hi.numerator, den * pi.lo.numerator)
+        assert [rational(*end) for end in got] == [rational(*end) + shift for end in expected]
+        if dyadic is not None:  # taken as one subtraction over the shared denominator
+            sd = shift.denominator
+            assert (got[0][1], got[1][1]) == (den * pi.hi.numerator * sd, den * pi.lo.numerator * sd)
 
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
@@ -780,7 +790,8 @@ class TestWalkPointTest:
             lam = rational(rng.randint(1, 150_000), rng.randint(1, 100))
             z = lam * rational(rng.randint(1, 200), 200)
             eps = rational(1, 10 ** rng.randint(0, 15))
-            lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, eps)(z.numerator, z.denominator))
+            ends = curve.prepare_g_floor_ends(lam, rational(0), eps)(z.numerator, z.denominator)
+            lo, hi = (rational(*end) for end in ends)
             assert lo**2 <= lam**2 - z**2 <= hi**2, (lam, z, eps)
             assert hi - lo < eps / 4, (lam, z, eps)
 

@@ -270,13 +270,13 @@ class TestDyadicArccosEnds:
             outer = [rational(*end) for end in _arccos_ends(*args)]
         except GuessFailedError:
             outer = None
-        try:
-            lo, hi = (rational(*end) for end in prepare_arccos_dyadic(*args[2:])[1](*args[:2]))
-        except GuessFailedError:
-            assert outer is None  # the fallback raises only where the windows fail
+        j, ends = prepare_arccos_dyadic(*args[2:])
+        dyadic = ends(*args[:2])
+        if dyadic is None:  # the caller takes the windows' ends
             return
-        if outer is not None:
-            assert outer[0] <= lo <= hi <= outer[1]
+        lo, hi = (rational(end, 1 << j) for end in dyadic)
+        assert outer is not None  # ends farther out verify where nearer ones did (see the module note)
+        assert outer[0] <= lo <= hi <= outer[1]
         assert rational_to_mpf(lo) <= mpmath.acos(rational_to_mpf(x)) <= rational_to_mpf(hi)
 
     @given(
@@ -295,8 +295,9 @@ class TestDyadicArccosEnds:
         en, ed, a, b = eps.numerator, eps.denominator, x.numerator, x.denominator
         j, ends = prepare_arccos_dyadic(en, ed)
         assert en << j > 8 * ed >= en << (j - 1)  # the least j with 2^j > 8/eps
-        (lo, lo_den), (hi, hi_den) = ends(a, b)
-        assume(lo_den == hi_den == 1 << j)  # not the windows' fallback ends
+        dyadic = ends(a, b)
+        assume(dyadic is not None)  # not the windows' fallback ends
+        lo, hi = dyadic
         gn, gd = verified._arccos_guess(a, b)
         unit = en * gd << j  # eps*gd*2^j*ed
         above, below = hi * gd - (gn << j), (gn << j) - lo * gd
@@ -306,10 +307,30 @@ class TestDyadicArccosEnds:
     def test_a_guess_off_by_about_eps_falls_back_to_the_windows(self):
         # the double guess of arccos(3508103/10^7) lies 1.27e-16 below it, so at
         # eps = 1/10^16 the dyadic upper end does not verify; this is the term
-        # at z = 3508103 of the walked count at lambda 10^7, on its finest rung
-        ends = prepare_arccos_dyadic(1, 10**16)[1](3508103, 10**7)
-        assert ends == _arccos_ends(3508103, 10**7, 1, 10**16)
+        # at z = 3508103 of the walked count at lambda 10^7, on its finest rung;
+        # the windows' ends, which the caller then takes, verify
+        assert prepare_arccos_dyadic(1, 10**16)[1](3508103, 10**7) is None
+        ends = _arccos_ends(3508103, 10**7, 1, 10**16)
         assert ends[1][1] & (ends[1][1] - 1)  # not a power of two
+
+    @given(
+        x=st.fractions(min_value=rational(1, 10**6), max_value=1, max_denominator=10**6),
+        eps=st.sampled_from([rational(1, 4)] + [rational(1, 10**k) for k in range(1, 17)]),
+    )
+    @example(x=rational(231, 11393), eps=rational(1, 10**10))  # T12 fails, T28 decides
+    @example(x=rational(3508103, 10**7), eps=rational(1, 10**16))  # the dyadic ends do not verify
+    @example(x=rational(1), eps=rational(1, 4))  # lo = 0
+    @settings(max_examples=300, deadline=None)
+    def test_flat_checks_are_the_generic_ones(self, x, eps):
+        # ends(a, b) is None exactly where _arccos_above or _arccos_below,
+        # on _cos_taylor, rejects the ends the docstring's shifts build
+        a, b, en, ed = x.numerator, x.denominator, eps.numerator, eps.denominator
+        j, ends = prepare_arccos_dyadic(en, ed)
+        guess, scale = rational(*verified._arccos_guess(a, b)), 1 << j
+        t = math.floor(eps * scale)
+        lo, hi = max(0, math.ceil(guess * scale) - t), math.floor(guess * scale) + t
+        verified_ends = _arccos_above(a, b, hi, scale) and _arccos_below(a, b, lo, scale)
+        assert ends(a, b) == ((lo, hi) if verified_ends else None)
 
     @given(n=st.sampled_from(_ABOVE_COS + _BELOW_COS), j=st.integers(3, 60), data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -10,10 +10,12 @@ and per end-to-end metric of ``BENCHMARK.json`` the median, quartiles and
 IQR of each side, the ratio of the medians and the pairs the change won.
 Each workload also records, under ``over_bound``, every metric whose
 change median is worse than the parent's by more than its bound, and the
-script prints them.  Op/s of one tree move between sessions on a shared
+script prints them; and under ``worst_pair``, each metric's change/parent
+ratio in the pair where the change did worst, of which the script prints
+peak_rss_mb's.  Op/s of one tree move between sessions on a shared
 host, so a file compares its two sides only with each other.
 
-    python3 tools/ab.py --number 31 --parent HEAD --what "what the change does"
+    python3 tools/ab.py --number 33 --parent HEAD --what "what the change does"
 
 takes about 40 minutes at the defaults (three workloads, ten 35 s pairs).
 The parent tree and the runs' result files live in a temporary directory
@@ -110,6 +112,21 @@ def over_bound(summary: dict, metrics: dict[str, dict]) -> dict[str, float]:
     return worse
 
 
+def worst_pair(runs: list[dict], metrics: dict[str, str]) -> dict[str, float]:
+    """Per metric, the change/parent ratio in the pair where the change did worst.
+
+    ``runs`` and ``metrics`` are as for :func:`summarise`: the worst pair
+    has the least ratio of a metric better "higher" and the greatest of one
+    better "lower".
+    """
+    sides = {side: {run["pair"]: run for run in runs if run["side"] == side} for side in ("parent", "change")}
+    worst = {}
+    for name, better in metrics.items():
+        ratios = [sides["change"][p][name] / sides["parent"][p][name] for p in sides["parent"]]
+        worst[name] = round(min(ratios) if better == "higher" else max(ratios), 4)
+    return worst
+
+
 def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, metrics: dict[str, dict],
             scratch: Path, faulty: list[str]) -> dict:
     """The workload's entry in the BENCH file; appends to ``faulty`` each run that is not correct or failed operations."""
@@ -128,14 +145,17 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, me
             if not outcome["correct"] or outcome["failed"]:
                 faulty.append(f"{workload} pair {pair} {side} (correct={outcome['correct']}, "
                               f"failed operations={outcome['failed']})")
-    summary = summarise(runs, {name: spec["better"] for name, spec in metrics.items()})
+    better = {name: spec["better"] for name, spec in metrics.items()}
+    summary, worst = summarise(runs, better), worst_pair(runs, better)
     worse = over_bound(summary, metrics)
     for name, ratio in worse.items():
         print(f"{workload}: {name} change median is {ratio}x the parent's, past its bound "
               f"{metrics[name]['bound']}", flush=True)
+    if "peak_rss_mb" in worst:
+        print(f"{workload}: peak_rss_mb is {worst['peak_rss_mb']}x the parent's in the change's worst pair", flush=True)
     entry = {"seed": seed, "pairs": pairs, "seconds": SECONDS, "order": ORDER,
              "failed_operations": failed, "attempted_operations": attempted,
-             "all_correct": correct, "over_bound": worse, "metrics": summary, "runs": runs}
+             "all_correct": correct, "over_bound": worse, "worst_pair": worst, "metrics": summary, "runs": runs}
     return {"end_to_end": [entry]}
 
 
