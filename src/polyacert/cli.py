@@ -16,6 +16,8 @@ times in one process; it builds its parser once.  All certificate-related
 output is exact rational text; no floats appear in it.  Only oracle and
 plotdata load the float layer (``analysis``, ``bessel`` and through it
 scipy), so the certified commands run on the standard library alone.
+scipy comes with the package's ``oracle`` extra; without it, oracle and
+plotdata print one line on stderr, before any other output, and exit 2.
 """
 from __future__ import annotations
 
@@ -284,6 +286,12 @@ def main(argv=None) -> int:
     except _TooManyDigits as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.command in ("oracle", "plotdata"):
+        try:
+            import scipy  # bessel imports it only at its first evaluation, after oracle's header
+        except ImportError:
+            print("oracle and plotdata need scipy: pip install 'polyacert[oracle]', the oracle extra", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     except UnresolvedFloorError as exc:

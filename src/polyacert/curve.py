@@ -23,18 +23,21 @@ A lower count evaluates g_lower at many abscissas for one (lam, eps), so
 once and returns the per-term core as a function of z's integer parts.
 g_lower itself is that core prepared for a single abscissa, so the two
 give the same rationals.  :func:`prepare_g_bracket` does the same for the
-two-sided bracket, which the one-shot exact floor term prepares once per
-rung of its ladder of accuracies, and g_bracket is its one-shot form.
-Each core takes the radicand lam^2 - z^2 to the verified square-root ends
-as a reduced integer pair, and the z/lam of the arccos ends as an
-unnormalised one, so no term builds a ``Fraction``.
+two-sided bracket plus a shift, which the one-shot exact floor term
+prepares once per rung of its ladder of accuracies, and g_bracket is its
+one-shot form at shift 0.  Each core takes the radicand lam^2 - z^2 to
+the verified square-root ends as a reduced integer pair, and the z/lam of
+the arccos ends as an unnormalised one, so no term builds a ``Fraction``.
 
-The hull walk's floor test prepares :func:`prepare_g_floor_ends` instead,
-which brackets G + shift: the same pi bracket, but on one scale
-2^k > 8/eps per accuracy, a root from one integer square root, which
-needs no guess, window search or squaring check, and arccos ends on 2^k
-built by shifts from the double guess, which need no window search, are
-checked on Taylor tables prescaled by 2^k and come back as bare
+Every exact floor prepares its brackets in one shape,
+``prepare(lam, shift, eps) -> ends(zn, zd)``: the integer pairs of a
+bracket of G + shift, with pi taken once, at preparation, so a pi bracket
+that does not verify makes the preparation raise.  The hull walk's floor
+test prepares :func:`prepare_g_floor_ends`: the same pi bracket, but on
+one scale 2^k > 8/eps per accuracy, a root from one integer square root,
+which needs no guess, window search or squaring check, and arccos ends on
+2^k built by shifts from the double guess, which need no window search,
+are checked on Taylor tables prescaled by 2^k and come back as bare
 numerators.  Root and arccos ends then share the denominator ld*zd*2^k,
 and pi's and the shift's integer parts are folded into three integers
 once per accuracy, so each end of G + shift is one subtraction, two
@@ -49,8 +52,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BadDimensionError, DomainError, GuessFailedError
-from .rational import as_rational, rational
+from .errors import BadDimensionError, DomainError
+from .rational import ZERO, as_rational, rational
 from .verified import (
     RationalInterval,
     _arccos_ends,
@@ -133,34 +136,34 @@ def g_bracket(lam, z, eps) -> RationalInterval:
     must clamp.  The pi lower bound is positive at every eps (see
     :func:`pi_bounds`), so the upper end is always defined.  The ends come
     from the same per-term core as the exact floor terms,
-    :func:`prepare_g_bracket`.
+    :func:`prepare_g_bracket`, with shift 0.
     """
     lam, z, eps = _g_args(lam, z, eps)
-    lo, hi = prepare_g_bracket(lam, eps)(z.numerator, z.denominator)
+    lo, hi = prepare_g_bracket(lam, ZERO, eps)(z.numerator, z.denominator)
     return RationalInterval(rational(*lo), rational(*hi))
 
 
-def prepare_g_bracket(lam: Fraction, eps: Fraction):
-    """g_bracket for one (lam, eps), prepared once: a function of z's integer parts.
+def prepare_g_bracket(lam: Fraction, shift: Fraction, eps: Fraction):
+    """g_bracket plus a shift for one (lam, shift, eps), prepared once: a function of z's integer parts.
 
     The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num, lo_den),
     (hi_num, hi_den)), both denominators positive and neither pair
-    normalised, whose quotients are the ends of g_bracket(lam, zn/zd, eps),
-    for integers zn >= 0 and zd > 0 with zn/zd <= lam.  As in
-    :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and lam's
-    integer parts are built once; each call builds only its radicand and
-    the verified ends of the root (:func:`verified._sqrt_ends`) and of the
-    arccos (:func:`verified._arccos_ends`), all on integers.  At z = 0 the
-    root is lam and the angle 0.  A pi bracket that does not verify is
-    asked for again in each call, after the ends of the root and the
-    arccos, so a call raises the error of the first of the three that
-    fails, in that order.
+    normalised, whose quotients are the ends of
+    g_bracket(lam, zn/zd, eps) + shift, for integers zn >= 0 and zd > 0
+    with zn/zd <= lam; at shift 0 they are g_bracket's own pairs.  As in
+    :func:`prepare_g_lower`, the pi bracket, the capped arccos eps and
+    lam's and the shift's integer parts are built once; each call builds
+    only its radicand and the verified ends of the root
+    (:func:`verified._sqrt_ends`) and of the arccos
+    (:func:`verified._arccos_ends`), all on integers.  At z = 0 the root
+    is lam and the angle 0.
 
-    lam > 0 and eps must be Fractions; a non-positive eps raises DomainError
-    here, from pi_bounds, with g_bracket's message.
+    lam > 0, shift and eps must be Fractions; a pi bracket that does not
+    verify raises GuessFailedError here, and a non-positive eps
+    DomainError, both from pi_bounds, before anything else is built.
     """
-    pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
-    sn, sd = eps.numerator, eps.denominator
+    pi, (en, ed), (ln, ld) = pi_bounds(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
+    (sn, sd), (shn, shd) = eps.as_integer_ratio(), shift.as_integer_ratio()
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if zn == 0:
@@ -169,18 +172,16 @@ def prepare_g_bracket(lam: Fraction, eps: Fraction):
         else:
             root_lo, root_hi = _sqrt_ends(*_radicand(ln, ld, zn, zd), sn, sd)
             angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
-        bracket = pi or pi_bounds(eps)
-        return _over_pi(*root_lo, zn, zd, *angle_hi, bracket.hi), _over_pi(*root_hi, zn, zd, *angle_lo, bracket.lo)
+        return _g_ends_plus(root_lo, root_hi, zn, zd, angle_lo, angle_hi, pi, shn, shd)
 
     return ends
 
 
-def _pi_or_none(eps: Fraction) -> RationalInterval | None:
-    """pi_bounds(eps), or None if it does not verify, for a prepared bracket to ask again per call."""
-    try:
-        return pi_bounds(eps)
-    except GuessFailedError:
-        return None
+def _g_ends_plus(root_lo, root_hi, zn: int, zd: int, angle_lo, angle_hi, pi: RationalInterval, sn: int, sd: int):
+    """(root_lo - z*angle_hi)/pi_hi and (root_hi - z*angle_lo)/pi_lo, each plus sn/sd, as unnormalised integer pairs."""
+    lo_n, lo_d = _over_pi(*root_lo, zn, zd, *angle_hi, pi.hi)
+    hi_n, hi_d = _over_pi(*root_hi, zn, zd, *angle_lo, pi.lo)
+    return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
 
 
 def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
@@ -189,7 +190,7 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num,
     lo_den), (hi_num, hi_den)), not normalised, of a bracket of
     G(lam, zn/zd) + shift, for integers zn >= 0 and zd > 0 with
-    zn/zd <= lam, with prepare_g_bracket's pi bracket and order of errors.
+    zn/zd <= lam, with prepare_g_bracket's pi bracket, taken here.
     With 2^k > 8/eps for the capped arccos eps, n = ln^2*zd^2 - zn^2*ld^2
     and D = ld*zd*2^k, the root sqrt(n)/(ld*zd) lies in [r, r + 1]/D for
     r = isqrt(n * 4^k), and is r/D itself when r^2 = n*4^k: the floor
@@ -202,15 +203,14 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     with pi's and the shift's integer parts folded in once: for the lower
     end A_hi, P = pi_hi_den*shift_den, Q = pi_hi_num*shift_num and
     R = pi_hi_num*shift_den, and the upper end alike.  On the windows'
-    fallback ends and where pi does not verify, the ends are
-    :func:`_over_pi`'s plus the shift, the same rationals.  Each end of G
-    lies inside its counterpart's in prepare_g_bracket, so the bracket lies
-    inside g_bracket's plus the shift at the same eps.
+    fallback ends, the ends are prepare_g_bracket's formula on the same
+    isqrt root, the same rationals.  Each end of G lies inside its
+    counterpart's in prepare_g_bracket, so the bracket lies inside
+    g_bracket's plus the shift at the same eps.
     """
-    pi, (en, ed), (ln, ld) = _pi_or_none(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
+    pi, (en, ed), (ln, ld) = pi_bounds(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
     (k, arccos), ln2, ld2, (sn, sd) = prepare_arccos_dyadic(en, ed), ln * ln, ld * ld, shift.as_integer_ratio()
-    # with pi unverified these are unused: each call asks for pi again, after the arccos ends
-    (pl_n, pl_d), (ph_n, ph_d) = (pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()) if pi else ((1, 1), (1, 1))
+    (pl_n, pl_d), (ph_n, ph_d) = pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()
     lo_p, lo_q, lo_r = ph_d * sd, ph_n * sn, ph_n * sd  # the lower end takes pi's upper end
     hi_p, hi_q, hi_r = pl_d * sd, pl_n * sn, pl_n * sd
 
@@ -220,17 +220,11 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
         r_hi = r if r * r == scaled else r + 1
         x = zn * ld
         angle = arccos(x, zd * ln) if x else (0, 0)
-        if angle and pi:
+        if angle:
             a_lo, a_hi = angle
             return ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
-        # where pi did not verify, the windows' ends verify wherever the
-        # dyadic ones did, so the arccos's error still comes before pi's
-        angle_lo, angle_hi = _arccos_ends(x, zd * ln, en, ed) if x else ((0, 1), (0, 1))
-        bracket = pi or pi_bounds(eps)
-        (lo_n, lo_d), (hi_n, hi_d) = _over_pi(r, den, zn, zd, *angle_hi, bracket.hi), _over_pi(
-            r_hi, den, zn, zd, *angle_lo, bracket.lo
-        )
-        return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
+        angle_lo, angle_hi = _arccos_ends(x, zd * ln, en, ed)
+        return _g_ends_plus((r, den), (r_hi, den), zn, zd, angle_lo, angle_hi, pi, sn, sd)
 
     return ends
 

@@ -39,10 +39,12 @@ on a power of two, and tests points on the columns' integer parts: that
 bracket is of G + shift, each end one integer pair over one denominator,
 floored by integer division.  The term-by-term sums call
 ``certified_floor_term`` for each term, with
-:func:`curve.prepare_g_bracket`'s brackets plus the shift, whose root and
+:func:`curve.prepare_g_bracket`'s brackets of G + shift, whose root and
 arccos ends come from a shortest-rational search; the walk's bracket lies
 inside that one at every rung, so the one-shot route is the walk's
-independent reference.
+independent reference.  Both preparers take (lam, shift, eps) and pi at
+preparation, and a rung whose preparation raises is passed over like one
+whose bracket does.
 Three routes keep their own summation, because the tests compare the walk
 against them: the double-precision ``analysis.count_weighted_oracle`` and
 ``analysis.sector_lattice_bound_oracle``, and
@@ -117,9 +119,9 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     and the result is floor(shift), with no bracketing needed; lam < 0 and
     eps <= 0 raise DomainError before that, and z < 0 after it, which
     leaves 0 <= z < lam.  eps is otherwise unused: the floor is exact.
-    Each rung's bracket comes from :func:`curve.prepare_g_bracket`, plus
-    the shift, so this is the independent reference of the hull walk's
-    point test, :func:`prepare_floor_term`.
+    Each rung's bracket of G + shift comes from
+    :func:`curve.prepare_g_bracket`, so this is the independent reference
+    of the hull walk's point test, :func:`prepare_floor_term`.
     """
     lam = as_rational(lam)
     z = as_rational(z)
@@ -131,18 +133,7 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
         return rat_floor(shift)
     if z.numerator < 0:
         raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
-    return _floor_ladder(lam, shift, _g_bracket_plus)(z.numerator, z.denominator)
-
-
-def _g_bracket_plus(lam: Fraction, shift: Fraction, eps: Fraction):
-    """prepare_g_bracket(lam, eps)'s ends plus the shift: the one-shot floor term's bracket of G + shift."""
-    ends, (sn, sd) = prepare_g_bracket(lam, eps), shift.as_integer_ratio()
-
-    def plus(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        (lo_n, lo_d), (hi_n, hi_d) = ends(zn, zd)
-        return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
-
-    return plus
+    return _floor_ladder(lam, shift, prepare_g_bracket)(z.numerator, z.denominator)
 
 
 def _check_eps(eps) -> None:
@@ -174,10 +165,11 @@ def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
     once per rung, on its first use: its prepared ends.  zn >= 0 and
     zd > 0 need not be normalised; the abscissa of an UnresolvedFloorError
     is.  The rungs are tried once each, from the start rung to the finest,
-    passing over one whose bracket does not verify.  A point that no rung
-    decides raises UnresolvedFloorError with the finest verified bracket
-    of G + shift (None if none verified) and the accuracies tried, from
-    the first GuessFailedError, if any.
+    passing over one whose preparation or bracket raises GuessFailedError;
+    a rung whose preparation raised is prepared again on its next use.  A
+    point that no rung decides raises UnresolvedFloorError with the finest
+    verified bracket of G + shift (None if none verified) and the
+    accuracies tried, from the first GuessFailedError, if any.
     """
     ln, ld = lam.numerator, lam.denominator
     past_lam = shift.numerator // shift.denominator  # floor(shift), the term at z >= lam
@@ -189,10 +181,10 @@ def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
             return past_lam
         failed = finest = None
         for rung in tries:
-            ends = rungs[rung]
-            if ends is None:
-                ends = rungs[rung] = prepare_ends(lam, shift, _ACCURACIES[rung])
             try:
+                ends = rungs[rung]
+                if ends is None:
+                    ends = rungs[rung] = prepare_ends(lam, shift, _ACCURACIES[rung])
                 bracket = ends(zn, zd)
             except GuessFailedError as exc:
                 failed = failed or exc

@@ -115,3 +115,26 @@ def test_worst_pair_of_fixed_runs(monkeypatch, tmp_path, capsys):
     assert entry["over_bound"] == {}
     assert "worst_pair" not in entry["metrics"]
     assert "large_lambda: peak_rss_mb is 1.044x the parent's in the change's worst pair" in capsys.readouterr().out
+
+
+def test_each_seed_writes_its_own_entry(monkeypatch, tmp_path):
+    # two seeds of two pairs each: the change reads 110 op/s at seed 0 and
+    # 130 at seed 1 against the parent's 100, so each entry summarises the
+    # runs of its own seed alone
+    def run_once(tree, workload, seed, out):
+        ops = 100 if out.name.endswith("parent") else 110 + 20 * seed
+        return {"values": {"ops_per_s": ops, "peak_rss_mb": 20}, "correct": True, "attempted": 10, "failed": 0}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export_tree", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(ab, "same_perfbench", lambda commit: True)
+    argv = ["--number", "0", "--what", "fixed runs", "--pairs", "2", "--seed", "0", "--seed", "1"]
+    assert ab.main(argv + ["--workload", "large_lambda", "--workload", "exact_sweep"]) == 0
+    workloads = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]
+    assert list(workloads) == ["large_lambda", "exact_sweep"]
+    for entries in workloads.values():
+        assert [(entry["seed"], entry["pairs"], len(entry["runs"])) for entry in entries["end_to_end"]] == [
+            (0, 2, 4), (1, 2, 4)]
+        assert [entry["metrics"]["ops_per_s"]["change_over_parent"] for entry in entries["end_to_end"]] == [1.1, 1.3]

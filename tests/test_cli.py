@@ -597,6 +597,16 @@ print(sorted({'polyacert.analysis', 'polyacert.bessel', 'scipy', 'numpy'} & set(
     assert proc.stdout.splitlines() == ["[]"] * 2
 
 
+@pytest.mark.parametrize("argv", [("oracle", "--lambda-max", "2"), ("plotdata", "--stop", "2")],
+                         ids=["oracle", "plotdata"])
+def test_the_float_commands_without_scipy_exit_2_before_any_output(capsys, monkeypatch, argv):
+    # scipy comes with the oracle extra; hidden, it cannot be imported
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "oracle extra" in err and "Traceback" not in err
+
+
 class TestOracleCommand:
     def test_comparisons_hold(self, capsys):
         code, out, _ = run(capsys, "oracle", "--d", "2", "--lambda-max", "6")

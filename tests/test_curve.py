@@ -150,6 +150,28 @@ class TestCertifiedBrackets:
         assert rational_to_mpf(bracket.lo) <= true + pad
         assert rational_to_mpf(bracket.hi) >= true - pad
 
+    @given(
+        lam=st.fractions(min_value=rational(1, 50), max_value=2000, max_denominator=100),
+        t=st.fractions(min_value=0, max_value=1, max_denominator=200),
+        exponent=st.integers(0, 14),
+        shift=st.sampled_from([rational(0), rational(1, 4), rational(3, 4)]),
+    )
+    @example(lam=rational(7, 3), t=rational(0), exponent=3, shift=rational(3, 4))  # z = 0: no root, no arccos
+    @example(lam=rational(7, 3), t=rational(1), exponent=3, shift=rational(1, 4))  # z = lam: root 0, arccos 0
+    @example(lam=rational(5), t=rational(3, 5), exponent=3, shift=rational(0))  # an exact root, 5^2 - 3^2 = 4^2
+    @settings(max_examples=300, deadline=None)
+    def test_prepared_bracket_is_g_bracket_plus_the_shift(self, lam, t, exponent, shift):
+        z, eps = lam * t, rational(1, 10**exponent)
+        ends = curve.prepare_g_bracket(lam, shift, eps)
+        try:
+            bracket = g_bracket(lam, z, eps)
+        except GuessFailedError:
+            with pytest.raises(GuessFailedError):
+                ends(z.numerator, z.denominator)
+            return
+        lo, hi = ends(z.numerator, z.denominator)
+        assert (rational(*lo), rational(*hi)) == (bracket.lo + shift, bracket.hi + shift)
+
 
 class TestOneSidedLowerEnd:
     """g_lower is g_bracket's lower end, built from the three ends it uses and no others."""
@@ -189,15 +211,14 @@ class TestOneSidedLowerEnd:
         with pytest.raises(GuessFailedError):
             g_bracket(lam, z, eps)
 
-    def test_an_unverifiable_pi_bracket_fails_after_the_arccos_end(self):
+    def test_an_unverifiable_pi_bracket_fails_at_preparation(self):
         # at eps = 1e-18 neither arccos(1/3) nor pi = 3*arccos(1/2) verifies:
-        # the prepared bracket builds pi once, but raises its error only
-        # after the root's and the arccos's ends, as at z = 0
+        # the bracket takes pi once, when it is prepared, so pi's error comes
+        # first, at z = 1 as at z = 0
         eps = rational(1, 10**18)
-        with pytest.raises(GuessFailedError, match="arccos bracket for 1/3 failed"):
-            g_bracket(3, 1, eps)
-        with pytest.raises(GuessFailedError, match="arccos bracket for 1/2 failed"):
-            g_bracket(3, 0, eps)
+        for z in (1, 0):
+            with pytest.raises(GuessFailedError, match=f"pi bracket at eps {eps} failed to verify"):
+                g_bracket(3, z, eps)
 
     @pytest.mark.parametrize("lam, z, eps", [
         (3, 4, DEFAULT_EPS), (0, 0, DEFAULT_EPS), (3, "-1/2", DEFAULT_EPS), (3, 1, 0), (3, 0, "-1/10"),
@@ -312,9 +333,9 @@ class TestIntegerRoots:
         for lam in (rational(5), rational(13), rational(5, 2), rational(15, 2), rational(40, 3), rational(1003, 7)):
             grid = [(zn, zd) for zd in (1, 2, 3) for zn in range(lam.numerator * zd // lam.denominator + 1)]
             for eps in (DEFAULT_EPS, rational(1, 10**9), rational(1, 3), rational(7, 3)):
-                for prepare in (curve.prepare_g_lower, curve.prepare_g_bracket):
-                    cases.append((prepare(lam, eps), grid))
-                cases.append((curve.prepare_g_floor_ends(lam, rational(3, 4), eps), grid))
+                cases.append((curve.prepare_g_lower(lam, eps), grid))
+                for prepare in (curve.prepare_g_bracket, curve.prepare_g_floor_ends):
+                    cases.append((prepare(lam, rational(3, 4), eps), grid))
         real = Fraction.__new__
         built = []
 

@@ -35,15 +35,15 @@ N = BoundKind.NEUMANN
 
 
 def _bracket_seam(monkeypatch, bracket):
-    """Give every floor test its brackets from bracket(lam, z, eps) -> RationalInterval.
+    """Give every floor test its brackets from bracket(lam, z, eps) -> RationalInterval, plus the shift.
 
-    The floor tests take their brackets once per rung, the walk's through
-    lattice.prepare_g_floor_ends, which brackets G + shift, and the one-shot
-    certified_floor_term's through lattice.prepare_g_bracket, which brackets
-    G; this routes both builders to bracket, the walk's plus the shift.
+    The floor tests take their brackets of G + shift once per rung, the
+    walk's through lattice.prepare_g_floor_ends and the one-shot
+    certified_floor_term's through lattice.prepare_g_bracket, both
+    prepare(lam, shift, eps); this routes both builders to bracket.
     """
 
-    def prepare(lam, eps, shift=0):
+    def prepare(lam, shift, eps):
         def ends(zn, zd):
             b = bracket(lam, rational(zn, zd), eps)
             return (b.lo + shift).as_integer_ratio(), (b.hi + shift).as_integer_ratio()
@@ -51,7 +51,7 @@ def _bracket_seam(monkeypatch, bracket):
         return ends
 
     monkeypatch.setattr(lattice, "prepare_g_bracket", prepare)
-    monkeypatch.setattr(lattice, "prepare_g_floor_ends", lambda lam, shift, eps: prepare(lam, eps, shift))
+    monkeypatch.setattr(lattice, "prepare_g_floor_ends", prepare)
 
 
 def _windows_arccos(en, ed):
@@ -342,6 +342,38 @@ class TestFloorGiveUp:
         assert info.value.interval == (1 - finest, 1 + finest)
         assert info.value.__cause__ is raised[0]
         assert len(raised) == len(lattice._ACCURACIES) - 10
+
+    @pytest.mark.parametrize("route", ["one-shot", "term-by-term", "walked"])
+    def test_a_rung_whose_preparation_fails_is_passed_over_and_prepared_again(self, monkeypatch, route):
+        # the start rung's preparation raises, as a pi bracket that does not
+        # verify would: every floor test passes over it, with the same
+        # count, and asks for it again
+        lam = rational(37, 4)
+        count = {
+            "one-shot": lambda: [certified_floor_term(lam, rational(m), N.shift) for m in range(10)],
+            "term-by-term": lambda: count_weighted(2, N, lam).value,
+            "walked": lambda: lattice._convex_floor_sum(lam, rational(1), N.shift),
+        }[route]
+        expected = count()
+        start = lattice._ACCURACIES[lattice._start_rung(lam)]
+        failed, tests = [], []
+
+        def failing_at_the_start(real):
+            def prepare(lam, shift, accuracy):
+                if accuracy == start:
+                    failed.append(accuracy)
+                    raise GuessFailedError(f"no bracket at {accuracy}")
+                return real(lam, shift, accuracy)
+
+            return prepare
+
+        for name in ("prepare_g_bracket", "prepare_g_floor_ends"):
+            monkeypatch.setattr(lattice, name, failing_at_the_start(getattr(lattice, name)))
+        _watch_floor_tests(monkeypatch, tests)
+        assert count() == expected
+        # one failed preparation per floor test: each of the ten columns
+        # below lam term by term, and each point the walk tests
+        assert len(failed) == (len(tests) if route == "walked" else 10) > 1
 
     def test_pi_verifies_on_every_rung_and_not_past_the_finest(self):
         # every bracket needs pi, so a rung finer than 1/10^16 could only fail:

@@ -2,13 +2,14 @@
 
 Runs ``perfbench/run.py``, unchanged, on two trees: the parent commit,
 exported with ``git archive`` into a temporary directory, and the working
-tree.  Each workload runs in alternating pairs of untraced runs at one
+tree.  Each workload runs in alternating pairs of untraced runs at each
 seed: odd pairs run the parent first, even pairs the change first, so
 that a slow drift of the host's speed falls on both sides alike.  The
-result has the layout of the earlier ``BENCH_*.json`` files: every run,
-and per end-to-end metric of ``BENCHMARK.json`` the median, quartiles and
-IQR of each side, the ratio of the medians and the pairs the change won.
-Each workload also records, under ``over_bound``, every metric whose
+result has the layout of the earlier ``BENCH_*.json`` files, with one
+``end_to_end`` entry per workload and seed: every run, and per end-to-end
+metric of ``BENCHMARK.json`` the median, quartiles and IQR of each side,
+the ratio of the medians and the pairs the change won.
+Each entry also records, under ``over_bound``, every metric whose
 change median is worse than the parent's by more than its bound, and the
 script prints them; and under ``worst_pair``, each metric's change/parent
 ratio in the pair where the change did worst, of which the script prints
@@ -17,7 +18,10 @@ host, so a file compares its two sides only with each other.
 
     python3 tools/ab.py --number 33 --parent HEAD --what "what the change does"
 
-takes about 40 minutes at the defaults (three workloads, ten 35 s pairs).
+takes about 40 minutes at the defaults (three workloads, ten 35 s pairs
+at seed 0).  ``--seed`` is repeatable, and each seed runs ``--pairs``
+pairs of its own: ``--seed 0 --seed 1`` writes each workload's seed-0
+entry and then its seed-1 entry.
 The parent tree and the runs' result files live in a temporary directory
 that is removed at the end.  The file is written either way, but the
 script exits 1, naming the runs, if any run is not correct or has failed
@@ -73,6 +77,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def by_side(runs: list[dict]) -> dict[str, dict[int, dict]]:
+    """The runs of each side, "parent" and "change", by pair."""
+    return {side: {run["pair"]: run for run in runs if run["side"] == side} for side in ("parent", "change")}
+
+
 def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
     """Per metric: each side's median, q1, q3 and IQR, the ratio of the medians and the pairs the change won.
 
@@ -80,7 +89,7 @@ def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
     pair; ``metrics`` maps each metric to its better direction, "higher" or
     "lower".  A pair is won when the change's value is strictly better.
     """
-    sides = {side: {run["pair"]: run for run in runs if run["side"] == side} for side in ("parent", "change")}
+    sides = by_side(runs)
     summary = {}
     for name, better in metrics.items():
         entry = {}
@@ -119,7 +128,7 @@ def worst_pair(runs: list[dict], metrics: dict[str, str]) -> dict[str, float]:
     has the least ratio of a metric better "higher" and the greatest of one
     better "lower".
     """
-    sides = {side: {run["pair"]: run for run in runs if run["side"] == side} for side in ("parent", "change")}
+    sides = by_side(runs)
     worst = {}
     for name, better in metrics.items():
         ratios = [sides["change"][p][name] / sides["parent"][p][name] for p in sides["parent"]]
@@ -129,30 +138,35 @@ def worst_pair(runs: list[dict], metrics: dict[str, str]) -> dict[str, float]:
 
 def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, metrics: dict[str, dict],
             scratch: Path, faulty: list[str]) -> dict:
-    """The workload's entry in the BENCH file; appends to ``faulty`` each run that is not correct or failed operations."""
+    """The workload's entry in the BENCH file at one seed.
+
+    Appends to ``faulty`` each run that is not correct or failed operations.
+    """
     runs, correct = [], True
     failed, attempted = {"parent": 0, "change": 0}, {"parent": 0, "change": 0}
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             tree = parent if side == "parent" else change
-            outcome = run_once(tree, workload, seed, scratch / "results" / f"{workload}-{pair}-{side}")
-            print(f"{workload} pair {pair} {side}: {outcome['values']} correct={outcome['correct']}", flush=True)
+            outcome = run_once(tree, workload, seed, scratch / "results" / f"{workload}-seed{seed}-{pair}-{side}")
+            print(f"{workload} seed {seed} pair {pair} {side}: {outcome['values']} correct={outcome['correct']}",
+                  flush=True)
             runs.append({"pair": pair, "side": side, **{k: round(v, 4) for k, v in outcome["values"].items()}})
             failed[side] += outcome["failed"]
             attempted[side] += outcome["attempted"]
             correct &= outcome["correct"]
             if not outcome["correct"] or outcome["failed"]:
                 faulty.append(f"{workload} pair {pair} {side} (correct={outcome['correct']}, "
-                              f"failed operations={outcome['failed']})")
+                              f"failed operations={outcome['failed']}) at seed {seed}")
     better = {name: spec["better"] for name, spec in metrics.items()}
     summary, worst = summarise(runs, better), worst_pair(runs, better)
     worse = over_bound(summary, metrics)
     for name, ratio in worse.items():
         print(f"{workload}: {name} change median is {ratio}x the parent's, past its bound "
-              f"{metrics[name]['bound']}", flush=True)
+              f"{metrics[name]['bound']}, at seed {seed}", flush=True)
     if "peak_rss_mb" in worst:
-        print(f"{workload}: peak_rss_mb is {worst['peak_rss_mb']}x the parent's in the change's worst pair", flush=True)
+        print(f"{workload}: peak_rss_mb is {worst['peak_rss_mb']}x the parent's in the change's worst pair "
+              f"at seed {seed}", flush=True)
     entry = {"seed": seed, "pairs": pairs, "seconds": SECONDS, "order": ORDER,
              "failed_operations": failed, "attempted_operations": attempted,
              "all_correct": correct, "over_bound": worse, "worst_pair": worst, "metrics": summary, "runs": runs}
@@ -165,7 +179,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
     parser.add_argument("--what", required=True, help="the file's description of the comparison and the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a seed to run --pairs pairs at, each with its own entry (repeatable; default 0)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (repeatable; default all three)")
     args = parser.parse_args(argv)
@@ -179,8 +194,11 @@ def main(argv=None) -> int:
         parent = Path(scratch) / "parent"
         parent.mkdir()
         commit = export_tree(args.parent, parent)
-        workloads = {workload: compare(parent, ROOT, workload, args.pairs, args.seed, metrics, Path(scratch), faulty)
-                     for workload in args.workload or WORKLOADS}
+        workloads = {}
+        for workload in args.workload or WORKLOADS:
+            for seed in args.seed or [0]:
+                entry = compare(parent, ROOT, workload, args.pairs, seed, metrics, Path(scratch), faulty)
+                workloads.setdefault(workload, {"end_to_end": []})["end_to_end"] += entry["end_to_end"]
     bench = {
         "what": args.what,
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
