@@ -38,11 +38,12 @@ one scale 2^k > 8/eps per accuracy, a root from one integer square root,
 which needs no guess, window search or squaring check, and arccos ends on
 2^k built by shifts from the double guess, which need no window search,
 are checked on Taylor tables prescaled by 2^k and come back as bare
-numerators.  Root and arccos ends then share the denominator ld*zd*2^k,
-and pi's and the shift's integer parts are folded into three integers
-once per accuracy, so each end of G + shift is one subtraction, two
-products and a sum over one denominator, which the walk floors by
-integer division.  The walk's bracket lies inside g_bracket's plus the
+numerators, or None, and then the walk takes the reference bracket,
+prepare_g_bracket's at the same accuracy.  Root and arccos ends on 2^k
+share the denominator ld*zd*2^k, and pi's and the shift's integer parts
+are folded into three integers once per accuracy, so each end of
+G + shift is one subtraction, two products and a sum over one
+denominator, which the walk floors by integer division.  The walk's bracket lies inside g_bracket's plus the
 shift, so the one-shot floor term on g_bracket's rationals is an
 independent check of the walk.
 """
@@ -172,16 +173,11 @@ def prepare_g_bracket(lam: Fraction, shift: Fraction, eps: Fraction):
         else:
             root_lo, root_hi = _sqrt_ends(*_radicand(ln, ld, zn, zd), sn, sd)
             angle_lo, angle_hi = _arccos_ends(zn * ld, zd * ln, en, ed)
-        return _g_ends_plus(root_lo, root_hi, zn, zd, angle_lo, angle_hi, pi, shn, shd)
+        lo_n, lo_d = _over_pi(*root_lo, zn, zd, *angle_hi, pi.hi)
+        hi_n, hi_d = _over_pi(*root_hi, zn, zd, *angle_lo, pi.lo)
+        return (lo_n * shd + shn * lo_d, lo_d * shd), (hi_n * shd + shn * hi_d, hi_d * shd)
 
     return ends
-
-
-def _g_ends_plus(root_lo, root_hi, zn: int, zd: int, angle_lo, angle_hi, pi: RationalInterval, sn: int, sd: int):
-    """(root_lo - z*angle_hi)/pi_hi and (root_hi - z*angle_lo)/pi_lo, each plus sn/sd, as unnormalised integer pairs."""
-    lo_n, lo_d = _over_pi(*root_lo, zn, zd, *angle_hi, pi.hi)
-    hi_n, hi_d = _over_pi(*root_hi, zn, zd, *angle_lo, pi.lo)
-    return (lo_n * sd + sn * lo_d, lo_d * sd), (hi_n * sd + sn * hi_d, hi_d * sd)
 
 
 def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
@@ -202,10 +198,10 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     each end of G + shift is (r - x*A)*P + D*Q over D*R for x = zn*ld,
     with pi's and the shift's integer parts folded in once: for the lower
     end A_hi, P = pi_hi_den*shift_den, Q = pi_hi_num*shift_num and
-    R = pi_hi_num*shift_den, and the upper end alike.  On the windows'
-    fallback ends, the ends are prepare_g_bracket's formula on the same
-    isqrt root, the same rationals.  Each end of G lies inside its
-    counterpart's in prepare_g_bracket, so the bracket lies inside
+    R = pi_hi_num*shift_den, and the upper end alike.  Where they come
+    back None, the ends are those of prepare_g_bracket(lam, shift, eps),
+    the reference bracket, prepared here too.  Each end of G lies inside
+    its counterpart's in prepare_g_bracket, so the bracket lies inside
     g_bracket's plus the shift at the same eps.
     """
     pi, (en, ed), (ln, ld) = pi_bounds(eps), _arccos_eps(eps).as_integer_ratio(), lam.as_integer_ratio()
@@ -213,18 +209,18 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     (pl_n, pl_d), (ph_n, ph_d) = pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()
     lo_p, lo_q, lo_r = ph_d * sd, ph_n * sn, ph_n * sd  # the lower end takes pi's upper end
     hi_p, hi_q, hi_r = pl_d * sd, pl_n * sn, pl_n * sd
+    reference = prepare_g_bracket(lam, shift, eps)
 
     def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        x = zn * ld
+        angle = arccos(x, zd * ln) if x else (0, 0)
+        if angle is None:
+            return reference(zn, zd)
+        a_lo, a_hi = angle
         scaled, den = (ln2 * zd * zd - zn * zn * ld2) << 2 * k, ld * zd << k
         r = math.isqrt(scaled)
         r_hi = r if r * r == scaled else r + 1
-        x = zn * ld
-        angle = arccos(x, zd * ln) if x else (0, 0)
-        if angle:
-            a_lo, a_hi = angle
-            return ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
-        angle_lo, angle_hi = _arccos_ends(x, zd * ln, en, ed)
-        return _g_ends_plus((r, den), (r_hi, den), zn, zd, angle_lo, angle_hi, pi, sn, sd)
+        return ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
 
     return ends
 

@@ -29,13 +29,15 @@ proof is one exact Taylor check of cos at min(pi_lo*s, 4), with pi_lo the
 lower end of pi at 1/10^9, which needs no guess and never raises.  Every floor
 test refines on one ladder of accuracies 1/10^r, r = 0 .. 16
 (``_ACCURACIES``), from a start rung worked out from lambda alone on
-integers (``_start_rung``) to the finest.  No exact count depends on
-eps: each public one raises DomainError for eps <= 0 on entry, even for
-an empty sum, and otherwise ignores it.  The walk
+integers (``_start_rung``) to the finest, and gives floor(shift) at
+z >= lambda.  No exact count depends on eps: every public count enters
+through ``_checked_lam``, which raises DomainError for lambda < 0, then
+for eps <= 0, even for an empty sum; eps is otherwise ignored.  The walk
 prepares its floor test once per sum (:func:`prepare_floor_term`), each
 rung's bracket on its first use by :func:`curve.prepare_g_floor_ends`,
 whose root comes from one integer square root and whose arccos ends lie
-on a power of two, and tests points on the columns' integer parts: that
+on a power of two (where those do not verify, it is the one-shot
+route's), and tests points on the columns' integer parts: that
 bracket is of G + shift, each end one integer pair over one denominator,
 floored by integer division.  The term-by-term sums call
 ``certified_floor_term`` for each term, with
@@ -116,30 +118,28 @@ def certified_floor_term(lam, z, shift, eps=DEFAULT_EPS) -> int:
     _start_rung(lam) to the finest, until both ends land in the same
     unit interval; a term that no rung decides raises UnresolvedFloorError
     rather than being guessed.  For z >= lam the curve vanishes identically
-    and the result is floor(shift), with no bracketing needed; lam < 0 and
-    eps <= 0 raise DomainError before that, and z < 0 after it, which
-    leaves 0 <= z < lam.  eps is otherwise unused: the floor is exact.
+    and the ladder returns floor(shift), with no bracketing needed.
+    _checked_lam raises DomainError for lam < 0 and eps <= 0 on entry, and
+    z < 0 raises it next.  eps is otherwise unused: the floor is exact.
     Each rung's bracket of G + shift comes from
     :func:`curve.prepare_g_bracket`, so this is the independent reference
     of the hull walk's point test, :func:`prepare_floor_term`.
     """
-    lam = as_rational(lam)
-    z = as_rational(z)
-    shift = as_rational(shift)
-    if lam.numerator < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    _check_eps(eps)
-    if z >= lam:
-        return rat_floor(shift)
+    lam = _checked_lam(lam, eps)
+    z, shift = as_rational(z), as_rational(shift)
     if z.numerator < 0:
         raise DomainError(f"z must lie in [0, lam], got z={z}, lam={lam}")
     return _floor_ladder(lam, shift, prepare_g_bracket)(z.numerator, z.denominator)
 
 
-def _check_eps(eps) -> None:
-    """The exact counts' one use of eps: DomainError unless it is positive."""
+def _checked_lam(lam, eps) -> Fraction:
+    """lam as a Fraction, the counts' one entry check: DomainError unless lam >= 0, then unless eps > 0."""
+    lam = as_rational(lam)
+    if lam.numerator < 0:
+        raise DomainError(f"lam must be non-negative, got {lam}")
     if as_rational(eps).numerator <= 0:
         raise DomainError("eps must be positive")
+    return lam
 
 
 def prepare_floor_term(lam: Fraction, shift: Fraction):
@@ -388,10 +388,7 @@ def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult
     undecided term raises UnresolvedFloorError.  eps is only checked.
     """
     _validate_count_args(d, kind)
-    lam = as_rational(lam)
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    _check_eps(eps)
+    lam = _checked_lam(lam, eps)
     return CountResult(_column_sum(lam, ONE, kind.shift, d), Rigor.CERTIFIED_EXACT)
 
 
@@ -410,11 +407,10 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
     negative per-term floors are clamped at zero.  The result never exceeds
     the true count, for any eps.  The bound is g_lower, prepared once per
     sum (see _lower_term), so the count is the same integer as the sum of
-    the clamped floors of g_lower term by term.
+    the clamped floors of g_lower term by term.  A bad lam or eps raises
+    DomainError on entry, at lam = 0 too.
     """
-    lam = as_rational(lam)
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
+    lam = _checked_lam(lam, eps)
     if lam == 0:  # the one term lies at z = lam, where it is floor(3/4)
         return CountResult(0, Rigor.CERTIFIED_LOWER)
     top = _columns(lam, ONE, 2)[3]  # column m lies at z = m
@@ -424,9 +420,9 @@ def count_neumann2_certified_lower(lam, eps=DEFAULT_EPS) -> CountResult:
 def _lower_term(lam: Fraction, eps):
     """term(m) = kappa(2, m) * max(0, floor(g_lower(lam, m, eps) + 3/4)) for lam > 0.
 
-    Term 0 is g_lower(lam, 0, eps) = lam/pi_hi itself, which also checks eps
-    once for the whole sum.  The other terms share one prepare_g_lower and
-    floor its integer parts; the term at z = lam is floor(3/4) = 0.
+    Term 0 is g_lower(lam, 0, eps) = lam/pi_hi itself.  The other terms
+    share one prepare_g_lower and floor its integer parts; the term at
+    z = lam is floor(3/4) = 0.
     """
     first = g_lower(lam, ZERO, eps)
     parts = prepare_g_lower(lam, as_rational(eps))
@@ -455,10 +451,7 @@ def count_dirichlet_dim_reduction(d: int, lam, eps=DEFAULT_EPS) -> CountResult:
     """
     if d < 3:
         raise BadDimensionError(f"dimension reduction needs d >= 3, got {d}")
-    lam = as_rational(lam)
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    _check_eps(eps)
+    lam = _checked_lam(lam, eps)
     z_num, z_add, z_den, top = _columns(lam, ONE, d)
     shift = BoundKind.DIRICHLET.shift
     total = after = 0  # after: the sum of f over the columns past m
@@ -487,10 +480,7 @@ def sector_lattice_bound(kind: BoundKind, alpha_over_pi, lam, eps=DEFAULT_EPS) -
     a = as_rational(alpha_over_pi)
     if not 0 < a <= 2:
         raise DomainError(f"aperture/pi must lie in (0, 2], got {a}")
-    lam = as_rational(lam)
-    if lam < 0:
-        raise DomainError(f"lam must be non-negative, got {lam}")
-    _check_eps(eps)
+    lam = _checked_lam(lam, eps)
     start = 1 if kind is BoundKind.DIRICHLET else 0
     return CountResult(_column_sum(lam, a, kind.shift, start=start), Rigor.CERTIFIED_EXACT)
 

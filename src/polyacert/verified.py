@@ -34,7 +34,7 @@ the guess and so inside the windows' bracket, with no search and no
 division, and checks them on Taylor coefficients prescaled by 2^j once
 per process (:func:`_taylor_tables`), one multiply-add a Horner step.
 They come back as bare numerators over 2^j, or as None where they do not
-verify, and the caller then takes the windows'.
+verify, and the caller then takes the reference bracket, on the windows'.
 
 Guesses, windows and checks work on integers, and ``Fraction``s are built
 only at the edge.  :func:`_window_below` and :func:`_window_above` take the
@@ -305,8 +305,9 @@ def prepare_arccos_dyadic(en: int, ed: int):
     :func:`curve.prepare_g_floor_ends` takes its root on the same scale.
     For 0 < a <= b and eps in (0, 1/4], as for _arccos_ends, ``ends(a, b)``
     returns the integers (lo, hi) with lo/2^j <= arccos(a/b) <= hi/2^j, or
-    None where an end does not verify; the caller then takes
-    _arccos_ends's, whose windows leave the guess more room.
+    None where an end does not verify; the caller then takes the
+    reference bracket, on _arccos_ends's, whose windows leave the guess
+    more room.
     The guess g = gn/2^e is a double, so its denominator is a power of
     two, and the ends are built from it by shifts, with t = floor(eps*2^j)
     taken once: hi = floor(g*2^j) + t and lo = max(0, ceil(g*2^j) - t).

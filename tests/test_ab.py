@@ -62,7 +62,7 @@ def test_peak_rss_past_its_bound_is_recorded_outside_the_metrics(monkeypatch, tm
     outcome = {"values": {"ops_per_s": 101, "peak_rss_mb": 21.12}, "correct": True, "attempted": 10, "failed": 0}
     _fixed_runs(monkeypatch, {(pair, "change"): outcome for pair in range(1, 5)})
     faulty = []
-    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, faulty)["end_to_end"][0]
+    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, faulty)
     assert entry["over_bound"] == {"peak_rss_mb": 1.056}
     assert entry["metrics"]["peak_rss_mb"]["change_over_parent"] == 1.056
     assert "over_bound" not in entry["metrics"]
@@ -110,7 +110,7 @@ def test_worst_pair_of_fixed_runs(monkeypatch, tmp_path, capsys):
                        "correct": True, "attempted": 10, "failed": 0}
         for pair in range(1, 5) for side in ("parent", "change")
     })
-    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, [])["end_to_end"][0]
+    entry = ab.compare(Path("parent"), Path("change"), "large_lambda", 4, 0, SPECS, tmp_path, [])
     assert entry["worst_pair"] == {"ops_per_s": 0.98, "peak_rss_mb": 1.044}
     assert entry["over_bound"] == {}
     assert "worst_pair" not in entry["metrics"]
@@ -138,3 +138,46 @@ def test_each_seed_writes_its_own_entry(monkeypatch, tmp_path):
         assert [(entry["seed"], entry["pairs"], len(entry["runs"])) for entry in entries["end_to_end"]] == [
             (0, 2, 4), (1, 2, 4)]
         assert [entry["metrics"]["ops_per_s"]["change_over_parent"] for entry in entries["end_to_end"]] == [1.1, 1.3]
+
+
+def test_a_run_without_a_result_file_is_recorded_and_named(monkeypatch, tmp_path, capsys):
+    # the change tree's run.py exits 1 before writing its result file, as a
+    # tree that fails to import does; the parent tree's writes a correct
+    # result.  Every pair is still run, the file is written without metrics,
+    # as no pair has both runs measured, and the script exits 1
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())}))
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(1)\n")
+    result = {"metrics": {"ops_per_s": {"value": 100}, "peak_rss_mb": {"value": 20}},
+              "correct": True, "attempted": 10, "failed": 0}
+    writer = (
+        "import json, pathlib, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "out = pathlib.Path(args['--out'])\n"
+        "out.mkdir(parents=True)\n"
+        "name = f\"{args['--workload']}-seed{args['--seed']}-trace0.json\"\n"
+        f"(out / name).write_text(json.dumps({result!r}))\n"
+    )
+
+    def export_tree(rev, dest):
+        (dest / "perfbench").mkdir()
+        (dest / "perfbench" / "run.py").write_text(writer)
+        return "0" * 40
+
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "export_tree", export_tree)
+    monkeypatch.setattr(ab, "same_perfbench", lambda commit: False)
+    assert ab.main(["--number", "0", "--what", "a failing tree", "--pairs", "2", "--workload", "large_lambda"]) == 1
+    err = capsys.readouterr().err
+    for pair in (1, 2):
+        assert (f"large_lambda pair {pair} change (correct=False, failed operations=0) at seed 0, "
+                "no result file, exit code 1") in err
+    entry = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]["large_lambda"]["end_to_end"][0]
+    assert entry["all_correct"] is False
+    assert entry["metrics"] == entry["worst_pair"] == entry["over_bound"] == {}
+    assert entry["runs"] == [
+        {"pair": 1, "side": "parent", "ops_per_s": 100, "peak_rss_mb": 20},
+        {"pair": 1, "side": "change", "exit_code": 1},
+        {"pair": 2, "side": "change", "exit_code": 1},
+        {"pair": 2, "side": "parent", "ops_per_s": 100, "peak_rss_mb": 20},
+    ]

@@ -55,7 +55,7 @@ def _bracket_seam(monkeypatch, bracket):
 
 
 def _windows_arccos(en, ed):
-    """A stand-in for verified.prepare_arccos_dyadic whose ends are always the windows' fallback ends."""
+    """A stand-in for verified.prepare_arccos_dyadic whose ends never verify, so the walk always takes the reference bracket."""
     return verified.prepare_arccos_dyadic(en, ed)[0], lambda a, b: None
 
 
@@ -144,6 +144,37 @@ class TestCountWeighted:
                 value = count_weighted(2, kind, rational(k, 4)).value
                 assert value >= previous
                 previous = value
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            pytest.param(lambda lam, eps: count_weighted(2, N, lam, eps), id="weighted"),
+            pytest.param(lambda lam, eps: sector_lattice_bound(D, rational(1, 3), lam, eps), id="sector"),
+            pytest.param(lambda lam, eps: count_dirichlet_dim_reduction(3, lam, eps), id="dim-reduction"),
+            pytest.param(lambda lam, eps: certified_floor_term(lam, 0, N.shift, eps), id="floor-term"),
+            pytest.param(count_neumann2_certified_lower, id="lower"),
+        ],
+    )
+    def test_every_count_checks_lam_then_eps_on_entry(self, count):
+        # one entry check: a negative lam first, whatever eps, then a
+        # non-positive eps, even at lam = 0, where no term needs it
+        with pytest.raises(DomainError, match="lam must be non-negative"):
+            count(-1, 0)
+        for eps in (0, rational(-1, 10)):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                count(0, eps)
+
+    @pytest.mark.parametrize("shift", [D.shift, N.shift], ids=["D", "N"])
+    def test_a_term_at_or_past_lam_is_the_ladders_floor_of_the_shift(self, monkeypatch, shift):
+        # at z = lam, at z > lam and at lam = 0, the floor ladder's own rule
+        # for z >= lam gives floor(shift), with no bracket prepared
+        real, ladders = lattice._floor_ladder, []
+        monkeypatch.setattr(lattice, "_floor_ladder", lambda *args: ladders.append(args) or real(*args))
+        monkeypatch.setattr(lattice, "prepare_g_bracket", None)
+        cases = [(5, 5), (rational(7, 2), rational(7, 2)), (5, rational(21, 4)), (0, 0), (0, 3)]
+        for lam, z in cases:
+            assert certified_floor_term(lam, z, shift) == rat_floor(shift), (lam, z)
+        assert len(ladders) == len(cases)
 
     def test_term_decided_past_twelve_rungs_below_eps(self):
         # G + 3/4 = 1627003.99999999880... (mpmath, 60 digits): decided at
@@ -545,16 +576,18 @@ class TestConvexWalk:
         assert peak < 512 * 2**10, peak
 
     def test_a_walked_count_prepares_once(self, monkeypatch):
-        # the floor test builds one pi bracket per rung it uses, and the slope
-        # proofs one, at _SLOPE_EPS whatever the count's eps; term by term,
-        # every bracket asked for its own
+        # the floor test prepares each rung it uses once, with two pi brackets
+        # in a row: the dyadic bracket's and that of the reference bracket it
+        # falls back to; the slope proofs build one, at _SLOPE_EPS whatever
+        # the count's eps; term by term, every bracket asked for its own
         asked = {curve: [], lattice: []}
         for module, calls in asked.items():
             real = module.pi_bounds
             monkeypatch.setattr(module, "pi_bounds", lambda eps, real=real, calls=calls: calls.append(eps) or real(eps))
         assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
-        rungs = asked[curve]
+        rungs = asked[curve][::2]
         assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
+        assert asked[curve] == [eps for eps in rungs for _ in range(2)]
         assert asked[lattice] == [lattice._SLOPE_EPS]
 
     def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
@@ -747,10 +780,9 @@ class TestWalkPointTest:
 
     @pytest.mark.parametrize("z", [0, 3, 4])
     def test_an_exact_root_gives_g_brackets_ends(self, monkeypatch, z):
-        # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself), so
-        # both routes take the root exactly; given one arccos function, they
-        # share their arccos and pi ends
-        monkeypatch.setattr(curve, "_arccos_ends", verified._arccos_ends)
+        # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself);
+        # where the dyadic arccos ends do not verify, the walk takes the
+        # reference bracket, whose ends are g_bracket's plus the shift
         monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
         lam, eps = rational(5), DEFAULT_EPS
         ends = curve.prepare_g_floor_ends(lam, D.shift, eps)(z, 1)
@@ -779,12 +811,13 @@ class TestWalkPointTest:
     )
     @example(lam=rational(1201, 3), t=rational(0), exponent=3, shift=N.shift)  # z = 0
     @example(lam=rational(5), t=rational(3, 5), exponent=3, shift=D.shift)  # an exact root, 5^2 - 3^2 = 4^2
-    @example(lam=rational(10**7), t=rational(3508103, 10**7), exponent=16, shift=N.shift)  # the windows' fallback ends
+    @example(lam=rational(10**7), t=rational(3508103, 10**7), exponent=16, shift=N.shift)  # the reference bracket
     def test_shared_denominator_ends_are_over_pi_of_the_same_ends(self, lam, t, exponent, shift):
-        # each end of G + shift over ld*zd*2^k is the rational that _over_pi
-        # builds from the same isqrt root ends, dyadic arccos ends and pi
-        # bracket, plus the shift, and both raise where one of those does not
-        # verify
+        # on dyadic arccos ends, each end of G + shift over ld*zd*2^k is the
+        # rational that _over_pi builds from the isqrt root ends, those arccos
+        # ends and the pi bracket, plus the shift; where they do not verify,
+        # the ends are the reference bracket's, prepare_g_bracket's at the
+        # same eps; and both raise where one of those does not verify
         z, eps = lam * t, rational(1, 10**exponent)
         (zn, zd), (ln, ld) = z.as_integer_ratio(), lam.as_integer_ratio()
         en, ed = verified._arccos_eps(eps).as_integer_ratio()
@@ -792,26 +825,26 @@ class TestWalkPointTest:
         scaled, den = (ln * ln * zd * zd - zn * zn * ld * ld) << 2 * k, ld * zd << k
         r = math.isqrt(scaled)
         r_hi = r if r * r == scaled else r + 1
+        dyadic = arccos(zn * ld, zd * ln) if zn else (0, 0)
         try:
             got = curve.prepare_g_floor_ends(lam, shift, eps)(zn, zd)
         except GuessFailedError:
             got = None
         try:
-            dyadic = arccos(zn * ld, zd * ln) if zn else (0, 0)
-            if dyadic is None:
-                angle_lo, angle_hi = verified._arccos_ends(zn * ld, zd * ln, en, ed)
-            else:
-                angle_lo, angle_hi = ((end, 1 << k) for end in dyadic)
             pi = pi_bounds(eps)
+            reference = curve.prepare_g_bracket(lam, shift, eps)(zn, zd) if dyadic is None else None
         except GuessFailedError:
             assert got is None
             return
         assert got is not None
+        if dyadic is None:
+            assert got == reference
+            return
+        angle_lo, angle_hi = ((end, 1 << k) for end in dyadic)
         expected = curve._over_pi(r, den, zn, zd, *angle_hi, pi.hi), curve._over_pi(r_hi, den, zn, zd, *angle_lo, pi.lo)
         assert [rational(*end) for end in got] == [rational(*end) + shift for end in expected]
-        if dyadic is not None:  # taken as one subtraction over the shared denominator
-            sd = shift.denominator
-            assert (got[0][1], got[1][1]) == (den * pi.hi.numerator * sd, den * pi.lo.numerator * sd)
+        sd = shift.denominator  # taken as one subtraction over the shared denominator
+        assert (got[0][1], got[1][1]) == (den * pi.hi.numerator * sd, den * pi.lo.numerator * sd)
 
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
@@ -844,7 +877,7 @@ class TestWalkPointTest:
         # seeded columns of walked sums at lambda in [400, 1200] with
         # denominators up to 100, at the walk's own abscissas: the ladder
         # floors each as the one-shot route does, with its dyadic arccos ends
-        # and with the windows' ends that it falls back to
+        # and with the reference bracket that it falls back to
         if arccos == "windows":
             monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
         rng = random.Random(f"seeded-columns-{a}-{d}-{kind.value}")
@@ -953,12 +986,13 @@ class TestCertifiedLower:
         assert count_neumann2_certified_lower(lam, eps).value == expected
 
     def test_bad_eps_raises_as_g_lower_does(self):
-        for eps in (0, rational(-1, 10)):
-            with pytest.raises(DomainError, match="eps must be positive"):
-                count_neumann2_certified_lower(3, eps)
+        # on entry, at lam = 0 too, where the one term needs no bound
+        for lam in (3, 0):
+            for eps in (0, rational(-1, 10)):
+                with pytest.raises(DomainError, match="eps must be positive"):
+                    count_neumann2_certified_lower(lam, eps)
         with pytest.raises(TypeError):
             count_neumann2_certified_lower(3, 0.001)
-        assert count_neumann2_certified_lower(0, 0).value == 0  # no term needs eps
 
     def test_clamping_keeps_value_non_negative(self):
         # an absurdly coarse eps drives individual terms negative; the clamp

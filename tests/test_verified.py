@@ -308,7 +308,8 @@ class TestDyadicArccosEnds:
         # the double guess of arccos(3508103/10^7) lies 1.27e-16 below it, so at
         # eps = 1/10^16 the dyadic upper end does not verify; this is the term
         # at z = 3508103 of the walked count at lambda 10^7, on its finest rung;
-        # the windows' ends, which the caller then takes, verify
+        # the windows' ends, on which the caller then takes the reference
+        # bracket, verify
         assert prepare_arccos_dyadic(1, 10**16)[1](3508103, 10**7) is None
         ends = _arccos_ends(3508103, 10**7, 1, 10**16)
         assert ends[1][1] & (ends[1][1] - 1)  # not a power of two

@@ -24,8 +24,8 @@ pairs of its own: ``--seed 0 --seed 1`` writes each workload's seed-0
 entry and then its seed-1 entry.
 The parent tree and the runs' result files live in a temporary directory
 that is removed at the end.  The file is written either way, but the
-script exits 1, naming the runs, if any run is not correct or has failed
-operations.
+script exits 1, naming the runs, if any run is not correct, has failed
+operations or wrote no result file (recorded with its exit code).
 """
 from __future__ import annotations
 
@@ -60,11 +60,18 @@ def same_perfbench(commit: str) -> bool:
 
 
 def run_once(tree: Path, workload: str, seed: int, out: Path) -> dict:
-    """One untraced perfbench run of ``tree``: its metric values, correctness and operation counts."""
-    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(SECONDS), "--out", str(out)], cwd=tree, check=False,
-                   stdout=subprocess.DEVNULL)
-    with open(out / f"{workload}-seed{seed}-trace0.json") as handle:
+    """One untraced perfbench run of ``tree``: its metric values, correctness and operation counts.
+
+    A run that writes no result file, such as one whose tree fails to
+    import, is not correct, has no values and keeps its exit code.
+    """
+    code = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(SECONDS), "--out", str(out)], cwd=tree, check=False,
+                          stdout=subprocess.DEVNULL).returncode
+    path = out / f"{workload}-seed{seed}-trace0.json"
+    if not path.exists():
+        return {"values": {}, "correct": False, "attempted": 0, "failed": 0, "exit_code": code}
+    with open(path) as handle:
         result = json.load(handle)
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
     return {"values": values, "correct": result["correct"], "attempted": result["attempted"],
@@ -141,8 +148,11 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, me
     """The workload's entry in the BENCH file at one seed.
 
     Appends to ``faulty`` each run that is not correct or failed operations.
+    A run without a result file is recorded with its exit code, and the
+    metrics summarise only the pairs whose two runs both have values, so
+    they are empty below two such pairs.
     """
-    runs, correct = [], True
+    runs, correct, unmeasured = [], True, set()
     failed, attempted = {"parent": 0, "change": 0}, {"parent": 0, "change": 0}
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -151,15 +161,24 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, me
             outcome = run_once(tree, workload, seed, scratch / "results" / f"{workload}-seed{seed}-{pair}-{side}")
             print(f"{workload} seed {seed} pair {pair} {side}: {outcome['values']} correct={outcome['correct']}",
                   flush=True)
-            runs.append({"pair": pair, "side": side, **{k: round(v, 4) for k, v in outcome["values"].items()}})
+            run = {"pair": pair, "side": side, **{k: round(v, 4) for k, v in outcome["values"].items()}}
+            missing = ""
+            if "exit_code" in outcome:
+                run["exit_code"] = outcome["exit_code"]
+                unmeasured.add(pair)
+                missing = f", no result file, exit code {outcome['exit_code']}"
+            runs.append(run)
             failed[side] += outcome["failed"]
             attempted[side] += outcome["attempted"]
             correct &= outcome["correct"]
             if not outcome["correct"] or outcome["failed"]:
                 faulty.append(f"{workload} pair {pair} {side} (correct={outcome['correct']}, "
-                              f"failed operations={outcome['failed']}) at seed {seed}")
+                              f"failed operations={outcome['failed']}) at seed {seed}{missing}")
     better = {name: spec["better"] for name, spec in metrics.items()}
-    summary, worst = summarise(runs, better), worst_pair(runs, better)
+    measured = [run for run in runs if run["pair"] not in unmeasured]
+    summary, worst = {}, {}
+    if pairs - len(unmeasured) >= 2:  # for quartiles
+        summary, worst = summarise(measured, better), worst_pair(measured, better)
     worse = over_bound(summary, metrics)
     for name, ratio in worse.items():
         print(f"{workload}: {name} change median is {ratio}x the parent's, past its bound "
@@ -170,7 +189,7 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed: int, me
     entry = {"seed": seed, "pairs": pairs, "seconds": SECONDS, "order": ORDER,
              "failed_operations": failed, "attempted_operations": attempted,
              "all_correct": correct, "over_bound": worse, "worst_pair": worst, "metrics": summary, "runs": runs}
-    return {"end_to_end": [entry]}
+    return entry
 
 
 def main(argv=None) -> int:
@@ -198,7 +217,7 @@ def main(argv=None) -> int:
         for workload in args.workload or WORKLOADS:
             for seed in args.seed or [0]:
                 entry = compare(parent, ROOT, workload, args.pairs, seed, metrics, Path(scratch), faulty)
-                workloads.setdefault(workload, {"end_to_end": []})["end_to_end"] += entry["end_to_end"]
+                workloads.setdefault(workload, {"end_to_end": []})["end_to_end"].append(entry)
     bench = {
         "what": args.what,
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
