@@ -294,8 +294,13 @@ class StepVerification(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
+    """The checks; ``covered``, the chain's interval [first lambda, last lambda + delta)
+    (None without steps); ``gap_covered``, whether it holds the gap."""
+
     steps: list[StepVerification]
     certificate_checks: dict[str, str]
+    covered: tuple[Fraction, Fraction] | None
+    gap_covered: bool
 
     @property
     def status(self) -> str:
@@ -319,6 +324,25 @@ class VerificationReport(NamedTuple):
         out.append(f"certificate: {detail}")
         return out
 
+    @property
+    def statement(self) -> str:
+        """What a passing report proves; half-open, as the last step's inequality may be an equality at its reach."""
+        lo, hi = map(format_rational, self.covered)
+        return (
+            f"proved: the planar Neumann lattice count exceeds lambda^2/4 for every lambda in [{lo}, {hi}); "
+            f"the gap [2*sqrt(3), 6*pi/(3*pi-8)] is {'' if self.gap_covered else 'not '}covered"
+        )
+
+
+def _covers_gap(covered, eps) -> bool:
+    """Whether [lo, hi) holds the gap: lo^2 <= 12, and hi past gap_endpoints(eps)'s upper end, if it has one."""
+    if covered is None or covered[0] ** 2 > 12:
+        return False
+    try:
+        return covered[1] > gap_endpoints(eps)[1]
+    except (EpsTooCoarseError, GuessFailedError):
+        return False
+
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Independently re-check every step of a certificate, at its own eps.
@@ -336,7 +360,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     uses that pi, confirms the recorded p; a fresh count below p, or one
     whose brackets cannot be verified at that eps, is inconclusive, not a
     failure, since lower bounds are not unique.  A count that does not run
-    is reported as ``not run``.
+    is reported as ``not run``.  The chain's interval and whether it holds
+    the gap, by the verifier's own pi, are recorded, not checked: a partial
+    certificate consistent with itself passes.
 
     A defect of the certificate is a report entry, never an exception, but
     a non-positive eps, which parsing rejects, raises DomainError before any
@@ -350,13 +376,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     except GuessFailedError:
         pi_bracket = FAIL
     steps = cert.steps
+    covered = (steps[0].lam, steps[-1].lam + steps[-1].delta_lower) if steps else None
     certificate_checks = {
         "pi_bracket": pi_bracket,
         "success_flag": PASS if cert.success else FAIL,
-        "start_covered": PASS if steps and steps[0].lam <= cert.lambda_start else FAIL,
-        "target_covered": (
-            PASS if steps and steps[-1].lam + steps[-1].delta_lower > cert.lambda_target else FAIL
-        ),
+        "start_covered": PASS if covered and covered[0] <= cert.lambda_start else FAIL,
+        "target_covered": PASS if covered and covered[1] > cert.lambda_target else FAIL,
     }
     reports: list[StepVerification] = []
     for pos, step in enumerate(cert.steps):
@@ -383,4 +408,4 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 confirmed = False
             checks["count_confirmed"] = PASS if confirmed else INCONCLUSIVE
         reports.append(StepVerification(index=step.index, checks=checks))
-    return VerificationReport(steps=reports, certificate_checks=certificate_checks)
+    return VerificationReport(reports, certificate_checks, covered, _covers_gap(covered, cert.eps))

@@ -9,15 +9,15 @@ oracle    compare certified counts against true eigenvalue counts
 plotdata  CSV of counts along a grid (double precision, non-certified)
 
 Exit codes: 0 success; 2 a certified computation or comparison failed, or
-a usage error; 3 I/O or certificate parse failure, or a ``p/q`` argument with
-a numerator or denominator of more than 100 digits (rejected before any
-work).  :func:`main` returns the exit code and may be called any number of
-times in one process; it builds its parser once.  All certificate-related
-output is exact rational text; no floats appear in it.  Only oracle and
-plotdata load the float layer (``analysis``, ``bessel`` and through it
-scipy), so the certified commands run on the standard library alone.
-scipy comes with the package's ``oracle`` extra; without it, oracle and
-plotdata print one line on stderr, before any other output, and exit 2.
+a usage error, which a handler raises and :func:`main` prints as one
+``error: ...`` line (handlers print only verdicts); 3 I/O or certificate
+parse failure, or a ``p/q`` argument with more than 100 digits in a part
+(rejected before any work).  :func:`main` returns the exit code and may be
+called any number of times in one process; it builds its parser once.
+Certificate-related output is exact rational text, with no floats.  Only
+oracle and plotdata load the float layer (``analysis``, ``bessel`` and
+through it scipy, the ``oracle`` extra), after :func:`_grid`, so the
+certified commands run on the standard library alone.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import sys
 
 from .certify import Certificate, certify, check_digits, gap_endpoints, verify_certificate
 from .curve import BoundKind
-from .errors import PolyacertError, StallError, StepFailedError, UnresolvedFloorError
-from .lattice import CountResult, count_weighted, sector_lattice_bound
+from .errors import DomainError, PolyacertError, StallError, StepFailedError, UnresolvedFloorError
+from .lattice import CountResult, _validate_count_args, count_weighted, sector_lattice_bound
 from .rational import (
     format_rational,
     parse_rational,
@@ -117,24 +117,32 @@ def _build_parser() -> argparse.ArgumentParser:
 _MAX_GRID_POINTS = 10_000
 
 
-def _too_many_points(stop, step) -> bool:
-    """Whether the grid step, 2*step, ... <= stop (both positive) has more than _MAX_GRID_POINTS points.
+def _grid(stop, step) -> list:
+    """The exact grid step, 2*step, ... <= stop of oracle and plotdata, checked before any output.
 
-    A grid that is too large is reported on stderr here, so its command exits before any work.
+    Raises PolyacertError, which main reports, checking in this order:
+    scipy (the oracle extra) is importable; 0 < step and
+    0 < stop <= EIGENCOUNT_LAMBDA_MAX; at most _MAX_GRID_POINTS points.
     """
+    try:
+        import scipy  # bessel imports it only at its first evaluation, after oracle's header
+    except ImportError:
+        raise PolyacertError("oracle and plotdata need scipy: pip install 'polyacert[oracle]', the oracle extra")
+    from .bessel import EIGENCOUNT_LAMBDA_MAX as limit  # where the eigenvalue counts stop
+
+    if not (step > 0 and 0 < stop <= limit):
+        raise DomainError(f"the grid needs 0 < step and 0 < stop <= {limit} (oracle's stop is --lambda-max)")
     points = rat_floor(stop / step)
-    if points <= _MAX_GRID_POINTS:
-        return False
-    print(f"the grid has {points} points; at most {_MAX_GRID_POINTS} are allowed", file=sys.stderr)
-    return True
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"the grid has {points} points; at most {_MAX_GRID_POINTS} are allowed")
+    return [k * step for k in range(1, points + 1)]
 
 
 def cmd_certify(args) -> int:
     eps = args.eps
     if args.paper_range:
         if args.start is not None or args.target is not None:
-            print("error: --paper-range certifies [3, 14]; it takes no --start or --target", file=sys.stderr)
-            return 2
+            raise DomainError("--paper-range certifies [3, 14]; it takes no --start or --target")
         start, target = rational(3), rational(14)
     else:
         start, target = args.start, args.target
@@ -168,6 +176,7 @@ def cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     if report.all_passed:
+        print(report.statement)
         print("certificate verified: all steps pass")
         return 0
     print("certificate NOT verified", file=sys.stderr)
@@ -190,8 +199,7 @@ def cmd_count(args) -> int:
     kind = BoundKind.from_letter(args.kind)
     if args.alpha is not None:
         if args.d != 2:
-            print(f"error: --alpha counts a planar sector; it needs --d 2, got --d {args.d}", file=sys.stderr)
-            return 2
+            raise DomainError(f"--alpha counts a planar sector; it needs --d 2, got --d {args.d}")
         result = sector_lattice_bound(kind, args.alpha, args.lam)
     else:
         result = count_weighted(args.d, kind, args.lam)
@@ -200,30 +208,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
-
+    grid = _grid(args.lambda_max, args.step)
     d = args.d
-    lam_max = args.lambda_max
-    step = args.step
-    if d < 2:
-        print(f"dimension must be >= 2, got --d {d}", file=sys.stderr)
-        return 2
-    if step <= 0 or lam_max <= 0:
-        print("grid step and lambda-max must be positive", file=sys.stderr)
-        return 2
-    if _too_many_points(lam_max, step):
-        return 2
-    if lam_max > EIGENCOUNT_LAMBDA_MAX:
-        print(f"the eigenvalue counts need lambda-max <= {EIGENCOUNT_LAMBDA_MAX}", file=sys.stderr)
-        return 2
+    _validate_count_args(d, BoundKind.DIRICHLET)
+    from .bessel import eigencount_ball_dirichlet, eigencount_disk_neumann
+
     violations = 0
-    rows = 0
-    k = 1
     print(f"{'lambda':>10}  {'eigen_D':>8}  {'count_D':>8}  ok   extra")
-    while k * step <= lam_max:
-        lam = k * step
-        k += 1
-        rows += 1
+    for lam in grid:
         lam_f = to_float(lam)
         eig_d = eigencount_ball_dirichlet(d, lam_f)
         cnt_d = count_weighted(d, BoundKind.DIRICHLET, lam).value
@@ -239,31 +231,23 @@ def cmd_oracle(args) -> int:
             violations += 1
         print(f"{format_rational(lam):>10}  {eig_d:>8}  {cnt_d:>8}  {'ok ' if ok else 'BAD'}  {extra}")
     if violations:
-        print(f"{violations} of {rows} grid points violated the comparison", file=sys.stderr)
+        print(f"{violations} of {len(grid)} grid points violated the comparison", file=sys.stderr)
         return 2
-    print(f"all {rows} grid points consistent")
+    print(f"all {len(grid)} grid points consistent")
     return 0
 
 
 def cmd_plotdata(args) -> int:
+    grid = _grid(args.stop, args.step)
     from .analysis import count_weighted_oracle, weyl_leading
-    from .bessel import EIGENCOUNT_LAMBDA_MAX, eigencount_ball_dirichlet, eigencount_disk_neumann
+    from .bessel import eigencount_ball_dirichlet, eigencount_disk_neumann
 
-    stop, step = args.stop, args.step
-    if step <= 0 or stop <= 0 or stop > EIGENCOUNT_LAMBDA_MAX:
-        print(f"need 0 < step and 0 < stop <= {EIGENCOUNT_LAMBDA_MAX}", file=sys.stderr)
-        return 2
-    if _too_many_points(stop, step):
-        return 2
     lines = [
         "# non-certified data: double-precision oracle evaluations",
         "lambda,count_dirichlet_2,count_neumann_2,weyl_2,eigen_dirichlet_2,eigen_neumann_2,neumann_excess",
     ]
-    n = 1
-    while n * step <= stop:
-        # the grid is exact, so its last point is stop itself, not a double just past it
-        lam = to_float(n * step)
-        n += 1
+    # the grid is exact, so its last point is stop itself, not a double just past it
+    for lam in map(to_float, grid):
         p_d = count_weighted_oracle(2, BoundKind.DIRICHLET, lam).value
         p_n = count_weighted_oracle(2, BoundKind.NEUMANN, lam).value
         w = weyl_leading(2, lam)
@@ -286,12 +270,6 @@ def main(argv=None) -> int:
     except _TooManyDigits as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.command in ("oracle", "plotdata"):
-        try:
-            import scipy  # bessel imports it only at its first evaluation, after oracle's header
-        except ImportError:
-            print("oracle and plotdata need scipy: pip install 'polyacert[oracle]', the oracle extra", file=sys.stderr)
-            return 2
     try:
         return args.handler(args)
     except UnresolvedFloorError as exc:

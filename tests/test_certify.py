@@ -20,7 +20,7 @@ from polyacert.certify import (
 from polyacert.cli import main
 from polyacert.curve import g_lower
 from polyacert.errors import DomainError, EpsTooCoarseError, GuessFailedError, StallError, StepFailedError
-from polyacert.rational import format_rational, rational, to_float
+from polyacert.rational import format_rational, parse_rational, rational, to_float
 from polyacert.verified import arccos_bounds, pi_bounds, sqrt_bounds
 
 # the package exports the function certify under the submodule's name
@@ -444,3 +444,61 @@ class TestVerifier:
         assert report.steps[5].status == INCONCLUSIVE
         assert all(step.status == PASS for pos, step in enumerate(report.steps) if pos != 5)
         assert report.sound and not report.all_passed
+
+
+_STATEMENT = (
+    "proved: the planar Neumann lattice count exceeds lambda^2/4 for every lambda in [{}, {}); "
+    "the gap [2*sqrt(3), 6*pi/(3*pi-8)] is {}"
+)
+
+
+class TestGapStatement:
+    """The interval a chain covers, [first lambda, last lambda + delta), and whether it contains the gap."""
+
+    @pytest.mark.parametrize(
+        "start, target, eps, covered, gap",
+        [
+            (None, None, "1/1000", ("45/13", "217/16"), "covered"),
+            ("3", "14", "1/1000", ("3", "495/34"), "covered"),
+            ("3", "7/2", "1/1000", ("3", "76/17"), "not covered"),
+            ("4", "20", "1/100000", ("4", "6103/295"), "not covered"),
+            # past 6*pi/(3*pi - 8) = 13.40, but not past the verifier's upper
+            # end of it at this eps, 189/13 = 14.54
+            ("3", "14", "1/100", ("3", "113/8"), "not covered"),
+        ],
+        ids=["gap", "paper-range", "3-to-7/2", "4-to-20", "coarse-pi"],
+    )
+    def test_a_passing_report_states_its_interval_and_the_gap(self, start, target, eps, covered, gap):
+        eps = parse_rational(eps)
+        start, target = gap_endpoints(eps) if start is None else (parse_rational(start), parse_rational(target))
+        report = verify_certificate(certify(start, target, eps))
+        assert report.all_passed
+        assert report.covered == tuple(map(parse_rational, covered))
+        assert report.gap_covered is (gap == "covered")
+        assert report.statement == _STATEMENT.format(*covered, gap)
+
+    @pytest.mark.parametrize("start, covers", [("3464/1000", True), ("3465/1000", False)])
+    def test_the_first_lambda_is_compared_with_two_root_three_exactly(self, start, covers):
+        # 3.464 < 2*sqrt(3) = 3.46410... < 3.465: lambda^2 <= 12 decides it
+        report = verify_certificate(certify(parse_rational(start), 14, rational(1, 1000)))
+        assert report.all_passed
+        assert report.covered[1] > 14
+        assert report.gap_covered is covers
+
+    def test_an_eps_too_coarse_for_the_gap_ends_leaves_the_gap_uncovered(self, paper_range_certificate):
+        # at eps 1/10 pi's lower end, 9/4, cannot separate 3*pi from 8, so no
+        # upper end of the gap exists at that eps: the report says the chain
+        # does not cover it, although the chain reaches 495/34, and raises nothing
+        eps = rational(1, 10)
+        with pytest.raises(EpsTooCoarseError):
+            gap_endpoints(eps)
+        pi = pi_bounds(eps)
+        coarse = paper_range_certificate._replace(eps=eps, pi_lower=pi.lo, pi_upper=pi.hi)
+        report = verify_certificate(coarse)
+        assert report.certificate_checks["pi_bracket"] == PASS
+        assert report.covered == (3, rational(495, 34))
+        assert report.gap_covered is False
+
+    def test_a_report_without_steps_covers_nothing(self, paper_range_certificate):
+        report = verify_certificate(paper_range_certificate._replace(steps=[]))
+        assert (report.covered, report.gap_covered) == (None, False)

@@ -108,6 +108,31 @@ class TestVerifyCommand:
         assert code == 0
         assert "all steps pass" in out
 
+    @pytest.mark.parametrize("argv, covered, gap", [
+        (("--paper-range",), "[3, 495/34)", "is covered"),
+        (("--start", "3", "--target", "7/2"), "[3, 76/17)", "is not covered"),
+    ], ids=["paper-range", "3-to-7/2"])
+    def test_a_verified_certificate_states_what_it_proved(self, capsys, tmp_path, argv, covered, gap):
+        # one line before the verdict, which stays the last line; a partial
+        # chain still exits 0, and says that it leaves the gap open
+        path = tmp_path / "cert.json"
+        run(capsys, "certify", *argv, "-o", str(path))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "proved: the planar Neumann lattice count exceeds lambda^2/4 for every lambda in "
+            f"{covered}; the gap [2*sqrt(3), 6*pi/(3*pi-8)] {gap}",
+            "certificate verified: all steps pass",
+        ]
+
+    def test_a_report_that_does_not_pass_states_nothing(self, capsys, certificate_path):
+        payload = json.loads(certificate_path.read_text())
+        payload["success"] = False
+        certificate_path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", str(certificate_path))
+        assert code == 2
+        assert "proved:" not in out
+
     def test_tampered_certificate_fails(self, capsys, certificate_path):
         payload = json.loads(certificate_path.read_text())
         payload["steps"][4]["e_lower"] = "-1/4"
@@ -607,6 +632,10 @@ def test_the_float_commands_without_scipy_exit_2_before_any_output(capsys, monke
     assert err.count("\n") == 1 and "oracle extra" in err and "Traceback" not in err
 
 
+# oracle's and plotdata's one message for a grid outside the eigencounts' range
+_GRID_RANGE = "error: the grid needs 0 < step and 0 < stop <= 100 (oracle's stop is --lambda-max)\n"
+
+
 class TestOracleCommand:
     def test_comparisons_hold(self, capsys):
         code, out, _ = run(capsys, "oracle", "--d", "2", "--lambda-max", "6")
@@ -622,16 +651,19 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "--lambda-max", "1", "--step", "1/1000000000")
         assert code == 2
         assert out == ""
-        assert err == "the grid has 1000000000 points; at most 10000 are allowed\n"
-        code, out, err = run(capsys, "oracle", "--lambda-max", "10001", "--step", "1")
+        assert err == "error: the grid has 1000000000 points; at most 10000 are allowed\n"
+        code, out, err = run(capsys, "oracle", "--lambda-max", "100", "--step", "100/10001")
         assert code == 2
         assert out == ""
-        assert err.startswith("the grid has 10001 points")
+        assert err == "error: the grid has 10001 points; at most 10000 are allowed\n"
+        # the grid's range is checked before its size
+        code, out, err = run(capsys, "oracle", "--lambda-max", "10001", "--step", "1")
+        assert (code, out, err) == (2, "", _GRID_RANGE)
 
     @pytest.mark.parametrize("argv, message", [
-        (("--lambda-max", "250", "--step", "50"), "the eigenvalue counts need lambda-max <= 100\n"),
-        (("--lambda-max", "1001/10", "--step", "1/10"), "the eigenvalue counts need lambda-max <= 100\n"),
-        (("--d", "1"), "dimension must be >= 2, got --d 1\n"),
+        (("--lambda-max", "250", "--step", "50"), _GRID_RANGE),
+        (("--lambda-max", "1001/10", "--step", "1/10"), _GRID_RANGE),
+        (("--d", "1"), "error: dimension must be >= 2, got 1\n"),
     ], ids=["past-range", "just-past-range", "d=1"])
     def test_an_unsupported_grid_is_rejected_before_any_output(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(cli, "count_weighted", None)  # any count would raise
@@ -662,16 +694,16 @@ class TestPlotdataCommand:
         code, out, err = run(capsys, "plotdata", "--step", "1/1000000000", "--stop", "1")
         assert code == 2
         assert out == ""
-        assert err == "the grid has 1000000000 points; at most 10000 are allowed\n"
+        assert err == "error: the grid has 1000000000 points; at most 10000 are allowed\n"
         code, out, err = run(capsys, "plotdata", "--step", "100/10001", "--stop", "100")
         assert code == 2
         assert out == ""
-        assert err.startswith("the grid has 10001 points")
+        assert err == "error: the grid has 10001 points; at most 10000 are allowed\n"
 
     def test_a_grid_past_the_eigencount_range_is_rejected_before_any_output(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "count_weighted_oracle", None)  # any count would raise
         code, out, err = run(capsys, "plotdata", "--stop", "1001/10", "--step", "1/10")
-        assert (code, out, err) == (2, "", "need 0 < step and 0 < stop <= 100\n")
+        assert (code, out, err) == (2, "", _GRID_RANGE)
 
     def test_the_last_grid_point_is_stop_itself(self, capsys):
         # 11 times the double nearest 100/11 is a double just above 100

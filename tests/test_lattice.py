@@ -660,6 +660,50 @@ class TestConvexWalk:
         assert lattice._convex_floor_sum(lam, rational(1), shift, d) == expected
         assert count_weighted(d, D, lam).value == expected
 
+    # exact_sweep's grids (perfbench/workloads.py), whose sums are all
+    # shorter than _WALK_MIN_TERMS and so reach the walk in no workload:
+    # lambda = k/4 <= 100 for the planar counts, k/2 <= 30 for d = 3, 4, 5
+    # and for the sectors at exact_sweep's apertures
+    @pytest.mark.parametrize(
+        "d, kind, den, top",
+        [(2, D, 4, 100), (2, N, 4, 100), (3, D, 2, 30), (4, D, 2, 30), (5, D, 2, 30)],
+        ids=["planar-D", "planar-N", "3D", "4D", "5D"],
+    )
+    def test_weighted_walk_on_the_sweep_grid(self, d, kind, den, top):
+        for k in range(1, den * top + 1):
+            lam = rational(k, den)
+            walked = lattice._convex_floor_sum(lam, rational(1), kind.shift, d)
+            columns = enumerate(_weighted_abscissas(d, lam))
+            assert walked == sum(kappa(d, m) * certified_floor_term(lam, z, kind.shift) for m, z in columns), lam
+            assert walked == count_weighted_oracle(d, kind, k / den).value, lam
+
+    @pytest.mark.parametrize("a", [rational(1, 3), rational(1, 2), rational(1), rational(3, 2), rational(2)], ids=str)
+    @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
+    def test_sector_walk_on_the_sweep_grid(self, a, kind):
+        start = 1 if kind is D else 0
+        for k in range(1, 61):
+            lam = rational(k, 2)
+            walked = lattice._convex_floor_sum(lam, a, kind.shift, start=start)
+            assert walked == _term_by_term(lam, a, kind.shift, start), lam
+            assert walked == sector_lattice_bound_oracle(kind, math.pi * a.numerator / a.denominator, k / 2).value, lam
+
+    @pytest.mark.parametrize("walked", [True, False], ids=["walked", "term-by-term"])
+    @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
+    def test_the_disk_is_two_half_disks_and_the_axis_column(self, kind, walked):
+        # the planar weights are 1 at m = 0 and 2 past it, so the disk's sum
+        # is twice the half disk's (aperture pi) less its column at z = 0,
+        # f = floor(G(lam, 0) + shift), for N; the Dirichlet half disk starts
+        # at m = 1, so for D the column is added.  Checks _step_sum's d = 2
+        # weights against the sector walk's unit weights
+        rng = random.Random(f"half-disk-{kind.value}-{walked}")
+        low, high = (256, 3000) if walked else (0, lattice._WALK_MIN_TERMS - 2)
+        for _ in range(20):
+            q = rng.randint(1, 99)
+            lam = rational(rng.randint(low * q + 1, high * q), q)
+            f = certified_floor_term(lam, 0, kind.shift)
+            half = sector_lattice_bound(kind, 1, lam).value
+            assert count_weighted(2, kind, lam).value == 2 * half + (f if kind is D else -f), lam
+
     def test_weight_prefix_is_the_sum_of_the_weights(self):
         for d in range(2, 9):
             for n in range(60):
@@ -778,16 +822,28 @@ class TestWalkPointTest:
         for m in range(0, rat_floor(3 * lam) + 1, 7):  # unnormalised abscissas m/3 as (2m)/6
             assert floor(2 * m, 6) == certified_floor_term(lam, rational(m, 3), shift, eps), m
 
-    @pytest.mark.parametrize("z", [0, 3, 4])
-    def test_an_exact_root_gives_g_brackets_ends(self, monkeypatch, z):
-        # lam^2 - z^2 is a square at z = 3 and 4 (and z = 0 takes lam itself);
-        # where the dyadic arccos ends do not verify, the walk takes the
-        # reference bracket, whose ends are g_bracket's plus the shift
-        monkeypatch.setattr(curve, "prepare_arccos_dyadic", _windows_arccos)
-        lam, eps = rational(5), DEFAULT_EPS
-        ends = curve.prepare_g_floor_ends(lam, D.shift, eps)(z, 1)
-        bracket = g_bracket(lam, z, eps)
-        assert tuple(rational(*end) for end in ends) == (bracket.lo + D.shift, bracket.hi + D.shift)
+    @pytest.mark.parametrize(
+        "lam, z", [(5, 0), (5, 3), (5, 4), (300, 84), (300, 180), (300, 240), (300, 288)]
+    )
+    @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
+    def test_an_exact_root_is_both_root_ends_of_the_dyadic_bracket(self, lam, z, kind):
+        # lam^2 - z^2 is a square here (z = 0 takes lam itself), so on the
+        # rung's scale 2^k the isqrt root r is exact, r^2 = n*4^k, and both
+        # ends of the walk's own bracket take r; that bracket lies inside
+        # g_bracket's plus the shift, and the walk floors as the one-shot route
+        eps, shift = DEFAULT_EPS, kind.shift
+        k, arccos = verified.prepare_arccos_dyadic(*verified._arccos_eps(eps).as_integer_ratio())
+        scaled = (lam * lam - z * z) << 2 * k
+        r = math.isqrt(scaled)
+        assert r * r == scaled
+        a_lo, a_hi = arccos(z, lam) if z else (0, 0)  # the dyadic ends verify: no reference bracket
+        pi, den = pi_bounds(eps), 1 << k
+        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(rational(lam), shift, eps)(z, 1))
+        assert lo == rational(*curve._over_pi(r, den, z, 1, a_hi, den, pi.hi)) + shift
+        assert hi == rational(*curve._over_pi(r, den, z, 1, a_lo, den, pi.lo)) + shift
+        outer = g_bracket(lam, z, eps)
+        assert outer.lo + shift <= lo <= hi <= outer.hi + shift
+        assert lattice.prepare_floor_term(rational(lam), shift)(z, 1) == certified_floor_term(lam, z, shift)
 
     @settings(max_examples=60, deadline=None)
     @given(
