@@ -334,14 +334,15 @@ class VerificationReport(NamedTuple):
         )
 
 
-def _covers_gap(covered, eps) -> bool:
-    """Whether [lo, hi) holds the gap: lo^2 <= 12, and hi past gap_endpoints(eps)'s upper end, if it has one."""
-    if covered is None or covered[0] ** 2 > 12:
-        return False
-    try:
-        return covered[1] > gap_endpoints(eps)[1]
-    except (EpsTooCoarseError, GuessFailedError):
-        return False
+# The accuracy of pi at which a chain's reach is compared with the gap's
+# upper end, whatever the certificate's eps: at a coarse eps that end's
+# bound lies far past 6*pi/(3*pi - 8) (14.54 at 1/100), or has none.
+_GAP_EPS = rational(1, 10**9)
+
+
+def _covers_gap(covered) -> bool:
+    """Whether [lo, hi) holds the gap: lo^2 <= 12, and hi past gap_endpoints(_GAP_EPS)'s upper end."""
+    return covered is not None and covered[0] ** 2 <= 12 and covered[1] > gap_endpoints(_GAP_EPS)[1]
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
@@ -361,8 +362,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     whose brackets cannot be verified at that eps, is inconclusive, not a
     failure, since lower bounds are not unique.  A count that does not run
     is reported as ``not run``.  The chain's interval and whether it holds
-    the gap, by the verifier's own pi, are recorded, not checked: a partial
-    certificate consistent with itself passes.
+    the gap, by pi at _GAP_EPS whatever the certificate's eps, are
+    recorded, not checked: a partial certificate consistent with itself
+    passes.
 
     A defect of the certificate is a report entry, never an exception, but
     a non-positive eps, which parsing rejects, raises DomainError before any
@@ -408,4 +410,4 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 confirmed = False
             checks["count_confirmed"] = PASS if confirmed else INCONCLUSIVE
         reports.append(StepVerification(index=step.index, checks=checks))
-    return VerificationReport(reports, certificate_checks, covered, _covers_gap(covered, cert.eps))
+    return VerificationReport(reports, certificate_checks, covered, _covers_gap(covered))

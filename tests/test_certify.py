@@ -462,9 +462,9 @@ class TestGapStatement:
             ("3", "14", "1/1000", ("3", "495/34"), "covered"),
             ("3", "7/2", "1/1000", ("3", "76/17"), "not covered"),
             ("4", "20", "1/100000", ("4", "6103/295"), "not covered"),
-            # past 6*pi/(3*pi - 8) = 13.40, but not past the verifier's upper
-            # end of it at this eps, 189/13 = 14.54
-            ("3", "14", "1/100", ("3", "113/8"), "not covered"),
+            # past 6*pi/(3*pi - 8) = 13.23, which the verifier bounds at its
+            # own fine accuracy, not at this eps, where the bound is 189/13 = 14.54
+            ("3", "14", "1/100", ("3", "113/8"), "covered"),
         ],
         ids=["gap", "paper-range", "3-to-7/2", "4-to-20", "coarse-pi"],
     )
@@ -485,10 +485,10 @@ class TestGapStatement:
         assert report.covered[1] > 14
         assert report.gap_covered is covers
 
-    def test_an_eps_too_coarse_for_the_gap_ends_leaves_the_gap_uncovered(self, paper_range_certificate):
+    def test_an_eps_too_coarse_for_the_gap_ends_still_covers_the_gap(self, paper_range_certificate):
         # at eps 1/10 pi's lower end, 9/4, cannot separate 3*pi from 8, so no
-        # upper end of the gap exists at that eps: the report says the chain
-        # does not cover it, although the chain reaches 495/34, and raises nothing
+        # upper end of the gap exists at that eps; the verifier bounds it at
+        # its own fine accuracy, so the chain, which reaches 495/34, covers it
         eps = rational(1, 10)
         with pytest.raises(EpsTooCoarseError):
             gap_endpoints(eps)
@@ -497,7 +497,19 @@ class TestGapStatement:
         report = verify_certificate(coarse)
         assert report.certificate_checks["pi_bracket"] == PASS
         assert report.covered == (3, rational(495, 34))
-        assert report.gap_covered is False
+        assert report.gap_covered is True
+
+    @pytest.mark.parametrize("reach, covers", [("1323/100", True), ("132298/10000", False)])
+    def test_the_reach_is_compared_with_the_gap_end_at_a_fine_accuracy(self, paper_range_certificate, reach, covers):
+        # 6*pi/(3*pi - 8) = 13.229819...: 13.23 lies past it, although not past
+        # its bound at the certificate's eps 1/1000, 2079/155 = 13.41, and
+        # 13.2298 does not; the chain's last step is cut to reach there
+        reach = parse_rational(reach)
+        steps = [step for step in paper_range_certificate.steps if step.lam < reach]
+        steps[-1] = steps[-1]._replace(delta_lower=reach - steps[-1].lam)
+        report = verify_certificate(paper_range_certificate._replace(steps=steps))
+        assert report.covered == (3, reach)
+        assert report.gap_covered is covers
 
     def test_a_report_without_steps_covers_nothing(self, paper_range_certificate):
         report = verify_certificate(paper_range_certificate._replace(steps=[]))

@@ -575,6 +575,31 @@ class TestConvexWalk:
         assert len(calls) == len(set(calls)) < 2000  # of 10,001 terms, each column once
         assert peak < 512 * 2**10, peak
 
+    @pytest.mark.parametrize("lam, value, unsettled", [(10**4, 25_004_989, 1612), (10**5, 2_500_049_851, 8335)])
+    def test_the_chord_lemma_saves_a_fifth_of_the_brackets(self, monkeypatch, lam, value, unsettled):
+        # every bracket the walk's prepared ends evaluate, on any rung; a walk
+        # that settled no point by the chord lemma evaluated `unsettled` here
+        real, brackets = lattice.prepare_g_floor_ends, []
+
+        def counted(lam, shift, eps):
+            ends = real(lam, shift, eps)
+            return lambda zn, zd: brackets.append(zn) or ends(zn, zd)
+
+        monkeypatch.setattr(lattice, "prepare_g_floor_ends", counted)
+        assert count_weighted(2, N, lam).value == value
+        assert 0 < len(brackets) <= 0.8 * unsettled
+
+    def test_a_long_walk_keeps_only_its_live_columns(self):
+        # the tested columns left of the walk's vertex are dropped: keeping
+        # every tested column held a tracemalloc peak of 3.4 MB here
+        tracemalloc.start()
+        try:
+            assert count_weighted(2, N, 10**6).value == 250_000_500_040
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19, peak
+
     def test_a_walked_count_prepares_once(self, monkeypatch):
         # the floor test prepares each rung it uses once, with two pi brackets
         # in a row: the dyadic bracket's and that of the reference bracket it
@@ -635,6 +660,70 @@ class TestConvexWalk:
         ):
             with pytest.raises(DomainError, match="eps must be positive"):
                 empty()
+
+    @pytest.mark.parametrize(
+        "d, a, kind, start, half",
+        [
+            (2, rational(1), D, 0, False),
+            (2, rational(1), N, 0, False),
+            (3, rational(1), D, 0, True),  # columns at m + 1/2: lambda = k + 1/2
+            (None, rational(1, 2), N, 0, False),
+            (None, rational(1), D, 1, False),
+            (None, rational(3, 2), N, 0, False),
+            (None, rational(2), D, 1, False),
+        ],
+        ids=["weighted-D", "weighted-N", "weighted-3D", "sector-N-1/2", "sector-D-1", "sector-N-3/2", "sector-D-2"],
+    )
+    def test_chord_rule_where_the_last_column_lies_at_lambda(self, d, a, kind, start, half):
+        # every k in [256, 520] whose last column lies at z = lambda, where
+        # the chord's upper end is the shift itself: the walk equals the sum
+        # of its own point test's floors, column by column
+        weight = (lambda m: 1) if d is None else (lambda m: kappa(d, m))
+        for k in range(256, 521):
+            lam = rational(2 * k + 1, 2) if half else rational(k)
+            z_num, z_add, z_den, top = lattice._columns(lam, a, d)
+            if top * z_num + z_add != lam * z_den:
+                continue
+            point = lattice.prepare_floor_term(lam, kind.shift)
+            expected = sum(weight(m) * point(m * z_num + z_add, z_den)[0] for m in range(start, top + 1))
+            assert lattice._convex_floor_sum(lam, a, kind.shift, d, start) == expected, lam
+
+    @pytest.mark.parametrize(
+        "lam, a",
+        [(72, rational(1, 2)), (92, rational(1, 2)), (234, rational(1, 3)), (21, rational(2, 7))],
+        ids=str,
+    )
+    def test_a_chord_through_the_last_column_takes_the_shift(self, lam, a):
+        # Neumann sectors whose last column lies at z = lam, where the upper
+        # end is the shift 3/4: a chord through floor(3/4) = 0 there instead
+        # counts a point above that is not
+        lam = rational(lam)
+        z_num, z_add, z_den, top = lattice._columns(lam, a, None)
+        assert top * z_num + z_add == lam * z_den
+        assert lattice._convex_floor_sum(lam, a, N.shift) == _term_by_term(lam, a, N.shift)
+
+    def test_a_point_on_the_chord_of_exact_ends_is_not_above(self, monkeypatch):
+        # a stub curve f(m) = max(10 - 4m/5, 38/5 - 2m/5) on columns 0 .. 11,
+        # each point test exact (its upper end is f itself) and each slope
+        # proof the secant left of its column: where f is linear between two
+        # tested columns, a point on their chord lies on f, so only a strict
+        # comparison keeps it from being counted above
+        f = [max(10 - rational(4 * m, 5), rational(38, 5) - rational(2 * m, 5)) for m in range(12)]
+        asked = []
+
+        def point(zn, zd):
+            asked.append(zn // zd)
+            value = f[zn // zd]
+            return rat_floor(value), value.numerator, value.denominator
+
+        def secant_flat(xn, xd, sn, sd, pi_lo):  # z/lam = m/11 and slope sn/sd
+            m = xn * 11 // xd
+            return m > 0 and (f[m - 1] - f[m]) * sd <= sn
+
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: point)
+        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", secant_flat)
+        assert lattice._convex_floor_sum(rational(11), rational(1), D.shift) == sum(map(rat_floor, f)) == 69
+        assert len(asked) == len(set(asked))
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -727,7 +816,7 @@ class TestConvexWalk:
         # the horizontal direction, and keeping one floor per column would
         # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift: 1)
-        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: 1)
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: (1, 1, 1))
         if not walk:
             monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
@@ -818,9 +907,25 @@ class TestWalkPointTest:
         # the one-shot route checks eps and otherwise ignores it
         floor = lattice.prepare_floor_term(lam, shift)
         for m in range(rat_floor(lam) + 2):  # the last column lies past lam
-            assert floor(m, 1) == certified_floor_term(lam, rational(m), shift, eps), m
+            assert floor(m, 1)[0] == certified_floor_term(lam, rational(m), shift, eps), m
         for m in range(0, rat_floor(3 * lam) + 1, 7):  # unnormalised abscissas m/3 as (2m)/6
-            assert floor(2 * m, 6) == certified_floor_term(lam, rational(m, 3), shift, eps), m
+            assert floor(2 * m, 6)[0] == certified_floor_term(lam, rational(m, 3), shift, eps), m
+
+    @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
+    def test_each_floor_comes_with_the_upper_end_that_decided_it(self, kind):
+        # the chord rule's inputs: below lam an upper end of G + shift whose
+        # floor is the floor, so at or above g_bracket's lower end at 1/10^12;
+        # at and past lam, where G + shift is the shift, the shift itself
+        shift, fine = kind.shift, rational(1, 10**12)
+        for lam in (rational(300), rational(67891, 93), rational(11393, 11)):
+            floor = lattice.prepare_floor_term(lam, shift)
+            for m in range(0, rat_floor(lam) + 1, 7):
+                f, n, d = floor(m, 1)
+                assert n // d == f == certified_floor_term(lam, m, shift), (lam, m)
+                assert rational(n, d) >= g_bracket(lam, m, fine).lo + shift, (lam, m)
+            ln, ld = lam.numerator, lam.denominator
+            for zn, zd in ((ln, ld), (2 * ln, 2 * ld), (rat_floor(lam) + 1, 1)):
+                assert floor(zn, zd) == (rat_floor(shift), shift.numerator, shift.denominator), (lam, zn, zd)
 
     @pytest.mark.parametrize(
         "lam, z", [(5, 0), (5, 3), (5, 4), (300, 84), (300, 180), (300, 240), (300, 288)]
@@ -843,7 +948,7 @@ class TestWalkPointTest:
         assert hi == rational(*curve._over_pi(r, den, z, 1, a_lo, den, pi.lo)) + shift
         outer = g_bracket(lam, z, eps)
         assert outer.lo + shift <= lo <= hi <= outer.hi + shift
-        assert lattice.prepare_floor_term(rational(lam), shift)(z, 1) == certified_floor_term(lam, z, shift)
+        assert lattice.prepare_floor_term(rational(lam), shift)(z, 1)[0] == certified_floor_term(lam, z, shift)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -944,7 +1049,7 @@ class TestWalkPointTest:
             floor = lattice.prepare_floor_term(lam, kind.shift)
             for m in rng.sample(range(top + 1), 40):
                 zn = m * z_num + z_add
-                assert floor(zn, z_den) == certified_floor_term(lam, rational(zn, z_den), kind.shift), (lam, m)
+                assert floor(zn, z_den)[0] == certified_floor_term(lam, rational(zn, z_den), kind.shift), (lam, m)
 
     def test_walked_counts_equal_the_double_oracle_on_seeded_large_lambdas(self):
         # drawn as the large_lambda benchmark draws them: lambda in [400, 1200]
