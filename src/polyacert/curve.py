@@ -43,9 +43,12 @@ prepare_g_bracket's at the same accuracy.  Root and arccos ends on 2^k
 share the denominator ld*zd*2^k, and pi's and the shift's integer parts
 are folded into three integers once per accuracy, so each end of
 G + shift is one subtraction, two products and a sum over one
-denominator, which the walk floors by integer division.  The walk's bracket lies inside g_bracket's plus the
-shift, so the one-shot floor term on g_bracket's rationals is an
-independent check of the walk.
+denominator, which the walk floors by integer division.  With the
+bracket comes its steepness bound, the arccos's upper end over pi's lower
+end, which bounds -dG/dz = arccos(z/lam)/pi from above (None on the
+reference bracket): the walk's tangent lemma and stop rule read it.  The
+walk's bracket lies inside g_bracket's plus the shift, so the one-shot
+floor term on g_bracket's rationals is an independent check of the walk.
 """
 from __future__ import annotations
 
@@ -186,7 +189,9 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     The returned ``ends(zn, zd)`` gives the integer pairs ((lo_num,
     lo_den), (hi_num, hi_den)), not normalised, of a bracket of
     G(lam, zn/zd) + shift, for integers zn >= 0 and zd > 0 with
-    zn/zd <= lam, with prepare_g_bracket's pi bracket, taken here.
+    zn/zd <= lam, with prepare_g_bracket's pi bracket, taken here, and
+    then the curve's steepness bound there: an integer pair (n, d) with
+    n/d >= arccos(zn/(zd*lam))/pi = -dG/dz, or None.
     With 2^k > 8/eps for the capped arccos eps, n = ln^2*zd^2 - zn^2*ld^2
     and D = ld*zd*2^k, the root sqrt(n)/(ld*zd) lies in [r, r + 1]/D for
     r = isqrt(n * 4^k), and is r/D itself when r^2 = n*4^k: the floor
@@ -198,9 +203,11 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     each end of G + shift is (r - x*A)*P + D*Q over D*R for x = zn*ld,
     with pi's and the shift's integer parts folded in once: for the lower
     end A_hi, P = pi_hi_den*shift_den, Q = pi_hi_num*shift_num and
-    R = pi_hi_num*shift_den, and the upper end alike.  Where they come
-    back None, the ends are those of prepare_g_bracket(lam, shift, eps),
-    the reference bracket, prepared here too.  Each end of G lies inside
+    R = pi_hi_num*shift_den, and the upper end alike; the steepness bound
+    is A_hi*pi_lo_den over pi_lo_num*2^k, and exactly 1/2 at z = 0.  Where
+    they come back None, the ends are those of
+    prepare_g_bracket(lam, shift, eps), the reference bracket, prepared
+    here too, and the steepness bound is None.  Each end of G lies inside
     its counterpart's in prepare_g_bracket, so the bracket lies inside
     g_bracket's plus the shift at the same eps.
     """
@@ -209,18 +216,24 @@ def prepare_g_floor_ends(lam: Fraction, shift: Fraction, eps: Fraction):
     (pl_n, pl_d), (ph_n, ph_d) = pi.lo.as_integer_ratio(), pi.hi.as_integer_ratio()
     lo_p, lo_q, lo_r = ph_d * sd, ph_n * sn, ph_n * sd  # the lower end takes pi's upper end
     hi_p, hi_q, hi_r = pl_d * sd, pl_n * sn, pl_n * sd
-    reference = prepare_g_bracket(lam, shift, eps)
+    reference, steep_den = prepare_g_bracket(lam, shift, eps), pl_n << k
 
-    def ends(zn: int, zd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    def ends(zn: int, zd: int):
         x = zn * ld
-        angle = arccos(x, zd * ln) if x else (0, 0)
-        if angle is None:
-            return reference(zn, zd)
-        a_lo, a_hi = angle
+        if x:
+            angle = arccos(x, zd * ln)
+            if angle is None:
+                return (*reference(zn, zd), None)
+            a_lo, a_hi = angle
+            steep = a_hi * pl_d, steep_den
+        else:
+            a_lo = a_hi = 0
+            steep = 1, 2  # arccos(0)/pi
         scaled, den = (ln2 * zd * zd - zn * zn * ld2) << 2 * k, ld * zd << k
         r = math.isqrt(scaled)
         r_hi = r if r * r == scaled else r + 1
-        return ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
+        lo, hi = ((r - x * a_hi) * lo_p + den * lo_q, den * lo_r), ((r_hi - x * a_lo) * hi_p + den * hi_q, den * hi_r)
+        return lo, hi, steep
 
     return ends
 

@@ -20,15 +20,14 @@ and c = d - 2 (0 for a sector).  :func:`count_weighted` and
 and decreasing, so the lattice points above it form a convex set, and the
 walk follows that set's lower hull with Stern-Brocot directions, from the
 first summed column on, carrying the weights kappa(d, m) of a weighted
-count along each hull edge.  A planar Neumann count evaluates about
-2.6*lambda^(2/3) brackets at lambda 10^4, 3.0 at 10^5, 3.4 at 10^6 and
-4.1 at 10^7; it decides each point by an exact floor test or by the
-chord lemma below, and stops a slope search only on a proof that
-arccos(z/lam) <= pi*s for the rational slope s, so the count is exact; a
-point that cannot be decided raises UnresolvedFloorError there, and
-nothing is rerun.  The proof is one exact Taylor check of cos at
-min(pi_lo*s, 4), with pi_lo the lower end of pi at 1/10^9, which needs
-no guess and never raises.
+count along each hull edge.  A planar Neumann count makes about
+1.5*lambda^(2/3) point tests at lambda 10^4 and 1.7 at 10^5 to 10^7, and
+evaluates 1.75*lambda^(2/3) brackets at 10^4, 2.15 at 10^5, 2.4 at 10^6
+and 2.9 at 10^7; it decides each point by an exact floor test, by the
+chord lemma or by the tangent lemma below, and stops a slope search only
+on a proof that arccos(z/lam) <= pi*a*s for the rational slope s, so the
+count is exact; a point that cannot be decided raises
+UnresolvedFloorError there, and nothing is rerun.
 The chord lemma settles a point (m, y) as above the curve
 f(m) = G + shift with no bracket, when y exceeds the chord through the
 upper ends u1 >= f(m1) and u2 >= f(m2) of tested columns m1 < m < m2:
@@ -37,13 +36,28 @@ raised by that excess, both chord ends lie in the strict epigraph
 y > f(m).  It rests on three facts: that convexity; only verified upper
 ends enter the chord, each the upper end of the bracket that decided its
 column; and a column at z >= lambda, where f is exactly the shift, has
-the shift itself as its upper end, not floor(shift).  The check is one
-integer cross-multiplication, and the walk keeps the tested columns only
-at or right of its current vertex, the only ones a test looks at.  Every
+the shift itself as its upper end, not floor(shift).
+The tangent lemma settles a point (m, y) as not above the curve with no
+bracket, when y <= l1 - s1*(m - m1)/a for the nearest tested column
+m1 < m, the lower end l1 <= f(m1) of the bracket that decided it and its
+steepness bound s1 >= arccos(z1/lam)/pi: f'(m1) = -arccos(z1/lam)/(pi*a)
+>= -s1/a, and f, convex in m, lies above its tangent at m1, so
+y <= f(m1) + f'(m1)*(m - m1) <= f(m).  Every point test returns that bound
+with its bracket: the upper end of arccos(z/lam) that the bracket already
+verified over pi's lower end, exactly 1/2 at z = 0 and 0 at z >= lambda
+(where the lower end is the shift), or None where the test took the
+reference bracket, whose column then settles nothing by this lemma.  The
+same bound is the stop rule: a slope search stops at a point that is not
+above when s <= a*p1/q1 for the flatter direction (q1, p1), with s the
+bound of the nearest tested column at or left of the point's (arccos
+decreases in z, so it bounds the curve there too), which proves
+arccos(z/lam) <= pi*a*p1/q1 at the point.  Each check is one integer
+cross-multiplication, and the walk keeps the tested columns only at or
+right of its current vertex, the only ones a test looks at.  Every
 floor test refines on one ladder of accuracies 1/10^r, r = 0 .. 16
 (``_ACCURACIES``), from a start rung worked out from lambda alone on
 integers (``_start_rung``) to the finest, gives floor(shift) at
-z >= lambda, and returns the floor with the upper end that decided it.
+z >= lambda, and returns the floor with the bracket that decided it.
 No exact count depends on eps: every public count enters through
 ``_checked_lam``, which raises DomainError for lambda < 0, then for
 eps <= 0, even for an empty sum; eps is otherwise ignored.  The walk
@@ -76,7 +90,7 @@ the same integers as the term-by-term sum of clamped floors of ``g_lower``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -90,7 +104,7 @@ from .errors import (
     UnresolvedFloorError,
 )
 from .rational import ONE, ZERO, as_rational, rat_floor, rational
-from .verified import DEFAULT_EPS, _arccos_above, pi_bounds
+from .verified import DEFAULT_EPS
 
 
 class Rigor(Enum):
@@ -160,11 +174,14 @@ def _checked_lam(lam, eps) -> Fraction:
 def prepare_floor_term(lam: Fraction, shift: Fraction):
     """The hull walk's point test for one (lam, shift), prepared once: a function of z's integer parts.
 
-    The returned ``floor(zn, zd)`` is (floor(G(lam, zn/zd) + shift), n, d)
-    for integers zn >= 0 and zd > 0, neither normalised, with n/d the upper
-    end of the bracket that decided it, decided on certified_floor_term's
-    ladder, from the same start rung, with each rung's bracket from
-    :func:`curve.prepare_g_floor_ends`.  That bracket lies inside
+    The returned ``floor(zn, zd)`` is (floor(G(lam, zn/zd) + shift),
+    (lo, hi, steep)) for integers zn >= 0 and zd > 0, neither normalised,
+    decided on certified_floor_term's ladder, from the same start rung,
+    with each rung's bracket from :func:`curve.prepare_g_floor_ends`: lo
+    and hi are the integer pairs of the ends of the bracket that decided
+    it, and steep is that bracket's steepness bound of the curve,
+    arccos(z/lam)/pi at most, as an integer pair, or None where the rung
+    took the reference bracket.  That bracket lies inside
     certified_floor_term's, so wherever certified_floor_term returns a
     floor this returns the same one, on the same rung or an earlier one.
     lam and shift must be Fractions.
@@ -173,12 +190,14 @@ def prepare_floor_term(lam: Fraction, shift: Fraction):
 
 
 def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
-    """floor(zn, zd): (floor(G(lam, zn/zd) + shift), n, d), decided by prepare_ends(lam, shift, accuracy)'s brackets.
+    """floor(zn, zd): (floor(G(lam, zn/zd) + shift), bracket), decided by prepare_ends(lam, shift, accuracy)'s brackets.
 
-    prepare_ends returns the ends of a bracket of G + shift as integer
-    pairs (num, den) with den > 0, each floored by num // den; n/d is the
-    upper end of the bracket that decided the floor, and the shift itself
-    at z >= lam, where G + shift is the shift.  Built once:
+    prepare_ends returns a function of (zn, zd) whose first two items are
+    the ends of a bracket of G + shift as integer pairs (num, den) with
+    den > 0, each floored by num // den; bracket is what it returned for
+    the rung that decided the floor.  At z >= lam, where G + shift is the
+    shift and the curve is flat, bracket is ((shift), (shift), (0, 1)):
+    the shift itself as both ends and a steepness bound of 0.  Built once:
     lam's integer parts, floor(shift) and the rungs from _start_rung(lam);
     once per rung, on its first use: its prepared ends.  zn >= 0 and
     zd > 0 need not be normalised; the abscissa of an UnresolvedFloorError
@@ -195,9 +214,9 @@ def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
     first = _start_rung(lam)
     rungs, tries = [None] * len(_ACCURACIES), range(first, len(_ACCURACIES))
 
-    def floor(zn: int, zd: int) -> tuple[int, int, int]:
+    def floor(zn: int, zd: int) -> tuple:
         if zn * ld >= ln * zd:
-            return past_lam, sn, sd
+            return past_lam, ((sn, sd), (sn, sd), (0, 1))
         failed = finest = None
         for rung in tries:
             try:
@@ -208,12 +227,12 @@ def _floor_ladder(lam: Fraction, shift: Fraction, prepare_ends):
             except GuessFailedError as exc:
                 failed = failed or exc
                 continue
-            (lo_n, lo_d), (hi_n, hi_d) = bracket
+            (lo_n, lo_d), (hi_n, hi_d) = bracket[0], bracket[1]
             f_lo = lo_n // lo_d
             if f_lo == hi_n // hi_d:
-                return f_lo, hi_n, hi_d
+                return f_lo, bracket
             finest = bracket
-        interval = None if finest is None else tuple(rational(n, d) for n, d in finest)
+        interval = None if finest is None else (rational(*finest[0]), rational(*finest[1]))
         tried = (_ACCURACIES[first], _ACCURACIES[-1])
         raise UnresolvedFloorError(rational(zn, zd), interval, tried) from failed
 
@@ -268,7 +287,12 @@ def _column_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None = Non
     # peak_rss_mb by 19 %, past its 5 % bound (ROADMAP items 2 and 3).
     # Taking only the one-shot floor's brackets from prepare_g_floor_ends
     # ran exact_sweep 1.51x faster in 35 s runs (475 to 717 op/s), with
-    # peak_rss_mb up 12.6 % (28.15 to 31.69 MB).
+    # peak_rss_mb up 12.6 % (28.15 to 31.69 MB).  Preparing the one-shot
+    # ladder, _floor_ladder on prepare_g_bracket, once per sum rather than
+    # once per term ran exact_sweep's first 1,500 operations 1.4x faster
+    # in-process, with the same outputs; its records grow peak_rss_mb by
+    # about 440 bytes an operation, so any gain past about 14 % op/s
+    # crosses the 5 % bound (ROADMAP item 7).
     return sum(
         (1 if d is None else kappa(d, m)) * certified_floor_term(lam, rational(m * z_num + z_add, z_den), shift)
         for m in range(start, top + 1)
@@ -292,53 +316,59 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None
     rounded up, so a step along a primitive (q, p) from (x, y) adds
     sum_{j<q} w(x+j)*(y - floor(p*j/q)) to the weighted sum of h
     (_step_sum).  A point is decided exactly, and only on columns from
-    start on: above, by the chord lemma (see the module docstring), when
-    y exceeds the chord through the upper ends of the nearest tested
-    columns on each side, else y > floor(f(m)) by prepare_floor_term, once
-    per column.  The walk keeps each tested column's floor and upper end
-    while the column lies at or right of the current vertex, as no test
-    looks left of it, but none whose point is not above in a search whose
-    flatter direction is horizontal.
+    start on (see the module docstring for the two lemmas): above, by the
+    chord lemma, when y exceeds the chord through the upper ends of the
+    nearest tested columns on each side; not above, by the tangent lemma,
+    when y <= l1 - s1*(m - m1)/a for the nearest tested column m1 on the
+    left, its lower end l1 and its steepness bound s1; else
+    y > floor(f(m)) by prepare_floor_term, once per column.  The walk keeps
+    each tested column's floor and bracket while the column lies at or
+    right of the current vertex, as no test looks left of it, but none
+    whose point is not above in a search whose flatter direction is
+    horizontal.
 
     The next edge is the steepest direction whose first point is above the
-    curve; it is searched by mediants between a flatter direction whose
-    point is above and a steeper one whose point is not.  Once a mediant's
-    point A is not above, steeper candidates than the flatter direction can
-    only lie past A, so the search stops when the curve at A is provably at
-    least as flat as that direction: arccos(z/lam) <= pi*a*p/q at A's
-    abscissa z, by _arccos_at_most_pi_times, an exact Taylor check against
-    pi's lower end at _SLOPE_EPS.  A cut-off that is not proved only costs
-    more tests.  A horizontal step is never tested, as f decreases.
+    curve; it is searched by mediants between a flatter direction (q1, p1)
+    whose point is above and a steeper one whose point is not.  Once a
+    mediant's point A is not above, steeper candidates than the flatter
+    direction can only lie past A, so the search stops when the curve at A
+    is provably at least as flat as that direction: the stop rule
+    s <= a*p1/q1 (_steepness_at_most), with s the steepness bound of the
+    nearest tested column at or left of A, which proves
+    arccos(z/lam) <= pi*a*p1/q1 at A's abscissa z.  A cut-off that is not
+    proved, as where s is None, only costs more tests.  A horizontal step
+    is never tested, as f decreases.
     """
     z_num, z_add, z_den, top = _columns(lam, a, d)
     a_num, a_den = a.numerator, a.denominator
-    # z/lam = (m*x_num + x_add)/x_den, as integers
-    x_num, x_add, x_den = z_num * lam.denominator, z_add * lam.denominator, z_den * lam.numerator
     if top < start:
         return 0
     point = prepare_floor_term(lam, shift)
     # the tested columns at or right of the vertex x, ascending, and for
-    # each its point test's (floor, upper end's numerator, denominator)
+    # each its point test's (floor, (lower end, upper end, steepness bound))
     cols, tested = [start], [point(start * z_num + z_add, z_den)]
 
     def above(m: int, y: int, keep_below: bool = True) -> bool:
         if m > top:
             return False
         i = bisect_left(cols, m)
-        if i < len(cols):
-            if cols[i] == m:
-                return y > tested[i][0]
-            if i:  # the chord lemma, with the nearest tested columns on each side
-                m1, m2, (_, n1, d1), (_, n2, d2) = cols[i - 1], cols[i], tested[i - 1], tested[i]
+        if i < len(cols) and cols[i] == m:
+            return y > tested[i][0]
+        if i:
+            m1, (_, ((l1n, l1d), (n1, d1), s1)) = cols[i - 1], tested[i - 1]
+            if i < len(cols):  # the chord lemma, with the nearest tested columns on each side
+                m2, (n2, d2) = cols[i], tested[i][1][1]
                 if (m2 - m) * n1 * d2 + (m - m1) * n2 * d1 < y * (m2 - m1) * d1 * d2:
                     return True
+            # the tangent lemma, from the nearest tested column on the left: y <= l1 - s1*(m - m1)/a
+            if s1 is not None and (l1n - y * l1d) * s1[1] * a_num >= s1[0] * (m - m1) * a_den * l1d:
+                return False
         found = point(m * z_num + z_add, z_den)
         if keep_below or y > found[0]:
             cols.insert(i, m)
             tested.insert(i, found)
         return y > found[0]
 
-    pi_lo = pi_bounds(_SLOPE_EPS).lo
     x, y, total = start, tested[0][0] + 1, 0  # total: sum of w*h over the columns start .. x - 1
     stack = [(1, 0), (0, 1)]
     while True:
@@ -365,10 +395,25 @@ def _convex_floor_sum(lam: Fraction, a: Fraction, shift: Fraction, d: int | None
             if above(m, y - pm, keep_below=p1 > 0):
                 q1, p1 = q1 + q, pm
                 stack.append((q1, p1))
-            elif m > top or _arccos_at_most_pi_times(m * x_num + x_add, x_den, a_num * p1, a_den * q1, pi_lo):
+            elif m > top:
                 break
             else:
+                # the stop rule, on the steepness bound of the nearest tested
+                # column at or left of m: arccos decreases in z, so it bounds m's
+                j = bisect_right(cols, m)
+                if j and _steepness_at_most(tested[j - 1][1][2], a_num * p1, a_den * q1):
+                    break
                 q, p = q1 + q, pm
+
+
+def _steepness_at_most(steep, pn: int, pd: int) -> bool:
+    """The walk's stop rule: whether the steepness bound steep, an integer pair (n, d) or None, is at most pn/pd.
+
+    pd > 0.  steep = n/d bounds arccos(z/lam)/pi at a column from above,
+    so n/d <= pn/pd proves arccos(z/lam) <= pi*pn/pd there, on one integer
+    cross-multiplication; a bound that is None proves nothing.
+    """
+    return steep is not None and steep[0] * pd <= pn * steep[1]
 
 
 def _weight_below(d: int | None, m: int) -> int:
@@ -389,28 +434,6 @@ def _step_sum(d: int | None, x: int, y: int, q: int, p: int) -> int:
     return y * (_weight_below(d, x + q) - _weight_below(d, x)) - sum(
         kappa(d, x + j) * (p * j // q) for j in range(1, q)
     )
-
-
-# The walk's slope proofs take pi's lower end at this accuracy (pi_bounds
-# memoises it): deep in the walk a cut-off's slope lies closer to the
-# curve's than pi's lower end at 1/1000 can tell apart (at lambda 10^5,
-# 5,365 point tests against 6,485 with that end).
-_SLOPE_EPS = rational(1, 10**9)
-
-
-def _arccos_at_most_pi_times(xn: int, xd: int, sn: int, sd: int, pi_lo: Fraction) -> bool:
-    """Whether arccos(xn/xd) <= pi*sn/sd is proved, for 0 <= xn <= xd, sn >= 0 and sd > 0.
-
-    With theta = min(pi_lo*sn/sd, 4) <= pi*sn/sd, for pi_lo a lower end
-    of pi, the exact Taylor check _arccos_above proves arccos(x) < theta
-    on integers, needing no guess.  The cap keeps theta in the check's
-    domain (0, 4], and arccos(x) <= pi/2 lies below 4, so a slope past
-    4/pi, such as a wide sector's first hull edge, stays proved.  theta = 0
-    (sn = 0), a tie such as arccos(1/2) = pi/3 and an unproved bound all
-    give False.
-    """
-    pn, pd = pi_lo.numerator * sn, pi_lo.denominator * sd
-    return _arccos_above(xn, xd, min(pn, 4 * pd), pd)
 
 
 def count_weighted(d: int, kind: BoundKind, lam, eps=DEFAULT_EPS) -> CountResult:
@@ -458,6 +481,12 @@ def _lower_term(lam: Fraction, eps):
     Term 0 is g_lower(lam, 0, eps) = lam/pi_hi itself.  The other terms
     share one prepare_g_lower and floor its integer parts; the term at
     z = lam is floor(3/4) = 0.
+
+    A window floor, which decides a term from the range its guesses'
+    windows leave g_lower (ROADMAP item 7), ran certify_verify 1.25x
+    faster in-process with the same certificates, but is not kept: the
+    benchmark's records grow its peak_rss_mb by about 3.7 KB an operation,
+    so a gain past about 18 % op/s crosses the 5 % bound.
     """
     first = g_lower(lam, ZERO, eps)
     parts = prepare_g_lower(lam, as_rational(eps))

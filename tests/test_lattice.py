@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from polyacert.lattice import (
     sector_lattice_bound,
 )
 from polyacert.rational import rat_floor, rational
-from polyacert.verified import DEFAULT_EPS, RationalInterval, _arccos_upper_end, pi_bounds
+from polyacert.verified import DEFAULT_EPS, RationalInterval, pi_bounds
 
 D = BoundKind.DIRICHLET
 N = BoundKind.NEUMANN
@@ -40,13 +41,16 @@ def _bracket_seam(monkeypatch, bracket):
     The floor tests take their brackets of G + shift once per rung, the
     walk's through lattice.prepare_g_floor_ends and the one-shot
     certified_floor_term's through lattice.prepare_g_bracket, both
-    prepare(lam, shift, eps); this routes both builders to bracket.
+    prepare(lam, shift, eps); this routes both builders to bracket.  The
+    ends come with no steepness bound (None), as the walk's reference
+    bracket does, so the walk settles no point by the tangent lemma and
+    stops no search on its stop rule.
     """
 
     def prepare(lam, shift, eps):
         def ends(zn, zd):
             b = bracket(lam, rational(zn, zd), eps)
-            return (b.lo + shift).as_integer_ratio(), (b.hi + shift).as_integer_ratio()
+            return (b.lo + shift).as_integer_ratio(), (b.hi + shift).as_integer_ratio(), None
 
         return ends
 
@@ -281,7 +285,7 @@ class TestStartRung:
             lam = rational(round(10 ** rng.uniform(0, 4) * den), den)
             ends = curve.prepare_g_floor_ends(lam, kind.shift, lattice._ACCURACIES[lattice._start_rung(lam)])
             for m in range(0, rat_floor(lam) + 1, 7):
-                (lo_n, lo_d), (hi_n, hi_d) = ends(m, 1)
+                (lo_n, lo_d), (hi_n, hi_d), _ = ends(m, 1)
                 assert 8 * (hi_n * lo_d - lo_n * hi_d) <= lo_d * hi_d, (lam, m)
 
     def test_exact_counts_do_not_depend_on_eps(self):
@@ -471,18 +475,22 @@ class TestConvexWalk:
         assert lattice._convex_floor_sum(lam, a, shift) == _term_by_term(lam, a, shift)
 
     def test_pi_over_three_cut_off_is_not_proved_and_costs_only_tests(self, monkeypatch):
-        # arccos(300/600) = pi/3 exactly, so no bracket proves the slope-1/3 cut-off there
-        real, asked = lattice._arccos_at_most_pi_times, []
+        # arccos(300/600) = pi/3 exactly, so the steepness bound at z = 300
+        # lies above 1/3 and the stop rule never proves the slope-1/3 cut-off
+        # there, though the walk asks it
+        real, asked = lattice._steepness_at_most, []
 
-        def recording(xn, xd, sn, sd, eps):
-            proved = real(xn, xd, sn, sd, eps)
-            asked.append((rational(xn, xd), rational(sn, sd), proved))
+        def recording(steep, pn, pd):
+            proved = real(steep, pn, pd)
+            asked.append((steep, rational(pn, pd), proved))
             return proved
 
-        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", recording)
+        monkeypatch.setattr(lattice, "_steepness_at_most", recording)
         lam = rational(600)
         assert lattice._convex_floor_sum(lam, rational(1), N.shift) == _term_by_term(lam, 1, N.shift)
-        assert (rational(1, 2), rational(1, 3), False) in asked
+        tie = lattice.prepare_floor_term(lam, N.shift)(300, 1)[1][2]
+        assert rational(*tie) > rational(1, 3)
+        assert (tie, rational(1, 3), False) in asked
         assert any(proved for _, _, proved in asked)
 
     @pytest.mark.parametrize(
@@ -496,8 +504,25 @@ class TestConvexWalk:
         ],
     )
     def test_counts_without_a_proved_cut_off_are_unchanged(self, monkeypatch, lam, a, shift):
+        # with no cut-off proved, and then with every point test's steepness
+        # bound None, as on the reference route (no tangent lemma either):
+        # only more tests
         walked = lattice._convex_floor_sum(lam, a, shift)
-        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", lambda xn, xd, sn, sd, eps: False)
+        monkeypatch.setattr(lattice, "_steepness_at_most", lambda steep, pn, pd: False)
+        assert lattice._convex_floor_sum(lam, a, shift) == walked
+        monkeypatch.undo()
+        real = lattice.prepare_floor_term
+
+        def unbounded(lam, shift):
+            point = real(lam, shift)
+
+            def floor(zn, zd):
+                f, (lo, hi, _) = point(zn, zd)
+                return f, (lo, hi, None)
+
+            return floor
+
+        monkeypatch.setattr(lattice, "prepare_floor_term", unbounded)
         assert lattice._convex_floor_sum(lam, a, shift) == walked
 
     @pytest.mark.parametrize(
@@ -603,32 +628,33 @@ class TestConvexWalk:
     def test_a_walked_count_prepares_once(self, monkeypatch):
         # the floor test prepares each rung it uses once, with two pi brackets
         # in a row: the dyadic bracket's and that of the reference bracket it
-        # falls back to; the slope proofs build one, at _SLOPE_EPS whatever
-        # the count's eps; term by term, every bracket asked for its own
-        asked = {curve: [], lattice: []}
-        for module, calls in asked.items():
-            real = module.pi_bounds
-            monkeypatch.setattr(module, "pi_bounds", lambda eps, real=real, calls=calls: calls.append(eps) or real(eps))
+        # falls back to; the stop rule reads the point tests' steepness
+        # bounds, so the walk builds no pi of its own
+        asked = []
+        real = curve.pi_bounds
+        monkeypatch.setattr(curve, "pi_bounds", lambda eps: asked.append(eps) or real(eps))
         assert count_weighted(2, N, rational(70003, 7)).value == 25_007_157
-        rungs = asked[curve][::2]
+        rungs = asked[::2]
         assert 0 < len(rungs) == len(set(rungs)) <= len(lattice._ACCURACIES)
-        assert asked[curve] == [eps for eps in rungs for _ in range(2)]
-        assert asked[lattice] == [lattice._SLOPE_EPS]
+        assert asked == [eps for eps in rungs for _ in range(2)]
+        assert not hasattr(lattice, "pi_bounds")
 
-    def test_slope_proofs_retried_at_their_own_eps_keep_the_walk_short(self, monkeypatch):
-        # the slope proofs take pi's lower end once, at their own eps 1/10^9,
-        # not at the count's eps and no longer as a retry; with pi's lower end
-        # at the count's eps they fail deep in the walk, and the walk tested
-        # 9,383 points here
+    @pytest.mark.parametrize("lam, value, before", [(10**4, 25_004_989, 1101), (10**5, 2_500_049_851, 5365)])
+    def test_the_tangent_lemma_and_stop_rule_keep_the_walk_short(self, monkeypatch, lam, value, before):
+        # a walk that settled no point below a tangent and stopped its searches
+        # on a Taylor proof against pi's lower end at 1/10^9 tested `before`
+        # points here; the tangent lemma and the stop rule on the point
+        # tests' own steepness bounds test at most three quarters of those
         asked = []
         _watch_floor_tests(monkeypatch, asked)
-        assert count_weighted(2, N, 10**5).value == 2_500_049_851
-        assert len(asked) <= 8000
+        assert count_weighted(2, N, lam).value == value
+        assert 0 < len(asked) <= 0.75 * before
 
     def test_steep_sector_slopes_are_proved(self, monkeypatch):
-        # at aperture 2*pi the first hull edge (1, 1) asks for arccos(x) <= 2*pi,
-        # beyond the Taylor check's domain (0, 4]: without the cap at 4 the
-        # walk tested 2,827 points here, not 468
+        # at aperture 2*pi the first hull edge (1, 1) asks for
+        # arccos(x) <= 2*pi, past 4/pi: every steepness bound is at most 1/2,
+        # so the stop rule proves it; a slope proof capped below 4/pi
+        # tested 2,827 points here, not 468
         asked = []
         _watch_floor_tests(monkeypatch, asked)
         lam, a = rational(9897, 7), rational(2)
@@ -704,26 +730,44 @@ class TestConvexWalk:
 
     def test_a_point_on_the_chord_of_exact_ends_is_not_above(self, monkeypatch):
         # a stub curve f(m) = max(10 - 4m/5, 38/5 - 2m/5) on columns 0 .. 11,
-        # each point test exact (its upper end is f itself) and each slope
-        # proof the secant left of its column: where f is linear between two
+        # each point test exact (both ends are f itself) and each steepness
+        # bound the secant left of its column: where f is linear between two
         # tested columns, a point on their chord lies on f, so only a strict
         # comparison keeps it from being counted above
         f = [max(10 - rational(4 * m, 5), rational(38, 5) - rational(2 * m, 5)) for m in range(12)]
         asked = []
-
-        def point(zn, zd):
-            asked.append(zn // zd)
-            value = f[zn // zd]
-            return rat_floor(value), value.numerator, value.denominator
-
-        def secant_flat(xn, xd, sn, sd, pi_lo):  # z/lam = m/11 and slope sn/sd
-            m = xn * 11 // xd
-            return m > 0 and (f[m - 1] - f[m]) * sd <= sn
-
-        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: point)
-        monkeypatch.setattr(lattice, "_arccos_at_most_pi_times", secant_flat)
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: _stub_point(f, asked))
         assert lattice._convex_floor_sum(rational(11), rational(1), D.shift) == sum(map(rat_floor, f)) == 69
         assert len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["exact", "wide"])
+    @pytest.mark.parametrize("a", [rational(1), rational(2), rational(1, 2), rational(1, 3)], ids=str)
+    def test_the_tangent_lemma_on_stub_curves(self, monkeypatch, a, wide):
+        # seeded stub curves, convex and decreasing on 41 columns at z = m/a,
+        # each point test's ends f itself (exact) or the widest with f's floor
+        # (wide), each steepness bound a times the secant left of its column:
+        # the walk equals the sum of the stub's floors, and with the stop
+        # rule off it tests fewer points than with no steepness bounds, the
+        # points settled below a tangent
+        rng = random.Random(f"tangent-{a}-{wide}")
+        real, never = lattice._steepness_at_most, lambda steep, pn, pd: False
+        tested = {True: 0, False: 0}
+        for _ in range(25):
+            drops = sorted((rational(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(40)), reverse=True)
+            f = [rational(rng.randint(0, 40), rng.randint(1, 8))]
+            for drop in reversed(drops):
+                f.insert(0, f[0] + drop)
+            lam = rational(40) / a  # the last column lies at z = lam
+            for bounded, stop in ((True, real), (True, never), (False, never)):
+                asked = []
+                point = _stub_point(f, asked, a, wide, bounded)
+                monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: point)
+                monkeypatch.setattr(lattice, "_steepness_at_most", stop)
+                assert lattice._convex_floor_sum(lam, a, D.shift) == sum(map(rat_floor, f)), (f, bounded)
+                assert len(asked) == len(set(asked))
+                if stop is never:
+                    tested[bounded] += len(asked)
+        assert tested[True] < tested[False]
 
     def test_walked_count_with_a_once_unverifiable_term(self):
         assert count_weighted(2, N, rational(11393, 11)).value == 268676
@@ -816,7 +860,7 @@ class TestConvexWalk:
         # the horizontal direction, and keeping one floor per column would
         # hold about 11 MB; the term-by-term sum must not list them either
         monkeypatch.setattr(lattice, "certified_floor_term", lambda lam, z, shift: 1)
-        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: (1, 1, 1))
+        monkeypatch.setattr(lattice, "prepare_floor_term", lambda lam, shift: lambda zn, zd: (1, ((1, 1), (1, 1), None)))
         if not walk:
             monkeypatch.setattr(lattice, "_WALK_MIN_TERMS", 10**9)
         real, walks = lattice._convex_floor_sum, []
@@ -837,56 +881,77 @@ class TestConvexWalk:
         assert peak < 2**20, peak
 
 
-def _guessed_slope_proof(xn, xd, sn, sd):
-    """The walk's slope proof built from a double-guessed arccos end, as it stood before the Taylor check alone.
+def _stub_point(f, asked, a=rational(1), wide=False, bounded=True):
+    """The hull walk's point test on a stub curve f, a list of its values on the columns m = 0, 1, ..
 
-    At the default eps and then at 1/10^9: the verified upper end of
-    arccos(xn/xd) at eps capped at 1/4 against sn/sd times the lower end of
-    pi_bounds(eps), on integers; an end that does not verify fails that eps.
+    Column m lies at z = m/a, as on a sector's walk, and each test appends
+    m to asked.  It returns (floor(f), (lo, hi, steep)): lo and hi are f
+    itself, or, if wide, ends with f's floor as far from f as that allows,
+    floor(f) and halfway from f to the next integer; steep is None
+    unless bounded, else a times f's drop over the column before (over the
+    one after at m = 0), which bounds a times f's slope from m on for a
+    convex f, as the curve's steepness bound bounds a times its slope in m.
     """
-    if sn == 0:
-        return False
-    for eps in (DEFAULT_EPS, rational(1, 10**9)):
-        capped, pi = min(eps, rational(1, 4)), pi_bounds(eps).lo
-        try:
-            un, ud = _arccos_upper_end(xn, xd, capped.numerator, capped.denominator)
-        except GuessFailedError:
-            continue
-        if un * sd * pi.denominator <= pi.numerator * sn * ud:
-            return True
-    return False
+
+    def point(zn, zd):
+        m = zn * a.numerator // (zd * a.denominator)
+        asked.append(m)
+        floor = rat_floor(f[m])
+        lo, hi = (rational(floor), (f[m] + floor + 1) / 2) if wide else (f[m], f[m])
+        steep = (a * (f[m - 1] - f[m] if m else f[0] - f[1])).as_integer_ratio() if bounded else None
+        return floor, (lo.as_integer_ratio(), hi.as_integer_ratio(), steep)
+
+    return point
 
 
-class TestSlopeProof:
-    """lattice._arccos_at_most_pi_times, the walk's cut-off proof, against the guessed-end proof."""
+class TestSteepnessBound:
+    """The walk point test's steepness bound of the curve, and the stop rule on it."""
 
-    def test_proves_wherever_the_guessed_end_proves(self):
-        pi_lo = pi_bounds(lattice._SLOPE_EPS).lo
-        rng = random.Random(25)
-        cases = [(1, 2, 1, 3), (2, 4, 1, 3), (1, 2, 1, 2), (1, 1, 1, 1000), (0, 7, 1, 2)]
-        for _ in range(1500):
-            xd = rng.choice((10, 1000, 10**6, 10**12))
-            xn = rng.choice((1, 2, xd - 1, xd, rng.randint(1, xd)))  # x near 0 and 1, and anywhere
-            k, sd = rng.randint(1, 5), rng.randint(1, 300)
-            if rng.random() < 0.5:  # s anywhere in [0, 5/2]: at or past 1/2, and past 4/pi
-                sn = rng.randint(0, 5 * sd // 2)
-            else:  # s within a few 1/sd of arccos(x)/pi, where the two proofs part
-                sn = max(0, round(math.acos(xn / xd) / math.pi * sd) + rng.randint(-2, 2))
-            cases.append((k * xn, k * xd, sn, sd))  # x/lam need not be normalised
-        outcomes = set()
-        for xn, xd, sn, sd in cases:
-            guessed = _guessed_slope_proof(xn, xd, sn, sd)
-            proved = lattice._arccos_at_most_pi_times(xn, xd, sn, sd, pi_lo)
-            assert proved or not guessed, (xn, xd, sn, sd)
-            outcomes.add((guessed, proved))
-        assert {(True, True), (False, False)} <= outcomes
+    @pytest.mark.parametrize(
+        "a, d, kind",
+        [(rational(1), 2, D), (rational(1), 2, N), (rational(1, 2), None, D), (rational(3, 2), None, N)],
+        ids=["planar-D", "planar-N", "sector-1/2", "sector-3/2"],
+    )
+    def test_bounds_the_arccos_over_pi_from_above(self, a, d, kind):
+        # seeded columns of walked sums at lambda in [400, 1200] with
+        # denominators up to 100, against mpmath at 50 digits: the bound lies
+        # above arccos(z/lam)/pi and within twice the start rung's accuracy
+        # of it (the arccos end lies within an accuracy of the angle, pi's
+        # lower end within nine of pi)
+        rng = random.Random(f"steepness-{a}-{kind.value}")
+        for _ in range(3):
+            q = rng.randint(1, 100)
+            lam = rational(rng.randint(400 * q, 1200 * q), q)
+            z_num, z_add, z_den, top = lattice._columns(lam, a, d)
+            floor = lattice.prepare_floor_term(lam, kind.shift)
+            for m in rng.sample(range(1, top + 1), 30):
+                zn = m * z_num + z_add
+                steep = floor(zn, z_den)[1][2]
+                assert steep is not None, (lam, m)
+                accuracy = lattice._ACCURACIES[lattice._start_rung(lam)]
+                with mpmath.workdps(50):
+                    true = mpmath.acos(mpmath.mpf(zn) * lam.denominator / (z_den * lam.numerator)) / mpmath.pi
+                    over = mpmath.mpf(steep[0]) / steep[1] - true
+                    assert 0 < over < mpmath.mpf(2 * accuracy.numerator) / accuracy.denominator, (lam, m, over)
 
-    def test_a_tie_and_a_zero_slope_are_not_proved(self):
-        pi_lo = pi_bounds(lattice._SLOPE_EPS).lo
-        assert not lattice._arccos_at_most_pi_times(1, 2, 1, 3, pi_lo)  # arccos(1/2) = pi/3
-        assert not lattice._arccos_at_most_pi_times(1, 1, 0, 1, pi_lo)  # arccos(1) = 0 = pi*0
-        assert lattice._arccos_at_most_pi_times(1, 2, 10**6 + 1, 3 * 10**6, pi_lo)
-        assert lattice._arccos_at_most_pi_times(1, 10**9, 2, 1, pi_lo)  # pi*s past 4
+    def test_a_tie_is_not_proved_and_a_wide_edge_is(self):
+        # arccos(1/2) = pi/3: the bound at z/lam = 1/2 lies strictly above
+        # 1/3 on every rung, so the stop rule never proves the tie, but it
+        # proves 1/3 plus twice the rung's accuracy; at z >= lam the bound is
+        # 0 and proves a horizontal cut-off, arccos(1) = 0; every bound is at
+        # most 1/2, so a wide sector's first edge, slope 2 in units of 1/a at
+        # a = 2 (past 4/pi), is proved
+        for eps in lattice._ACCURACIES[3:]:
+            steep = curve.prepare_g_floor_ends(rational(600), rational(0), eps)(300, 1)[2]
+            assert not lattice._steepness_at_most(steep, 1, 3), eps
+            if steep is None:  # at 1/10^16 the dyadic ends do not verify here
+                assert eps == lattice._ACCURACIES[-1]
+                continue
+            assert lattice._steepness_at_most(steep, *(rational(1, 3) + 2 * eps).as_integer_ratio()), eps
+            assert lattice._steepness_at_most(steep, 2, 1), eps
+        assert lattice._steepness_at_most((0, 1), 0, 1)
+        assert lattice._steepness_at_most((1, 2), 2, 1)
+        assert not lattice._steepness_at_most(None, 2, 1)
 
 
 class TestWalkPointTest:
@@ -912,20 +977,24 @@ class TestWalkPointTest:
             assert floor(2 * m, 6)[0] == certified_floor_term(lam, rational(m, 3), shift, eps), m
 
     @pytest.mark.parametrize("kind", [D, N], ids=["D", "N"])
-    def test_each_floor_comes_with_the_upper_end_that_decided_it(self, kind):
-        # the chord rule's inputs: below lam an upper end of G + shift whose
-        # floor is the floor, so at or above g_bracket's lower end at 1/10^12;
-        # at and past lam, where G + shift is the shift, the shift itself
+    def test_each_floor_comes_with_the_ends_that_decided_it(self, kind):
+        # the chord and tangent rules' inputs: below lam the ends of a bracket
+        # of G + shift whose floors are the floor, so the upper end at or
+        # above g_bracket's lower end at 1/10^12 and the lower end at or below
+        # its upper end; at and past lam, where G + shift is the shift, the
+        # shift itself as both ends, and a steepness bound of 0
         shift, fine = kind.shift, rational(1, 10**12)
         for lam in (rational(300), rational(67891, 93), rational(11393, 11)):
             floor = lattice.prepare_floor_term(lam, shift)
             for m in range(0, rat_floor(lam) + 1, 7):
-                f, n, d = floor(m, 1)
-                assert n // d == f == certified_floor_term(lam, m, shift), (lam, m)
-                assert rational(n, d) >= g_bracket(lam, m, fine).lo + shift, (lam, m)
+                f, ((lo_n, lo_d), (n, d), _) = floor(m, 1)
+                assert lo_n // lo_d == n // d == f == certified_floor_term(lam, m, shift), (lam, m)
+                outer = g_bracket(lam, m, fine)
+                assert rational(lo_n, lo_d) <= outer.hi + shift and rational(n, d) >= outer.lo + shift, (lam, m)
             ln, ld = lam.numerator, lam.denominator
+            ends = shift.as_integer_ratio()
             for zn, zd in ((ln, ld), (2 * ln, 2 * ld), (rat_floor(lam) + 1, 1)):
-                assert floor(zn, zd) == (rat_floor(shift), shift.numerator, shift.denominator), (lam, zn, zd)
+                assert floor(zn, zd) == (rat_floor(shift), (ends, ends, (0, 1))), (lam, zn, zd)
 
     @pytest.mark.parametrize(
         "lam, z", [(5, 0), (5, 3), (5, 4), (300, 84), (300, 180), (300, 240), (300, 288)]
@@ -943,9 +1012,11 @@ class TestWalkPointTest:
         assert r * r == scaled
         a_lo, a_hi = arccos(z, lam) if z else (0, 0)  # the dyadic ends verify: no reference bracket
         pi, den = pi_bounds(eps), 1 << k
-        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(rational(lam), shift, eps)(z, 1))
+        lo, hi, steep = curve.prepare_g_floor_ends(rational(lam), shift, eps)(z, 1)
+        lo, hi = rational(*lo), rational(*hi)
         assert lo == rational(*curve._over_pi(r, den, z, 1, a_hi, den, pi.hi)) + shift
         assert hi == rational(*curve._over_pi(r, den, z, 1, a_lo, den, pi.lo)) + shift
+        assert rational(*steep) == (rational(a_hi, den) / pi.lo if z else rational(1, 2))
         outer = g_bracket(lam, z, eps)
         assert outer.lo + shift <= lo <= hi <= outer.hi + shift
         assert lattice.prepare_floor_term(rational(lam), shift)(z, 1)[0] == certified_floor_term(lam, z, shift)
@@ -959,7 +1030,7 @@ class TestWalkPointTest:
     )
     def test_bracket_lies_inside_g_bracket(self, lam, t, exponent, shift):
         z, eps = lam * t, rational(1, 10**exponent)
-        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, shift, eps)(z.numerator, z.denominator))
+        lo, hi = (rational(*end) for end in curve.prepare_g_floor_ends(lam, shift, eps)(z.numerator, z.denominator)[:2])
         outer = g_bracket(lam, z, eps)
         assert outer.lo + shift <= lo <= hi <= outer.hi + shift
 
@@ -976,9 +1047,11 @@ class TestWalkPointTest:
     def test_shared_denominator_ends_are_over_pi_of_the_same_ends(self, lam, t, exponent, shift):
         # on dyadic arccos ends, each end of G + shift over ld*zd*2^k is the
         # rational that _over_pi builds from the isqrt root ends, those arccos
-        # ends and the pi bracket, plus the shift; where they do not verify,
-        # the ends are the reference bracket's, prepare_g_bracket's at the
-        # same eps; and both raise where one of those does not verify
+        # ends and the pi bracket, plus the shift, and the steepness bound is
+        # the arccos's upper end over pi's lower end, exactly 1/2 at z = 0;
+        # where they do not verify, the ends are the reference bracket's,
+        # prepare_g_bracket's at the same eps, with no steepness bound (None);
+        # and both raise where one of those does not verify
         z, eps = lam * t, rational(1, 10**exponent)
         (zn, zd), (ln, ld) = z.as_integer_ratio(), lam.as_integer_ratio()
         en, ed = verified._arccos_eps(eps).as_integer_ratio()
@@ -998,14 +1071,16 @@ class TestWalkPointTest:
             assert got is None
             return
         assert got is not None
-        if dyadic is None:
-            assert got == reference
+        if dyadic is None:  # with no steepness bound
+            assert got == (*reference, None)
             return
         angle_lo, angle_hi = ((end, 1 << k) for end in dyadic)
         expected = curve._over_pi(r, den, zn, zd, *angle_hi, pi.hi), curve._over_pi(r_hi, den, zn, zd, *angle_lo, pi.lo)
-        assert [rational(*end) for end in got] == [rational(*end) + shift for end in expected]
+        assert [rational(*end) for end in got[:2]] == [rational(*end) + shift for end in expected]
         sd = shift.denominator  # taken as one subtraction over the shared denominator
         assert (got[0][1], got[1][1]) == (den * pi.hi.numerator * sd, den * pi.lo.numerator * sd)
+        # the steepness bound: arccos's upper end over pi's lower end, 1/2 at z = 0
+        assert rational(*got[2]) == (rational(angle_hi[0], 1 << k) / pi.lo if zn else rational(1, 2))
 
     def test_root_ends_square_to_either_side_of_the_radicand(self, monkeypatch):
         # with the arccos taken as 0 and pi as 1, the ends are the root's own
@@ -1017,7 +1092,7 @@ class TestWalkPointTest:
             z = lam * rational(rng.randint(1, 200), 200)
             eps = rational(1, 10 ** rng.randint(0, 15))
             ends = curve.prepare_g_floor_ends(lam, rational(0), eps)(z.numerator, z.denominator)
-            lo, hi = (rational(*end) for end in ends)
+            lo, hi = (rational(*end) for end in ends[:2])
             assert lo**2 <= lam**2 - z**2 <= hi**2, (lam, z, eps)
             assert hi - lo < eps / 4, (lam, z, eps)
 
@@ -1108,8 +1183,8 @@ class TestWalkPointTest:
 
 
 def _warm_pi():
-    """Build pi on every rung of the floor ladder and at the slope proofs' eps, so that pi_bounds reads its cache."""
-    for eps in lattice._ACCURACIES + (lattice._SLOPE_EPS,):
+    """Build pi on every rung of the floor ladder, so that pi_bounds reads its cache."""
+    for eps in lattice._ACCURACIES:
         pi_bounds(eps)
 
 
